@@ -6,7 +6,6 @@ mirror the dataclasses below::
 
     id: example
     efficacy:
-      random: true
       random_type: absolute          # absolute | risk_difference | risk_ratio | odds_ratio
       comb:   {values: [0.35, 0.40, 0.45], probs: [0.4, 0.4, 0.2]}
       mono_a: {values: [0.15, 0.20, 0.25], probs: [0.2, 0.4, 0.4]}
@@ -46,40 +45,27 @@ warnings, never errors.
 from __future__ import annotations
 
 import bisect
-import copy
 import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import yaml
+
+from .decisions import (BayesFutRule, BayesSAFutRule, BayesSASupRule, BayesSupRule,
+                        CISupFutRule, EstSupFutRule, FreqFutRule, FreqSupRule)
+from .schema import (ConfigError, Violation, check_keys, dump, param, parse, parse_field,
+                     violations)
 
 RANDOM_TYPES = ("absolute", "risk_difference", "risk_ratio", "odds_ratio")
 TRIAL_STRUCTURES = ("all_plac", "no_plac", "stop_post_back", "stop_post_mono")
 SHARING_TYPES = ("cohort", "concurrent", "dynamic", "all")
 SCALE_NAMES = {1: "risk_difference", 2: "risk_ratio", 3: "odds_ratio"}
 COMPARISON_KEYS = ("comb_vs_mono_a", "comb_vs_mono_b", "mono_a_vs_soc", "mono_b_vs_soc")
-ARM_NAMES = ("comb", "mono_a", "mono_b", "soc")
-P_ADJUSTMENTS = ("none", "bonferroni_half")
-EST_KINDS = ("RR", "OR")
-CI_KINDS = ("AR", "RR", "OR")
+STAGES = ("interim", "final")
 
 _PROB_TOL = 1e-9
-
-
-class ConfigError(ValueError):
-    """Scenario source is malformed or violates an invariant."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    message: str
-    severity: str = "error"  # "error" | "warning"
-
-    def __str__(self) -> str:
-        return f"[{self.severity}] {self.field}: {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +77,10 @@ class DiscreteDist:
     """Finite support distribution; ``probs`` must sum to 1."""
 
     values: tuple[float, ...]
-    probs: tuple[float, ...]
+    probs: tuple[float, ...] = param(lo=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        cum, acc = [], 0.0
-        for p in self.probs:
-            acc += p
-            cum.append(acc)
-        object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_cum", tuple(itertools.accumulate(self.probs)))
 
     def sample(self, rng) -> float:
         u = rng.random()
@@ -114,10 +94,10 @@ class DiscreteDist:
 
 @dataclass(frozen=True)
 class EfficacySpec:
-    """True response-rate model: direct rates or effects applied on top of SoC."""
+    """True response-rate model: direct rates or effects applied on top of
+    SoC, drawn per cohort; fixed rates are one-value distributions."""
 
-    random: bool
-    random_type: str
+    random_type: str = param(choices=RANDOM_TYPES)
     comb: DiscreteDist
     mono_a: DiscreteDist
     mono_b: DiscreteDist
@@ -128,7 +108,7 @@ class EfficacySpec:
 class IdentityTransform:
     """Interim outcome equals the final outcome; mass (1-rr, 0, 0, rr)."""
 
-    kind: str = "identity"
+    kind: ClassVar[str] = "identity"
 
     def __call__(self, rr: float) -> tuple[float, float, float, float]:
         return (1.0 - rr, 0.0, 0.0, rr)
@@ -143,9 +123,9 @@ class CorrelatedTransform:
     exactly ``rr``.
     """
 
+    kind: ClassVar[str] = "correlated"
     sens: float
     spec: float
-    kind: str = "correlated"
 
     def __call__(self, rr: float) -> tuple[float, float, float, float]:
         p11 = self.sens * rr
@@ -155,6 +135,9 @@ class CorrelatedTransform:
         return (p00, p01, p10, p11)
 
 
+TRANSFORM_KINDS = {"identity": IdentityTransform, "correlated": CorrelatedTransform}
+
+
 @dataclass(frozen=True)
 class EndpointModel:
     """Joint (interim, final) outcome model.
@@ -162,15 +145,13 @@ class EndpointModel:
     Each transform maps the true final response rate to probabilities over
     the outcome pairs (0/0, 0/1, 1/0, 1/1); one transform is sampled per
     cohort at opening.  Arbitrary callables are accepted at library level;
-    config files can express ``identity`` and ``correlated`` transforms.
+    config files can express ``identity`` (the default) and ``correlated``
+    transforms.
     """
 
-    transforms: tuple[Callable[[float], tuple[float, float, float, float]], ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+    transforms: tuple[Callable[[float], tuple[float, float, float, float]], ...] = \
+        param((IdentityTransform(),), kinds=TRANSFORM_KINDS)
+    probs: tuple[float, ...] = param((1.0,), lo=0.0)
 
     def sample_transform(self, rng):
         u = rng.random()
@@ -180,10 +161,6 @@ class EndpointModel:
             if u < acc:
                 return t
         return self.transforms[-1]
-
-    @classmethod
-    def identity(cls) -> "EndpointModel":
-        return cls((IdentityTransform(),), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -197,7 +174,7 @@ class TargetProfile:
 
     margin_comb: float
     margin_mono: float
-    scale: int = 1
+    scale: int = param(1, choices=tuple(SCALE_NAMES))
     strict: bool = True
 
     @property
@@ -207,144 +184,36 @@ class TargetProfile:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    alpha: float = 1.0
-    beta: float = 1.0
+    alpha: float = param(1.0, lo=0.0, open=True)
+    beta: float = param(1.0, lo=0.0, open=True)
 
 
 @dataclass(frozen=True)
 class PlatformRules:
     """Platform-level design parameters and stopping rules."""
 
-    cohorts_max: int
-    n_int: int
+    cohorts_max: int = param(lo=1)
+    n_int: int = param(lo=1)
     n_fin: int
-    cohort_random: float = 0.0
-    cohort_offset: int = 0
+    cohort_random: float = param(0.0, lo=0.0, hi=1.0)
+    cohort_offset: int = param(0, lo=0)
     initial_cohorts: int = 1
-    safety_prob: float = 0.0
-    sr_drugs_pos: float = math.inf
-    sr_pats: float = math.inf
+    safety_prob: float = param(0.0, lo=0.0, hi=1.0)
+    sr_drugs_pos: float = param(math.inf, lo=1, inf=True)
+    sr_pats: float = param(math.inf, lo=1, inf=True)
     sr_first_pos: bool = False
-    trial_struc: str = "all_plac"
-    sharing_type: str = "cohort"
-    allocation_ratio: tuple[int, int, int, int] = (2, 1, 1, 1)
+    trial_struc: str = param("all_plac", choices=TRIAL_STRUCTURES)
+    sharing_type: str = param("cohort", choices=SHARING_TYPES)
+    allocation_ratio: tuple[int, int, int, int] = param((2, 1, 1, 1), lo=0)
     run_out_active_cohorts: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "allocation_ratio", tuple(int(r) for r in self.allocation_ratio))
-
-
-# --- decision rules --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestSpec:
-    """Two-proportion test used by frequentist rules (pooled one-sided z,
-    equivalent to the uncorrected one-sided chi-square)."""
-
-    kind: str = "prop_z_one_sided"
-    correct: bool = False  # continuity correction
-
-
-@dataclass(frozen=True)
-class BayesSupRule:
-    """Rows of (margin, confidence, promising_confidence); all rows must hold
-    simultaneously to declare superiority.  A promising threshold of 1.0 can
-    never be crossed and disables the promising flag for that row."""
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class BayesFutRule:
-    """Rows of (margin, confidence); all rows must hold to declare futility."""
-
-    rows: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class BayesSASupRule:
-    """Single-arm variant: rows of (threshold, confidence, promising_confidence)."""
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class BayesSAFutRule:
-    """Single-arm variant: rows of (threshold, confidence)."""
-
-    rows: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class FreqSupRule:
-    """Superiority when the one-sided p-value is below ``p_sup`` (halved under
-    ``bonferroni_half``); ``p_prom`` = 0 disables the promising flag.
-
-    ``testfun`` is a library-level extension point (any callable mapping a
-    TwoByTwo to a p-value); it cannot be expressed in config files.
-    """
-
-    p_sup: float
-    p_prom: float = 0.0
-    p_adj: str = "none"
-    test: TestSpec = field(default_factory=TestSpec)
-    testfun: Callable | None = None
-
-
-@dataclass(frozen=True)
-class FreqFutRule:
-    """Futility when the one-sided p-value is >= ``p_fut`` (halved under
-    ``bonferroni_half``)."""
-
-    p_fut: float
-    p_adj: str = "none"
-    test: TestSpec = field(default_factory=TestSpec)
-    testfun: Callable | None = None
-
-
-@dataclass(frozen=True)
-class EstSupFutRule:
-    """Point-estimate rule: GO if estimate >= p_hat_sup, STOP if <= p_hat_fut."""
-
-    est_kind: str
-    p_hat_sup: float
-    p_hat_fut: float
-    p_hat_prom: float = math.inf
-
-
-@dataclass(frozen=True)
-class CISupFutRule:
-    """Confidence-interval rule: GO if the upper bound >= lower_sup, STOP if
-    the lower bound <= upper_fut."""
-
-    est_kind: str
-    ci_level: float
-    lower_sup: float
-    upper_fut: float
-    lower_prom: float = math.inf
-
-
-SUP_RULE_FIELDS = ("bayes_sup", "bayes_sa_sup", "freq_sup", "est_sup_fut", "ci_sup_fut")
-FUT_RULE_FIELDS = ("bayes_fut", "bayes_sa_fut", "freq_fut", "est_sup_fut", "ci_sup_fut")
 
 
 @dataclass(frozen=True)
 class ComparisonRules:
-    """All rules configured for one comparison at one stage.  An instance
-    with every list empty marks the comparison as absent."""
+    """All rules configured for one comparison at one stage: one field per
+    rule kind, named after the kind's ``key``; the field order is the
+    evaluation and trace order.  An instance with every list empty marks
+    the comparison as absent."""
 
     bayes_sup: tuple[BayesSupRule, ...] = ()
     bayes_fut: tuple[BayesFutRule, ...] = ()
@@ -355,17 +224,17 @@ class ComparisonRules:
     est_sup_fut: tuple[EstSupFutRule, ...] = ()
     ci_sup_fut: tuple[CISupFutRule, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rules", tuple(
+            rule for f in dataclasses.fields(self) for rule in getattr(self, f.name)))
+
+    def __iter__(self):
+        """Every configured rule, in field order."""
+        return iter(self._rules)
+
     @property
     def empty(self) -> bool:
-        return not any(getattr(self, f.name) for f in dataclasses.fields(self))
-
-    @property
-    def n_sup_rules(self) -> int:
-        return sum(len(getattr(self, f)) for f in SUP_RULE_FIELDS)
-
-    @property
-    def n_fut_rules(self) -> int:
-        return sum(len(getattr(self, f)) for f in FUT_RULE_FIELDS)
+        return not self._rules
 
 
 @dataclass(frozen=True)
@@ -394,221 +263,42 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# parsing
-
-
-def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{path}: expected a mapping, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
-
-
-def _req(mapping: Mapping, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}: missing required field '{key}'")
-    return mapping[key]
-
-
-def _number(value, path: str, allow_inf: bool = False) -> float:
-    if isinstance(value, str) and allow_inf and value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
-    if math.isinf(v) and not allow_inf:
-        raise ConfigError(f"{path}: must be finite")
-    return v
-
-
-def _parse_dist(d, path: str) -> DiscreteDist:
-    _check_keys(d, ("values", "probs"), path)
-    values = _req(d, "values", path)
-    probs = _req(d, "probs", path)
-    if not isinstance(values, Sequence) or not isinstance(probs, Sequence):
-        raise ConfigError(f"{path}: 'values' and 'probs' must be lists")
-    return DiscreteDist(tuple(_number(v, f"{path}.values") for v in values),
-                        tuple(_number(p, f"{path}.probs") for p in probs))
-
-
-def _parse_efficacy(d, path: str) -> EfficacySpec:
-    _check_keys(d, ("random", "random_type", "comb", "mono_a", "mono_b", "soc"), path)
-    return EfficacySpec(
-        random=bool(d.get("random", True)),
-        random_type=str(_req(d, "random_type", path)),
-        comb=_parse_dist(_req(d, "comb", path), f"{path}.comb"),
-        mono_a=_parse_dist(_req(d, "mono_a", path), f"{path}.mono_a"),
-        mono_b=_parse_dist(_req(d, "mono_b", path), f"{path}.mono_b"),
-        soc=_parse_dist(_req(d, "soc", path), f"{path}.soc"),
-    )
-
-
-def _parse_transform(d, path: str):
-    kind = _req(d, "kind", path)
-    if kind == "identity":
-        _check_keys(d, ("kind",), path)
-        return IdentityTransform()
-    if kind == "correlated":
-        _check_keys(d, ("kind", "sens", "spec"), path)
-        return CorrelatedTransform(sens=_number(_req(d, "sens", path), f"{path}.sens"),
-                                   spec=_number(_req(d, "spec", path), f"{path}.spec"))
-    raise ConfigError(f"{path}.kind: unknown transform kind {kind!r} (identity|correlated)")
-
-
-def _parse_endpoint(d, path: str) -> EndpointModel:
-    _check_keys(d, ("transforms", "probs"), path)
-    raw = _req(d, "transforms", path)
-    if not isinstance(raw, Sequence) or not raw:
-        raise ConfigError(f"{path}.transforms: expected a non-empty list")
-    transforms = tuple(_parse_transform(t, f"{path}.transforms[{i}]") for i, t in enumerate(raw))
-    probs = d.get("probs", [1.0] * len(transforms))
-    return EndpointModel(transforms, tuple(_number(p, f"{path}.probs") for p in probs))
-
-
-def _parse_rows(raw, path: str, width: int) -> tuple:
-    if not isinstance(raw, Sequence) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list of rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, Sequence) or len(row) != width:
-            raise ConfigError(f"{path}[{i}]: expected a row of {width} numbers")
-        rows.append(tuple(_number(v, f"{path}[{i}]") for v in row))
-    return tuple(rows)
-
-
-def _parse_rule_list(raw, path: str, builder) -> tuple:
-    if not isinstance(raw, Sequence):
-        raise ConfigError(f"{path}: expected a list of rules")
-    return tuple(builder(r, f"{path}[{i}]") for i, r in enumerate(raw))
-
-
-def _parse_comparison_rules(d, path: str) -> ComparisonRules:
-    allowed = ("bayes_sup", "bayes_fut", "bayes_sa_sup", "bayes_sa_fut",
-               "freq_sup", "freq_fut", "est_sup_fut", "ci_sup_fut")
-    _check_keys(d, allowed, path)
-
-    def bayes_sup(r, p):
-        _check_keys(r, ("rows",), p)
-        return BayesSupRule(_parse_rows(_req(r, "rows", p), f"{p}.rows", 3))
-
-    def bayes_fut(r, p):
-        _check_keys(r, ("rows",), p)
-        return BayesFutRule(_parse_rows(_req(r, "rows", p), f"{p}.rows", 2))
-
-    def bayes_sa_sup(r, p):
-        _check_keys(r, ("rows",), p)
-        return BayesSASupRule(_parse_rows(_req(r, "rows", p), f"{p}.rows", 3))
-
-    def bayes_sa_fut(r, p):
-        _check_keys(r, ("rows",), p)
-        return BayesSAFutRule(_parse_rows(_req(r, "rows", p), f"{p}.rows", 2))
-
-    def freq_sup(r, p):
-        _check_keys(r, ("p_sup", "p_prom", "p_adj", "correct"), p)
-        return FreqSupRule(p_sup=_number(_req(r, "p_sup", p), f"{p}.p_sup"),
-                           p_prom=_number(r.get("p_prom", 0.0), f"{p}.p_prom"),
-                           p_adj=str(r.get("p_adj", "none")),
-                           test=TestSpec(correct=bool(r.get("correct", False))))
-
-    def freq_fut(r, p):
-        _check_keys(r, ("p_fut", "p_adj", "correct"), p)
-        return FreqFutRule(p_fut=_number(_req(r, "p_fut", p), f"{p}.p_fut"),
-                           p_adj=str(r.get("p_adj", "none")),
-                           test=TestSpec(correct=bool(r.get("correct", False))))
-
-    def est(r, p):
-        _check_keys(r, ("est", "p_hat_sup", "p_hat_fut", "p_hat_prom"), p)
-        return EstSupFutRule(est_kind=str(_req(r, "est", p)),
-                             p_hat_sup=_number(_req(r, "p_hat_sup", p), f"{p}.p_hat_sup", allow_inf=True),
-                             p_hat_fut=_number(_req(r, "p_hat_fut", p), f"{p}.p_hat_fut", allow_inf=True),
-                             p_hat_prom=_number(r.get("p_hat_prom", math.inf), f"{p}.p_hat_prom", allow_inf=True))
-
-    def ci(r, p):
-        _check_keys(r, ("est", "level", "lower_sup", "upper_fut", "lower_prom"), p)
-        return CISupFutRule(est_kind=str(_req(r, "est", p)),
-                            ci_level=_number(_req(r, "level", p), f"{p}.level"),
-                            lower_sup=_number(_req(r, "lower_sup", p), f"{p}.lower_sup", allow_inf=True),
-                            upper_fut=_number(_req(r, "upper_fut", p), f"{p}.upper_fut", allow_inf=True),
-                            lower_prom=_number(r.get("lower_prom", math.inf), f"{p}.lower_prom", allow_inf=True))
-
-    builders = {"bayes_sup": bayes_sup, "bayes_fut": bayes_fut,
-                "bayes_sa_sup": bayes_sa_sup, "bayes_sa_fut": bayes_sa_fut,
-                "freq_sup": freq_sup, "freq_fut": freq_fut,
-                "est_sup_fut": est, "ci_sup_fut": ci}
-    kwargs = {}
-    for key in allowed:
-        if key in d:
-            kwargs[key] = _parse_rule_list(d[key], f"{path}.{key}", builders[key])
-    return ComparisonRules(**kwargs)
-
-
-def _parse_stage_rules(d, path: str):
-    _check_keys(d, COMPARISON_KEYS, path)
-    return tuple(
-        _parse_comparison_rules(d[key], f"{path}.{key}") if key in d else ComparisonRules()
-        for key in COMPARISON_KEYS
-    )
+# parsing: each section is parsed generically from its dataclass (see schema)
 
 
 def _parse_rules(d, path: str) -> DecisionRuleSet:
-    _check_keys(d, ("interim", "final"), path)
-    return DecisionRuleSet(
-        interim=_parse_stage_rules(d.get("interim", {}), f"{path}.interim"),
-        final=_parse_stage_rules(d.get("final", {}), f"{path}.final"),
-    )
-
-
-def _parse_target(d, path: str) -> TargetProfile:
-    _check_keys(d, ("margin_comb", "margin_mono", "scale", "strict"), path)
-    return TargetProfile(
-        margin_comb=_number(_req(d, "margin_comb", path), f"{path}.margin_comb"),
-        margin_mono=_number(_req(d, "margin_mono", path), f"{path}.margin_mono"),
-        scale=int(d.get("scale", 1)),
-        strict=bool(d.get("strict", True)),
-    )
-
-
-def _parse_platform(d, path: str) -> PlatformRules:
-    allowed = ("cohorts_max", "cohort_random", "cohort_offset", "initial_cohorts",
-               "safety_prob", "sr_drugs_pos", "sr_pats", "sr_first_pos", "trial_struc",
-               "sharing_type", "n_int", "n_fin", "allocation_ratio", "run_out_active_cohorts")
-    _check_keys(d, allowed, path)
-    ratio = d.get("allocation_ratio", (2, 1, 1, 1))
-    if not isinstance(ratio, Sequence) or len(ratio) != 4:
-        raise ConfigError(f"{path}.allocation_ratio: expected 4 integers (comb, mono_a, mono_b, soc)")
-    return PlatformRules(
-        cohorts_max=int(_number(_req(d, "cohorts_max", path), f"{path}.cohorts_max")),
-        n_int=int(_number(_req(d, "n_int", path), f"{path}.n_int")),
-        n_fin=int(_number(_req(d, "n_fin", path), f"{path}.n_fin")),
-        cohort_random=_number(d.get("cohort_random", 0.0), f"{path}.cohort_random"),
-        cohort_offset=int(_number(d.get("cohort_offset", 0), f"{path}.cohort_offset")),
-        initial_cohorts=int(_number(d.get("initial_cohorts", 1), f"{path}.initial_cohorts")),
-        safety_prob=_number(d.get("safety_prob", 0.0), f"{path}.safety_prob"),
-        sr_drugs_pos=_number(d.get("sr_drugs_pos", math.inf), f"{path}.sr_drugs_pos", allow_inf=True),
-        sr_pats=_number(d.get("sr_pats", math.inf), f"{path}.sr_pats", allow_inf=True),
-        sr_first_pos=bool(d.get("sr_first_pos", False)),
-        trial_struc=str(d.get("trial_struc", "all_plac")),
-        sharing_type=str(d.get("sharing_type", "cohort")),
-        allocation_ratio=tuple(int(_number(r, f"{path}.allocation_ratio")) for r in ratio),
-        run_out_active_cohorts=bool(d.get("run_out_active_cohorts", True)),
-    )
+    check_keys(d, STAGES, path)
+    stages = {}
+    for stage in STAGES:
+        raw = d.get(stage, {})
+        check_keys(raw, COMPARISON_KEYS, f"{path}.{stage}")
+        stages[stage] = tuple(
+            parse(ComparisonRules, raw[key], f"{path}.{stage}.{key}") if key in raw
+            else ComparisonRules() for key in COMPARISON_KEYS)
+    return DecisionRuleSet(**stages)
 
 
 def scenario_from_dict(d: Mapping[str, Any]) -> ScenarioSpec:
     """Build a ScenarioSpec from a plain nested mapping (no validation)."""
-    _check_keys(d, ("id", "efficacy", "endpoint", "rules", "target", "platform", "prior"), "scenario")
-    prior_d = d.get("prior", {})
-    _check_keys(prior_d, ("alpha", "beta"), "prior")
+    check_keys(d, ("id", "efficacy", "endpoint", "rules", "target", "platform", "prior"), "scenario")
+    for key in ("efficacy", "rules", "target", "platform"):
+        if key not in d:
+            raise ConfigError(f"scenario: missing required field '{key}'")
+    efficacy = d["efficacy"]
+    if isinstance(efficacy, Mapping) and "random" in efficacy:
+        # legacy key: rates are always drawn per cohort
+        if efficacy["random"] is not True:
+            raise ConfigError("efficacy.random: only true is supported; give fixed rates "
+                              "as one-value distributions, e.g. {values: [0.3], probs: [1.0]}")
+        efficacy = {k: v for k, v in efficacy.items() if k != "random"}
     return ScenarioSpec(
         id=str(d.get("id", "scenario")),
-        efficacy=_parse_efficacy(_req(d, "efficacy", "scenario"), "efficacy"),
-        endpoint=_parse_endpoint(d["endpoint"], "endpoint") if "endpoint" in d else EndpointModel.identity(),
-        rules=_parse_rules(_req(d, "rules", "scenario"), "rules"),
-        target=_parse_target(_req(d, "target", "scenario"), "target"),
-        platform=_parse_platform(_req(d, "platform", "scenario"), "platform"),
-        prior=BetaPrior(alpha=_number(prior_d.get("alpha", 1.0), "prior.alpha"),
-                        beta=_number(prior_d.get("beta", 1.0), "prior.beta")),
+        efficacy=parse(EfficacySpec, efficacy, "efficacy"),
+        endpoint=parse(EndpointModel, d.get("endpoint", {}), "endpoint"),
+        rules=_parse_rules(d["rules"], "rules"),
+        target=parse(TargetProfile, d["target"], "target"),
+        platform=parse(PlatformRules, d["platform"], "platform"),
+        prior=parse(BetaPrior, d.get("prior", {}), "prior"),
     )
 
 
@@ -644,90 +334,11 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    def dist(d: DiscreteDist):
-        return {"values": list(d.values), "probs": list(d.probs)}
-
-    def transform(t):
-        if isinstance(t, IdentityTransform):
-            return {"kind": "identity"}
-        if isinstance(t, CorrelatedTransform):
-            return {"kind": "correlated", "sens": t.sens, "spec": t.spec}
-        raise ConfigError(f"transform {t!r} is not expressible in config files")
-
-    def num(v):
-        return "inf" if math.isinf(v) else v
-
-    def comparison(cr: ComparisonRules):
-        out = {}
-        if cr.bayes_sup:
-            out["bayes_sup"] = [{"rows": [list(r) for r in x.rows]} for x in cr.bayes_sup]
-        if cr.bayes_fut:
-            out["bayes_fut"] = [{"rows": [list(r) for r in x.rows]} for x in cr.bayes_fut]
-        if cr.bayes_sa_sup:
-            out["bayes_sa_sup"] = [{"rows": [list(r) for r in x.rows]} for x in cr.bayes_sa_sup]
-        if cr.bayes_sa_fut:
-            out["bayes_sa_fut"] = [{"rows": [list(r) for r in x.rows]} for x in cr.bayes_sa_fut]
-        if cr.freq_sup:
-            for x in cr.freq_sup:
-                if x.testfun is not None:
-                    raise ConfigError("custom test functions are not expressible in config files")
-            out["freq_sup"] = [{"p_sup": x.p_sup, "p_prom": x.p_prom, "p_adj": x.p_adj,
-                                "correct": x.test.correct} for x in cr.freq_sup]
-        if cr.freq_fut:
-            for x in cr.freq_fut:
-                if x.testfun is not None:
-                    raise ConfigError("custom test functions are not expressible in config files")
-            out["freq_fut"] = [{"p_fut": x.p_fut, "p_adj": x.p_adj, "correct": x.test.correct}
-                               for x in cr.freq_fut]
-        if cr.est_sup_fut:
-            out["est_sup_fut"] = [{"est": x.est_kind, "p_hat_sup": num(x.p_hat_sup),
-                                   "p_hat_fut": num(x.p_hat_fut), "p_hat_prom": num(x.p_hat_prom)}
-                                  for x in cr.est_sup_fut]
-        if cr.ci_sup_fut:
-            out["ci_sup_fut"] = [{"est": x.est_kind, "level": x.ci_level,
-                                  "lower_sup": num(x.lower_sup), "upper_fut": num(x.upper_fut),
-                                  "lower_prom": num(x.lower_prom)} for x in cr.ci_sup_fut]
-        return out
-
-    def stage(rules4):
-        return {key: comparison(cr) for key, cr in zip(COMPARISON_KEYS, rules4) if not cr.empty}
-
-    p = spec.platform
-    return {
-        "id": spec.id,
-        "efficacy": {
-            "random": spec.efficacy.random,
-            "random_type": spec.efficacy.random_type,
-            "comb": dist(spec.efficacy.comb),
-            "mono_a": dist(spec.efficacy.mono_a),
-            "mono_b": dist(spec.efficacy.mono_b),
-            "soc": dist(spec.efficacy.soc),
-        },
-        "endpoint": {
-            "transforms": [transform(t) for t in spec.endpoint.transforms],
-            "probs": list(spec.endpoint.probs),
-        },
-        "target": {"margin_comb": spec.target.margin_comb, "margin_mono": spec.target.margin_mono,
-                   "scale": spec.target.scale, "strict": spec.target.strict},
-        "prior": {"alpha": spec.prior.alpha, "beta": spec.prior.beta},
-        "platform": {
-            "cohorts_max": p.cohorts_max,
-            "cohort_random": p.cohort_random,
-            "cohort_offset": p.cohort_offset,
-            "initial_cohorts": p.initial_cohorts,
-            "safety_prob": p.safety_prob,
-            "sr_drugs_pos": num(p.sr_drugs_pos),
-            "sr_pats": num(p.sr_pats),
-            "sr_first_pos": p.sr_first_pos,
-            "trial_struc": p.trial_struc,
-            "sharing_type": p.sharing_type,
-            "n_int": p.n_int,
-            "n_fin": p.n_fin,
-            "allocation_ratio": list(p.allocation_ratio),
-            "run_out_active_cohorts": p.run_out_active_cohorts,
-        },
-        "rules": {"interim": stage(spec.rules.interim), "final": stage(spec.rules.final)},
-    }
+    rules = {stage: {key: dump(cr) for key, cr in zip(COMPARISON_KEYS, spec.rules.for_stage(stage))
+                     if not cr.empty} for stage in STAGES}
+    return {"id": spec.id, "efficacy": dump(spec.efficacy), "endpoint": dump(spec.endpoint),
+            "target": dump(spec.target), "prior": dump(spec.prior),
+            "platform": dump(spec.platform), "rules": rules}
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
@@ -735,96 +346,43 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: declared field limits (schema.violations) plus the checks that
+# span several fields
 
 
-def _dist_violations(d: DiscreteDist, path: str) -> list[Violation]:
+def _probs_violations(n: int, probs: Sequence[float], path: str, what: str) -> list[Violation]:
+    if n != len(probs) or n < 1:
+        return [Violation(path, f"{what} and probs must have equal length >= 1")]
+    if abs(sum(probs) - 1.0) > _PROB_TOL:
+        return [Violation(path + ".probs", f"probs must sum to 1 (got {sum(probs)!r})")]
+    return []
+
+
+def _efficacy_violations(eff: EfficacySpec) -> list[Violation]:
+    dists = {"comb": eff.comb, "mono_a": eff.mono_a, "mono_b": eff.mono_b, "soc": eff.soc}
     out = []
-    if len(d.values) != len(d.probs) or len(d.values) < 1:
-        out.append(Violation(path, "values and probs must have equal length >= 1"))
-        return out
-    if any(p < 0 for p in d.probs):
-        out.append(Violation(path + ".probs", "probs must be >= 0"))
-    if abs(sum(d.probs) - 1.0) > _PROB_TOL:
-        out.append(Violation(path + ".probs", f"probs must sum to 1 (got {sum(d.probs)!r})"))
+    for name, d in dists.items():
+        out.extend(_probs_violations(len(d.values), d.probs, f"efficacy.{name}", "values"))
+        # rates must be probabilities; relative effects must fit their scale
+        if eff.random_type == "absolute" or name == "soc":
+            if any(not 0.0 <= v <= 1.0 for v in d.values):
+                out.append(Violation(f"efficacy.{name}.values", "response rates must lie in [0, 1]"))
+        elif eff.random_type in ("risk_ratio", "odds_ratio") and any(v <= 0.0 for v in d.values):
+            out.append(Violation(f"efficacy.{name}.values", f"{eff.random_type} effects must be > 0"))
     return out
 
 
-def _rules_violations(rules4, stage: str, trial_struc: str) -> list[Violation]:
-    out = []
-    for key, cr in zip(COMPARISON_KEYS, rules4):
-        path = f"rules.{stage}.{key}"
-        for i, r in enumerate(cr.bayes_sup):
-            for j, (_, conf, prom) in enumerate(r.rows):
-                if not 0.0 <= conf <= 1.0 or not 0.0 <= prom <= 1.0:
-                    out.append(Violation(f"{path}.bayes_sup[{i}].rows[{j}]",
-                                         "confidence values must lie in [0, 1]"))
-        for i, r in enumerate(cr.bayes_fut):
-            for j, (_, conf) in enumerate(r.rows):
-                if not 0.0 <= conf <= 1.0:
-                    out.append(Violation(f"{path}.bayes_fut[{i}].rows[{j}]",
-                                         "confidence must lie in [0, 1]"))
-        for i, r in enumerate(cr.bayes_sa_sup):
-            for j, (v, conf, prom) in enumerate(r.rows):
-                if not 0.0 <= v <= 1.0:
-                    out.append(Violation(f"{path}.bayes_sa_sup[{i}].rows[{j}]",
-                                         "threshold value must lie in [0, 1]"))
-                if not 0.0 <= conf <= 1.0 or not 0.0 <= prom <= 1.0:
-                    out.append(Violation(f"{path}.bayes_sa_sup[{i}].rows[{j}]",
-                                         "confidence values must lie in [0, 1]"))
-        for i, r in enumerate(cr.bayes_sa_fut):
-            for j, (v, conf) in enumerate(r.rows):
-                if not 0.0 <= v <= 1.0 or not 0.0 <= conf <= 1.0:
-                    out.append(Violation(f"{path}.bayes_sa_fut[{i}].rows[{j}]",
-                                         "threshold and confidence must lie in [0, 1]"))
-        for i, r in enumerate(cr.freq_sup):
-            if not 0.0 <= r.p_sup <= 1.0 or not 0.0 <= r.p_prom <= 1.0:
-                out.append(Violation(f"{path}.freq_sup[{i}]", "significance levels must lie in [0, 1]"))
-            if r.p_adj not in P_ADJUSTMENTS:
-                out.append(Violation(f"{path}.freq_sup[{i}].p_adj", f"must be one of {P_ADJUSTMENTS}"))
-        for i, r in enumerate(cr.freq_fut):
-            if not 0.0 <= r.p_fut <= 1.0:
-                out.append(Violation(f"{path}.freq_fut[{i}]", "significance level must lie in [0, 1]"))
-            if r.p_adj not in P_ADJUSTMENTS:
-                out.append(Violation(f"{path}.freq_fut[{i}].p_adj", f"must be one of {P_ADJUSTMENTS}"))
-        for i, r in enumerate(cr.est_sup_fut):
-            if r.est_kind not in EST_KINDS:
-                out.append(Violation(f"{path}.est_sup_fut[{i}].est", f"must be one of {EST_KINDS}"))
-        for i, r in enumerate(cr.ci_sup_fut):
-            if r.est_kind not in CI_KINDS:
-                out.append(Violation(f"{path}.ci_sup_fut[{i}].est", f"must be one of {CI_KINDS}"))
-            if not 0.0 < r.ci_level < 1.0:
-                out.append(Violation(f"{path}.ci_sup_fut[{i}].level", "coverage must lie in (0, 1)"))
-
-        # consistency heuristics: overlapping GO/STOP regions are legal but suspicious
-        for i, sup in enumerate(cr.bayes_sup):
-            for fut in cr.bayes_fut:
-                for sm, sc, _ in sup.rows:
-                    for fm, fc in fut.rows:
-                        if fm <= sm and fc > sc:
-                            out.append(Violation(
-                                f"{path}.bayes_sup[{i}]",
-                                f"superiority (margin {sm}, conf {sc}) and futility (margin {fm}, "
-                                f"conf {fc}) regions overlap; both can fire simultaneously",
-                                severity="warning"))
-        for i, sup in enumerate(cr.bayes_sa_sup):
-            for fut in cr.bayes_sa_fut:
-                for sv, sc, _ in sup.rows:
-                    for fv, fc in fut.rows:
-                        if fv <= sv and fc > sc:
-                            out.append(Violation(
-                                f"{path}.bayes_sa_sup[{i}]",
-                                "single-arm superiority and futility regions overlap",
-                                severity="warning"))
-        for i, r in enumerate(cr.est_sup_fut):
-            if r.p_hat_fut >= r.p_hat_sup:
-                out.append(Violation(f"{path}.est_sup_fut[{i}]",
-                                     "futility threshold >= superiority threshold; both can fire",
-                                     severity="warning"))
-        if trial_struc == "no_plac" and key in ("mono_a_vs_soc", "mono_b_vs_soc") and not cr.empty:
-            out.append(Violation(path, "rules configured for a SoC comparison under trial_struc "
-                                       "'no_plac'; they will never be evaluated",
-                                 severity="warning"))
+def _endpoint_violations(ep: EndpointModel) -> list[Violation]:
+    out = _probs_violations(len(ep.transforms), ep.probs, "endpoint", "transforms")
+    for i, t in enumerate(ep.transforms if not out else ()):
+        for rr in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+            probs = t(rr)
+            if (len(probs) != 4 or min(probs) < -_PROB_TOL or abs(sum(probs) - 1.0) > _PROB_TOL
+                    or abs((probs[1] + probs[3]) - rr) > _PROB_TOL):
+                out.append(Violation(f"endpoint.transforms[{i}]",
+                                     f"at rr={rr}: must give 4 non-negative probabilities summing "
+                                     f"to 1 with final-endpoint marginal rr"))
+                break
     return out
 
 
@@ -836,91 +394,31 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
     warnings rather than errors.
     """
     out: list[Violation] = []
-    eff = spec.efficacy
-    for name, d in (("comb", eff.comb), ("mono_a", eff.mono_a), ("mono_b", eff.mono_b), ("soc", eff.soc)):
-        out.extend(_dist_violations(d, f"efficacy.{name}"))
-    if eff.random_type not in RANDOM_TYPES:
-        out.append(Violation("efficacy.random_type", f"must be one of {RANDOM_TYPES}"))
-    else:
-        if eff.random_type == "absolute":
-            for name, d in (("comb", eff.comb), ("mono_a", eff.mono_a),
-                            ("mono_b", eff.mono_b), ("soc", eff.soc)):
-                if any(not 0.0 <= v <= 1.0 for v in d.values):
-                    out.append(Violation(f"efficacy.{name}.values",
-                                         "absolute response rates must lie in [0, 1]"))
-        else:
-            if any(not 0.0 <= v <= 1.0 for v in eff.soc.values):
-                out.append(Violation("efficacy.soc.values", "SoC response rates must lie in [0, 1]"))
-            if eff.random_type in ("risk_ratio", "odds_ratio"):
-                for name, d in (("comb", eff.comb), ("mono_a", eff.mono_a), ("mono_b", eff.mono_b)):
-                    if any(v <= 0.0 for v in d.values):
-                        out.append(Violation(f"efficacy.{name}.values",
-                                             f"{eff.random_type} effects must be > 0"))
-
-    ep = spec.endpoint
-    if len(ep.transforms) != len(ep.probs) or not ep.transforms:
-        out.append(Violation("endpoint", "transforms and probs must have equal length >= 1"))
-    else:
-        if any(p < 0 for p in ep.probs):
-            out.append(Violation("endpoint.probs", "probs must be >= 0"))
-        if abs(sum(ep.probs) - 1.0) > _PROB_TOL:
-            out.append(Violation("endpoint.probs", f"probs must sum to 1 (got {sum(ep.probs)!r})"))
-        for i, t in enumerate(ep.transforms):
-            for rr in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-                probs = t(rr)
-                if len(probs) != 4 or any(p < -_PROB_TOL for p in probs):
-                    out.append(Violation(f"endpoint.transforms[{i}]",
-                                         f"transform must map rr={rr} to 4 non-negative entries"))
-                    break
-                if abs(sum(probs) - 1.0) > _PROB_TOL:
-                    out.append(Violation(f"endpoint.transforms[{i}]",
-                                         f"transform output must sum to 1 at rr={rr}"))
-                    break
-                if abs((probs[1] + probs[3]) - rr) > _PROB_TOL:
-                    out.append(Violation(f"endpoint.transforms[{i}]",
-                                         f"final-endpoint marginal must equal rr={rr}"))
-                    break
-
-    tgt = spec.target
-    if tgt.scale not in SCALE_NAMES:
-        out.append(Violation("target.scale", "must be 1 (risk diff), 2 (risk ratio) or 3 (odds ratio)"))
-    if not (math.isfinite(tgt.margin_comb) and math.isfinite(tgt.margin_mono)):
-        out.append(Violation("target", "margins must be finite"))
-
-    if spec.prior.alpha <= 0 or spec.prior.beta <= 0:
-        out.append(Violation("prior", "Beta prior parameters must be > 0"))
-
+    for section in ("efficacy", "endpoint", "target", "prior", "platform"):
+        out.extend(violations(getattr(spec, section), section))
+    out.extend(_efficacy_violations(spec.efficacy))
+    out.extend(_endpoint_violations(spec.endpoint))
     p = spec.platform
-    if p.cohorts_max < 1:
-        out.append(Violation("platform.cohorts_max", "must be >= 1"))
-    if p.n_int < 1:
-        out.append(Violation("platform.n_int", "must be >= 1"))
     if p.n_int > p.n_fin:
         out.append(Violation("platform.n_int", f"n_int ({p.n_int}) must be <= n_fin ({p.n_fin})"))
-    if not 0.0 <= p.cohort_random <= 1.0:
-        out.append(Violation("platform.cohort_random", "must be a probability in [0, 1]"))
-    if not 0.0 <= p.safety_prob <= 1.0:
-        out.append(Violation("platform.safety_prob", "must be a probability in [0, 1]"))
-    if p.cohort_offset < 0:
-        out.append(Violation("platform.cohort_offset", "must be >= 0"))
-    if not (p.initial_cohorts >= 1 and p.initial_cohorts <= p.cohorts_max):
+    if not 1 <= p.initial_cohorts <= p.cohorts_max:
         out.append(Violation("platform.initial_cohorts", "must be in [1, cohorts_max]"))
-    if not (p.sr_drugs_pos >= 1):
-        out.append(Violation("platform.sr_drugs_pos", "must be >= 1 or infinity"))
-    if not (p.sr_pats >= 1):
-        out.append(Violation("platform.sr_pats", "must be >= 1 or infinity"))
-    if p.trial_struc not in TRIAL_STRUCTURES:
-        out.append(Violation("platform.trial_struc", f"must be one of {TRIAL_STRUCTURES}"))
-    if p.sharing_type not in SHARING_TYPES:
-        out.append(Violation("platform.sharing_type", f"must be one of {SHARING_TYPES}"))
-    if len(p.allocation_ratio) != 4 or any(r < 0 for r in p.allocation_ratio):
-        out.append(Violation("platform.allocation_ratio", "must be 4 non-negative integers"))
-    elif p.allocation_ratio[0] < 1:
-        out.append(Violation("platform.allocation_ratio", "combination entry must be > 0"))
-
-    if p.trial_struc in TRIAL_STRUCTURES:
-        out.extend(_rules_violations(spec.rules.interim, "interim", p.trial_struc))
-        out.extend(_rules_violations(spec.rules.final, "final", p.trial_struc))
+    if len(p.allocation_ratio) != 4 or p.allocation_ratio[0] < 1:
+        out.append(Violation("platform.allocation_ratio",
+                             "needs 4 entries (comb, mono_a, mono_b, soc) with comb > 0"))
+    for stage in STAGES:
+        for key, cr in zip(COMPARISON_KEYS, spec.rules.for_stage(stage)):
+            path = f"rules.{stage}.{key}"
+            out.extend(violations(cr, path))
+            # overlapping GO/STOP regions are legal but suspicious
+            for f in dataclasses.fields(cr):
+                for i, rule in enumerate(getattr(cr, f.name)):
+                    out.extend(Violation(f"{path}.{f.name}[{i}]", msg, severity="warning")
+                               for msg in rule.conflicts(cr))
+            if p.trial_struc == "no_plac" and key in ("mono_a_vs_soc", "mono_b_vs_soc") and not cr.empty:
+                out.append(Violation(path, "rules configured for a SoC comparison under trial_struc "
+                                           "'no_plac'; they will never be evaluated",
+                                     severity="warning"))
     return out
 
 
@@ -935,26 +433,15 @@ _SCALAR_TYPES = (int, float, str, bool)
 def resolve_path(spec: ScenarioSpec, path: str) -> tuple[str, ...]:
     """Resolve an axis path ('platform.n_int' or the shorthand 'n_int') to a
     (section, field) tuple naming a scalar ScenarioSpec field."""
-    if "." in path:
-        parts = tuple(path.split("."))
-        if len(parts) != 2 or parts[0] not in _SECTION_ORDER:
-            raise ConfigError(f"axis path {path!r}: expected '<section>.<field>' with section "
-                              f"in {_SECTION_ORDER}")
-        section, name = parts
-        obj = getattr(spec, section)
-        if not any(f.name == name for f in dataclasses.fields(obj)):
-            raise ConfigError(f"axis path {path!r}: unknown field {name!r} in section {section!r}")
-        return parts
-    matches = []
     if path == "id":
         return ("id",)
-    for section in _SECTION_ORDER:
-        obj = getattr(spec, section)
-        for f in dataclasses.fields(obj):
-            if f.name == path and isinstance(getattr(obj, f.name), _SCALAR_TYPES):
-                matches.append((section, path))
+    matches = [(section, f.name) for section in _SECTION_ORDER
+               for f in dataclasses.fields(getattr(spec, section))
+               if path in (f.name, f"{section}.{f.name}")
+               and isinstance(getattr(getattr(spec, section), f.name), _SCALAR_TYPES)]
     if not matches:
-        raise ConfigError(f"axis path {path!r}: no scalar field with that name")
+        raise ConfigError(f"axis path {path!r}: no scalar field with that name "
+                          f"(sections: {_SECTION_ORDER})")
     if len(matches) > 1:
         raise ConfigError(f"axis path {path!r} is ambiguous: {matches}; use '<section>.<field>'")
     return matches[0]
@@ -981,7 +468,8 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
 
     Ordering is row-major over the axes in declaration order (the last axis
     varies fastest).  Each returned spec gets a unique derived id; everything
-    not named by an axis is untouched.
+    not named by an axis is untouched.  Axis values are parsed like the
+    fields they set.
     """
     if not axes:
         return [base]
@@ -989,21 +477,13 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
     value_lists = [list(vs) for vs in axes.values()]
     if any(len(vs) == 0 for vs in value_lists):
         raise ConfigError("every grid axis needs at least one value")
-    total = 1
-    for vs in value_lists:
-        total *= len(vs)
-    width = max(3, len(str(total - 1)))
+    width = max(3, len(str(math.prod(len(vs) for vs in value_lists) - 1)))
     specs = []
     for k, combo in enumerate(itertools.product(*value_lists)):
         spec = base
         for parts, value in zip(paths, combo):
-            current = get_path(base, ".".join(parts))
-            if isinstance(current, bool):
-                value = bool(value)
-            elif isinstance(current, int) and not isinstance(value, bool):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
+            owner = type(getattr(base, parts[0])) if len(parts) == 2 else ScenarioSpec
+            value = parse_field(owner, parts[-1], value, f"axis {'.'.join(parts)}")
             spec = _with_path(spec, parts, value)
         specs.append(dataclasses.replace(spec, id=f"{base.id}#{k:0{width}d}"))
     return specs

@@ -1,5 +1,15 @@
-"""Evaluate all configured decision rules of one cohort at one analysis
-stage and combine them into a single verdict.
+"""Decision rules, and their evaluation for one cohort at one analysis stage.
+
+Rule protocol: each rule kind is one frozen dataclass deriving from
+:class:`Rule`.  Its fields are its YAML keys, their metadata (``schema.param``)
+declares their valid values, and class attributes declare its YAML key
+(``key``, also the trace ``kind``), its data need (``needs``: a 2x2 ``TABLE``
+or the numerator ``ARM``'s own counts) and whether it can declare
+superiority.  ``evaluate(data, prior, comparison)`` returns its
+:class:`RuleTrace`; ``conflicts(rules)`` warns about GO/STOP regions it
+shares with the other rules of its comparison.  Adding a rule kind takes
+one such class plus one ``config.ComparisonRules`` field named after its key
+(the field order is the evaluation and trace order).
 
 Combination semantics: every configured superiority rule on every active
 comparison must hold to declare GO, while any single futility rule firing
@@ -14,14 +24,16 @@ changes a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
-from .config import (BayesFutRule, BayesSAFutRule, BayesSASupRule, BayesSupRule,
-                     BetaPrior, CISupFutRule, ComparisonRules, EstSupFutRule,
-                     FreqFutRule, FreqSupRule)
+from .schema import param
 from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
                     point_estimate, prob_exceeds, prob_greater_by_margin)
+
+if TYPE_CHECKING:
+    from .config import BetaPrior, ComparisonRules
 
 INTERIM = "interim"
 FINAL = "final"
@@ -30,11 +42,13 @@ GO = "GO"
 STOP_FUTILITY = "STOP_FUTILITY"
 CONTINUE = "CONTINUE"
 UNSUCCESSFUL_MAX_N = "UNSUCCESSFUL_MAX_N"
-STOP_SAFETY = "STOP_SAFETY"
 
 #: comparison index -> (numerator arm, comparator arm)
 COMPARISON_ARMS = {1: ("comb", "mono_a"), 2: ("comb", "mono_b"),
                    3: ("mono_a", "soc"), 4: ("mono_b", "soc")}
+
+TABLE = "table"
+ARM = "arm"
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,12 @@ class ComparisonData:
     table: TwoByTwo | None = None
     arm_responders: float | None = None
     arm_total: float | None = None
+
+    def meets(self, need: str) -> bool:
+        """Whether a rule with data need ``need`` can be evaluated."""
+        if need == TABLE:
+            return self.table is not None and self.table.n_t >= 1.0 and self.table.n_c >= 1.0
+        return self.arm_total is not None and self.arm_total >= 1.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +82,199 @@ class RuleTrace:
     futile: bool = False
     promising: bool = False
     note: str = ""
+
+
+# --- rule kinds ------------------------------------------------------------
+
+_MARGIN = {"name": "margin"}
+_THRESHOLD = {"name": "threshold", "lo": 0.0, "hi": 1.0}
+_CONF = {"name": "confidence", "lo": 0.0, "hi": 1.0}
+_PROM = {"name": "promising confidence", "lo": 0.0, "hi": 1.0}
+P_ADJUSTMENTS = ("none", "bonferroni_half")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Base of every rule kind (see the module docstring)."""
+
+    key: ClassVar[str]
+    needs: ClassVar[str] = TABLE
+    superiority: ClassVar[bool] = False
+
+    def conflicts(self, rules: ComparisonRules) -> list[str]:
+        return []
+
+
+@dataclass(frozen=True)
+class _BayesRows(Rule):
+    """Bayesian rule whose rows start with a margin (two-arm: P(X > Y +
+    margin)) or a threshold (single-arm: P(X > threshold))."""
+
+    def probs(self, data: ComparisonData, prior: BetaPrior) -> tuple[float, ...]:
+        if self.needs == ARM:
+            x = PosteriorBeta(prior.alpha + data.arm_responders,
+                              prior.beta + (data.arm_total - data.arm_responders))
+            return tuple(prob_exceeds(x, row[0]) for row in self.rows)
+        t = data.table
+        x = PosteriorBeta(prior.alpha + t.t_resp, prior.beta + t.t_nonresp)
+        y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
+        return tuple(prob_greater_by_margin(x, y, row[0]) for row in self.rows)
+
+
+@dataclass(frozen=True)
+class BayesSupRule(_BayesRows):
+    """Rows of (margin, confidence, promising_confidence): superior iff
+    P(X > Y + margin) > confidence for every row.  A promising threshold of
+    1.0 can never be crossed and disables the promising flag for that row."""
+
+    key = "bayes_sup"
+    superiority = True
+    rival = "bayes_fut"  # the futility kind whose regions conflicts() checks
+    rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
+                                                         columns=(_MARGIN, _CONF, _PROM))
+
+    def evaluate(self, data, prior, comparison):
+        probs = self.probs(data, prior)
+        superior = all(p > conf for p, (_, conf, _) in zip(probs, self.rows))
+        promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, self.rows))
+        return RuleTrace(comparison, self.key, probs, tuple(c for _, c, _ in self.rows),
+                         satisfied=superior, superior=superior, promising=promising)
+
+    def conflicts(self, rules):
+        return [f"superiority (margin {sm}, conf {sc}) and futility (margin {fm}, conf {fc}) "
+                f"regions overlap; both can fire simultaneously"
+                for fut in getattr(rules, self.rival)
+                for sm, sc, _ in self.rows for fm, fc in fut.rows if fm <= sm and fc > sc]
+
+
+@dataclass(frozen=True)
+class BayesFutRule(_BayesRows):
+    """Rows of (margin, confidence): futile iff P(X > Y + margin) <
+    confidence for every row."""
+
+    key = "bayes_fut"
+    rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_MARGIN, _CONF))
+
+    def evaluate(self, data, prior, comparison):
+        probs = self.probs(data, prior)
+        futile = all(p < conf for p, (_, conf) in zip(probs, self.rows))
+        return RuleTrace(comparison, self.key, probs, tuple(c for _, c in self.rows),
+                         satisfied=futile, futile=futile)
+
+
+@dataclass(frozen=True)
+class BayesSASupRule(BayesSupRule):
+    """Single-arm variant: rows of (threshold, confidence,
+    promising_confidence); superior iff P(X > threshold) > confidence."""
+
+    key = "bayes_sa_sup"
+    needs = ARM
+    rival = "bayes_sa_fut"
+    rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
+                                                         columns=(_THRESHOLD, _CONF, _PROM))
+
+
+@dataclass(frozen=True)
+class BayesSAFutRule(BayesFutRule):
+    """Single-arm variant: rows of (threshold, confidence); futile iff
+    P(X > threshold) < confidence for every row."""
+
+    key = "bayes_sa_fut"
+    needs = ARM
+    rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_THRESHOLD, _CONF))
+
+
+@dataclass(frozen=True)
+class FreqSupRule(Rule):
+    """Superior iff the one-sided p-value of the pooled two-proportion z
+    test (``correct``: with continuity correction) is below ``p_sup``
+    (halved under ``bonferroni_half``); ``p_prom`` = 0 disables the
+    promising flag."""
+
+    key = "freq_sup"
+    superiority = True
+    p_sup: float = param(lo=0.0, hi=1.0)
+    p_prom: float = param(0.0, lo=0.0, hi=1.0)
+    p_adj: str = param("none", choices=P_ADJUSTMENTS)
+    correct: bool = False
+
+    def evaluate(self, data, prior, comparison):
+        p = one_sided_prop_test(data.table, correct=self.correct)
+        half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
+        superior = p < self.p_sup * half
+        promising = (not superior) and p < self.p_prom * half
+        return RuleTrace(comparison, self.key, (p,), (self.p_sup * half,),
+                         satisfied=superior, superior=superior, promising=promising)
+
+
+@dataclass(frozen=True)
+class FreqFutRule(Rule):
+    """Futile iff the one-sided p-value is >= ``p_fut`` (halved under
+    ``bonferroni_half``)."""
+
+    key = "freq_fut"
+    p_fut: float = param(lo=0.0, hi=1.0)
+    p_adj: str = param("none", choices=P_ADJUSTMENTS)
+    correct: bool = False
+
+    def evaluate(self, data, prior, comparison):
+        p = one_sided_prop_test(data.table, correct=self.correct)
+        half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
+        futile = p >= self.p_fut * half
+        return RuleTrace(comparison, self.key, (p,), (self.p_fut * half,),
+                         satisfied=futile, futile=futile)
+
+
+@dataclass(frozen=True)
+class EstSupFutRule(Rule):
+    """Point-estimate rule (risk or odds ratio): superior iff the estimate
+    >= p_hat_sup, futile iff it is <= p_hat_fut."""
+
+    key = "est_sup_fut"
+    superiority = True
+    est: str = param(choices=("RR", "OR"))
+    p_hat_sup: float = param(inf=True)
+    p_hat_fut: float = param(inf=True)
+    p_hat_prom: float = param(math.inf, inf=True)
+
+    def evaluate(self, data, prior, comparison):
+        e = point_estimate(data.table, self.est)
+        superior = e >= self.p_hat_sup
+        futile = e <= self.p_hat_fut
+        promising = (not superior) and e >= self.p_hat_prom
+        return RuleTrace(comparison, self.key, (e,), (self.p_hat_sup, self.p_hat_fut),
+                         satisfied=superior, superior=superior, futile=futile, promising=promising)
+
+    def conflicts(self, rules):
+        if self.p_hat_fut >= self.p_hat_sup:
+            return ["futility threshold >= superiority threshold; both can fire"]
+        return []
+
+
+@dataclass(frozen=True)
+class CISupFutRule(Rule):
+    """Confidence-interval rule (risk difference, risk or odds ratio):
+    superior iff the upper bound >= lower_sup, futile iff the lower bound
+    <= upper_fut."""
+
+    key = "ci_sup_fut"
+    superiority = True
+    est: str = param(choices=("AR", "RR", "OR"))
+    level: float = param(lo=0.0, hi=1.0, open=True)
+    lower_sup: float = param(inf=True)
+    upper_fut: float = param(inf=True)
+    lower_prom: float = param(math.inf, inf=True)
+
+    def evaluate(self, data, prior, comparison):
+        lo, hi = ci(data.table, self.est, self.level)
+        superior = hi >= self.lower_sup
+        futile = lo <= self.upper_fut
+        promising = (not superior) and hi >= self.lower_prom
+        return RuleTrace(comparison, self.key, (lo, hi), (self.lower_sup, self.upper_fut),
+                         satisfied=superior, superior=superior, futile=futile, promising=promising)
+
+
+# --- evaluation ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -89,158 +302,36 @@ class CohortDecision:
         return tuple(t for c in self.comparisons for t in c.traces)
 
     def outcome(self, comparison: int) -> ComparisonOutcome | None:
-        for c in self.comparisons:
-            if c.comparison == comparison:
-                return c
-        return None
+        return next((c for c in self.comparisons if c.comparison == comparison), None)
 
 
-def _posteriors(table: TwoByTwo, prior: BetaPrior) -> tuple[PosteriorBeta, PosteriorBeta]:
-    x = PosteriorBeta(prior.alpha + table.t_resp, prior.beta + table.t_nonresp)
-    y = PosteriorBeta(prior.alpha + table.c_resp, prior.beta + table.c_nonresp)
-    return x, y
-
-
-def eval_bayes_sup(rule: BayesSupRule, table: TwoByTwo, prior: BetaPrior,
-                   comparison: int) -> RuleTrace:
-    """Superior iff P(X > Y + margin) > confidence for every row."""
-    x, y = _posteriors(table, prior)
-    probs = tuple(prob_greater_by_margin(x, y, m) for m, _, _ in rule.rows)
-    superior = all(p > conf for p, (_, conf, _) in zip(probs, rule.rows))
-    promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, rule.rows))
-    return RuleTrace(comparison, "bayes_sup", probs, tuple(c for _, c, _ in rule.rows),
-                     satisfied=superior, superior=superior, promising=promising)
-
-
-def eval_bayes_fut(rule: BayesFutRule, table: TwoByTwo, prior: BetaPrior,
-                   comparison: int) -> RuleTrace:
-    """Futile iff P(X > Y + margin) < confidence for every row."""
-    x, y = _posteriors(table, prior)
-    probs = tuple(prob_greater_by_margin(x, y, m) for m, _ in rule.rows)
-    futile = all(p < conf for p, (_, conf) in zip(probs, rule.rows))
-    return RuleTrace(comparison, "bayes_fut", probs, tuple(c for _, c in rule.rows),
-                     satisfied=futile, futile=futile)
-
-
-def eval_bayes_sa_sup(rule: BayesSASupRule, responders: float, total: float,
-                      prior: BetaPrior, comparison: int) -> RuleTrace:
-    """Single-arm variant: superior iff P(X > v) > confidence for every row."""
-    x = PosteriorBeta(prior.alpha + responders, prior.beta + (total - responders))
-    probs = tuple(prob_exceeds(x, v) for v, _, _ in rule.rows)
-    superior = all(p > conf for p, (_, conf, _) in zip(probs, rule.rows))
-    promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, rule.rows))
-    return RuleTrace(comparison, "bayes_sa_sup", probs, tuple(c for _, c, _ in rule.rows),
-                     satisfied=superior, superior=superior, promising=promising)
-
-
-def eval_bayes_sa_fut(rule: BayesSAFutRule, responders: float, total: float,
-                      prior: BetaPrior, comparison: int) -> RuleTrace:
-    """Single-arm variant: futile iff P(X > v) < confidence for every row."""
-    x = PosteriorBeta(prior.alpha + responders, prior.beta + (total - responders))
-    probs = tuple(prob_exceeds(x, v) for v, _ in rule.rows)
-    futile = all(p < conf for p, (_, conf) in zip(probs, rule.rows))
-    return RuleTrace(comparison, "bayes_sa_fut", probs, tuple(c for _, c in rule.rows),
-                     satisfied=futile, futile=futile)
-
-
-def eval_freq_sup(rule: FreqSupRule, table: TwoByTwo, comparison: int) -> RuleTrace:
-    """Superior iff p < p_sup (levels halved under bonferroni_half)."""
-    p = rule.testfun(table) if rule.testfun is not None else \
-        one_sided_prop_test(table, correct=rule.test.correct)
-    half = 0.5 if rule.p_adj == "bonferroni_half" else 1.0
-    superior = p < rule.p_sup * half
-    promising = (not superior) and p < rule.p_prom * half
-    return RuleTrace(comparison, "freq_sup", (p,), (rule.p_sup * half,),
-                     satisfied=superior, superior=superior, promising=promising)
-
-
-def eval_freq_fut(rule: FreqFutRule, table: TwoByTwo, comparison: int) -> RuleTrace:
-    """Futile iff p >= p_fut (level halved under bonferroni_half)."""
-    p = rule.testfun(table) if rule.testfun is not None else \
-        one_sided_prop_test(table, correct=rule.test.correct)
-    half = 0.5 if rule.p_adj == "bonferroni_half" else 1.0
-    futile = p >= rule.p_fut * half
-    return RuleTrace(comparison, "freq_fut", (p,), (rule.p_fut * half,),
-                     satisfied=futile, futile=futile)
-
-
-def eval_est_rule(rule: EstSupFutRule, table: TwoByTwo, comparison: int) -> RuleTrace:
-    """Superior iff estimate >= p_hat_sup; futile iff estimate <= p_hat_fut."""
-    e = point_estimate(table, rule.est_kind)
-    superior = e >= rule.p_hat_sup
-    futile = e <= rule.p_hat_fut
-    promising = (not superior) and e >= rule.p_hat_prom
-    return RuleTrace(comparison, "est_sup_fut", (e,), (rule.p_hat_sup, rule.p_hat_fut),
-                     satisfied=superior, superior=superior, futile=futile, promising=promising)
-
-
-def eval_ci_rule(rule: CISupFutRule, table: TwoByTwo, comparison: int) -> RuleTrace:
-    """Superior iff the CI's upper bound >= lower_sup; futile iff its lower
-    bound <= upper_fut."""
-    lo, hi = ci(table, rule.est_kind, rule.ci_level)
-    superior = hi >= rule.lower_sup
-    futile = lo <= rule.upper_fut
-    promising = (not superior) and hi >= rule.lower_prom
-    return RuleTrace(comparison, "ci_sup_fut", (lo, hi), (rule.lower_sup, rule.upper_fut),
-                     satisfied=superior, superior=superior, futile=futile, promising=promising)
+def _inactive(comparison: int) -> ComparisonOutcome:
+    return ComparisonOutcome(comparison, active=False, inconclusive=False, superior=False,
+                             futile=False, promising=False, n_sup_rules=0)
 
 
 def evaluate_comparison(rules: ComparisonRules, data: ComparisonData | None,
                         prior: BetaPrior, comparison: int) -> ComparisonOutcome:
-    """Evaluate every configured rule of one comparison.
+    """Evaluate every configured rule of one comparison, in field order.
 
-    Rules whose data requirement cannot be met (no table / empty arm) are
-    not evaluated; unevaluable superiority rules make the comparison
+    Rules whose data need cannot be met (no table / empty arm) are not
+    evaluated; unevaluable superiority rules make the comparison
     inconclusive, which blocks GO without contributing futility.
     """
     if rules.empty:
-        return ComparisonOutcome(comparison, active=False, inconclusive=False,
-                                 superior=False, futile=False, promising=False, n_sup_rules=0)
+        return _inactive(comparison)
     traces: list[RuleTrace] = []
+    sup_traces: list[RuleTrace] = []
     missing_sup = 0
-    table = data.table if data is not None else None
-    table_ok = table is not None and table.n_t >= 1.0 and table.n_c >= 1.0
-    arm_ok = (data is not None and data.arm_total is not None and data.arm_total >= 1.0)
-
-    for rule in rules.bayes_sup:
-        if table_ok:
-            traces.append(eval_bayes_sup(rule, table, prior, comparison))
-        else:
-            missing_sup += 1
-    for rule in rules.bayes_fut:
-        if table_ok:
-            traces.append(eval_bayes_fut(rule, table, prior, comparison))
-    for rule in rules.bayes_sa_sup:
-        if arm_ok:
-            traces.append(eval_bayes_sa_sup(rule, data.arm_responders, data.arm_total,
-                                            prior, comparison))
-        else:
-            missing_sup += 1
-    for rule in rules.bayes_sa_fut:
-        if arm_ok:
-            traces.append(eval_bayes_sa_fut(rule, data.arm_responders, data.arm_total,
-                                            prior, comparison))
-    for rule in rules.freq_sup:
-        if table_ok:
-            traces.append(eval_freq_sup(rule, table, comparison))
-        else:
-            missing_sup += 1
-    for rule in rules.freq_fut:
-        if table_ok:
-            traces.append(eval_freq_fut(rule, table, comparison))
-    for rule in rules.est_sup_fut:
-        if table_ok:
-            traces.append(eval_est_rule(rule, table, comparison))
-        else:
-            missing_sup += 1
-    for rule in rules.ci_sup_fut:
-        if table_ok:
-            traces.append(eval_ci_rule(rule, table, comparison))
-        else:
+    for rule in rules:
+        if data is not None and data.meets(rule.needs):
+            trace = rule.evaluate(data, prior, comparison)
+            traces.append(trace)
+            if rule.superiority:
+                sup_traces.append(trace)
+        elif rule.superiority:
             missing_sup += 1
 
-    sup_traces = [t for t in traces if t.kind in
-                  ("bayes_sup", "bayes_sa_sup", "freq_sup", "est_sup_fut", "ci_sup_fut")]
     n_sup = len(sup_traces) + missing_sup
     inconclusive = missing_sup > 0
     superior = bool(sup_traces) and not inconclusive and all(t.superior for t in sup_traces)
@@ -298,9 +389,7 @@ def evaluate_cohort(stage_rules: Sequence[ComparisonRules],
     for idx in range(1, 5):
         rules = stage_rules[idx - 1]
         if idx not in arm_present_comparisons or rules.empty:
-            outcomes.append(ComparisonOutcome(idx, active=False, inconclusive=False,
-                                              superior=False, futile=False, promising=False,
-                                              n_sup_rules=0))
+            outcomes.append(_inactive(idx))
             continue
         if idx not in data:
             raise ValueError(f"missing data for active comparison {idx}")

@@ -17,13 +17,12 @@ parallelism happens across trials, never inside one.
 from __future__ import annotations
 
 import bisect
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ScenarioSpec
-from .decisions import (COMPARISON_ARMS, CONTINUE, FINAL, GO, INTERIM,
-                        STOP_FUTILITY, UNSUCCESSFUL_MAX_N, CohortDecision,
-                        ComparisonData, evaluate_cohort)
+from .decisions import (COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
+                        UNSUCCESSFUL_MAX_N, CohortDecision, ComparisonData,
+                        evaluate_cohort)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from .stats import TwoByTwo, one_sided_prop_test
 
@@ -147,12 +146,7 @@ class CohortState:
         self.block_template = tuple(template)
         self.active_comparisons = tuple(
             c for c, (num, den) in COMPARISON_ARMS.items() if num in arms and den in arms)
-        # cumulative outcome-pair probabilities per arm, in order 0/0, 0/1, 1/0, 1/1
-        cum = {}
-        for arm in arms:
-            p00, p01, p10, p11 = transform(truth.rate(arm))
-            cum[arm] = (p00, p00 + p01, p00 + p01 + p10)
-        self.cum_probs = cum
+        self.cum_probs = {arm: cum_pair_probs(transform, truth.rate(arm)) for arm in arms}
 
     @property
     def total_n(self) -> int:
@@ -211,41 +205,35 @@ class TrialResult:
     safety_stops: tuple[tuple[int, int], ...]  # (cohort id, patient counter)
     soc_slot_patients: int
 
-    def confusion_counts(self) -> tuple[int, int, int, int]:
-        tp = fp = tn = fn = 0
-        for c in self.cohorts:
-            if c.confusion == "TP":
-                tp += 1
-            elif c.confusion == "FP":
-                fp += 1
-            elif c.confusion == "TN":
-                tn += 1
-            elif c.confusion == "FN":
-                fn += 1
-        return tp, fp, tn, fn
-
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def allocate_block(cohort: CohortState, ratio, rng) -> list[str]:
-    """One randomization block: exact per-arm counts from ``ratio`` restricted
-    to the cohort's present arms, in uniformly random within-block order."""
+def allocate_block(cohort: CohortState, rng) -> list[str]:
+    """One randomization block: exact per-arm counts from the allocation
+    ratio restricted to the cohort's present arms, in uniformly random
+    within-block order."""
     template = cohort.block_template
     order = rng.permutation(len(template))
     return [template[i] for i in order]
 
 
-def gen_outcome_pair(rr: float, transform, rng) -> tuple[int, int]:
-    """Draw one (interim, final) outcome pair from the joint model."""
+def cum_pair_probs(transform, rr: float) -> tuple[float, float, float]:
+    """Cumulative probabilities of the outcome pairs 0/0, 0/1 and 1/0 (1/1
+    takes the rest) under ``transform`` at true final rate ``rr``."""
     p00, p01, p10, _ = transform(rr)
+    return (p00, p00 + p01, p00 + p01 + p10)
+
+
+def gen_outcome_pair(cum: tuple[float, float, float], rng) -> tuple[int, int]:
+    """Draw one (interim, final) outcome pair given ``cum_pair_probs``."""
     u = rng.random()
-    if u < p00:
+    if u < cum[0]:
         return (0, 0)
-    if u < p00 + p01:
+    if u < cum[1]:
         return (0, 1)
-    if u < p00 + p01 + p10:
+    if u < cum[2]:
         return (1, 0)
     return (1, 1)
 
@@ -402,23 +390,16 @@ class _Platform:
         rng = self.rng
         safety_prob = spec.platform.safety_prob
         cohort_random = spec.platform.cohort_random
+        cum_probs = cohort.cum_probs
+        ledgers = cohort.ledgers
         cohort.blocks += 1
         self.soc_slots += spec.platform.allocation_ratio[3]
-        for arm in allocate_block(cohort, spec.platform.allocation_ratio, rng):
+        for arm in allocate_block(cohort, rng):
             self.patient_counter += 1
             if arm == "soc":
                 self.soc_enrolled += 1
-            c1, c2, c3 = cohort.cum_probs[arm]
-            u = rng.random()
-            if u < c1:
-                bio, hist = 0, 0
-            elif u < c2:
-                bio, hist = 0, 1
-            elif u < c3:
-                bio, hist = 1, 0
-            else:
-                bio, hist = 1, 1
-            cohort.ledgers[arm].add(self.patient_counter - 1, bio, hist)
+            bio, hist = gen_outcome_pair(cum_probs[arm], rng)
+            ledgers[arm].add(self.patient_counter - 1, bio, hist)
             # one safety and one cohort-entry draw per included patient
             u_safety = rng.random()
             u_entry = rng.random()
@@ -473,30 +454,21 @@ class _Platform:
         # CONTINUE keeps enrolling
         return decision
 
-    def _analyzable(self, cohort: CohortState, stage: str) -> bool:
-        data, _ = assemble_analysis_data(self.cohorts, cohort,
-                                         self.spec.platform.sharing_type, stage)
-        rules = self.spec.rules.for_stage(stage)
-        for comp in cohort.active_comparisons:
-            cr = rules[comp - 1]
-            if cr.empty:
-                continue
-            d = data[comp]
-            if d.table is not None and d.table.n_t >= 1.0 and d.table.n_c >= 1.0:
-                return True
-            if d.arm_total is not None and d.arm_total >= 1.0:
-                return True
-        return False
-
     def halt_enrolling_cohorts(self) -> None:
-        """Stop recruitment everywhere and conclude on accumulated data."""
+        """Stop recruitment everywhere and conclude on accumulated data.
+
+        An enrolling cohort only ever gains whole blocks, so once it has
+        patients every arm holds data and any comparison with final-stage
+        rules can be analysed."""
         self.close_entry()
         if self.recruitment_halt_index is None:
             self.recruitment_halt_index = self.patient_counter
+        final_rules = self.spec.rules.final
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
-            if cohort.total_n > 0 and self._analyzable(cohort, FINAL):
+            if cohort.total_n > 0 and any(not final_rules[c - 1].empty
+                                          for c in cohort.active_comparisons):
                 self.run_analysis(cohort, FINAL, halted=True)
                 if cohort.status == ENROLLING:  # CONTINUE cannot happen at final
                     cohort.status = COMPLETED_UNSUCCESSFUL

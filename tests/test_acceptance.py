@@ -20,7 +20,8 @@ from platformsim.cli import main as cli_main
 from platformsim.config import IdentityTransform, parse_scenario
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (STOPPED_SAFETY, allocate_block,
-                                gen_outcome_pair, simulate_trial)
+                                cum_pair_probs, gen_outcome_pair,
+                                simulate_trial)
 from platformsim.ocs import aggregate
 from platformsim.runner import derive_rng, run_ocs
 from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
@@ -80,7 +81,7 @@ def test_c04_identity_transform_interim_equals_final():
     rng = np.random.default_rng(99)
     transform = IdentityTransform()
     for _ in range(100_000):
-        bio, hist = gen_outcome_pair(0.37, transform, rng)
+        bio, hist = gen_outcome_pair(cum_pair_probs(transform, 0.37), rng)
         assert bio == hist
     # and end to end through the engine
     spec = make_scenario(cohort_random=0.1, cohorts_max=3)
@@ -97,7 +98,7 @@ def test_c05_block_randomization_exactness():
     rng = np.random.default_rng(5)
     totals = {"comb": 0, "mono_a": 0, "mono_b": 0, "soc": 0}
     for _ in range(10_000):
-        for arm in allocate_block(cohort, (2, 2, 1, 1), rng):
+        for arm in allocate_block(cohort, rng):
             totals[arm] += 1
     assert totals == {"comb": 20_000, "mono_a": 20_000, "mono_b": 10_000, "soc": 10_000}
     report("C05 block-randomization-exact", "10000 blocks")

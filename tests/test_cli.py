@@ -50,6 +50,12 @@ class TestSimulate:
         assert main(["simulate", "--config", bad, "--out", str(out)]) == 2
         assert not (out / "trajectory.json").exists()
 
+    def test_scalar_endpoint_probs_exits_2(self, tmp_path):
+        d = scenario_dict()
+        d["endpoint"] = {"transforms": [{"kind": "identity"}], "probs": 1.0}
+        bad = write_yaml(tmp_path / "bad.yaml", d)
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.yaml"),
                      "--out", str(tmp_path)]) == 2

@@ -1,12 +1,14 @@
 import copy
+import dataclasses
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (ConfigError, CorrelatedTransform, DiscreteDist,
-                                EndpointModel, expand_grid, get_path,
+from platformsim.config import (ComparisonRules, ConfigError, CorrelatedTransform,
+                                DiscreteDist, EndpointModel, expand_grid, get_path,
                                 parse_scenario, scenario_to_dict,
                                 serialize_scenario, validate)
 
@@ -188,3 +190,124 @@ class TestDiscreteDist:
         d = DiscreteDist.point(0.4)
         rng = np.random.default_rng(0)
         assert all(d.sample(rng) == 0.4 for _ in range(10))
+
+
+class TestLoudFailures:
+    @pytest.mark.parametrize("section,key", [("target", "strict"),
+                                             ("platform", "sr_first_pos"),
+                                             ("platform", "run_out_active_cohorts")])
+    def test_bool_fields_reject_strings(self, section, key):
+        d = scenario_dict()
+        d[section][key] = "no"
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(d)
+
+    def test_continuity_correction_rejects_string(self):
+        d = scenario_dict()
+        d["rules"]["final"]["comb_vs_mono_a"]["freq_sup"] = [{"p_sup": 0.05, "correct": "no"}]
+        with pytest.raises(ConfigError, match="correct"):
+            parse_scenario(d)
+
+    def test_scalar_endpoint_probs(self):
+        d = scenario_dict()
+        d["endpoint"]["probs"] = 1.0
+        with pytest.raises(ConfigError, match="endpoint.probs"):
+            parse_scenario(d)
+
+    def test_efficacy_random_false_rejected(self):
+        d = scenario_dict()
+        d["efficacy"]["random"] = False
+        with pytest.raises(ConfigError, match="one-value distributions"):
+            parse_scenario(d)
+
+    def test_efficacy_random_true_accepted(self):
+        d = scenario_dict()
+        assert d["efficacy"]["random"] is True
+        del d["efficacy"]["random"]
+        assert parse_scenario(scenario_dict()) == parse_scenario(d)
+
+
+# --- every rule kind, driven by the declared field limits ---------------------
+
+RULE_HINTS = typing.get_type_hints(ComparisonRules)
+RULE_KINDS = {f.name: typing.get_args(RULE_HINTS[f.name])[0]
+              for f in dataclasses.fields(ComparisonRules)}
+
+
+def in_limits(tp, meta):
+    """Strategy for a value of type ``tp`` inside the limits ``meta``."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            return st.lists(in_limits(args[0], meta), min_size=1, max_size=3).map(tuple)
+        columns = meta.get("columns", (meta,) * len(args))
+        return st.tuples(*(in_limits(a, m) for a, m in zip(args, columns)))
+    if "choices" in meta:
+        return st.sampled_from(meta["choices"])
+    if tp is bool:
+        return st.booleans()
+    is_open = meta.get("open", False)
+    values = st.floats(meta.get("lo"), meta.get("hi"), exclude_min=is_open and "lo" in meta,
+                       exclude_max=is_open and "hi" in meta, allow_nan=False,
+                       allow_infinity=False)
+    return values | st.just(math.inf) if meta.get("inf") else values
+
+
+def rules_of(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: in_limits(hints[f.name], f.metadata)
+                             for f in dataclasses.fields(cls)})
+
+
+def outside_limits(meta):
+    """Values just outside the limits ``meta``."""
+    if "choices" in meta:
+        yield "bogus"
+    is_open = meta.get("open", False)
+    if "lo" in meta:
+        yield meta["lo"] if is_open else math.nextafter(meta["lo"], -math.inf)
+    if "hi" in meta:
+        yield meta["hi"] if is_open else math.nextafter(meta["hi"], math.inf)
+
+
+LIMIT_SITES = [(key, f.name, column, bad)
+               for key, cls in RULE_KINDS.items() for f in dataclasses.fields(cls)
+               for column, meta in (enumerate(f.metadata["columns"]) if "columns" in f.metadata
+                                    else [(None, f.metadata)])
+               for bad in outside_limits(meta)]
+
+
+def with_rules(spec, comparison_rules):
+    rules = dataclasses.replace(spec.rules, final=(comparison_rules,) + spec.rules.final[1:])
+    return dataclasses.replace(spec, rules=rules)
+
+
+class TestRuleKinds:
+    def test_field_names_are_rule_keys(self):
+        assert all(cls.key == key for key, cls in RULE_KINDS.items())
+
+    @given(st.fixed_dictionaries({key: st.lists(rules_of(cls), max_size=2).map(tuple)
+                                  for key, cls in RULE_KINDS.items()}))
+    @settings(max_examples=60, deadline=None)
+    def test_in_limits_rules_round_trip(self, kinds):
+        spec = with_rules(parse_scenario(scenario_dict()), ComparisonRules(**kinds))
+        assert [v for v in validate(spec) if v.severity == "error"] == []
+        assert parse_scenario(serialize_scenario(spec)) == spec
+
+    @pytest.mark.parametrize("key,name,column,bad", LIMIT_SITES)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_value_outside_limits_is_an_error_naming_its_field(self, key, name, column, bad, data):
+        rule = data.draw(rules_of(RULE_KINDS[key]))
+        if column is None:
+            rule = dataclasses.replace(rule, **{name: bad})
+            where = f".{key}[0].{name}"
+        else:
+            row = list(rule.rows[0])
+            row[column] = bad
+            rule = dataclasses.replace(rule, rows=(tuple(row),) + rule.rows[1:])
+            where = f".{key}[0].{name}[0][{column}]"
+        spec = with_rules(parse_scenario(scenario_dict()), ComparisonRules(**{key: (rule,)}))
+        errors = [v for v in validate(spec) if v.severity == "error"]
+        assert len(errors) == 1
+        assert errors[0].field == "rules.final.comb_vs_mono_a" + where

@@ -9,10 +9,7 @@ from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
 from platformsim.decisions import (CONTINUE, FINAL, GO, INTERIM, STOP_FUTILITY,
                                    UNSUCCESSFUL_MAX_N, ComparisonData,
                                    combine, evaluate_cohort,
-                                   evaluate_comparison, eval_bayes_fut,
-                                   eval_bayes_sa_fut, eval_bayes_sa_sup,
-                                   eval_bayes_sup, eval_ci_rule, eval_est_rule,
-                                   eval_freq_fut, eval_freq_sup)
+                                   evaluate_comparison)
 from platformsim.stats import TwoByTwo
 
 PRIOR = BetaPrior(1.0, 1.0)
@@ -23,13 +20,13 @@ EQUAL = TwoByTwo(20, 30, 20, 30)
 class TestBayesSup:
     def test_overwhelming_data(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = eval_bayes_sup(rule, STRONG, PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(STRONG), PRIOR, 1)
         assert trace.superior and trace.satisfied
         assert trace.statistic[0] > 0.999
 
     def test_identical_arms_not_superior(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = eval_bayes_sup(rule, EQUAL, PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(EQUAL), PRIOR, 1)
         assert not trace.superior
         assert trace.statistic[0] < 0.5
 
@@ -37,105 +34,105 @@ class TestBayesSup:
         # P(X > Y + 0.1) ~ 0.833 for (30/50 vs 20/50): below conf, and a
         # promising bound of 1.00 can never be crossed
         rule = BayesSupRule(rows=((0.10, 0.90, 1.00),))
-        trace = eval_bayes_sup(rule, TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
         assert not trace.superior and not trace.promising
 
     def test_promising_threshold_crossed(self):
         rule = BayesSupRule(rows=((0.10, 0.90, 0.50),))
-        trace = eval_bayes_sup(rule, TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
         assert not trace.superior and trace.promising
 
     def test_multi_row_all_must_hold(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00), (0.50, 0.80, 1.00)))
-        trace = eval_bayes_sup(rule, TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
         assert not trace.superior  # the 0.50 margin row fails
         single = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        assert eval_bayes_sup(single, TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
+        assert single.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
 
 
 class TestBayesFut:
     def test_identical_arms_futile_at_point6(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        trace = eval_bayes_fut(rule, EQUAL, PRIOR, 1)
+        trace = rule.evaluate(ComparisonData(EQUAL), PRIOR, 1)
         assert trace.futile  # P = 0.5 < 0.6
 
     def test_strong_effect_not_futile(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        assert not eval_bayes_fut(rule, STRONG, PRIOR, 1).futile
+        assert not rule.evaluate(ComparisonData(STRONG), PRIOR, 1).futile
 
 
 class TestBayesSingleArm:
     def test_sa_sup_two_rows(self):
         rule = BayesSASupRule(rows=((0.05, 0.70, 1.00), (0.10, 0.50, 1.00)))
-        trace = eval_bayes_sa_sup(rule, 30, 50, PRIOR, 1)  # posterior Beta(31, 21)
+        # posterior Beta(31, 21)
+        trace = rule.evaluate(ComparisonData(arm_responders=30, arm_total=50), PRIOR, 1)
         assert trace.superior
 
     def test_sa_fut_no_responders(self):
         rule = BayesSAFutRule(rows=((0.10, 0.50),))
-        trace = eval_bayes_sa_fut(rule, 0, 50, PRIOR, 1)  # posterior Beta(1, 51)
+        # posterior Beta(1, 51)
+        trace = rule.evaluate(ComparisonData(arm_responders=0, arm_total=50), PRIOR, 1)
         assert trace.futile
         assert trace.statistic[0] == pytest.approx(0.9 ** 51, rel=1e-9)
 
     def test_sa_sup_zero_threshold_always_holds(self):
         rule = BayesSASupRule(rows=((0.0, 0.99, 1.00),))
-        assert eval_bayes_sa_sup(rule, 0, 10, PRIOR, 1).superior
+        assert rule.evaluate(ComparisonData(arm_responders=0, arm_total=10), PRIOR, 1).superior
 
 
 class TestFreqRules:
     def test_bonferroni_halving(self):
         # table p-value = 0.0227513...
         sup = FreqSupRule(p_sup=0.05, p_adj="bonferroni_half")
-        assert eval_freq_sup(sup, TwoByTwo(30, 20, 20, 30), 1).superior  # 0.0228 < 0.025
+        # 0.0228 < 0.025
+        assert sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
         tight = FreqSupRule(p_sup=0.04, p_adj="bonferroni_half")
-        assert not eval_freq_sup(tight, TwoByTwo(30, 20, 20, 30), 1).superior  # 0.0228 >= 0.02
+        # 0.0228 >= 0.02
+        assert not tight.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
 
     def test_no_adjustment(self):
         sup = FreqSupRule(p_sup=0.025, p_adj="none")
-        assert eval_freq_sup(sup, TwoByTwo(30, 20, 20, 30), 1).superior
+        assert sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
 
     def test_promising_level_zero_never(self):
         sup = FreqSupRule(p_sup=1e-9, p_prom=0.0)
-        trace = eval_freq_sup(sup, TwoByTwo(30, 20, 20, 30), 1)
+        trace = sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
         assert not trace.superior and not trace.promising
 
     def test_futility_boundary_inclusive(self):
         fut = FreqFutRule(p_fut=0.5, p_adj="none")
-        assert eval_freq_fut(fut, EQUAL, 1).futile  # p == 0.5 -> stop
-
-    def test_custom_testfun(self):
-        sup = FreqSupRule(p_sup=0.5, testfun=lambda t: 0.01)
-        assert eval_freq_sup(sup, EQUAL, 1).superior
+        assert fut.evaluate(ComparisonData(EQUAL), PRIOR, 1).futile  # p == 0.5 -> stop
 
 
 class TestEstRule:
-    RULE = EstSupFutRule(est_kind="RR", p_hat_sup=1.2, p_hat_fut=1.0)
+    RULE = EstSupFutRule(est="RR", p_hat_sup=1.2, p_hat_fut=1.0)
 
     def test_superior(self):
-        trace = eval_est_rule(self.RULE, TwoByTwo(30, 20, 20, 30), 1)  # RR 1.5
+        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)  # RR 1.5
         assert trace.superior and not trace.futile
 
     def test_futile_at_boundary(self):
-        trace = eval_est_rule(self.RULE, EQUAL, 1)  # RR 1.0 <= 1.0
+        trace = self.RULE.evaluate(ComparisonData(EQUAL), PRIOR, 1)  # RR 1.0 <= 1.0
         assert trace.futile and not trace.superior
 
     def test_gap_neither(self):
-        trace = eval_est_rule(self.RULE, TwoByTwo(11, 39, 10, 40), 1)  # RR 1.1
+        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(11, 39, 10, 40)), PRIOR, 1)  # RR 1.1
         assert not trace.superior and not trace.futile
 
 
 class TestCIRule:
-    RULE = CISupFutRule(est_kind="RR", ci_level=0.95, lower_sup=1.2, upper_fut=1.0)
+    RULE = CISupFutRule(est="RR", level=0.95, lower_sup=1.2, upper_fut=1.0)
 
     def test_strong_effect_superior(self):
-        trace = eval_ci_rule(self.RULE, TwoByTwo(40, 10, 10, 40), 1)
+        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(40, 10, 10, 40)), PRIOR, 1)
         assert trace.superior
 
     def test_identical_arms_futile(self):
-        trace = eval_ci_rule(self.RULE, EQUAL, 1)
+        trace = self.RULE.evaluate(ComparisonData(EQUAL), PRIOR, 1)
         assert trace.futile  # CI contains 1
 
     def test_promising_inf_never(self):
-        trace = eval_ci_rule(self.RULE, TwoByTwo(40, 10, 10, 40), 1)
+        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(40, 10, 10, 40)), PRIOR, 1)
         assert not trace.promising
 
 
@@ -146,7 +143,7 @@ def comparison_rules(bayes_sup_margin=None, bayes_fut_conf=None, est=False):
     if bayes_fut_conf is not None:
         kwargs["bayes_fut"] = (BayesFutRule(rows=((0.00, bayes_fut_conf),)),)
     if est:
-        kwargs["est_sup_fut"] = (EstSupFutRule(est_kind="RR", p_hat_sup=1.0, p_hat_fut=1.0),)
+        kwargs["est_sup_fut"] = (EstSupFutRule(est="RR", p_hat_sup=1.0, p_hat_fut=1.0),)
     return ComparisonRules(**kwargs)
 
 

@@ -13,7 +13,8 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
                                 CohortState, allocate_block,
                                 assemble_analysis_data, classify_decision,
-                                gen_outcome_pair, simulate_trial)
+                                cum_pair_probs, gen_outcome_pair,
+                                simulate_trial)
 from platformsim.runner import derive_rng
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
@@ -33,13 +34,13 @@ def make_cohort(cid=0, open_index=0, arms=("comb", "mono_a", "mono_b", "soc"),
 class TestAllocateBlock:
     def test_full_block_2211(self):
         cohort = make_cohort(ratio=(2, 2, 1, 1))
-        block = allocate_block(cohort, (2, 2, 1, 1), rng())
+        block = allocate_block(cohort, rng())
         assert len(block) == 6
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1, "soc": 1}
 
     def test_no_soc_block(self):
         cohort = make_cohort(arms=("comb", "mono_a", "mono_b"), ratio=(2, 2, 1, 1))
-        block = allocate_block(cohort, (2, 2, 1, 1), rng())
+        block = allocate_block(cohort, rng())
         assert len(block) == 5
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1}
 
@@ -48,13 +49,13 @@ class TestAllocateBlock:
         g = rng(7)
         totals = Counter()
         for _ in range(1000):
-            totals.update(allocate_block(cohort, (2, 2, 1, 1), g))
+            totals.update(allocate_block(cohort, g))
         assert totals == {"comb": 2000, "mono_a": 2000, "mono_b": 1000, "soc": 1000}
 
     def test_order_is_random(self):
         cohort = make_cohort(ratio=(2, 2, 1, 1))
         g = rng(3)
-        orders = {tuple(allocate_block(cohort, (2, 2, 1, 1), g)) for _ in range(50)}
+        orders = {tuple(allocate_block(cohort, g)) for _ in range(50)}
         assert len(orders) > 5
 
 
@@ -62,18 +63,19 @@ class TestGenOutcomePair:
     def test_identity_pairs_always_equal(self):
         g = rng(11)
         for _ in range(2000):
-            bio, hist = gen_outcome_pair(0.37, IdentityTransform(), g)
+            bio, hist = gen_outcome_pair(cum_pair_probs(IdentityTransform(), 0.37), g)
             assert bio == hist
 
     def test_rr_zero_always_nonresponse(self):
         g = rng(5)
-        assert all(gen_outcome_pair(0.0, IdentityTransform(), g) == (0, 0)
+        assert all(gen_outcome_pair(cum_pair_probs(IdentityTransform(), 0.0), g) == (0, 0)
                    for _ in range(200))
 
     def test_final_rate_within_3_sigma(self):
         g = rng(23)
         n, rr = 100_000, 0.3
-        hits = sum(gen_outcome_pair(rr, IdentityTransform(), g)[1] for _ in range(n))
+        cum = cum_pair_probs(IdentityTransform(), rr)
+        hits = sum(gen_outcome_pair(cum, g)[1] for _ in range(n))
         sigma = (rr * (1 - rr) / n) ** 0.5
         assert abs(hits / n - rr) <= 3 * sigma
 
@@ -82,7 +84,7 @@ class TestGenOutcomePair:
         t = CorrelatedTransform(sens=0.7, spec=0.85)
         g = rng(2)
         n, rr = 50_000, 0.4
-        pairs = [gen_outcome_pair(rr, t, g) for _ in range(n)]
+        pairs = [gen_outcome_pair(cum_pair_probs(t, rr), g) for _ in range(n)]
         hist_rate = sum(h for _, h in pairs) / n
         sigma = (rr * (1 - rr) / n) ** 0.5
         assert abs(hist_rate - rr) <= 3 * sigma
