@@ -9,7 +9,7 @@ from .efficacy import CohortTruth, apply_effect, classify_truth, draw_cohort_tru
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator, aggregate, merge
 from .runner import derive_rng, run_ocs, run_single_trial
-from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
+from .stats import (PosteriorBeta, QuadratureError, TwoByTwo, ci, one_sided_prop_test,
                     point_estimate, prob_exceeds, prob_greater_by_margin,
                     reg_inc_beta)
 
@@ -23,7 +23,7 @@ __all__ = [
     "TrialResult", "simulate_trial",
     "OperatingCharacteristics", "TrialAccumulator", "aggregate", "merge",
     "derive_rng", "run_ocs", "run_single_trial",
-    "PosteriorBeta", "TwoByTwo", "ci", "one_sided_prop_test", "point_estimate",
+    "PosteriorBeta", "QuadratureError", "TwoByTwo", "ci", "one_sided_prop_test", "point_estimate",
     "prob_exceeds", "prob_greater_by_margin", "reg_inc_beta",
     "__version__",
 ]

@@ -469,7 +469,9 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
     Ordering is row-major over the axes in declaration order (the last axis
     varies fastest).  Each returned spec gets a unique derived id; everything
     not named by an axis is untouched.  Axis values are parsed like the
-    fields they set.
+    fields they set, and every returned spec is validated: a combination
+    that breaks an invariant raises ConfigError naming its id and axis
+    values.
     """
     if not axes:
         return [base]
@@ -485,7 +487,13 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
             owner = type(getattr(base, parts[0])) if len(parts) == 2 else ScenarioSpec
             value = parse_field(owner, parts[-1], value, f"axis {'.'.join(parts)}")
             spec = _with_path(spec, parts, value)
-        specs.append(dataclasses.replace(spec, id=f"{base.id}#{k:0{width}d}"))
+        spec = dataclasses.replace(spec, id=f"{base.id}#{k:0{width}d}")
+        errors = [str(v) for v in validate(spec) if v.severity == "error"]
+        if errors:
+            where = ", ".join(f"{key}={v!r}" for key, v in zip(axes, combo))
+            raise ConfigError(f"grid scenario {spec.id} ({where}) is invalid:\n"
+                              + "\n".join(errors))
+        specs.append(spec)
     return specs
 
 

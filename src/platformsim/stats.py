@@ -5,7 +5,10 @@ count tables.
 Everything here is pure and deterministic; in particular the posterior
 comparison P(X > Y + delta) is computed by adaptive composite
 Gauss-Legendre quadrature (never Monte Carlo), so decisions cannot depend
-on thread count or scheduling.
+on thread count or scheduling.  Its contract is 1e-6 absolute for any Beta
+shapes > 0 (checked from 1e-4 to 5000): it integrates over a logit, where no
+shape leaves an unbounded slope, with an end map for the kink a margin
+leaves, and raises QuadratureError rather than return an unconverged value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "PosteriorBeta", "TwoByTwo", "reg_inc_beta", "prob_greater_by_margin",
+    "PosteriorBeta", "TwoByTwo", "QuadratureError", "reg_inc_beta", "prob_greater_by_margin",
     "prob_exceeds", "one_sided_prop_test", "point_estimate", "ci",
 ]
 
@@ -69,54 +72,96 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return float(special.betainc(a, b, x))
 
 
+class QuadratureError(ArithmeticError):
+    """No two successive panel levels of ``prob_greater_by_margin`` agreed by
+    ``_MAX_PANELS``; ``args`` holds its five arguments (a_X, b_X, a_Y, b_Y, delta)."""
+
+
 # 32-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-_QUAD_TOL = 5e-7  # stricter than the 1e-6 contract
+_QUAD_TOL = 5e-8  # coarse pairs of estimates can agree to 5e-7 while 3e-6 off
 _MAX_PANELS = 512
+_TAIL = 1e-10  # Y mass each cut-off logit tail may hold
 
 
-def _gl_integral(ax: float, bx: float, ay: float, by: float, delta: float,
-                 lo: float, hi: float, n_panels: int) -> float:
-    # int_lo^hi f_Y(y) * (1 - I_{y+delta}(ax, bx)) dy on n_panels GL panels
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    t = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    log_pdf = (ay - 1.0) * np.log(t) + (by - 1.0) * np.log1p(-t) - special.betaln(ay, by)
-    surv = 1.0 - special.betainc(ax, bx, np.clip(t + delta, 0.0, 1.0))
-    vals = np.exp(log_pdf) * surv
-    return float(half * (vals.reshape(n_panels, -1) @ _GL_WEIGHTS).sum())
+@lru_cache(maxsize=64)
+def _nodes(levels: tuple[int, ...], p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # GL-32 on each panel count in `levels` over (0, 1), merged in ascending order and
+    # mapped by s = t^p / (t^p + (1-t)^q): s and one row of weights * ds/dt per level
+    t = np.concatenate([((np.arange(n)[:, None] + 0.5 * (1.0 + _GL_NODES)) / n).ravel()
+                        for n in levels])
+    w = np.concatenate([np.tile(_GL_WEIGHTS, n) / (2 * n) for n in levels])
+    level = np.repeat(np.arange(len(levels)), [32 * n for n in levels])
+    order = np.argsort(t)
+    t = t[order]
+    a, b = t ** p, (1.0 - t) ** q
+    ds = (p / t + q / (1.0 - t)) * a * b / (a + b) ** 2
+    weights = np.zeros((len(levels), t.size))
+    weights[level[order], np.arange(t.size)] = w[order] * ds
+    return a / (a + b), weights
+
+
+def _estimates(ax, bx, ay, by, delta, zl, zr, lnorm, levels, p, q) -> np.ndarray:
+    # int f_Y(y) S_X(y + delta) dy over z = logit(y) in [zl, zr], once per level
+    s, weights = _nodes(levels, p, q)
+    z = zl + (zr - zl) * s
+    ly, lm = special.log_expit(z), special.log_expit(-z)  # log y, log(1 - y)
+    x, xm = np.maximum(np.exp(ly) + delta, 0.0), np.maximum(np.exp(lm) - delta, 0.0)
+    # S_X from whichever of x, 1 - x is small, so neither end loses digits;
+    # SciPy's betaincc would take about 9x as long as 1 - betainc
+    k = np.searchsorted(x, 0.5)
+    surv = np.concatenate((1.0 - special.betainc(ax, bx, x[:k]), special.betainc(bx, ax, xm[k:])))
+    return (zr - zl) * (weights @ (np.exp(ay * ly + by * lm - lnorm) * surv))
 
 
 @lru_cache(maxsize=1 << 15)
 def _prob_greater_cached(ax: float, bx: float, ay: float, by: float, delta: float) -> float:
-    lo = max(0.0, -delta)
-    hi = min(1.0, 1.0 - delta)
-    base = 0.0
-    if delta < 0.0:
-        # all mass with Y <= -delta wins outright (X > Y + delta always)
-        base = float(special.betainc(ay, by, min(1.0, -delta)))
-    if hi - lo <= 1e-15:
-        return min(1.0, max(0.0, base))
-    prev = _gl_integral(ax, bx, ay, by, delta, lo, hi, 2)
-    n = 4
-    while n <= _MAX_PANELS:
-        cur = _gl_integral(ax, bx, ay, by, delta, lo, hi, n)
-        if abs(cur - prev) < _QUAD_TOL:
-            prev = cur
-            break
-        prev = cur
-        n *= 2
-    return min(1.0, max(0.0, base + prev))
+    args = (ax, bx, ay, by, delta)
+    # integrate over the posterior narrower on the logit scale (variance about
+    # 1/a + 1/(2a^2) per shape): P(X > Y + d) = 1 - P(Y > X - d)
+    flip = 4 * (1 / ax + 1 / bx + 0.5 / ax ** 2 + 0.5 / bx ** 2) < (
+        1 / ay + 1 / by + 0.5 / ay ** 2 + 0.5 / by ** 2)
+    if flip:
+        ax, bx, ay, by, delta = ay, by, ax, bx, -delta
+    lo, hi = max(0.0, -delta), min(1.0, 1.0 - delta)
+    # all mass with Y <= -delta wins outright (X > Y + delta always)
+    prob = float(special.betainc(ay, by, min(1.0, -delta))) if delta < 0.0 else 0.0
+    lnorm = math.lgamma(ay) + math.lgamma(by) - math.lgamma(ay + by)
+    # logit(Y) has tails below e^(a z) / (a B) and e^(-b z) / (b B): cut at _TAIL
+    zl = max(special.logit(lo), (math.log(_TAIL * ay) + lnorm) / ay)
+    zr = min(special.logit(hi), -(math.log(_TAIL * by) + lnorm) / by)
+    if delta >= 0.0:  # then 1 - x <= e^(-z), and S_X(x) falls below about e^(-b z) / (b B)
+        lnorm_x = math.lgamma(ax) + math.lgamma(bx) - math.lgamma(ax + bx)
+        zr = min(zr, -(math.log(_TAIL * bx) + lnorm_x) / bx)
+    if lo < hi and zl < zr:
+        # at a cut end S_X has a term in x^a_X or (1 - x)^b_X; t^2 smooths a fractional power
+        p = 2 if delta < 0.0 and not ax.is_integer() else 1
+        q = 2 if delta > 0.0 and not bx.is_integer() else 1
+        quad = (ax, bx, ay, by, delta, zl, zr, lnorm)
+        prev, cur = _estimates(*quad, (2, 4), p, q)
+        n = 4
+        while abs(cur - prev) >= _QUAD_TOL:
+            n *= 2
+            if n > _MAX_PANELS:
+                raise QuadratureError(*args)
+            prev, (cur,) = cur, _estimates(*quad, (n,), p, q)
+        prob += float(cur)
+    prob = min(1.0, max(0.0, prob))
+    return 1.0 - prob if flip else prob
 
 
 def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> float:
-    """P(X > Y + delta) for independent Beta posteriors, to ~1e-6 absolute.
+    """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
 
-    The margin may be negative (non-inferiority).  Computed as
-    F_Y(-delta) + int f_Y(y) * S_X(y + delta) dy with panel doubling until
-    two successive composite Gauss-Legendre estimates agree.
+    Any shapes > 0 (checked against independent references from 1e-4 to
+    5000); the margin may be negative (non-inferiority).  Computed as
+    F_Y(-delta) + int f_Y(y) S_X(y + delta) dy over z = logit(y), where Y's
+    density has no singular end, after swapping the roles of X and Y if X is
+    the narrower posterior.  The end map t -> t^2 / (t^2 + 1 - t), or its
+    mirror, smooths the fractional power S_X has where a margin cuts the
+    range at x = 0 or 1.  Raises QuadratureError if successive
+    Gauss-Legendre panel doublings do not agree to 5e-8 by 512 panels.
     """
     return _prob_greater_cached(float(x.alpha), float(x.beta),
                                 float(y.alpha), float(y.beta), float(delta))

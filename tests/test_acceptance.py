@@ -63,9 +63,21 @@ def test_c02_bayes_kernel_vs_monte_carlo_oracle():
         mc = float(np.mean(rng.beta(ax, bx, n) > rng.beta(ay, by, n) + delta))
         assert quad == pytest.approx(mc, abs=5e-4), \
             f"case {case}: Beta({ax},{bx}) vs Beta({ay},{by}) + {delta}"
+    # shapes below 1 (priors such as Jeffreys' 0.5) with fractional counts
+    rng_small = np.random.default_rng(20240818)
+    for case in range(6):
+        shapes = rng_small.uniform(1.0, 60.0, size=4)
+        small = rng_small.choice(4, size=1 + case % 2, replace=False)
+        shapes[small] = rng_small.uniform(0.05, 1.0, size=small.size)
+        ax, bx, ay, by = shapes
+        delta = float(rng_small.uniform(-0.25, 0.25))
+        quad = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        mc = float(np.mean(rng_small.beta(ax, bx, n) > rng_small.beta(ay, by, n) + delta))
+        assert quad == pytest.approx(mc, abs=5e-4), \
+            f"case {case}: Beta({ax},{bx}) vs Beta({ay},{by}) + {delta}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    report("C02 bayes-kernel-vs-mc-oracle", f"20 cases, {elapsed:.1f}s")
+    report("C02 bayes-kernel-vs-mc-oracle", f"20 + 6 cases, {elapsed:.1f}s")
 
 
 def test_c03_frequentist_test_closed_form():

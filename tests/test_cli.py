@@ -5,11 +5,12 @@ import pathlib
 import pytest
 import yaml
 
+from platformsim import stats
 from platformsim.cli import main
 from platformsim.ocs import OperatingCharacteristics
 from platformsim.reporting import read_trajectory
 
-from conftest import scenario_dict
+from conftest import CONFIGS, scenario_dict
 
 
 def write_yaml(path, data):
@@ -104,6 +105,17 @@ class TestOcs:
         assert (out / "ocs.json").exists()
         assert not (out / "ocs.csv").exists()
 
+    def test_unconverged_kernel_exits_3(self, tmp_path, monkeypatch, capsys):
+        # some Jeffreys-prior posteriors here need 8 panels
+        stats._prob_greater_cached.cache_clear()
+        monkeypatch.setattr(stats, "_MAX_PANELS", 4)
+        d = scenario_dict()
+        d["prior"] = {"alpha": 0.5, "beta": 0.5}
+        spec = write_yaml(tmp_path / "jeffreys.yaml", d)
+        assert main(["ocs", "--config", spec, "--iterations", "5", "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "QuadratureError" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_grid_rows_echo_axes(self, spec_file, tmp_path):
@@ -132,6 +144,16 @@ class TestGrid:
         ocs_rows = read_csv_rows(ocs_out / "ocs.csv")
         assert len(grid_rows) == 1
         assert grid_rows[0] == ocs_rows[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_invalid_axis_value_exits_2(self, tmp_path, workers):
+        # n_int 400 exceeds grid_base's n_fin; every worker count must refuse it
+        axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 400]})
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(CONFIGS / "grid_base.yaml"), "--axes", axes,
+                     "--iterations", "2", "--seed", "1", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert not (out / "grid_results.csv").exists()
 
     def test_failing_scenario_aborts_with_manifest(self, spec_file, tmp_path, monkeypatch):
         axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60, 70]})

@@ -4,10 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln
 
-from platformsim.stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
-                               point_estimate, prob_exceeds,
+from platformsim import stats
+from platformsim.stats import (PosteriorBeta, QuadratureError, TwoByTwo, ci,
+                               one_sided_prop_test, point_estimate, prob_exceeds,
                                prob_greater_by_margin, reg_inc_beta)
+
+
+def cook_prob_greater(ax: int, bx: float, ay: float, by: float) -> float:
+    """P(X > Y) for X ~ Beta(ax, bx) with integer ax and Y ~ Beta(ay, by):
+    the finite sum of Cook (2005), "Exact calculation of beta inequalities",
+    over i < ax, with each term in log space."""
+    i = np.arange(ax)
+    log_terms = betaln(ay + i, bx + by) - np.log(bx + i) - betaln(1 + i, bx) - betaln(ay, by)
+    return float(np.exp(log_terms).sum())
+
+
+def shapes(hi):
+    return st.floats(0.05, hi, exclude_min=True)
 
 
 class TestRegIncBeta:
@@ -81,12 +96,50 @@ class TestProbGreaterByMargin:
         assert prob_greater_by_margin(x, y, 1.0) == 0.0
         assert prob_greater_by_margin(x, y, -1.0) == pytest.approx(1.0, abs=1e-9)
 
-    @given(st.floats(0.5, 40.0), st.floats(0.5, 40.0), st.floats(0.5, 40.0),
-           st.floats(0.5, 40.0), st.floats(-0.9, 0.9))
-    @settings(max_examples=60, deadline=None)
+    @given(shapes(5000.0), shapes(5000.0), shapes(5000.0), shapes(5000.0),
+           st.floats(-0.9, 0.9))
+    @settings(max_examples=200, deadline=None)
     def test_always_a_probability(self, ax, bx, ay, by, d):
-        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), d)
+        x, y = PosteriorBeta(ax, bx), PosteriorBeta(ay, by)
+        p = prob_greater_by_margin(x, y, d)
         assert 0.0 <= p <= 1.0
+        total = prob_greater_by_margin(x, y, 0.0) + prob_greater_by_margin(y, x, 0.0)
+        assert total == pytest.approx(1.0, abs=2e-6)
+
+    # fractional shapes below 1 put an unbounded slope at an end of the range
+    def test_identical_jeffreys_posteriors_half(self):
+        x = PosteriorBeta(0.5, 50.5)
+        assert prob_greater_by_margin(x, x, 0.0) == pytest.approx(0.5, abs=1e-6)
+
+    def test_jeffreys_posteriors(self):
+        p = prob_greater_by_margin(PosteriorBeta(0.5, 20.5), PosteriorBeta(0.5, 60.5), 0.0)
+        assert p == pytest.approx(0.665515872, abs=1e-6)
+
+    def test_narrow_posteriors_near_zero(self):
+        p = prob_greater_by_margin(PosteriorBeta(1.5, 3000), PosteriorBeta(0.5, 1500), 0.0)
+        assert p == pytest.approx(0.691881976, abs=1e-6)
+
+    @given(st.integers(1, 300), shapes(3000.0), shapes(3000.0), shapes(3000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cook_exact_sum(self, ax, bx, ay, by):
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        assert p == pytest.approx(cook_prob_greater(ax, bx, ay, by), abs=1e-6)
+
+    def test_cook_sum_closed_form(self):
+        # P(Beta(2, 1) > U(0, 1)) = 2/3
+        assert cook_prob_greater(2, 1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        args = (1.0, 20.0, 0.5, 45.5, 0.0)  # needs 8 panels
+        x, y = PosteriorBeta(1.0, 20.0), PosteriorBeta(0.5, 45.5)
+        stats._prob_greater_cached.cache_clear()
+        monkeypatch.setattr(stats, "_MAX_PANELS", 4)
+        with pytest.raises(QuadratureError) as info:
+            prob_greater_by_margin(x, y, 0.0)
+        assert info.value.args == args
+        monkeypatch.setattr(stats, "_MAX_PANELS", 8)
+        assert prob_greater_by_margin(x, y, 0.0) == pytest.approx(
+            cook_prob_greater(1, 20.0, 0.5, 45.5), abs=1e-6)
 
 
 class TestProbExceeds:
