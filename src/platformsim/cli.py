@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -43,6 +42,24 @@ def _parse_formats(value: str) -> set[str]:
     if unknown:
         raise ConfigError(f"unknown output format(s): {sorted(unknown)}")
     return formats or {"csv", "json"}
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _workers(text: str) -> int | str:
+    """argparse type: a worker count >= 1 or 'auto'."""
+    return text if text == "auto" else _int_at_least(1)(text)
 
 
 def _progress(label: str):
@@ -156,27 +173,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a single trial trajectory")
     sim.add_argument("--config", required=True, help="scenario YAML/JSON file")
-    sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    sim.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed (default 0)")
     sim.add_argument("--out", default=".", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
     ocs = sub.add_parser("ocs", help="compute operating characteristics")
     ocs.add_argument("--config", required=True)
-    ocs.add_argument("--iterations", type=int, required=True)
-    ocs.add_argument("--seed", type=int, default=0)
-    ocs.add_argument("--workers", default="1", help="worker processes or 'auto'")
+    ocs.add_argument("--iterations", type=_int_at_least(1), required=True)
+    ocs.add_argument("--seed", type=_int_at_least(0), default=0)
+    ocs.add_argument("--workers", type=_workers, default="1", help="worker processes or 'auto'")
     ocs.add_argument("--out", default=".")
     ocs.add_argument("--format", default="csv,json", help="csv, json or csv,json")
-    ocs.add_argument("--dump-trajectories", type=int, default=0, metavar="N",
+    ocs.add_argument("--dump-trajectories", type=_int_at_least(0), default=0, metavar="N",
                      help="also dump the first N trajectories")
     ocs.set_defaults(func=cmd_ocs)
 
     grid = sub.add_parser("grid", help="sweep a scenario grid")
     grid.add_argument("--config", required=True, help="base scenario file")
     grid.add_argument("--axes", required=True, help="axes file: field path -> value list")
-    grid.add_argument("--iterations", type=int, required=True)
-    grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--workers", default="1")
+    grid.add_argument("--iterations", type=_int_at_least(1), required=True)
+    grid.add_argument("--seed", type=_int_at_least(0), default=0)
+    grid.add_argument("--workers", type=_workers, default="1")
     grid.add_argument("--out", default=".")
     grid.add_argument("--format", default="csv,json")
     grid.set_defaults(func=cmd_grid)

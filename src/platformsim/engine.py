@@ -41,7 +41,6 @@ HALTED_RECRUITMENT = "halted_recruitment"
 POSITIVE_STATUSES = frozenset({STOPPED_INTERIM_EFFICACY, COMPLETED_GO})
 NEGATIVE_STATUSES = frozenset({STOPPED_INTERIM_FUTILITY, COMPLETED_FUTILITY,
                                COMPLETED_UNSUCCESSFUL})
-SUCCESS_STATUSES = POSITIVE_STATUSES
 
 
 class ArmLedger:

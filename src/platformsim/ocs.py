@@ -1,11 +1,26 @@
 """Aggregation of many simulated trials into operating characteristics.
 
-Pooled ratios (FDR, PTP, PTT1ER) sum confusion counts over all trials;
-family-wise rates condition on trials that contain at least one truly
-futile (FWER) or truly superior (Disj_Power) decided cohort, with "_BA"
-variants unconditioned.  Whenever a ratio's denominator is empty the value
-is reported as 0.0 and the metric is listed in ``undefined`` so downstream
-analysis cannot mistake it for a real zero.
+Every OC is one entry of ``METRICS``, in CSV column order, and is one of
+four kinds of aggregate over the trials (in iteration order):
+
+- ``MEAN``: the mean of a per-trial value;
+- ``COND_MEAN``: the mean over the trials where the per-trial value is
+  defined (not None); FWER and Disj_Power condition on trials with at
+  least one truly futile or truly superior decided cohort, and their
+  "_BA" variants are plain means.  Some keep the per-trial values as a
+  ``Dist_*`` vector;
+- ``RATIO``: a pooled ratio, the sum of a per-trial numerator over the sum
+  of a per-trial denominator (FDR, PTP, PTT1ER sum confusion counts);
+- ``POOLED_SD``: the sample SD of the cohort true rates of one arm, pooled
+  over all trials.
+
+Whenever a conditional mean has no defined trial or a ratio's denominator
+is empty, the value is reported as 0.0 and the metric is listed in
+``undefined`` so downstream analysis cannot mistake it for a real zero.
+The flagged metrics (FDR, PTP, PTT1ER, FWER, Disj_Power, the first-success
+means and the per-trial rates) also get a ``<name>_undefined`` column; the
+per-arm ``Avg_RR_*`` and the cohort stop percentages are listed in
+``undefined`` only.
 
 Only cohorts that reached an efficacy decision enter confusion-based
 metrics; safety-stopped and recruitment-halted cohorts are tracked
@@ -19,25 +34,25 @@ commutative and independent of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .engine import (HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
-                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, TrialResult)
+from .engine import (ARM_ORDER, STOPPED_INTERIM_EFFICACY, STOPPED_INTERIM_FUTILITY,
+                     STOPPED_SAFETY, TrialResult)
 
-ARM_ROLES = ("comb", "mono_a", "mono_b", "soc")
-#: tab-style column suffix per arm role
-ROLE_SUFFIX = {"comb": "Comb", "mono_a": "Mono", "mono_b": "Back", "soc": "Plac"}
+#: column suffix of each arm's per-arm OCs
+ARM_SUFFIX = dict(zip(ARM_ORDER, ("Comb", "Mono", "Back", "Plac")))
+_ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 
 
-@dataclass(frozen=True)
-class TrialSummary:
-    """Everything the aggregator needs from one trial."""
+class TrialSummary(NamedTuple):
+    """Everything the aggregator needs from one trial.  Per-arm fields hold
+    one count or sum per arm, in ``ARM_ORDER``."""
 
     total_n: int
-    pat: dict[str, int]
-    suc_bio: dict[str, int]
-    suc_hist: dict[str, int]
+    pat: list[int]
+    suc_bio: list[int]
+    suc_hist: list[int]
     cohorts: int
     tp: int
     fp: int
@@ -46,44 +61,32 @@ class TrialSummary:
     safety_stops: int
     int_stops: int
     int_gos: int
-    rr_sum: dict[str, float]
-    rr_sumsq: dict[str, float]
-    rr_count: dict[str, int]
+    rr_sum: list[float]
+    rr_sumsq: list[float]
+    rr_count: list[int]
     sup_pat: int                      # patients on arms truly better than SoC
     soc_slots: int
     pat_plac_first_suc: int | None
     cohorts_first_suc: int | None
-    has_success: bool
     cohorts_max: int
-
-    @property
-    def has_futile(self) -> bool:
-        return self.fp + self.tn >= 1
-
-    @property
-    def has_superior(self) -> bool:
-        return self.tp + self.fn >= 1
 
 
 def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
-    pat = {r: 0 for r in ARM_ROLES}
-    suc_bio = {r: 0 for r in ARM_ROLES}
-    suc_hist = {r: 0 for r in ARM_ROLES}
-    rr_sum = {r: 0.0 for r in ARM_ROLES}
-    rr_sumsq = {r: 0.0 for r in ARM_ROLES}
-    rr_count = {r: 0 for r in ARM_ROLES}
+    pat, suc_bio, suc_hist, rr_count = ([0] * len(ARM_ORDER) for _ in range(4))
+    rr_sum, rr_sumsq = ([0.0] * len(ARM_ORDER) for _ in range(2))
     tp = fp = tn = fn = 0
     safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
         soc_rate = c.truth["soc"]
         for arm, rec in c.per_arm.items():
-            pat[arm] += rec.n
-            suc_bio[arm] += rec.bio_responders
-            suc_hist[arm] += rec.hist_responders
-            rr_sum[arm] += rec.true_rate
-            rr_sumsq[arm] += rec.true_rate ** 2
-            rr_count[arm] += 1
+            i = _ARM_INDEX[arm]
+            pat[i] += rec.n
+            suc_bio[i] += rec.bio_responders
+            suc_hist[i] += rec.hist_responders
+            rr_sum[i] += rec.true_rate
+            rr_sumsq[i] += rec.true_rate ** 2
+            rr_count[i] += 1
             if arm != "soc" and rec.true_rate > soc_rate:
                 sup_pat += rec.n
         if c.confusion == "TP":
@@ -109,102 +112,117 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
         sup_pat=sup_pat, soc_slots=result.soc_slot_patients,
         pat_plac_first_suc=None if first is None else first["soc_patients"],
         cohorts_first_suc=None if first is None else first["cohorts_opened"],
-        has_success=result.successes >= 1,
         cohorts_max=cohorts_max,
     )
 
 
+MEAN, COND_MEAN, RATIO, POOLED_SD = "mean", "cond_mean", "ratio", "pooled_sd"
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One OC column: ``kind`` aggregates the per-trial ``value``, which is
+    the name of a ``TrialSummary`` field (taken at ``arm`` for a per-arm
+    field) or a function whose parameters name the fields it reads."""
+
+    name: str
+    kind: str
+    value: str | Callable[..., Any]
+    den: tuple[str, ...] = ()         # RATIO, POOLED_SD: fields whose totals add up
+    sq: str | None = None             # POOLED_SD: field of per-trial sums of squares
+    arm: str | None = None
+    flagged: bool = False             # gets a ``<name>_undefined`` column
+    dist: str | None = None           # COND_MEAN: name of the per-trial vector
+
+
+def _per_arm(name: str, kind: str, value: str,
+             total: str | Callable[..., Any] | None = None, **kw) -> list[Metric]:
+    """``<name>_<suffix>`` for every arm, after ``<name>`` itself when
+    ``total`` gives its per-trial value."""
+    own = [] if total is None else [Metric(name, kind, total)]
+    return own + [Metric(f"{name}_{suffix}", kind, value, arm=arm, **kw)
+                  for arm, suffix in ARM_SUFFIX.items()]
+
+
+#: the OC table in CSV column order
+METRICS: tuple[Metric, ...] = (
+    *_per_arm("Avg_Pat", MEAN, "pat", total="total_n"),
+    *_per_arm("Avg_RR", RATIO, "rr_sum", den=("rr_count",)),
+    # sample SD over all cohort-level true rates
+    *_per_arm("SD_RR", POOLED_SD, "rr_sum", den=("rr_count",), sq="rr_sumsq"),
+    *_per_arm("Avg_Suc_Hist", MEAN, "suc_hist", total=lambda suc_hist: sum(suc_hist)),
+    *_per_arm("Avg_Suc_Bio", MEAN, "suc_bio", total=lambda suc_bio: sum(suc_bio)),
+    Metric("Avg_Cohorts", MEAN, "cohorts"),
+    Metric("Avg_TP", MEAN, "tp"),
+    Metric("Avg_FP", MEAN, "fp"),
+    Metric("Avg_TN", MEAN, "tn"),
+    Metric("Avg_FN", MEAN, "fn"),
+    Metric("FDR", RATIO, "fp", den=("fp", "tp"), flagged=True),
+    Metric("PTP", RATIO, "tp", den=("tp", "fn"), flagged=True),
+    Metric("PTT1ER", RATIO, "fp", den=("fp", "tn"), flagged=True),
+    # conditioned on trials with a truly futile / truly superior decided cohort
+    Metric("FWER", COND_MEAN, lambda fp, tn: (1.0 if fp >= 1 else 0.0) if fp + tn else None,
+           flagged=True, dist="Dist_FWER"),
+    Metric("FWER_BA", MEAN, lambda fp: 1.0 if fp >= 1 else 0.0),
+    Metric("Disj_Power", COND_MEAN,
+           lambda tp, fn: (1.0 if tp >= 1 else 0.0) if tp + fn else None,
+           flagged=True, dist="Dist_Disj_Power"),
+    Metric("Disj_Power_BA", MEAN, lambda tp: 1.0 if tp >= 1 else 0.0),
+    Metric("Avg_Perc_Pat_Sup_Plac_Th", MEAN,
+           lambda sup_pat, total_n, cohorts, cohorts_max:
+               sup_pat / total_n * (cohorts / cohorts_max) if total_n else 0.0),
+    Metric("Avg_Perc_Pat_Sup_Plac_Real", MEAN,
+           lambda sup_pat, total_n: sup_pat / total_n if total_n else 0.0),
+    Metric("Avg_Pat_Plac_First_Suc", COND_MEAN, "pat_plac_first_suc", flagged=True),
+    Metric("Avg_Pat_Plac_Pool", MEAN, "soc_slots"),
+    Metric("Avg_Cohorts_First_Suc", COND_MEAN, "cohorts_first_suc", flagged=True),
+    Metric("Avg_any_P", MEAN, lambda tp, fn: 1.0 if tp + fn else 0.0),
+    Metric("Coh_Safety_STOP_Perc", RATIO, "safety_stops", den=("cohorts",)),
+    Metric("Coh_Int_STOP_Perc", RATIO, "int_stops", den=("cohorts",)),
+    Metric("Coh_Int_GO_Perc", RATIO, "int_gos", den=("cohorts",)),
+    Metric("Avg_Safety_STOP_Trial", MEAN, "safety_stops"),
+    Metric("Avg_Int_STOP_Trial", MEAN, "int_stops"),
+    Metric("Avg_Int_GO_Trial", MEAN, "int_gos"),
+    Metric("Avg_PTP_Trial", COND_MEAN,
+           lambda tp, fn: tp / (tp + fn) if tp + fn > 0 else None,
+           flagged=True, dist="Dist_PTP"),
+    Metric("Avg_PTT1ER_Trial", COND_MEAN,
+           lambda fp, tn: fp / (fp + tn) if fp + tn > 0 else None,
+           flagged=True, dist="Dist_PTT1ER"),
+    Metric("Avg_FDR_Trial", COND_MEAN,
+           lambda fp, tp: fp / (fp + tp) if fp + tp > 0 else None,
+           flagged=True, dist="Dist_FDR"),
+)
+_COLUMN = {m.name: i for i, m in enumerate(METRICS)}
+_DIST = {m.dist: i for i, m in enumerate(m for m in METRICS if m.dist)}
+
+
 @dataclass(frozen=True)
 class OperatingCharacteristics:
-    """One aggregate record; scalar fields match the OC table column names
-    (underscored), distribution vectors are per-iteration with None where a
-    trial-level metric is undefined."""
+    """One aggregate record: ``values`` in ``SCALAR_COLUMNS`` order and the
+    per-iteration ``dists`` (None where a trial-level metric is undefined)
+    in ``DIST_COLUMNS`` order.  Every column and vector is also an
+    attribute of its name (``ocs.FWER``, ``ocs.Dist_PTP``)."""
 
     iterations: int
-    Avg_Pat: float
-    Avg_Pat_Comb: float
-    Avg_Pat_Mono: float
-    Avg_Pat_Back: float
-    Avg_Pat_Plac: float
-    Avg_RR_Comb: float
-    Avg_RR_Mono: float
-    Avg_RR_Back: float
-    Avg_RR_Plac: float
-    SD_RR_Comb: float
-    SD_RR_Mono: float
-    SD_RR_Back: float
-    SD_RR_Plac: float
-    Avg_Suc_Hist: float
-    Avg_Suc_Hist_Comb: float
-    Avg_Suc_Hist_Mono: float
-    Avg_Suc_Hist_Back: float
-    Avg_Suc_Hist_Plac: float
-    Avg_Suc_Bio: float
-    Avg_Suc_Bio_Comb: float
-    Avg_Suc_Bio_Mono: float
-    Avg_Suc_Bio_Back: float
-    Avg_Suc_Bio_Plac: float
-    Avg_Cohorts: float
-    Avg_TP: float
-    Avg_FP: float
-    Avg_TN: float
-    Avg_FN: float
-    FDR: float
-    PTP: float
-    PTT1ER: float
-    FWER: float
-    FWER_BA: float
-    Disj_Power: float
-    Disj_Power_BA: float
-    Avg_Perc_Pat_Sup_Plac_Th: float
-    Avg_Perc_Pat_Sup_Plac_Real: float
-    Avg_Pat_Plac_First_Suc: float
-    Avg_Pat_Plac_Pool: float
-    Avg_Cohorts_First_Suc: float
-    Avg_any_P: float
-    Coh_Safety_STOP_Perc: float
-    Coh_Int_STOP_Perc: float
-    Coh_Int_GO_Perc: float
-    Avg_Safety_STOP_Trial: float
-    Avg_Int_STOP_Trial: float
-    Avg_Int_GO_Trial: float
-    Avg_PTP_Trial: float
-    Avg_PTT1ER_Trial: float
-    Avg_FDR_Trial: float
-    Dist_FWER: tuple
-    Dist_FDR: tuple
-    Dist_PTT1ER: tuple
-    Dist_PTP: tuple
-    Dist_Disj_Power: tuple
+    values: tuple[float, ...]
+    dists: tuple[tuple, ...]
     undefined: tuple[str, ...] = ()
 
-    SCALAR_COLUMNS = (
-        "Avg_Pat", "Avg_Pat_Comb", "Avg_Pat_Mono", "Avg_Pat_Back", "Avg_Pat_Plac",
-        "Avg_RR_Comb", "Avg_RR_Mono", "Avg_RR_Back", "Avg_RR_Plac",
-        "SD_RR_Comb", "SD_RR_Mono", "SD_RR_Back", "SD_RR_Plac",
-        "Avg_Suc_Hist", "Avg_Suc_Hist_Comb", "Avg_Suc_Hist_Mono", "Avg_Suc_Hist_Back",
-        "Avg_Suc_Hist_Plac",
-        "Avg_Suc_Bio", "Avg_Suc_Bio_Comb", "Avg_Suc_Bio_Mono", "Avg_Suc_Bio_Back",
-        "Avg_Suc_Bio_Plac",
-        "Avg_Cohorts", "Avg_TP", "Avg_FP", "Avg_TN", "Avg_FN",
-        "FDR", "PTP", "PTT1ER", "FWER", "FWER_BA", "Disj_Power", "Disj_Power_BA",
-        "Avg_Perc_Pat_Sup_Plac_Th", "Avg_Perc_Pat_Sup_Plac_Real",
-        "Avg_Pat_Plac_First_Suc", "Avg_Pat_Plac_Pool", "Avg_Cohorts_First_Suc",
-        "Avg_any_P",
-        "Coh_Safety_STOP_Perc", "Coh_Int_STOP_Perc", "Coh_Int_GO_Perc",
-        "Avg_Safety_STOP_Trial", "Avg_Int_STOP_Trial", "Avg_Int_GO_Trial",
-        "Avg_PTP_Trial", "Avg_PTT1ER_Trial", "Avg_FDR_Trial",
-    )
-    FLAGGED_METRICS = (
-        "FDR", "PTP", "PTT1ER", "FWER", "Disj_Power",
-        "Avg_Pat_Plac_First_Suc", "Avg_Cohorts_First_Suc",
-        "Avg_PTP_Trial", "Avg_PTT1ER_Trial", "Avg_FDR_Trial",
-    )
+    SCALAR_COLUMNS = tuple(_COLUMN)
+    FLAGGED_METRICS = tuple(m.name for m in METRICS if m.flagged)
+    DIST_COLUMNS = tuple(_DIST)
+
+    def __getattr__(self, name: str):
+        if name in _COLUMN:
+            return self.values[_COLUMN[name]]
+        if name in _DIST:
+            return self.dists[_DIST[name]]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def scalar_row(self) -> dict:
         row = {"iterations": self.iterations}
-        for name in self.SCALAR_COLUMNS:
-            row[name] = getattr(self, name)
+        row.update(zip(self.SCALAR_COLUMNS, self.values))
         for name in self.FLAGGED_METRICS:
             row[f"{name}_undefined"] = name in self.undefined
         return row
@@ -212,8 +230,8 @@ class OperatingCharacteristics:
     def to_json_dict(self) -> dict:
         out = self.scalar_row()
         out["undefined"] = list(self.undefined)
-        for name in ("Dist_FWER", "Dist_FDR", "Dist_PTT1ER", "Dist_PTP", "Dist_Disj_Power"):
-            out[name] = list(getattr(self, name))
+        for name, vec in zip(self.DIST_COLUMNS, self.dists):
+            out[name] = list(vec)
         return out
 
 
@@ -241,109 +259,49 @@ class TrialAccumulator:
             raise ValueError("no trials accumulated")
         items = [self.records[k] for k in sorted(self.records)]
         n = len(items)
-        undefined: list[str] = []
+        columns = dict(zip(TrialSummary._fields, zip(*items)))
 
-        def mean(vals) -> float:
-            return sum(vals) / len(vals)
+        def column(value, arm=None):
+            """Per-trial values, in iteration order, of one table entry."""
+            if callable(value):
+                code = value.__code__
+                args = code.co_varnames[:code.co_argcount]
+                return list(map(value, *(columns[f] for f in args)))
+            if arm is None:
+                return columns[value]
+            if (value, arm) not in columns:
+                columns.update(zip([(value, a) for a in ARM_ORDER], zip(*columns[value])))
+            return columns[value, arm]
 
-        def cond_mean(name: str, vals) -> float:
-            vals = [v for v in vals if v is not None]
-            if not vals:
-                undefined.append(name)
-                return 0.0
-            return mean(vals)
-
-        def ratio(name: str, num: float, den: float) -> float:
-            if den <= 0:
-                undefined.append(name)
-                return 0.0
-            return num / den
-
-        pat_means = {r: mean([t.pat[r] for t in items]) for r in ARM_ROLES}
-        bio_means = {r: mean([t.suc_bio[r] for t in items]) for r in ARM_ROLES}
-        hist_means = {r: mean([t.suc_hist[r] for t in items]) for r in ARM_ROLES}
-
-        rr_mean = {}
-        rr_sd = {}
-        for r in ARM_ROLES:
-            cnt = sum(t.rr_count[r] for t in items)
-            s = sum(t.rr_sum[r] for t in items)
-            s2 = sum(t.rr_sumsq[r] for t in items)
-            if cnt == 0:
-                rr_mean[r] = 0.0
-                rr_sd[r] = 0.0
-                undefined.append(f"Avg_RR_{ROLE_SUFFIX[r]}")
+        values = []
+        dists = []
+        undefined = []
+        for m in METRICS:
+            vals = column(m.value, m.arm)
+            if m.kind is MEAN:
+                value = sum(vals) / n
+            elif m.kind is COND_MEAN:
+                if m.dist:
+                    dists.append(tuple(vals))
+                vals = [v for v in vals if v is not None]
+                value = sum(vals) / len(vals) if vals else None
             else:
-                m = s / cnt
-                rr_mean[r] = m
-                # sample SD over all cohort-level true rates
-                rr_sd[r] = math.sqrt(max(0.0, (s2 - cnt * m * m) / (cnt - 1))) if cnt > 1 else 0.0
-
-        tp_sum = sum(t.tp for t in items)
-        fp_sum = sum(t.fp for t in items)
-        tn_sum = sum(t.tn for t in items)
-        fn_sum = sum(t.fn for t in items)
-
-        dist_fdr = tuple((t.fp / (t.fp + t.tp)) if t.fp + t.tp > 0 else None for t in items)
-        dist_ptp = tuple((t.tp / (t.tp + t.fn)) if t.tp + t.fn > 0 else None for t in items)
-        dist_ptt1er = tuple((t.fp / (t.fp + t.tn)) if t.fp + t.tn > 0 else None for t in items)
-        dist_fwer = tuple((1.0 if t.fp >= 1 else 0.0) if t.has_futile else None for t in items)
-        dist_disj = tuple((1.0 if t.tp >= 1 else 0.0) if t.has_superior else None for t in items)
-
-        total_cohorts = sum(t.cohorts for t in items)
-
-        ocs = OperatingCharacteristics(
-            iterations=n,
-            Avg_Pat=mean([t.total_n for t in items]),
-            Avg_Pat_Comb=pat_means["comb"], Avg_Pat_Mono=pat_means["mono_a"],
-            Avg_Pat_Back=pat_means["mono_b"], Avg_Pat_Plac=pat_means["soc"],
-            Avg_RR_Comb=rr_mean["comb"], Avg_RR_Mono=rr_mean["mono_a"],
-            Avg_RR_Back=rr_mean["mono_b"], Avg_RR_Plac=rr_mean["soc"],
-            SD_RR_Comb=rr_sd["comb"], SD_RR_Mono=rr_sd["mono_a"],
-            SD_RR_Back=rr_sd["mono_b"], SD_RR_Plac=rr_sd["soc"],
-            Avg_Suc_Hist=mean([sum(t.suc_hist.values()) for t in items]),
-            Avg_Suc_Hist_Comb=hist_means["comb"], Avg_Suc_Hist_Mono=hist_means["mono_a"],
-            Avg_Suc_Hist_Back=hist_means["mono_b"], Avg_Suc_Hist_Plac=hist_means["soc"],
-            Avg_Suc_Bio=mean([sum(t.suc_bio.values()) for t in items]),
-            Avg_Suc_Bio_Comb=bio_means["comb"], Avg_Suc_Bio_Mono=bio_means["mono_a"],
-            Avg_Suc_Bio_Back=bio_means["mono_b"], Avg_Suc_Bio_Plac=bio_means["soc"],
-            Avg_Cohorts=mean([t.cohorts for t in items]),
-            Avg_TP=tp_sum / n, Avg_FP=fp_sum / n, Avg_TN=tn_sum / n, Avg_FN=fn_sum / n,
-            FDR=ratio("FDR", fp_sum, fp_sum + tp_sum),
-            PTP=ratio("PTP", tp_sum, tp_sum + fn_sum),
-            PTT1ER=ratio("PTT1ER", fp_sum, fp_sum + tn_sum),
-            FWER=cond_mean("FWER", dist_fwer),
-            FWER_BA=mean([1.0 if t.fp >= 1 else 0.0 for t in items]),
-            Disj_Power=cond_mean("Disj_Power", dist_disj),
-            Disj_Power_BA=mean([1.0 if t.tp >= 1 else 0.0 for t in items]),
-            Avg_Perc_Pat_Sup_Plac_Th=mean(
-                [t.sup_pat / t.total_n * (t.cohorts / t.cohorts_max) if t.total_n else 0.0
-                 for t in items]),
-            Avg_Perc_Pat_Sup_Plac_Real=mean(
-                [t.sup_pat / t.total_n if t.total_n else 0.0 for t in items]),
-            Avg_Pat_Plac_First_Suc=cond_mean(
-                "Avg_Pat_Plac_First_Suc", [t.pat_plac_first_suc for t in items]),
-            Avg_Pat_Plac_Pool=mean([t.soc_slots for t in items]),
-            Avg_Cohorts_First_Suc=cond_mean(
-                "Avg_Cohorts_First_Suc", [t.cohorts_first_suc for t in items]),
-            Avg_any_P=mean([1.0 if t.has_superior else 0.0 for t in items]),
-            Coh_Safety_STOP_Perc=ratio("Coh_Safety_STOP_Perc",
-                                       sum(t.safety_stops for t in items), total_cohorts),
-            Coh_Int_STOP_Perc=ratio("Coh_Int_STOP_Perc",
-                                    sum(t.int_stops for t in items), total_cohorts),
-            Coh_Int_GO_Perc=ratio("Coh_Int_GO_Perc",
-                                  sum(t.int_gos for t in items), total_cohorts),
-            Avg_Safety_STOP_Trial=mean([t.safety_stops for t in items]),
-            Avg_Int_STOP_Trial=mean([t.int_stops for t in items]),
-            Avg_Int_GO_Trial=mean([t.int_gos for t in items]),
-            Avg_PTP_Trial=cond_mean("Avg_PTP_Trial", dist_ptp),
-            Avg_PTT1ER_Trial=cond_mean("Avg_PTT1ER_Trial", dist_ptt1er),
-            Avg_FDR_Trial=cond_mean("Avg_FDR_Trial", dist_fdr),
-            Dist_FWER=dist_fwer, Dist_FDR=dist_fdr, Dist_PTT1ER=dist_ptt1er,
-            Dist_PTP=dist_ptp, Dist_Disj_Power=dist_disj,
-            undefined=tuple(sorted(set(undefined))),
-        )
-        return ocs
+                cnt = sum(sum(column(f, m.arm)) for f in m.den)
+                if m.kind is RATIO:
+                    value = sum(vals) / cnt if cnt > 0 else None
+                elif cnt > 1:           # POOLED_SD
+                    mean = sum(vals) / cnt
+                    s2 = sum(column(m.sq, m.arm))
+                    value = math.sqrt(max(0.0, (s2 - cnt * mean * mean) / (cnt - 1)))
+                else:
+                    value = 0.0
+            if value is None:
+                undefined.append(m.name)
+                value = 0.0
+            values.append(value)
+        return OperatingCharacteristics(
+            iterations=n, values=tuple(values), dists=tuple(dists),
+            undefined=tuple(sorted(undefined)))
 
 
 def merge(a: TrialAccumulator, b: TrialAccumulator) -> TrialAccumulator:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import reporting
 from .config import ScenarioSpec, parse_scenario, scenario_to_dict
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
@@ -32,29 +33,24 @@ def run_single_trial(spec: ScenarioSpec, master_seed: int,
 
 
 def _run_range(spec: ScenarioSpec, scenario_index: int, start: int, count: int,
-               master_seed: int, dump_first: int,
-               dump_sink: Callable[[int, TrialResult], None] | None) -> TrialAccumulator:
+               master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
+    """Simulate iterations ``start .. start+count-1``; the first ``dump_first``
+    iterations of the run are also dumped to ``dump_dir``."""
     acc = TrialAccumulator()
     cohorts_max = spec.platform.cohorts_max
     for k in range(start, start + count):
         result = simulate_trial(spec, derive_rng(master_seed, scenario_index, k))
-        if dump_sink is not None and k < dump_first:
-            dump_sink(k, result)
+        if dump_dir is not None and k < dump_first:
+            reporting.write_trajectory(
+                os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
         acc.add(k, result, cohorts_max)
     return acc
 
 
 def _worker(spec_dict: dict, scenario_index: int, start: int, count: int,
             master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
-    spec = parse_scenario(spec_dict)
-    sink = None
-    if dump_dir is not None and dump_first > start:
-        from . import reporting
-
-        def sink(k, result):
-            reporting.write_trajectory(
-                os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
-    return _run_range(spec, scenario_index, start, count, master_seed, dump_first, sink)
+    return _run_range(parse_scenario(spec_dict), scenario_index, start, count,
+                      master_seed, dump_first, dump_dir)
 
 
 def resolve_workers(workers: int | str | None) -> int:
@@ -82,14 +78,7 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
         os.makedirs(dump_dir, exist_ok=True)
 
     if n_workers == 1:
-        sink = None
-        if dump_dir is not None and dump_first > 0:
-            from . import reporting
-
-            def sink(k, result):
-                reporting.write_trajectory(
-                    os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
-        acc = _run_range(spec, scenario_index, 0, iterations, master_seed, dump_first, sink)
+        acc = _run_range(spec, scenario_index, 0, iterations, master_seed, dump_first, dump_dir)
         if progress is not None:
             progress(iterations, iterations)
         return acc.finalize()

@@ -179,6 +179,35 @@ class TestGrid:
         assert len(read_csv_rows(out / "grid_results.csv")) == 2
 
 
+class TestBadArguments:
+    """Out-of-range or malformed numeric options exit 2 at argument parsing,
+    before any output directory or file is written."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ocs", ["--iterations", "0"]),
+        ("ocs", ["--iterations", "-3"]),
+        ("ocs", ["--iterations", "2", "--workers", "0"]),
+        ("ocs", ["--iterations", "2", "--workers", "two"]),
+        ("ocs", ["--iterations", "2", "--seed", "-1"]),
+        ("ocs", ["--iterations", "2", "--dump-trajectories", "-1"]),
+        ("grid", ["--iterations", "0"]),
+        ("grid", ["--iterations", "2", "--workers", "0"]),
+        ("grid", ["--iterations", "2", "--seed", "-1"]),
+        ("simulate", ["--seed", "-1"]),
+    ], ids=lambda v: v if isinstance(v, str) else "_".join(v[-2:]).lstrip("-"))
+    def test_exits_2_without_outputs(self, command, extra, spec_file, tmp_path, capsys):
+        argv = [command, "--config", spec_file, "--out", str(tmp_path / "out"), *extra]
+        if command == "grid":
+            argv += ["--axes", write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60]})]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlotData:
     def test_identity_transform_has_no_discordant_pairs(self, spec_file, tmp_path):
         out = tmp_path / "sim"

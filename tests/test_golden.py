@@ -1,5 +1,6 @@
-"""Golden outputs: SHA-256 digests of the OC JSON and the first trajectory
-dumps for fixed (scenario, seed, iterations).
+"""Golden outputs: SHA-256 digests of the OC JSON, the OC CSV and the first
+trajectory dumps for fixed (scenario, seed, iterations).  The JSON is written
+with sorted keys, so only the CSV pins the order of the OC columns.
 
 Refactors must leave every digest unchanged.  A change that alters the
 random stream or any output byte on purpose re-baselines them with::
@@ -19,7 +20,7 @@ import pytest
 import yaml
 
 from platformsim.config import parse_scenario
-from platformsim.reporting import write_ocs_json
+from platformsim.reporting import ocs_csv_row, write_ocs_csv, write_ocs_json
 from platformsim.runner import run_ocs
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -57,8 +58,9 @@ def golden_digests(name: str, out: pathlib.Path) -> dict[str, str]:
     dump_dir = out / "trajectories"
     ocs = run_ocs(spec, ITERATIONS, SEED, workers=1, dump_first=DUMPS, dump_dir=str(dump_dir))
     write_ocs_json(out / "ocs.json", spec.id, ocs)
-    files = [out / "ocs.json"] + sorted(dump_dir.iterdir())
-    assert len(files) == 1 + DUMPS
+    write_ocs_csv(out / "ocs.csv", [ocs_csv_row(spec.id, ocs)])
+    files = [out / "ocs.csv", out / "ocs.json"] + sorted(dump_dir.iterdir())
+    assert len(files) == 2 + DUMPS
     return {f.name: _sha256(f) for f in files}
 
 

@@ -9,6 +9,7 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 ArmResult, CohortResult, TrialResult,
                                 classify_decision, simulate_trial)
 from platformsim.ocs import TrialAccumulator, aggregate, merge, summarize_trial
+from platformsim.reporting import ocs_csv_columns
 from platformsim.runner import derive_rng
 
 from conftest import make_scenario
@@ -30,9 +31,11 @@ def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.
         confusion=classify_decision(status, truth_class))
 
 
-def fake_trial(cohort_specs, successes=None, soc_slots=0):
-    cohorts = tuple(fake_cohort(i, status, truth)
-                    for i, (status, truth) in enumerate(cohort_specs))
+def fake_trial(cohort_specs, successes=None, soc_slots=0, rates=None):
+    """``rates``: optional true (comb, mono_a, mono_b, soc) rates per cohort."""
+    rates = rates or [(0.4, 0.2, 0.2, 0.1)] * len(cohort_specs)
+    cohorts = tuple(fake_cohort(i, status, truth, rates=r)
+                    for i, ((status, truth), r) in enumerate(zip(cohort_specs, rates)))
     n_success = sum(c.status in (COMPLETED_GO, STOPPED_INTERIM_EFFICACY) for c in cohorts)
     first = None
     if n_success:
@@ -216,6 +219,38 @@ class TestInterpretedMetrics:
         assert "Avg_Pat_Plac_First_Suc" in ocs.undefined
         assert "Avg_Cohorts_First_Suc" in ocs.undefined
         assert ocs.Avg_any_P == 0.0
+
+    def test_true_rates_pooled_over_cohorts(self):
+        # comb rates 0.4, 0.6 (trial 1) and 0.8 (trial 2): pooled over the
+        # three cohorts, not averaged per trial (which would give 0.65)
+        t1 = fake_trial([(COMPLETED_GO, "superior"), (COMPLETED_FUTILITY, "futile")],
+                        rates=[(0.4, 0.2, 0.3, 0.1), (0.6, 0.2, 0.1, 0.1)])
+        t2 = fake_trial([(COMPLETED_GO, "superior")], rates=[(0.8, 0.2, 0.2, 0.1)])
+        ocs = aggregate([t1, t2], cohorts_max=5)
+        assert ocs.Avg_RR_Comb == pytest.approx(0.6)
+        assert ocs.SD_RR_Comb == pytest.approx(0.2)      # sqrt((0.04 + 0 + 0.04) / 2)
+        assert ocs.Avg_RR_Back == pytest.approx(0.2)
+        assert ocs.SD_RR_Back == pytest.approx(0.1)      # sqrt((0.01 + 0.01 + 0) / 2)
+        assert ocs.Avg_RR_Mono == pytest.approx(0.2)
+        assert ocs.Avg_RR_Plac == pytest.approx(0.1)
+        # a rate shared by every cohort: the sum-of-squares form leaves only
+        # rounding error, not a real spread
+        assert ocs.SD_RR_Mono == pytest.approx(0.0, abs=1e-7)
+        assert ocs.SD_RR_Plac == pytest.approx(0.0, abs=1e-7)
+        assert not any(name.startswith(("Avg_RR", "SD_RR")) for name in ocs.undefined)
+
+    def test_no_soc_arm_leaves_plac_rates_undefined(self):
+        spec = make_scenario(trial_struc="no_plac", cohort_random=0.05)
+        trials = [simulate_trial(spec, derive_rng(3, 0, k)) for k in range(6)]
+        assert all("soc" not in c.arms for t in trials for c in t.cohorts)
+        ocs = aggregate(trials, cohorts_max=spec.platform.cohorts_max)
+        assert ocs.Avg_RR_Plac == 0.0 and "Avg_RR_Plac" in ocs.undefined
+        assert ocs.SD_RR_Plac == 0.0 and "SD_RR_Plac" not in ocs.undefined
+        assert ocs.Avg_Pat_Plac == 0.0
+        assert ocs.Avg_RR_Comb == pytest.approx(0.35)
+        # listed in ``undefined`` only: no flag column
+        assert "Avg_RR_Plac_undefined" not in ocs.scalar_row()
+        assert "Avg_RR_Plac_undefined" not in ocs_csv_columns()
 
     def test_soc_slot_pool(self):
         t = fake_trial([(COMPLETED_GO, "superior")], soc_slots=17)
