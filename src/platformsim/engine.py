@@ -3,12 +3,22 @@ outcome generation, sharing-aware analysis data assembly, interim/final
 analyses and platform-level stopping.
 
 Time is discrete and measured in the platform-wide patient counter; there
-is no calendar time or recruitment-speed modelling.  Per iteration of the
-main loop every enrolling cohort receives one randomization block; after
-each included patient a safety-stop and a new-cohort Bernoulli are drawn,
-so cohorts enter the platform at random patient positions.  Analyses
-trigger on the cohort's total enrollment, which can overshoot the nominal
-interim/final sizes by at most one block.
+is no calendar time or recruitment-speed modelling.  Per round every
+enrolling cohort receives one randomization block, in cohort order.  Each
+included patient stops its cohort for safety with probability
+``safety_prob`` and opens a new cohort with probability ``cohort_random``
+(once ``cohort_offset`` patients have enrolled since the last opening), so
+cohorts enter the platform at random patient positions.  Analyses trigger at
+the end of a round on the cohort's total enrollment, which can overshoot the
+nominal interim/final sizes by at most one block.
+
+The engine steps from event to event.  The patients at which the next safety
+stop and the next cohort entry happen are drawn as geometric waiting times,
+and the rounds before the next event (a safety stop, a cohort entry, a
+size-triggered analysis or ``sr_pats``) are fully determined by the block
+schedule, so each enrolling cohort draws all of their blocks in one
+vectorised call.  Only a block that holds a safety stop or a cohort entry is
+walked patient by patient.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.
@@ -16,8 +26,10 @@ parallelism happens across trials, never inside one.
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import ScenarioSpec
 from .decisions import (COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
@@ -26,7 +38,12 @@ from .decisions import (COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from .stats import TwoByTwo, one_sided_prop_test
 
+#: version of the documented order in which ``simulate_trial`` consumes its
+#: generator; a change of the draws (not of the simulated law) bumps it
+STREAM_VERSION = 2
+
 ARM_ORDER = ("comb", "mono_a", "mono_b", "soc")
+ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 SHARED_ARMS = ("mono_b", "soc")  # comparator arms augmented by data sharing
 
 ENROLLING = "enrolling"
@@ -43,54 +60,39 @@ NEGATIVE_STATUSES = frozenset({STOPPED_INTERIM_FUTILITY, COMPLETED_FUTILITY,
                                COMPLETED_UNSUCCESSFUL})
 
 
-class ArmLedger:
-    """Ordered per-arm patient record with prefix sums for range queries."""
+def _responders(pairs, stage: str) -> tuple[int, int]:
+    """(responders, total) at ``stage`` from the (n00, n01, n10, n11) counts
+    of outcome pairs (interim, final)."""
+    n00, n01, n10, n11 = pairs
+    return (n10 + n11 if stage == INTERIM else n01 + n11, n00 + n01 + n10 + n11)
 
-    __slots__ = ("idx", "bio", "hist", "cum_bio", "cum_hist", "n", "tot_bio", "tot_hist")
 
-    def __init__(self):
-        self.idx: list[int] = []
-        self.bio: list[int] = []
-        self.hist: list[int] = []
-        self.cum_bio: list[int] = [0]
-        self.cum_hist: list[int] = [0]
-        self.n = 0
-        self.tot_bio = 0
-        self.tot_hist = 0
+class PatientLog:
+    """One cohort's patients in enrolment order: enrolment index, arm (index
+    into ``ARM_ORDER``) and outcome pair (2 * interim + final outcome)."""
 
-    def add(self, enroll_idx: int, bio: int, hist: int) -> None:
-        self.idx.append(enroll_idx)
-        self.bio.append(bio)
-        self.hist.append(hist)
-        self.n += 1
-        self.tot_bio += bio
-        self.tot_hist += hist
-        self.cum_bio.append(self.tot_bio)
-        self.cum_hist.append(self.tot_hist)
+    __slots__ = ("idx", "arm", "pair")
+    __hash__ = None
 
-    def counts(self, stage: str) -> tuple[int, int]:
-        """(responders, total) at the given endpoint stage."""
-        return (self.tot_bio if stage == INTERIM else self.tot_hist, self.n)
+    def __init__(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray):
+        self.idx = idx
+        self.arm = arm
+        self.pair = pair
 
-    def counts_from(self, start_idx: int, stage: str) -> tuple[int, int]:
-        """(responders, total) over patients with enrollment index >= start_idx."""
-        j = bisect.bisect_left(self.idx, start_idx)
-        cum = self.cum_bio if stage == INTERIM else self.cum_hist
-        return (cum[self.n] - cum[j], self.n - j)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PatientLog) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
 
-    def pair_counts(self) -> tuple[int, int, int, int]:
-        n00 = n01 = n10 = n11 = 0
-        for b, h in zip(self.bio, self.hist):
-            if b:
-                if h:
-                    n11 += 1
-                else:
-                    n10 += 1
-            elif h:
-                n01 += 1
-            else:
-                n00 += 1
-        return (n00, n01, n10, n11)
+    def arm_lists(self, arm: str) -> dict[str, list[int]]:
+        """Enrolment indices and interim ('bio') / final ('hist') outcomes of
+        one arm's patients."""
+        on_arm = self.arm == ARM_INDEX[arm]
+        pair = self.pair[on_arm]
+        return {"enroll_idx": self.idx[on_arm].tolist(),
+                "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
+
+
+_NO_PATIENTS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,15 @@ class AnalysisRecord:
 
 
 class CohortState:
-    """Mutable working state of one cohort inside a running trial."""
+    """Mutable working state of one cohort inside a running trial.
 
-    __slots__ = ("id", "open_index", "close_index", "arms", "has_soc", "truth",
-                 "truth_class", "transform", "cum_probs", "status", "ledgers",
-                 "analyses", "blocks", "block_template", "active_comparisons")
+    Its patients are kept as chunks of ``PatientLog`` arrays; ``tally``
+    holds the running count of every (arm, outcome pair) at index
+    4 * arm + pair, from which all per-arm counts follow."""
+
+    __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
+                 "status", "analyses", "has_interim", "blocks", "template",
+                 "cum_probs", "active_comparisons", "n", "tally", "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
                  truth: CohortTruth, truth_class: str, transform, ratio):
@@ -130,34 +136,49 @@ class CohortState:
         self.open_index = open_index
         self.close_index: int | None = None
         self.arms = arms
-        self.has_soc = "soc" in arms
         self.truth = truth
         self.truth_class = truth_class
-        self.transform = transform
         self.status = ENROLLING
-        self.ledgers = {arm: ArmLedger() for arm in arms}
         self.analyses: list[AnalysisRecord] = []
+        self.has_interim = False
         self.blocks = 0
-        template = []
-        for arm, r in zip(ARM_ORDER, ratio):
-            if arm in arms:
-                template.extend([arm] * r)
-        self.block_template = tuple(template)
+        self.template = np.array([ARM_INDEX[a] for a, r in zip(ARM_ORDER, ratio)
+                                  if a in arms for _ in range(r)])
+        # row j: the j-th cumulative pair probability of every arm
+        self.cum_probs = np.array([cum_pair_probs(transform, truth.rate(a))
+                                   for a in ARM_ORDER]).T
         self.active_comparisons = tuple(
             c for c, (num, den) in COMPARISON_ARMS.items() if num in arms and den in arms)
-        self.cum_probs = {arm: cum_pair_probs(transform, truth.rate(arm)) for arm in arms}
+        self.n = 0
+        self.tally = [0] * 16
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [_NO_PATIENTS]
 
-    @property
-    def total_n(self) -> int:
-        return sum(led.n for led in self.ledgers.values())
+    def record(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray) -> None:
+        """Add patients in enrolment order (see ``PatientLog``)."""
+        self._chunks.append((idx, arm, pair))
+        self.n += len(idx)
+        added = np.bincount(4 * arm + pair, minlength=16).tolist()
+        self.tally = [a + b for a, b in zip(self.tally, added)]
 
-    @property
-    def has_interim(self) -> bool:
-        return any(a.stage == INTERIM for a in self.analyses)
+    def patients(self) -> PatientLog:
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(col) for col in zip(*self._chunks))]
+        return PatientLog(*self._chunks[0])
 
-    @property
-    def has_final(self) -> bool:
-        return any(a.stage == FINAL for a in self.analyses)
+    def pair_counts(self, arm: str) -> tuple[int, int, int, int]:
+        i = 4 * ARM_INDEX[arm]
+        return tuple(self.tally[i:i + 4])
+
+    def counts(self, arm: str, stage: str) -> tuple[int, int]:
+        """(responders, total) of one arm at the given endpoint stage."""
+        return _responders(self.pair_counts(arm), stage)
+
+    def counts_from(self, arm: str, start_idx: int, stage: str) -> tuple[int, int]:
+        """(responders, total) of one arm over patients with enrollment
+        index >= start_idx."""
+        log = self.patients()
+        keep = (log.idx >= start_idx) & (log.arm == ARM_INDEX[arm])
+        return _responders(np.bincount(log.pair[keep], minlength=4).tolist(), stage)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +192,6 @@ class ArmResult:
     hist_responders: int
     pairs: tuple[int, int, int, int]
     true_rate: float
-    enroll_idx: tuple[int, ...]
-    bio: tuple[int, ...]
-    hist: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,7 @@ class CohortResult:
     per_arm: dict[str, ArmResult]
     analyses: tuple[AnalysisRecord, ...]
     confusion: str | None
+    patients: PatientLog
 
 
 @dataclass(frozen=True)
@@ -209,13 +228,23 @@ class TrialResult:
 # operations
 
 
-def allocate_block(cohort: CohortState, rng) -> list[str]:
-    """One randomization block: exact per-arm counts from the allocation
-    ratio restricted to the cohort's present arms, in uniformly random
-    within-block order."""
-    template = cohort.block_template
-    order = rng.permutation(len(template))
-    return [template[i] for i in order]
+def draw_blocks(cohort: CohortState, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` randomization blocks of ``cohort`` from one generator call.
+
+    Returns the arms (indices into ``ARM_ORDER``) and outcome pairs
+    (2 * interim + final outcome) of the ``k`` blocks' patients in
+    enrolment order.  Each block holds the exact per-arm counts of the
+    allocation ratio restricted to the cohort's arms, in uniformly random
+    order; each pair is drawn from the arm's ``cum_pair_probs``.
+    """
+    u = rng.random((2, k, cohort.template.size))
+    arm = cohort.template[u[0].argsort(axis=1)].ravel()
+    v = u[1].ravel()
+    c00, c01, c10 = cohort.cum_probs
+    pair = (v >= c00[arm]).astype(np.int64)
+    pair += v >= c01[arm]
+    pair += v >= c10[arm]
+    return arm, pair
 
 
 def cum_pair_probs(transform, rr: float) -> tuple[float, float, float]:
@@ -223,18 +252,6 @@ def cum_pair_probs(transform, rr: float) -> tuple[float, float, float]:
     takes the rest) under ``transform`` at true final rate ``rr``."""
     p00, p01, p10, _ = transform(rr)
     return (p00, p00 + p01, p00 + p01 + p10)
-
-
-def gen_outcome_pair(cum: tuple[float, float, float], rng) -> tuple[int, int]:
-    """Draw one (interim, final) outcome pair given ``cum_pair_probs``."""
-    u = rng.random()
-    if u < cum[0]:
-        return (0, 0)
-    if u < cum[1]:
-        return (0, 1)
-    if u < cum[2]:
-        return (1, 0)
-    return (1, 1)
 
 
 def _dynamic_weight(own_resp: float, own_n: float, ext_resp: float, ext_n: float) -> float:
@@ -257,15 +274,12 @@ def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
     resp = 0.0
     tot = 0.0
     for other in cohorts:
-        if other is cohort:
-            continue
-        led = other.ledgers.get(arm)
-        if led is None or led.n == 0:
+        if other is cohort or arm not in other.arms or other.n == 0:
             continue
         if mode == "concurrent":
-            r, n = led.counts_from(cohort.open_index, stage)
+            r, n = other.counts_from(arm, cohort.open_index, stage)
         else:
-            r, n = led.counts(stage)
+            r, n = other.counts(arm, stage)
         resp += r
         tot += n
     return resp, tot
@@ -286,8 +300,8 @@ def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
     summaries: list[ComparisonDataSummary] = []
     for comp in cohort.active_comparisons:
         num, den = COMPARISON_ARMS[comp]
-        num_r, num_n = cohort.ledgers[num].counts(stage)
-        den_r, den_n = cohort.ledgers[den].counts(stage)
+        num_r, num_n = cohort.counts(num, stage)
+        den_r, den_n = cohort.counts(den, stage)
         weight: float | None = None
         ext_r = ext_n = 0.0
         if mode != "cohort" and den in SHARED_ARMS:
@@ -325,7 +339,6 @@ class _Platform:
         self.spec = spec
         self.rng = rng
         self.patient_counter = 0
-        self.soc_enrolled = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
         self.recruitment_open = True
@@ -336,8 +349,15 @@ class _Platform:
         self.entry_closed_index: int | None = None
         self.recruitment_halt_index: int | None = None
         self.safety_stops: list[tuple[int, int]] = []
-        self.soc_slots = 0
         self.sr_pats_fired = False
+        # patient counters of the next safety stop and the next cohort entry
+        self.next_safety: float = math.inf
+        self.next_entry: float = math.inf
+
+    def _waiting_time(self, p: float) -> float:
+        """Patients up to and including the first success of a Bernoulli(p)
+        per patient; infinite for p = 0."""
+        return int(self.rng.geometric(p)) if p > 0.0 else math.inf
 
     # --- cohort entry -----------------------------------------------------
 
@@ -369,13 +389,21 @@ class _Platform:
         self.last_open_index = self.patient_counter
         return cohort
 
-    def may_open_cohort(self) -> bool:
+    def entry_possible(self) -> bool:
+        """Whether a cohort can still enter; once False it stays False."""
         p = self.spec.platform
-        if not self.recruitment_open or len(self.cohorts) >= p.cohorts_max:
-            return False
-        if p.sr_first_pos and self.successes >= 1:
-            return False
-        return self.patient_counter - self.last_open_index >= p.cohort_offset
+        return (self.recruitment_open and len(self.cohorts) < p.cohorts_max
+                and not (p.sr_first_pos and self.successes >= 1))
+
+    def schedule_entry(self) -> None:
+        """Draw the next cohort entry: the first entry success among the
+        patients that ``cohort_offset`` lets open a cohort."""
+        if self.entry_possible():
+            first = max(self.last_open_index + self.spec.platform.cohort_offset,
+                        self.patient_counter + 1)
+            self.next_entry = first - 1 + self._waiting_time(self.spec.platform.cohort_random)
+        else:
+            self.next_entry = math.inf
 
     def close_entry(self) -> None:
         if self.recruitment_open:
@@ -384,32 +412,66 @@ class _Platform:
 
     # --- enrollment --------------------------------------------------------
 
+    def enroll(self, enrolling: list[CohortState]) -> None:
+        """One step: the whole rounds up to the next event in one draw per
+        cohort, or, when the next safety stop or cohort entry falls in the
+        coming round, that round block by block."""
+        p = self.spec.platform
+        sizes = [c.template.size for c in enrolling]
+        round_n = sum(sizes)
+        next_event = min(self.next_safety, self.next_entry)
+        if next_event - self.patient_counter <= round_n:
+            for cohort in enrolling:
+                if cohort.status == ENROLLING:
+                    self.enroll_block(cohort)
+            return
+        # whole rounds up to the next analysis or sr_pats, all before the event
+        k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
+        if p.sr_pats < math.inf and not self.sr_pats_fired:
+            k = min(k, math.ceil((p.sr_pats - self.patient_counter) / round_n))
+        if next_event < math.inf:
+            k = min(k, (next_event - self.patient_counter - 1) // round_n)
+        first = self.patient_counter
+        starts = round_n * np.arange(k).reshape(-1, 1)
+        for cohort, b in zip(enrolling, sizes):
+            arm, pair = draw_blocks(cohort, k, self.rng)
+            cohort.record((starts + np.arange(first, first + b)).ravel(), arm, pair)
+            cohort.blocks += k
+            first += b
+        self.patient_counter += k * round_n
+
+    def _rounds_to_analysis(self, cohort: CohortState, block: int) -> int:
+        """Rounds until ``cohort`` reaches the size of its next analysis."""
+        p = self.spec.platform
+        size = p.n_int if p.n_int < p.n_fin and not cohort.has_interim else p.n_fin
+        return -(-(size - cohort.n) // block)
+
     def enroll_block(self, cohort: CohortState) -> None:
-        spec = self.spec
-        rng = self.rng
-        safety_prob = spec.platform.safety_prob
-        cohort_random = spec.platform.cohort_random
-        cum_probs = cohort.cum_probs
-        ledgers = cohort.ledgers
+        """One block of ``cohort``; a block holding a safety stop or a cohort
+        entry is walked patient by patient, and a safety stop drops the rest
+        of the block."""
+        arm, pair = draw_blocks(cohort, 1, self.rng)
         cohort.blocks += 1
-        self.soc_slots += spec.platform.allocation_ratio[3]
-        for arm in allocate_block(cohort, rng):
-            self.patient_counter += 1
-            if arm == "soc":
-                self.soc_enrolled += 1
-            bio, hist = gen_outcome_pair(cum_probs[arm], rng)
-            ledgers[arm].add(self.patient_counter - 1, bio, hist)
-            # one safety and one cohort-entry draw per included patient
-            u_safety = rng.random()
-            u_entry = rng.random()
-            if u_safety < safety_prob:
-                cohort.status = STOPPED_SAFETY
-                cohort.close_index = self.patient_counter
-                self.safety_stops.append((cohort.id, self.patient_counter))
-            if u_entry < cohort_random and self.may_open_cohort():
-                self.open_cohort()
-            if cohort.status != ENROLLING:
-                break  # rest of this cohort's block is not enrolled
+        first = self.patient_counter
+        n = arm.size
+        if min(self.next_safety, self.next_entry) <= first + n:
+            for j in range(1, n + 1):
+                counter = first + j
+                if counter == self.next_safety:
+                    cohort.status = STOPPED_SAFETY
+                    cohort.close_index = counter
+                    self.safety_stops.append((cohort.id, counter))
+                    self.next_safety = counter + self._waiting_time(
+                        self.spec.platform.safety_prob)
+                if counter == self.next_entry:
+                    self.patient_counter = counter
+                    self.open_cohort()
+                    self.schedule_entry()
+                if cohort.status != ENROLLING:
+                    n = j  # rest of this cohort's block is not enrolled
+                    break
+        cohort.record(np.arange(first, first + n), arm[:n], pair[:n])
+        self.patient_counter = first + n
 
     # --- analyses ----------------------------------------------------------
 
@@ -420,8 +482,10 @@ class _Platform:
         decision = evaluate_cohort(spec.rules.for_stage(stage), data, spec.prior,
                                    stage, cohort.active_comparisons)
         cohort.analyses.append(AnalysisRecord(
-            stage=stage, n_enrolled=cohort.total_n, patient_counter=self.patient_counter,
+            stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
             halted=halted, data=summaries, decision=decision))
+        if stage == INTERIM:
+            cohort.has_interim = True
 
         # platform flags for post-success SoC omission in new cohorts
         out3 = decision.outcome(3)
@@ -440,7 +504,7 @@ class _Platform:
                 self.first_success = {
                     "cohort_id": cohort.id,
                     "patient_counter": self.patient_counter,
-                    "soc_patients": self.soc_enrolled,
+                    "soc_patients": sum(c.counts("soc", FINAL)[1] for c in self.cohorts),
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }
@@ -466,8 +530,8 @@ class _Platform:
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
-            if cohort.total_n > 0 and any(not final_rules[c - 1].empty
-                                          for c in cohort.active_comparisons):
+            if cohort.n > 0 and any(not final_rules[c - 1].empty
+                                    for c in cohort.active_comparisons):
                 self.run_analysis(cohort, FINAL, halted=True)
                 if cohort.status == ENROLLING:  # CONTINUE cannot happen at final
                     cohort.status = COMPLETED_UNSUCCESSFUL
@@ -476,57 +540,73 @@ class _Platform:
                 cohort.status = HALTED_RECRUITMENT
                 cohort.close_index = self.patient_counter
 
+    def end_round(self) -> None:
+        """Size-triggered analyses in cohort order, then platform-level
+        stopping."""
+        p = self.spec.platform
+        for cohort in self.cohorts:
+            if cohort.status != ENROLLING:
+                continue
+            size = cohort.n
+            # with n_int == n_fin the stages coincide: only the final runs;
+            # a final analysis always ends enrolment
+            if p.n_int < p.n_fin and size >= p.n_int and not cohort.has_interim:
+                self.run_analysis(cohort, INTERIM)
+            if cohort.status == ENROLLING and size >= p.n_fin:
+                self.run_analysis(cohort, FINAL)
+
+        if self.successes >= p.sr_drugs_pos:
+            self.close_entry()
+            if not p.run_out_active_cohorts:
+                self.halt_enrolling_cohorts()
+        if self.patient_counter >= p.sr_pats and not self.sr_pats_fired:
+            self.sr_pats_fired = True
+            self.halt_enrolling_cohorts()
+        if not self.entry_possible():
+            self.next_entry = math.inf
+
 
 def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
     """Simulate one platform-trial trajectory to completion.
 
-    Identical (spec, generator state) pairs produce identical results; the
-    generator is consumed in a fixed documented order (cohort opening: four
-    truth draws then one transform draw; per patient: outcome, safety,
-    cohort-entry uniforms; per block: one permutation).
+    Identical (spec, generator state) pairs produce identical results.  The
+    generator is consumed in a fixed documented order (random stream
+    ``STREAM_VERSION`` = 2):
+
+    - each cohort opening: four truth draws, then one transform draw;
+    - after the initial cohorts: the waiting time to the first safety stop
+      (if ``safety_prob`` > 0), then the one to the first cohort entry (if
+      ``cohort_random`` > 0 and a cohort can enter);
+    - per step, for each enrolling cohort in cohort order: one
+      ``draw_blocks`` call of shape (2, blocks, block size), the block
+      orders from the first half and the outcome uniforms from the second;
+    - at a safety stop: the next safety waiting time; at a cohort entry: the
+      new cohort's opening draws, then the next entry waiting time (if a
+      cohort can still enter).
     """
     state = _Platform(spec, rng)
     p = spec.platform
     for _ in range(p.initial_cohorts):
         state.open_cohort()
+    state.next_safety = state._waiting_time(p.safety_prob)
+    state.schedule_entry()
 
     while True:
         enrolling = [c for c in state.cohorts if c.status == ENROLLING]
         if not enrolling:
             break
-        for cohort in enrolling:
-            if cohort.status == ENROLLING:
-                state.enroll_block(cohort)
-
-        # size-triggered analyses, in cohort order
-        for cohort in state.cohorts:
-            if cohort.status != ENROLLING:
-                continue
-            size = cohort.total_n
-            # with n_int == n_fin the stages coincide: only the final runs
-            if p.n_int < p.n_fin and size >= p.n_int and not cohort.has_interim:
-                state.run_analysis(cohort, INTERIM)
-            if cohort.status == ENROLLING and size >= p.n_fin and not cohort.has_final:
-                state.run_analysis(cohort, FINAL)
-
-        # platform-level stopping
-        if state.successes >= p.sr_drugs_pos:
-            state.close_entry()
-            if not p.run_out_active_cohorts:
-                state.halt_enrolling_cohorts()
-        if state.patient_counter >= p.sr_pats and not state.sr_pats_fired:
-            state.sr_pats_fired = True
-            state.halt_enrolling_cohorts()
+        state.enroll(enrolling)
+        state.end_round()
 
     cohorts = []
     for c in state.cohorts:
         per_arm = {}
         for arm in c.arms:
-            led = c.ledgers[arm]
+            pairs = c.pair_counts(arm)
             per_arm[arm] = ArmResult(
-                n=led.n, bio_responders=led.tot_bio, hist_responders=led.tot_hist,
-                pairs=led.pair_counts(), true_rate=c.truth.rate(arm),
-                enroll_idx=tuple(led.idx), bio=tuple(led.bio), hist=tuple(led.hist))
+                n=sum(pairs), bio_responders=pairs[2] + pairs[3],
+                hist_responders=pairs[1] + pairs[3], pairs=pairs,
+                true_rate=c.truth.rate(arm))
         cohorts.append(CohortResult(
             id=c.id, open_index=c.open_index, close_index=c.close_index,
             arms=c.arms,
@@ -534,7 +614,8 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
             truth_clamped=c.truth.clamped,
             truth_class=c.truth_class, status=c.status, blocks=c.blocks,
             per_arm=per_arm, analyses=tuple(c.analyses),
-            confusion=classify_decision(c.status, c.truth_class)))
+            confusion=classify_decision(c.status, c.truth_class),
+            patients=c.patients()))
     return TrialResult(
         scenario_id=spec.id,
         total_n=state.patient_counter,
@@ -544,5 +625,5 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
         entry_closed_index=state.entry_closed_index,
         recruitment_halt_index=state.recruitment_halt_index,
         safety_stops=tuple(state.safety_stops),
-        soc_slot_patients=state.soc_slots,
+        soc_slot_patients=p.allocation_ratio[3] * sum(c.blocks for c in state.cohorts),
     )

@@ -12,7 +12,8 @@ four kinds of aggregate over the trials (in iteration order):
 - ``RATIO``: a pooled ratio, the sum of a per-trial numerator over the sum
   of a per-trial denominator (FDR, PTP, PTT1ER sum confusion counts);
 - ``POOLED_SD``: the sample SD of the cohort true rates of one arm, pooled
-  over all trials.
+  over all trials (summed about the first rate, so equal rates give
+  exactly 0).
 
 Whenever a conditional mean has no defined trial or a ratio's denominator
 is empty, the value is reported as 0.0 and the metric is listed in
@@ -37,17 +38,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .engine import (ARM_ORDER, STOPPED_INTERIM_EFFICACY, STOPPED_INTERIM_FUTILITY,
-                     STOPPED_SAFETY, TrialResult)
+from .engine import (ARM_INDEX, ARM_ORDER, STOPPED_INTERIM_EFFICACY,
+                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, TrialResult)
 
 #: column suffix of each arm's per-arm OCs
 ARM_SUFFIX = dict(zip(ARM_ORDER, ("Comb", "Mono", "Back", "Plac")))
-_ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 
 
 class TrialSummary(NamedTuple):
     """Everything the aggregator needs from one trial.  Per-arm fields hold
-    one count or sum per arm, in ``ARM_ORDER``."""
+    one count, sum or list of rates per arm, in ``ARM_ORDER``."""
 
     total_n: int
     pat: list[int]
@@ -62,8 +62,8 @@ class TrialSummary(NamedTuple):
     int_stops: int
     int_gos: int
     rr_sum: list[float]
-    rr_sumsq: list[float]
     rr_count: list[int]
+    rr: list[list[float]]             # the cohorts' true rates
     sup_pat: int                      # patients on arms truly better than SoC
     soc_slots: int
     pat_plac_first_suc: int | None
@@ -73,19 +73,20 @@ class TrialSummary(NamedTuple):
 
 def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
     pat, suc_bio, suc_hist, rr_count = ([0] * len(ARM_ORDER) for _ in range(4))
-    rr_sum, rr_sumsq = ([0.0] * len(ARM_ORDER) for _ in range(2))
+    rr_sum = [0.0] * len(ARM_ORDER)
+    rr = [[] for _ in ARM_ORDER]
     tp = fp = tn = fn = 0
     safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
         soc_rate = c.truth["soc"]
         for arm, rec in c.per_arm.items():
-            i = _ARM_INDEX[arm]
+            i = ARM_INDEX[arm]
             pat[i] += rec.n
             suc_bio[i] += rec.bio_responders
             suc_hist[i] += rec.hist_responders
             rr_sum[i] += rec.true_rate
-            rr_sumsq[i] += rec.true_rate ** 2
+            rr[i].append(rec.true_rate)
             rr_count[i] += 1
             if arm != "soc" and rec.true_rate > soc_rate:
                 sup_pat += rec.n
@@ -108,7 +109,7 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
         total_n=result.total_n, pat=pat, suc_bio=suc_bio, suc_hist=suc_hist,
         cohorts=len(result.cohorts), tp=tp, fp=fp, tn=tn, fn=fn,
         safety_stops=safety, int_stops=int_stop, int_gos=int_go,
-        rr_sum=rr_sum, rr_sumsq=rr_sumsq, rr_count=rr_count,
+        rr_sum=rr_sum, rr_count=rr_count, rr=rr,
         sup_pat=sup_pat, soc_slots=result.soc_slot_patients,
         pat_plac_first_suc=None if first is None else first["soc_patients"],
         cohorts_first_suc=None if first is None else first["cohorts_opened"],
@@ -128,8 +129,7 @@ class Metric:
     name: str
     kind: str
     value: str | Callable[..., Any]
-    den: tuple[str, ...] = ()         # RATIO, POOLED_SD: fields whose totals add up
-    sq: str | None = None             # POOLED_SD: field of per-trial sums of squares
+    den: tuple[str, ...] = ()         # RATIO: fields whose totals add up
     arm: str | None = None
     flagged: bool = False             # gets a ``<name>_undefined`` column
     dist: str | None = None           # COND_MEAN: name of the per-trial vector
@@ -149,7 +149,7 @@ METRICS: tuple[Metric, ...] = (
     *_per_arm("Avg_Pat", MEAN, "pat", total="total_n"),
     *_per_arm("Avg_RR", RATIO, "rr_sum", den=("rr_count",)),
     # sample SD over all cohort-level true rates
-    *_per_arm("SD_RR", POOLED_SD, "rr_sum", den=("rr_count",), sq="rr_sumsq"),
+    *_per_arm("SD_RR", POOLED_SD, "rr"),
     *_per_arm("Avg_Suc_Hist", MEAN, "suc_hist", total=lambda suc_hist: sum(suc_hist)),
     *_per_arm("Avg_Suc_Bio", MEAN, "suc_bio", total=lambda suc_bio: sum(suc_bio)),
     Metric("Avg_Cohorts", MEAN, "cohorts"),
@@ -285,16 +285,11 @@ class TrialAccumulator:
                     dists.append(tuple(vals))
                 vals = [v for v in vals if v is not None]
                 value = sum(vals) / len(vals) if vals else None
-            else:
+            elif m.kind is RATIO:
                 cnt = sum(sum(column(f, m.arm)) for f in m.den)
-                if m.kind is RATIO:
-                    value = sum(vals) / cnt if cnt > 0 else None
-                elif cnt > 1:           # POOLED_SD
-                    mean = sum(vals) / cnt
-                    s2 = sum(column(m.sq, m.arm))
-                    value = math.sqrt(max(0.0, (s2 - cnt * mean * mean) / (cnt - 1)))
-                else:
-                    value = 0.0
+                value = sum(vals) / cnt if cnt > 0 else None
+            else:
+                value = _sample_sd([x for rates in vals for x in rates])
             if value is None:
                 undefined.append(m.name)
                 value = 0.0
@@ -302,6 +297,17 @@ class TrialAccumulator:
         return OperatingCharacteristics(
             iterations=n, values=tuple(values), dists=tuple(dists),
             undefined=tuple(sorted(undefined)))
+
+
+def _sample_sd(xs: Sequence[float]) -> float:
+    """Sample SD of ``xs`` (0.0 for fewer than two), summed about the first
+    value: no cancellation when the spread is small, and exactly 0.0 when
+    all values are equal."""
+    if len(xs) < 2:
+        return 0.0
+    d = [x - xs[0] for x in xs]
+    s = sum(d)
+    return math.sqrt(max(0.0, (sum(x * x for x in d) - s * s / len(d)) / (len(d) - 1)))
 
 
 def merge(a: TrialAccumulator, b: TrialAccumulator) -> TrialAccumulator:

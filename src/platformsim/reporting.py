@@ -17,12 +17,16 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
-from .engine import TrialResult
+from .engine import STREAM_VERSION, TrialResult
 from .ocs import OperatingCharacteristics
 
 
 def trial_result_to_dump(result: TrialResult) -> dict:
     d = dataclasses.asdict(result)
+    for cohort, rec in zip(result.cohorts, d["cohorts"]):
+        del rec["patients"]
+        for arm, arm_rec in rec["per_arm"].items():
+            arm_rec.update(cohort.patients.arm_lists(arm))
     overview = {
         "scenario_id": d["scenario_id"],
         "Total_N": d["total_n"],
@@ -155,8 +159,8 @@ def write_manifest(path, payload: Mapping) -> None:
 
     doc = {
         "created_unix": int(time.time()),
-        "versions": {"platformsim": _package_version(), "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"platformsim": _package_version(), "stream_version": STREAM_VERSION,
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
     }
     doc.update(payload)
     with open(path, "w", encoding="utf-8") as fh:

@@ -19,9 +19,7 @@ import pytest
 from platformsim.cli import main as cli_main
 from platformsim.config import IdentityTransform, parse_scenario
 from platformsim.efficacy import CohortTruth
-from platformsim.engine import (STOPPED_SAFETY, allocate_block,
-                                cum_pair_probs, gen_outcome_pair,
-                                simulate_trial)
+from platformsim.engine import STOPPED_SAFETY, simulate_trial
 from platformsim.ocs import aggregate
 from platformsim.runner import derive_rng, run_ocs
 from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
@@ -29,7 +27,7 @@ from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
 
 from conftest import CONFIGS, bayes_stage_rules, make_scenario, scenario_dict
 from test_ocs import fake_trial
-from test_engine import make_cohort, fill
+from test_engine import block_arms, fill, make_cohort, outcome_pairs
 
 
 def report(tag, detail=""):
@@ -92,15 +90,15 @@ def test_c03_frequentist_test_closed_form():
 def test_c04_identity_transform_interim_equals_final():
     rng = np.random.default_rng(99)
     transform = IdentityTransform()
-    for _ in range(100_000):
-        bio, hist = gen_outcome_pair(cum_pair_probs(transform, 0.37), rng)
+    for bio, hist in outcome_pairs(transform, 0.37, 100_000, rng):
         assert bio == hist
     # and end to end through the engine
     spec = make_scenario(cohort_random=0.1, cohorts_max=3)
     result = simulate_trial(spec, derive_rng(17, 0, 0))
     for c in result.cohorts:
-        for rec in c.per_arm.values():
-            assert rec.bio == rec.hist
+        for arm, rec in c.per_arm.items():
+            patients = c.patients.arm_lists(arm)
+            assert patients["bio"] == patients["hist"]
             assert rec.pairs[1] == 0 and rec.pairs[2] == 0
     report("C04 identity-transform-exact", "100000 patients")
 
@@ -109,9 +107,8 @@ def test_c05_block_randomization_exactness():
     cohort = make_cohort(ratio=(2, 2, 1, 1))
     rng = np.random.default_rng(5)
     totals = {"comb": 0, "mono_a": 0, "mono_b": 0, "soc": 0}
-    for _ in range(10_000):
-        for arm in allocate_block(cohort, rng):
-            totals[arm] += 1
+    for arm in block_arms(cohort, 10_000, rng):
+        totals[arm] += 1
     assert totals == {"comb": 20_000, "mono_a": 20_000, "mono_b": 10_000, "soc": 10_000}
     report("C05 block-randomization-exact", "10000 blocks")
 
@@ -284,14 +281,14 @@ def test_c12_sharing_modes():
 
     c0 = make_cohort(cid=0, open_index=0)
     c1 = make_cohort(cid=1, open_index=40)
-    fill(c0.ledgers["comb"], 0, [(1, 1)] * 8 + [(0, 0)] * 12)
-    fill(c0.ledgers["mono_a"], 20, [(1, 1)] * 2 + [(0, 0)] * 8)
-    fill(c0.ledgers["mono_b"], 30, [(1, 1)] * 4 + [(0, 0)] * 6)
-    fill(c0.ledgers["soc"], 40, [(1, 1)] * 3 + [(0, 0)] * 7)
-    fill(c1.ledgers["comb"], 50, [(1, 1)] * 5 + [(0, 0)] * 5)
-    fill(c1.ledgers["mono_a"], 60, [(1, 1)] * 1 + [(0, 0)] * 4)
-    fill(c1.ledgers["mono_b"], 65, [(1, 1)] * 2 + [(0, 0)] * 4)
-    fill(c1.ledgers["soc"], 70, [(1, 1)] * 2 + [(0, 0)] * 6)
+    fill(c0, "comb", 0, [(1, 1)] * 8 + [(0, 0)] * 12)
+    fill(c0, "mono_a", 20, [(1, 1)] * 2 + [(0, 0)] * 8)
+    fill(c0, "mono_b", 30, [(1, 1)] * 4 + [(0, 0)] * 6)
+    fill(c0, "soc", 40, [(1, 1)] * 3 + [(0, 0)] * 7)
+    fill(c1, "comb", 50, [(1, 1)] * 5 + [(0, 0)] * 5)
+    fill(c1, "mono_a", 60, [(1, 1)] * 1 + [(0, 0)] * 4)
+    fill(c1, "mono_b", 65, [(1, 1)] * 2 + [(0, 0)] * 4)
+    fill(c1, "soc", 70, [(1, 1)] * 2 + [(0, 0)] * 6)
 
     own, _ = assemble_analysis_data([c0, c1], c0, "cohort", "final")
     assert own[3].table.cells() == (2, 8, 3, 7)
@@ -303,16 +300,16 @@ def test_c12_sharing_modes():
 
     h0 = make_cohort(cid=0)
     h1 = make_cohort(cid=1)
-    fill(h0.ledgers["comb"], 0, [(1, 1)] * 5 + [(0, 0)] * 5)
-    fill(h0.ledgers["mono_a"], 0, [(1, 1)] * 2 + [(0, 0)] * 8)
-    fill(h0.ledgers["soc"], 0, [(1, 1)] * 20 + [(0, 0)] * 180)
-    fill(h1.ledgers["soc"], 200, [(1, 1)] * 20 + [(0, 0)] * 180)
+    fill(h0, "comb", 0, [(1, 1)] * 5 + [(0, 0)] * 5)
+    fill(h0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
+    fill(h0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
+    fill(h1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
     _, summaries = assemble_analysis_data([h0, h1], h0, "dynamic", "final")
     w_same = next(s.share_weight for s in summaries if s.comparison == 3)
     assert w_same == pytest.approx(1.0, abs=1e-9)
 
     g1 = make_cohort(cid=1)
-    fill(g1.ledgers["soc"], 200, [(1, 1)] * 180 + [(0, 0)] * 20)
+    fill(g1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)
     _, summaries = assemble_analysis_data([h0, g1], h0, "dynamic", "final")
     w_diff = next(s.share_weight for s in summaries if s.comparison == 3)
     assert w_diff < 0.05

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from platformsim import stats
+from platformsim.engine import STREAM_VERSION
 from platformsim.cli import main
 from platformsim.ocs import OperatingCharacteristics
 from platformsim.reporting import read_trajectory
@@ -81,6 +82,9 @@ class TestOcs:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 5
         assert "spec_hash" in manifest
+        # the random stream is recorded in the manifest only, never in the OC files
+        assert manifest["versions"]["stream_version"] == STREAM_VERSION == 2
+        assert "stream" not in (out / "ocs.csv").read_text() + json.dumps(doc)
 
     def test_workers_do_not_change_results(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -131,6 +135,10 @@ class TestGrid:
         assert len({r["scenario_id"] for r in rows}) == 4
         for i in range(4):
             assert (out / f"scenario_{i:03d}" / "ocs.csv").exists()
+        for manifest in [out / "manifest.json", *out.glob("scenario_*/manifest.json")]:
+            versions = json.loads(manifest.read_text())["versions"]
+            assert versions["stream_version"] == STREAM_VERSION
+        assert "stream" not in (out / "grid_results.csv").read_text()
 
     def test_empty_axes_single_row_matches_ocs(self, spec_file, tmp_path):
         axes = write_yaml(tmp_path / "axes.yaml", {})
@@ -174,6 +182,7 @@ class TestGrid:
         manifest = json.loads((out / "error_manifest.json").read_text())
         assert manifest["failed_index"] == 2
         assert len(manifest["completed"]) == 2
+        assert manifest["versions"]["stream_version"] == STREAM_VERSION
         # partial results preserved
         assert (out / "grid_results.csv").exists()
         assert len(read_csv_rows(out / "grid_results.csv")) == 2

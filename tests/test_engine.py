@@ -4,16 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platformsim.config import IdentityTransform
+from platformsim.config import (SHARING_TYPES, TRIAL_STRUCTURES, IdentityTransform,
+                                parse_scenario)
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
-                                CohortState, allocate_block,
-                                assemble_analysis_data, classify_decision,
-                                cum_pair_probs, gen_outcome_pair,
+                                ARM_ORDER, CohortState, assemble_analysis_data,
+                                classify_decision, cum_pair_probs, draw_blocks,
                                 simulate_trial)
 from platformsim.runner import derive_rng
 
@@ -25,75 +27,94 @@ def rng(seed=0):
 
 
 def make_cohort(cid=0, open_index=0, arms=("comb", "mono_a", "mono_b", "soc"),
-                truth=None, ratio=(2, 1, 1, 1)):
+                truth=None, ratio=(2, 1, 1, 1), transform=None):
     truth = truth or CohortTruth(0.4, 0.2, 0.2, 0.1)
     return CohortState(cid, open_index, tuple(arms), truth, "superior",
-                       IdentityTransform(), ratio)
+                       transform or IdentityTransform(), ratio)
+
+
+def block_arms(cohort, k, g):
+    """Arm names of ``k`` blocks of ``cohort`` in enrolment order."""
+    return [ARM_ORDER[a] for a in draw_blocks(cohort, k, g)[0]]
+
+
+def outcome_pairs(transform, rr, n, g):
+    """``n`` (interim, final) outcome pairs at true rate ``rr``, drawn as
+    ``n`` one-patient blocks of a single-arm cohort."""
+    cohort = make_cohort(arms=("comb",), ratio=(1, 0, 0, 0), transform=transform,
+                         truth=CohortTruth(rr, rr, rr, rr))
+    pair = draw_blocks(cohort, n, g)[1]
+    return list(zip((pair >> 1).tolist(), (pair & 1).tolist()))
 
 
 class TestAllocateBlock:
     def test_full_block_2211(self):
         cohort = make_cohort(ratio=(2, 2, 1, 1))
-        block = allocate_block(cohort, rng())
+        block = block_arms(cohort, 1, rng())
         assert len(block) == 6
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1, "soc": 1}
 
     def test_no_soc_block(self):
         cohort = make_cohort(arms=("comb", "mono_a", "mono_b"), ratio=(2, 2, 1, 1))
-        block = allocate_block(cohort, rng())
+        block = block_arms(cohort, 1, rng())
         assert len(block) == 5
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1}
 
     def test_exactness_over_many_blocks(self):
         cohort = make_cohort(ratio=(2, 2, 1, 1))
-        g = rng(7)
-        totals = Counter()
-        for _ in range(1000):
-            totals.update(allocate_block(cohort, g))
+        totals = Counter(block_arms(cohort, 1000, rng(7)))
         assert totals == {"comb": 2000, "mono_a": 2000, "mono_b": 1000, "soc": 1000}
 
     def test_order_is_random(self):
         cohort = make_cohort(ratio=(2, 2, 1, 1))
-        g = rng(3)
-        orders = {tuple(allocate_block(cohort, g)) for _ in range(50)}
+        arms = block_arms(cohort, 50, rng(3))
+        orders = {tuple(arms[i:i + 6]) for i in range(0, len(arms), 6)}
         assert len(orders) > 5
 
 
 class TestGenOutcomePair:
     def test_identity_pairs_always_equal(self):
-        g = rng(11)
-        for _ in range(2000):
-            bio, hist = gen_outcome_pair(cum_pair_probs(IdentityTransform(), 0.37), g)
+        for bio, hist in outcome_pairs(IdentityTransform(), 0.37, 2000, rng(11)):
             assert bio == hist
 
     def test_rr_zero_always_nonresponse(self):
-        g = rng(5)
-        assert all(gen_outcome_pair(cum_pair_probs(IdentityTransform(), 0.0), g) == (0, 0)
-                   for _ in range(200))
+        assert all(pair == (0, 0) for pair in outcome_pairs(IdentityTransform(), 0.0, 200, rng(5)))
 
     def test_final_rate_within_3_sigma(self):
-        g = rng(23)
         n, rr = 100_000, 0.3
-        cum = cum_pair_probs(IdentityTransform(), rr)
-        hits = sum(gen_outcome_pair(cum, g)[1] for _ in range(n))
+        hits = sum(h for _, h in outcome_pairs(IdentityTransform(), rr, n, rng(23)))
         sigma = (rr * (1 - rr) / n) ** 0.5
         assert abs(hits / n - rr) <= 3 * sigma
+
+    def test_pairs_follow_the_per_patient_rule(self):
+        # each patient's pair is the first of 0/0, 0/1, 1/0 whose cumulative
+        # probability exceeds its uniform, else 1/1
+        from platformsim.config import CorrelatedTransform
+        t = CorrelatedTransform(sens=0.7, spec=0.85)
+        cohort = make_cohort(ratio=(2, 2, 1, 1), transform=t)
+        arm, pair = draw_blocks(cohort, 300, rng(4))
+        u = rng(4).random((2, 300, 6))[1].ravel()  # the same generator call
+        for a, p, v in zip(arm, pair, u):
+            cum = cum_pair_probs(t, cohort.truth.rate(ARM_ORDER[a]))
+            assert p == next((j for j, c in enumerate(cum) if v < c), 3)
 
     def test_correlated_transform_marginal(self):
         from platformsim.config import CorrelatedTransform
         t = CorrelatedTransform(sens=0.7, spec=0.85)
-        g = rng(2)
         n, rr = 50_000, 0.4
-        pairs = [gen_outcome_pair(cum_pair_probs(t, rr), g) for _ in range(n)]
+        pairs = outcome_pairs(t, rr, n, rng(2))
         hist_rate = sum(h for _, h in pairs) / n
         sigma = (rr * (1 - rr) / n) ** 0.5
         assert abs(hist_rate - rr) <= 3 * sigma
         assert any(b != h for b, h in pairs)
 
 
-def fill(ledger, start_idx, outcomes):
-    for k, (b, h) in enumerate(outcomes):
-        ledger.add(start_idx + k, b, h)
+def fill(cohort, arm, start_idx, outcomes):
+    """Record patients on one arm of ``cohort``: enrolment indices from
+    ``start_idx`` on, one (interim, final) outcome pair each."""
+    n = len(outcomes)
+    cohort.record(np.arange(start_idx, start_idx + n), np.full(n, ARM_ORDER.index(arm)),
+                  np.array([2 * b + h for b, h in outcomes]))
 
 
 class TestAssembleAnalysisData:
@@ -101,15 +122,15 @@ class TestAssembleAnalysisData:
         c0 = make_cohort(cid=0, open_index=0)
         c1 = make_cohort(cid=1, open_index=40)
         # cohort 0: soc 10 patients 3 resp; mono_b 10 patients 4 resp
-        fill(c0.ledgers["comb"], 0, [(1, 1)] * 8 + [(0, 0)] * 12)
-        fill(c0.ledgers["mono_a"], 20, [(1, 1)] * 2 + [(0, 0)] * 8)
-        fill(c0.ledgers["mono_b"], 30, [(1, 1)] * 4 + [(0, 0)] * 6)
-        fill(c0.ledgers["soc"], 40, [(1, 1)] * 3 + [(0, 0)] * 7)
+        fill(c0, "comb", 0, [(1, 1)] * 8 + [(0, 0)] * 12)
+        fill(c0, "mono_a", 20, [(1, 1)] * 2 + [(0, 0)] * 8)
+        fill(c0, "mono_b", 30, [(1, 1)] * 4 + [(0, 0)] * 6)
+        fill(c0, "soc", 40, [(1, 1)] * 3 + [(0, 0)] * 7)
         # cohort 1: soc 8 patients 2 resp (enrolled from index 50 on)
-        fill(c1.ledgers["comb"], 50, [(1, 1)] * 5 + [(0, 0)] * 5)
-        fill(c1.ledgers["mono_a"], 60, [(1, 1)] * 1 + [(0, 0)] * 4)
-        fill(c1.ledgers["mono_b"], 65, [(1, 1)] * 2 + [(0, 0)] * 4)
-        fill(c1.ledgers["soc"], 70, [(1, 1)] * 2 + [(0, 0)] * 6)
+        fill(c1, "comb", 50, [(1, 1)] * 5 + [(0, 0)] * 5)
+        fill(c1, "mono_a", 60, [(1, 1)] * 1 + [(0, 0)] * 4)
+        fill(c1, "mono_b", 65, [(1, 1)] * 2 + [(0, 0)] * 4)
+        fill(c1, "soc", 70, [(1, 1)] * 2 + [(0, 0)] * 6)
         return c0, c1
 
     def test_cohort_mode_own_data_only(self):
@@ -148,7 +169,7 @@ class TestAssembleAnalysisData:
     def test_interim_uses_interim_outcomes(self):
         c0, c1 = self.two_cohorts()
         # add one patient whose interim and final disagree
-        c0.ledgers["soc"].add(99, 1, 0)
+        fill(c0, "soc", 99, [(1, 0)])
         data_int, _ = assemble_analysis_data([c0, c1], c0, "cohort", "interim")
         data_fin, _ = assemble_analysis_data([c0, c1], c0, "cohort", "final")
         assert data_int[3].table.c_resp == 4
@@ -157,10 +178,10 @@ class TestAssembleAnalysisData:
     def test_dynamic_weight_identical_data_is_one(self):
         c0 = make_cohort(cid=0)
         c1 = make_cohort(cid=1)
-        fill(c0.ledgers["comb"], 0, [(1, 1)] * 5 + [(0, 0)] * 5)
-        fill(c0.ledgers["mono_a"], 0, [(1, 1)] * 2 + [(0, 0)] * 8)
-        fill(c0.ledgers["soc"], 0, [(1, 1)] * 20 + [(0, 0)] * 180)
-        fill(c1.ledgers["soc"], 200, [(1, 1)] * 20 + [(0, 0)] * 180)
+        fill(c0, "comb", 0, [(1, 1)] * 5 + [(0, 0)] * 5)
+        fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
+        fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
+        fill(c1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
         data, summaries = assemble_analysis_data([c0, c1], c0, "dynamic", "final")
         s3 = next(s for s in summaries if s.comparison == 3)
         assert s3.share_weight == pytest.approx(1.0, abs=1e-9)
@@ -169,10 +190,10 @@ class TestAssembleAnalysisData:
     def test_dynamic_weight_heterogeneous_data_near_zero(self):
         c0 = make_cohort(cid=0)
         c1 = make_cohort(cid=1)
-        fill(c0.ledgers["comb"], 0, [(1, 1)] * 5 + [(0, 0)] * 5)
-        fill(c0.ledgers["mono_a"], 0, [(1, 1)] * 2 + [(0, 0)] * 8)
-        fill(c0.ledgers["soc"], 0, [(1, 1)] * 20 + [(0, 0)] * 180)    # 10%
-        fill(c1.ledgers["soc"], 200, [(1, 1)] * 180 + [(0, 0)] * 20)  # 90%
+        fill(c0, "comb", 0, [(1, 1)] * 5 + [(0, 0)] * 5)
+        fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
+        fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)    # 10%
+        fill(c1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)  # 90%
         _, summaries = assemble_analysis_data([c0, c1], c0, "dynamic", "final")
         s3 = next(s for s in summaries if s.comparison == 3)
         assert s3.share_weight < 0.05
@@ -415,3 +436,82 @@ class TestSimulateTrial:
         result = simulate_trial(spec, derive_rng(22, 0, 0))
         (cohort,) = result.cohorts
         assert result.soc_slot_patients == cohort.blocks * 1
+
+
+@st.composite
+def platform_scenarios(draw):
+    """Random valid scenarios over every sharing type and trial structure,
+    with safety stops, cohort entry, offsets, sr_pats and uneven ratios."""
+    cohorts_max = draw(st.integers(1, 6))
+    n_int = draw(st.integers(5, 60))
+    platform = {
+        "cohorts_max": cohorts_max,
+        "initial_cohorts": draw(st.integers(1, min(2, cohorts_max))),
+        "cohort_random": draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.2))),
+        "cohort_offset": draw(st.integers(0, 60)),
+        "safety_prob": draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.02))),
+        "sr_pats": draw(st.one_of(st.just("inf"), st.integers(1, 400))),
+        "sr_drugs_pos": draw(st.one_of(st.just("inf"), st.integers(1, 2))),
+        "sr_first_pos": draw(st.booleans()),
+        "run_out_active_cohorts": draw(st.booleans()),
+        "trial_struc": draw(st.sampled_from(TRIAL_STRUCTURES)),
+        "sharing_type": draw(st.sampled_from(SHARING_TYPES)),
+        "n_int": n_int,
+        "n_fin": draw(st.integers(n_int, n_int + 60)),
+        "allocation_ratio": [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3),
+                                                                      min_size=3, max_size=3)),
+    }
+    rates = tuple(draw(st.floats(0.0, 1.0)) for _ in range(4))
+    d = scenario_dict(rates=rates, **platform)
+    if draw(st.booleans()):
+        d["endpoint"] = {"transforms": [{"kind": "correlated", "sens": 0.8, "spec": 0.7}],
+                         "probs": [1.0]}
+    return parse_scenario(d), draw(st.integers(0, 2**32 - 1))
+
+
+class TestInvariants:
+    @given(platform_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_engine_invariants(self, case):
+        spec, seed = case
+        p = spec.platform
+        result = simulate_trial(spec, derive_rng(seed, 0, 0))
+
+        # every enrolment index exactly once, increasing within a cohort
+        idx = [c.patients.idx for c in result.cohorts]
+        assert all(np.all(np.diff(i) > 0) for i in idx)
+        assert np.array_equal(np.sort(np.concatenate(idx)), np.arange(result.total_n))
+
+        # cohorts: at most cohorts_max, opened in patient order
+        assert len(result.cohorts) <= p.cohorts_max
+        opens = [c.open_index for c in result.cohorts]
+        assert opens == sorted(opens)
+        assert sorted(result.safety_stops) == sorted(
+            (c.id, c.close_index) for c in result.cohorts if c.status == STOPPED_SAFETY)
+
+        for c in result.cohorts:
+            ratio = {arm: r for arm, r in zip(ARM_ORDER, p.allocation_ratio) if arm in c.arms}
+            block = sum(ratio.values())
+            n = sum(rec.n for rec in c.per_arm.values())
+            if c.status == STOPPED_SAFETY:
+                # the last block is cut after the patient that stopped it
+                assert c.patients.idx[-1] == c.close_index - 1
+                assert (c.blocks - 1) * block < n <= c.blocks * block
+                for arm, rec in c.per_arm.items():
+                    assert ratio[arm] * (c.blocks - 1) <= rec.n <= ratio[arm] * c.blocks
+            else:
+                assert all(rec.n == ratio[arm] * c.blocks for arm, rec in c.per_arm.items())
+            for a in c.analyses:
+                if a.halted:
+                    continue
+                size = p.n_fin if a.stage == "final" else p.n_int
+                assert size <= a.n_enrolled < size + block
+            for arm, rec in c.per_arm.items():
+                n00, n01, n10, n11 = rec.pairs
+                assert sum(rec.pairs) == rec.n
+                assert rec.bio_responders == n10 + n11
+                assert rec.hist_responders == n01 + n11
+                patients = c.patients.arm_lists(arm)
+                assert sum(patients["bio"]) == rec.bio_responders
+                assert sum(patients["hist"]) == rec.hist_responders
+                assert len(patients["enroll_idx"]) == rec.n

@@ -22,13 +22,13 @@ def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.
         resp = int(round(rate * n_per_arm))
         per_arm[arm] = ArmResult(
             n=n_per_arm, bio_responders=resp, hist_responders=resp,
-            pairs=(n_per_arm - resp, 0, 0, resp), true_rate=rate,
-            enroll_idx=tuple(range(n_per_arm)), bio=(0,) * n_per_arm, hist=(0,) * n_per_arm)
+            pairs=(n_per_arm - resp, 0, 0, resp), true_rate=rate)
     return CohortResult(
         id=cid, open_index=0, close_index=4 * n_per_arm, arms=arms,
         truth=dict(zip(arms, rates)), truth_clamped=False, truth_class=truth_class,
         status=status, blocks=n_per_arm, per_arm=per_arm, analyses=(),
-        confusion=classify_decision(status, truth_class))
+        confusion=classify_decision(status, truth_class),
+        patients=None)
 
 
 def fake_trial(cohort_specs, successes=None, soc_slots=0, rates=None):
@@ -233,11 +233,20 @@ class TestInterpretedMetrics:
         assert ocs.SD_RR_Back == pytest.approx(0.1)      # sqrt((0.01 + 0.01 + 0) / 2)
         assert ocs.Avg_RR_Mono == pytest.approx(0.2)
         assert ocs.Avg_RR_Plac == pytest.approx(0.1)
-        # a rate shared by every cohort: the sum-of-squares form leaves only
-        # rounding error, not a real spread
-        assert ocs.SD_RR_Mono == pytest.approx(0.0, abs=1e-7)
-        assert ocs.SD_RR_Plac == pytest.approx(0.0, abs=1e-7)
+        # a rate shared by every cohort has no spread at all
+        assert ocs.SD_RR_Mono == 0.0
+        assert ocs.SD_RR_Plac == 0.0
         assert not any(name.startswith(("Avg_RR", "SD_RR")) for name in ocs.undefined)
+
+    def test_shared_rates_have_exactly_zero_sd(self):
+        # one trial of five cohorts at fixed rates: a one-pass sum of squares
+        # leaves cancellation error here (SD_RR_Mono 2.6e-9)
+        spec = make_scenario(cohort_random=0.05)
+        trial = simulate_trial(spec, derive_rng(1, 0, 0))
+        fixture = fake_trial([(COMPLETED_GO, "superior")] * 5, rates=[(0.35, 0.2, 0.2, 0.1)] * 5)
+        for ocs in (aggregate([trial], cohorts_max=5), aggregate([fixture] * 3, cohorts_max=5)):
+            for suffix in ("Comb", "Mono", "Back", "Plac"):
+                assert getattr(ocs, f"SD_RR_{suffix}") == 0.0, suffix
 
     def test_no_soc_arm_leaves_plac_rates_undefined(self):
         spec = make_scenario(trial_struc="no_plac", cohort_random=0.05)
