@@ -5,9 +5,11 @@ Rule protocol: each rule kind is one frozen dataclass deriving from
 declares their valid values, and class attributes declare its YAML key
 (``key``, also the trace ``kind``), its data need (``needs``: a 2x2 ``TABLE``
 or the numerator ``ARM``'s own counts) and whether it can declare
-superiority.  ``evaluate(data, prior, comparison)`` returns its
-:class:`RuleTrace`; ``conflicts(rules)`` warns about GO/STOP regions it
-shares with the other rules of its comparison.  Adding a rule kind takes
+superiority.  ``evaluate(t, prior, comparison)`` returns its
+:class:`RuleTrace` from the comparison's :class:`ComparisonData` record ``t``
+(any 2x2 table will do; single-arm rules read only its treatment side);
+``conflicts(rules)`` warns about GO/STOP regions it shares with the other
+rules of its comparison.  Adding a rule kind takes
 one such class plus one ``config.ComparisonRules`` field named after its key
 (the field order is the evaluation and trace order).
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .schema import param
 from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
@@ -52,19 +54,20 @@ ARM = "arm"
 
 
 @dataclass(frozen=True)
-class ComparisonData:
-    """Analysis-ready data for one comparison: a 2x2 table for two-arm rules
-    and the numerator arm's own counts for single-arm rules."""
+class ComparisonData(TwoByTwo):
+    """The counts one comparison is analysed on, as dumped: the 2x2 table
+    (treatment = the numerator arm's own patients, comparator = its own
+    patients plus ``share_weight`` times the external pool) and that pool."""
 
-    table: TwoByTwo | None = None
-    arm_responders: float | None = None
-    arm_total: float | None = None
+    comparison: int
+    share_weight: float | None = None  # None when no external data entered the table
+    external_resp: float = 0.0
+    external_total: float = 0.0
 
-    def meets(self, need: str) -> bool:
-        """Whether a rule with data need ``need`` can be evaluated."""
-        if need == TABLE:
-            return self.table is not None and self.table.n_t >= 1.0 and self.table.n_c >= 1.0
-        return self.arm_total is not None and self.arm_total >= 1.0
+
+def meets(t: TwoByTwo, need: str) -> bool:
+    """Whether a rule with data need ``need`` can be evaluated on ``t``."""
+    return t.n_t >= 1.0 and (need != TABLE or t.n_c >= 1.0)
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,10 @@ class _BayesRows(Rule):
     """Bayesian rule whose rows start with a margin (two-arm: P(X > Y +
     margin)) or a threshold (single-arm: P(X > threshold))."""
 
-    def probs(self, data: ComparisonData, prior: BetaPrior) -> tuple[float, ...]:
-        if self.needs == ARM:
-            x = PosteriorBeta(prior.alpha + data.arm_responders,
-                              prior.beta + (data.arm_total - data.arm_responders))
-            return tuple(prob_exceeds(x, row[0]) for row in self.rows)
-        t = data.table
+    def probs(self, t: TwoByTwo, prior: BetaPrior) -> tuple[float, ...]:
         x = PosteriorBeta(prior.alpha + t.t_resp, prior.beta + t.t_nonresp)
+        if self.needs == ARM:
+            return tuple(prob_exceeds(x, row[0]) for row in self.rows)
         y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
         return tuple(prob_greater_by_margin(x, y, row[0]) for row in self.rows)
 
@@ -133,8 +133,8 @@ class BayesSupRule(_BayesRows):
     rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
                                                          columns=(_MARGIN, _CONF, _PROM))
 
-    def evaluate(self, data, prior, comparison):
-        probs = self.probs(data, prior)
+    def evaluate(self, t, prior, comparison):
+        probs = self.probs(t, prior)
         superior = all(p > conf for p, (_, conf, _) in zip(probs, self.rows))
         promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, self.rows))
         return RuleTrace(comparison, self.key, probs, tuple(c for _, c, _ in self.rows),
@@ -155,8 +155,8 @@ class BayesFutRule(_BayesRows):
     key = "bayes_fut"
     rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_MARGIN, _CONF))
 
-    def evaluate(self, data, prior, comparison):
-        probs = self.probs(data, prior)
+    def evaluate(self, t, prior, comparison):
+        probs = self.probs(t, prior)
         futile = all(p < conf for p, (_, conf) in zip(probs, self.rows))
         return RuleTrace(comparison, self.key, probs, tuple(c for _, c in self.rows),
                          satisfied=futile, futile=futile)
@@ -198,8 +198,8 @@ class FreqSupRule(Rule):
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
 
-    def evaluate(self, data, prior, comparison):
-        p = one_sided_prop_test(data.table, correct=self.correct)
+    def evaluate(self, t, prior, comparison):
+        p = one_sided_prop_test(t, correct=self.correct)
         half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
         superior = p < self.p_sup * half
         promising = (not superior) and p < self.p_prom * half
@@ -217,8 +217,8 @@ class FreqFutRule(Rule):
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
 
-    def evaluate(self, data, prior, comparison):
-        p = one_sided_prop_test(data.table, correct=self.correct)
+    def evaluate(self, t, prior, comparison):
+        p = one_sided_prop_test(t, correct=self.correct)
         half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
         futile = p >= self.p_fut * half
         return RuleTrace(comparison, self.key, (p,), (self.p_fut * half,),
@@ -237,8 +237,8 @@ class EstSupFutRule(Rule):
     p_hat_fut: float = param(inf=True)
     p_hat_prom: float = param(math.inf, inf=True)
 
-    def evaluate(self, data, prior, comparison):
-        e = point_estimate(data.table, self.est)
+    def evaluate(self, t, prior, comparison):
+        e = point_estimate(t, self.est)
         superior = e >= self.p_hat_sup
         futile = e <= self.p_hat_fut
         promising = (not superior) and e >= self.p_hat_prom
@@ -265,8 +265,8 @@ class CISupFutRule(Rule):
     upper_fut: float = param(inf=True)
     lower_prom: float = param(math.inf, inf=True)
 
-    def evaluate(self, data, prior, comparison):
-        lo, hi = ci(data.table, self.est, self.level)
+    def evaluate(self, t, prior, comparison):
+        lo, hi = ci(t, self.est, self.level)
         superior = hi >= self.lower_sup
         futile = lo <= self.upper_fut
         promising = (not superior) and hi >= self.lower_prom
@@ -310,22 +310,25 @@ def _inactive(comparison: int) -> ComparisonOutcome:
                              futile=False, promising=False, n_sup_rules=0)
 
 
-def evaluate_comparison(rules: ComparisonRules, data: ComparisonData | None,
-                        prior: BetaPrior, comparison: int) -> ComparisonOutcome:
-    """Evaluate every configured rule of one comparison, in field order.
+def evaluate_comparison(rules: ComparisonRules, t: ComparisonData,
+                        prior: BetaPrior) -> ComparisonOutcome:
+    """Evaluate every configured rule of comparison ``t.comparison`` on the
+    record ``t``, in field order.
 
-    Rules whose data need cannot be met (no table / empty arm) are not
-    evaluated; unevaluable superiority rules make the comparison
-    inconclusive, which blocks GO without contributing futility.
+    Rules whose data need ``t`` does not meet (an empty numerator arm, or
+    for two-arm rules an empty comparator) are not evaluated; unevaluable
+    superiority rules make the comparison inconclusive, which blocks GO
+    without contributing futility.
     """
+    comparison = t.comparison
     if rules.empty:
         return _inactive(comparison)
     traces: list[RuleTrace] = []
     sup_traces: list[RuleTrace] = []
     missing_sup = 0
     for rule in rules:
-        if data is not None and data.meets(rule.needs):
-            trace = rule.evaluate(data, prior, comparison)
+        if meets(t, rule.needs):
+            trace = rule.evaluate(t, prior, comparison)
             traces.append(trace)
             if rule.superiority:
                 sup_traces.append(trace)
@@ -374,24 +377,14 @@ def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision
                           comparisons=tuple(outcomes), note=note)
 
 
-def evaluate_cohort(stage_rules: Sequence[ComparisonRules],
-                    data: Mapping[int, ComparisonData],
-                    prior: BetaPrior, stage: str,
-                    arm_present_comparisons: Sequence[int]) -> CohortDecision:
+def evaluate_cohort(stage_rules: Sequence[ComparisonRules], data: Sequence[ComparisonData],
+                    prior: BetaPrior, stage: str) -> CohortDecision:
     """Evaluate one cohort at one stage.
 
-    ``stage_rules`` holds the four ComparisonRules in comparison order;
-    comparisons whose arms are absent from the cohort (or that have no
-    rules) are skipped entirely.  Raises if an active comparison has no
-    data entry at all (engine bug, not a data condition).
+    ``stage_rules`` holds the four ComparisonRules in comparison order and
+    ``data`` one record per comparison whose arms are in the cohort; the
+    other comparisons, and those without rules, are inactive.
     """
-    outcomes = []
-    for idx in range(1, 5):
-        rules = stage_rules[idx - 1]
-        if idx not in arm_present_comparisons or rules.empty:
-            outcomes.append(_inactive(idx))
-            continue
-        if idx not in data:
-            raise ValueError(f"missing data for active comparison {idx}")
-        outcomes.append(evaluate_comparison(rules, data[idx], prior, idx))
-    return combine(outcomes, stage)
+    records = {t.comparison: t for t in data}
+    return combine([evaluate_comparison(rules, records[c], prior) if c in records
+                    else _inactive(c) for c, rules in enumerate(stage_rules, 1)], stage)

@@ -96,26 +96,12 @@ _NO_PATIENTS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 @dataclass(frozen=True)
-class ComparisonDataSummary:
-    """Counts (after sharing) actually used for one comparison at one analysis."""
-
-    comparison: int
-    t_resp: float
-    t_nonresp: float
-    c_resp: float
-    c_nonresp: float
-    share_weight: float | None  # None when no external data entered the table
-    external_resp: float
-    external_total: float
-
-
-@dataclass(frozen=True)
 class AnalysisRecord:
     stage: str
     n_enrolled: int
     patient_counter: int
     halted: bool
-    data: tuple[ComparisonDataSummary, ...]
+    data: tuple[ComparisonData, ...]
     decision: CohortDecision
 
 
@@ -286,9 +272,9 @@ def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
 
 
 def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
-                           ) -> tuple[dict[int, ComparisonData], tuple[ComparisonDataSummary, ...]]:
-    """Build the four comparisons' tables from the cohort's own arms at the
-    given endpoint stage, augmenting SoC / backbone comparator cells with
+                           ) -> tuple[ComparisonData, ...]:
+    """One record per active comparison: the cohort's own arms at the given
+    endpoint stage, with SoC / backbone comparator cells augmented by
     external data per the sharing mode.
 
     cohort: own data only.  all: every patient enrolled on other cohorts'
@@ -296,8 +282,7 @@ def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
     has been open.  dynamic: the full pool, downweighted by homogeneity
     (fractional counts).
     """
-    data: dict[int, ComparisonData] = {}
-    summaries: list[ComparisonDataSummary] = []
+    records = []
     for comp in cohort.active_comparisons:
         num, den = COMPARISON_ARMS[comp]
         num_r, num_n = cohort.counts(num, stage)
@@ -310,14 +295,9 @@ def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
                 weight = _dynamic_weight(den_r, den_n, ext_r, ext_n) if mode == "dynamic" else 1.0
                 den_r = den_r + weight * ext_r
                 den_n = den_n + weight * ext_n
-        table = TwoByTwo(num_r, num_n - num_r, den_r, den_n - den_r)
-        data[comp] = ComparisonData(table=table, arm_responders=float(num_r),
-                                    arm_total=float(num_n))
-        summaries.append(ComparisonDataSummary(
-            comparison=comp, t_resp=table.t_resp, t_nonresp=table.t_nonresp,
-            c_resp=table.c_resp, c_nonresp=table.c_nonresp,
-            share_weight=weight, external_resp=ext_r, external_total=ext_n))
-    return data, tuple(summaries)
+        records.append(ComparisonData(num_r, num_n - num_r, den_r, den_n - den_r,
+                                      comp, weight, ext_r, ext_n))
+    return tuple(records)
 
 
 def classify_decision(cohort_status: str, truth_class: str) -> str | None:
@@ -477,13 +457,11 @@ class _Platform:
 
     def run_analysis(self, cohort: CohortState, stage: str, halted: bool = False) -> CohortDecision:
         spec = self.spec
-        data, summaries = assemble_analysis_data(self.cohorts, cohort,
-                                                 spec.platform.sharing_type, stage)
-        decision = evaluate_cohort(spec.rules.for_stage(stage), data, spec.prior,
-                                   stage, cohort.active_comparisons)
+        data = assemble_analysis_data(self.cohorts, cohort, spec.platform.sharing_type, stage)
+        decision = evaluate_cohort(spec.rules.for_stage(stage), data, spec.prior, stage)
         cohort.analyses.append(AnalysisRecord(
             stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
-            halted=halted, data=summaries, decision=decision))
+            halted=halted, data=data, decision=decision))
         if stage == INTERIM:
             cohort.has_interim = True
 

@@ -134,11 +134,8 @@ def write_ocs_csv(path, rows: Sequence[Mapping], axis_names: Sequence[str] = ())
     write_csv(path, ocs_csv_columns(axis_names), rows)
 
 
-def write_ocs_json(path, scenario_id: str, ocs: OperatingCharacteristics,
-                   extra: Mapping | None = None) -> None:
+def write_ocs_json(path, scenario_id: str, ocs: OperatingCharacteristics) -> None:
     doc = {"scenario_id": scenario_id, **ocs.to_json_dict()}
-    if extra:
-        doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -54,7 +54,9 @@ def _worker(spec_dict: dict, scenario_index: int, start: int, count: int,
 
 
 def resolve_workers(workers: int | str | None) -> int:
-    if workers in (None, "auto"):
+    if workers in (None, "auto"):  # the CPUs this process may run on, under any affinity mask
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     w = int(workers)
     if w < 1:

@@ -290,13 +290,13 @@ def test_c12_sharing_modes():
     fill(c1, "mono_b", 65, [(1, 1)] * 2 + [(0, 0)] * 4)
     fill(c1, "soc", 70, [(1, 1)] * 2 + [(0, 0)] * 6)
 
-    own, _ = assemble_analysis_data([c0, c1], c0, "cohort", "final")
-    assert own[3].table.cells() == (2, 8, 3, 7)
-    assert own[4].table.cells() == (4, 6, 3, 7)
+    own = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, "cohort", "final")}
+    assert own[3].cells() == (2, 8, 3, 7)
+    assert own[4].cells() == (4, 6, 3, 7)
 
-    pooled, _ = assemble_analysis_data([c0, c1], c0, "all", "final")
-    assert pooled[3].table.cells() == (2, 8, 5, 13)
-    assert pooled[2].table.cells() == (8, 12, 6, 10)
+    pooled = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, "all", "final")}
+    assert pooled[3].cells() == (2, 8, 5, 13)
+    assert pooled[2].cells() == (8, 12, 6, 10)
 
     h0 = make_cohort(cid=0)
     h1 = make_cohort(cid=1)
@@ -304,13 +304,13 @@ def test_c12_sharing_modes():
     fill(h0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
     fill(h0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
     fill(h1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
-    _, summaries = assemble_analysis_data([h0, h1], h0, "dynamic", "final")
-    w_same = next(s.share_weight for s in summaries if s.comparison == 3)
+    data = assemble_analysis_data([h0, h1], h0, "dynamic", "final")
+    w_same = next(t.share_weight for t in data if t.comparison == 3)
     assert w_same == pytest.approx(1.0, abs=1e-9)
 
     g1 = make_cohort(cid=1)
     fill(g1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)
-    _, summaries = assemble_analysis_data([h0, g1], h0, "dynamic", "final")
-    w_diff = next(s.share_weight for s in summaries if s.comparison == 3)
+    data = assemble_analysis_data([h0, g1], h0, "dynamic", "final")
+    w_diff = next(t.share_weight for t in data if t.comparison == 3)
     assert w_diff < 0.05
     report("C12 sharing-modes", f"dynamic w: identical={w_same:.3f}, split={w_diff:.2e}")

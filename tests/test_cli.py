@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import pathlib
 
 import pytest
@@ -10,6 +11,7 @@ from platformsim.engine import STREAM_VERSION
 from platformsim.cli import main
 from platformsim.ocs import OperatingCharacteristics
 from platformsim.reporting import read_trajectory
+from platformsim.runner import resolve_workers
 
 from conftest import CONFIGS, scenario_dict
 
@@ -94,6 +96,12 @@ class TestOcs:
               "--workers", "2", "--out", str(out2)])
         assert (out1 / "ocs.csv").read_bytes() == (out2 / "ocs.csv").read_bytes()
         assert (out1 / "ocs.json").read_bytes() == (out2 / "ocs.json").read_bytes()
+
+    def test_workers_auto_counts_usable_cpus(self, monkeypatch):
+        # an affinity mask of one CPU on an eight-CPU machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers("auto") == 1
 
     def test_dump_trajectories(self, spec_file, tmp_path):
         out = tmp_path / "out"

@@ -20,13 +20,13 @@ EQUAL = TwoByTwo(20, 30, 20, 30)
 class TestBayesSup:
     def test_overwhelming_data(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = rule.evaluate(ComparisonData(STRONG), PRIOR, 1)
+        trace = rule.evaluate(STRONG, PRIOR, 1)
         assert trace.superior and trace.satisfied
         assert trace.statistic[0] > 0.999
 
     def test_identical_arms_not_superior(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = rule.evaluate(ComparisonData(EQUAL), PRIOR, 1)
+        trace = rule.evaluate(EQUAL, PRIOR, 1)
         assert not trace.superior
         assert trace.statistic[0] < 0.5
 
@@ -34,50 +34,50 @@ class TestBayesSup:
         # P(X > Y + 0.1) ~ 0.833 for (30/50 vs 20/50): below conf, and a
         # promising bound of 1.00 can never be crossed
         rule = BayesSupRule(rows=((0.10, 0.90, 1.00),))
-        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
         assert not trace.superior and not trace.promising
 
     def test_promising_threshold_crossed(self):
         rule = BayesSupRule(rows=((0.10, 0.90, 0.50),))
-        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
         assert not trace.superior and trace.promising
 
     def test_multi_row_all_must_hold(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00), (0.50, 0.80, 1.00)))
-        trace = rule.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
         assert not trace.superior  # the 0.50 margin row fails
         single = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        assert single.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
+        assert single.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
 
 
 class TestBayesFut:
     def test_identical_arms_futile_at_point6(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        trace = rule.evaluate(ComparisonData(EQUAL), PRIOR, 1)
+        trace = rule.evaluate(EQUAL, PRIOR, 1)
         assert trace.futile  # P = 0.5 < 0.6
 
     def test_strong_effect_not_futile(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        assert not rule.evaluate(ComparisonData(STRONG), PRIOR, 1).futile
+        assert not rule.evaluate(STRONG, PRIOR, 1).futile
 
 
 class TestBayesSingleArm:
     def test_sa_sup_two_rows(self):
         rule = BayesSASupRule(rows=((0.05, 0.70, 1.00), (0.10, 0.50, 1.00)))
         # posterior Beta(31, 21)
-        trace = rule.evaluate(ComparisonData(arm_responders=30, arm_total=50), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 0, 0), PRIOR, 1)
         assert trace.superior
 
     def test_sa_fut_no_responders(self):
         rule = BayesSAFutRule(rows=((0.10, 0.50),))
         # posterior Beta(1, 51)
-        trace = rule.evaluate(ComparisonData(arm_responders=0, arm_total=50), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(0, 50, 0, 0), PRIOR, 1)
         assert trace.futile
         assert trace.statistic[0] == pytest.approx(0.9 ** 51, rel=1e-9)
 
     def test_sa_sup_zero_threshold_always_holds(self):
         rule = BayesSASupRule(rows=((0.0, 0.99, 1.00),))
-        assert rule.evaluate(ComparisonData(arm_responders=0, arm_total=10), PRIOR, 1).superior
+        assert rule.evaluate(TwoByTwo(0, 10, 0, 0), PRIOR, 1).superior
 
 
 class TestFreqRules:
@@ -85,38 +85,38 @@ class TestFreqRules:
         # table p-value = 0.0227513...
         sup = FreqSupRule(p_sup=0.05, p_adj="bonferroni_half")
         # 0.0228 < 0.025
-        assert sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
+        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
         tight = FreqSupRule(p_sup=0.04, p_adj="bonferroni_half")
         # 0.0228 >= 0.02
-        assert not tight.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
+        assert not tight.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
 
     def test_no_adjustment(self):
         sup = FreqSupRule(p_sup=0.025, p_adj="none")
-        assert sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1).superior
+        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
 
     def test_promising_level_zero_never(self):
         sup = FreqSupRule(p_sup=1e-9, p_prom=0.0)
-        trace = sup.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)
+        trace = sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
         assert not trace.superior and not trace.promising
 
     def test_futility_boundary_inclusive(self):
         fut = FreqFutRule(p_fut=0.5, p_adj="none")
-        assert fut.evaluate(ComparisonData(EQUAL), PRIOR, 1).futile  # p == 0.5 -> stop
+        assert fut.evaluate(EQUAL, PRIOR, 1).futile  # p == 0.5 -> stop
 
 
 class TestEstRule:
     RULE = EstSupFutRule(est="RR", p_hat_sup=1.2, p_hat_fut=1.0)
 
     def test_superior(self):
-        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(30, 20, 20, 30)), PRIOR, 1)  # RR 1.5
+        trace = self.RULE.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)  # RR 1.5
         assert trace.superior and not trace.futile
 
     def test_futile_at_boundary(self):
-        trace = self.RULE.evaluate(ComparisonData(EQUAL), PRIOR, 1)  # RR 1.0 <= 1.0
+        trace = self.RULE.evaluate(EQUAL, PRIOR, 1)  # RR 1.0 <= 1.0
         assert trace.futile and not trace.superior
 
     def test_gap_neither(self):
-        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(11, 39, 10, 40)), PRIOR, 1)  # RR 1.1
+        trace = self.RULE.evaluate(TwoByTwo(11, 39, 10, 40), PRIOR, 1)  # RR 1.1
         assert not trace.superior and not trace.futile
 
 
@@ -124,15 +124,15 @@ class TestCIRule:
     RULE = CISupFutRule(est="RR", level=0.95, lower_sup=1.2, upper_fut=1.0)
 
     def test_strong_effect_superior(self):
-        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(40, 10, 10, 40)), PRIOR, 1)
+        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR, 1)
         assert trace.superior
 
     def test_identical_arms_futile(self):
-        trace = self.RULE.evaluate(ComparisonData(EQUAL), PRIOR, 1)
+        trace = self.RULE.evaluate(EQUAL, PRIOR, 1)
         assert trace.futile  # CI contains 1
 
     def test_promising_inf_never(self):
-        trace = self.RULE.evaluate(ComparisonData(TwoByTwo(40, 10, 10, 40)), PRIOR, 1)
+        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR, 1)
         assert not trace.promising
 
 
@@ -147,8 +147,8 @@ def comparison_rules(bayes_sup_margin=None, bayes_fut_conf=None, est=False):
     return ComparisonRules(**kwargs)
 
 
-def data_for(table):
-    return ComparisonData(table=table, arm_responders=table.t_resp, arm_total=table.n_t)
+def data_for(comparison, table):
+    return ComparisonData(*table.cells(), comparison)
 
 
 class TestCombine:
@@ -157,31 +157,31 @@ class TestCombine:
 
     def test_all_superior_is_go_at_interim(self):
         rules = self.all_sup_rules()
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        data = tuple(data_for(i, STRONG) for i in range(1, 5))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == GO
 
     def test_any_futility_stops(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        data[4] = data_for(EQUAL)  # one equal comparison trips its futility rule
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        # one equal comparison trips its futility rule
+        data = tuple(data_for(i, EQUAL if i == 4 else STRONG) for i in range(1, 5))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == STOP_FUTILITY
 
     def test_final_neither_is_unsuccessful(self):
         rules = self.all_sup_rules()
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        data[3] = data_for(TwoByTwo(22, 28, 20, 30))  # too weak for the margin
-        decision = evaluate_cohort(rules, data, PRIOR, FINAL, (1, 2, 3, 4))
+        weak = TwoByTwo(22, 28, 20, 30)  # too weak for the margin
+        data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
+        decision = evaluate_cohort(rules, data, PRIOR, FINAL)
         assert decision.verdict == UNSUCCESSFUL_MAX_N
         assert "superiority criterion" in decision.note
 
     def test_interim_neither_continues(self):
         rules = self.all_sup_rules()
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        data[3] = data_for(TwoByTwo(22, 28, 20, 30))
-        assert evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4)).verdict == CONTINUE
+        weak = TwoByTwo(22, 28, 20, 30)
+        data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
+        assert evaluate_cohort(rules, data, PRIOR, INTERIM).verdict == CONTINUE
 
     def test_simultaneous_go_and_stop_resolves_to_stop(self):
         # est rule with sup threshold == fut threshold fires both at RR = 1.5... no:
@@ -189,53 +189,46 @@ class TestCombine:
         rules = (ComparisonRules(est_sup_fut=(EstSupFutRule("RR", p_hat_sup=1.2,
                                                             p_hat_fut=2.0),),),
                  ComparisonRules(), ComparisonRules(), ComparisonRules())
-        data = {1: data_for(TwoByTwo(30, 20, 20, 30))}  # RR 1.5: sup and fut both true
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        data = (data_for(1, TwoByTwo(30, 20, 20, 30)),)  # RR 1.5: sup and fut both true
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == STOP_FUTILITY
         assert "conservative" in decision.note
 
     def test_no_sup_rules_configured_never_go(self):
         # futility-only interim rule set: strong data must CONTINUE, not GO
         rules = tuple(comparison_rules(bayes_fut_conf=0.60) for _ in range(4))
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        assert evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4)).verdict == CONTINUE
+        data = tuple(data_for(i, STRONG) for i in range(1, 5))
+        assert evaluate_cohort(rules, data, PRIOR, INTERIM).verdict == CONTINUE
 
     def test_absent_comparisons_skipped(self):
         rules = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                  ComparisonRules(), ComparisonRules())
-        data = {1: data_for(STRONG)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        data = tuple(data_for(i, STRONG) for i in range(1, 5))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == GO
         assert [o.active for o in decision.comparisons] == [True, False, False, False]
 
     def test_arm_absent_comparisons_skipped(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
-        data = {1: data_for(STRONG), 2: data_for(STRONG)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2))
+        data = (data_for(1, STRONG), data_for(2, STRONG))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == GO
-
-    def test_missing_data_for_active_comparison_raises(self):
-        rules = self.all_sup_rules()
-        with pytest.raises(ValueError, match="missing data"):
-            evaluate_cohort(rules, {1: data_for(STRONG)}, PRIOR, INTERIM, (1, 2, 3, 4))
 
     def test_insufficient_data_blocks_go(self):
         rules = (comparison_rules(bayes_sup_margin=0.10),
                  comparison_rules(bayes_sup_margin=0.10),
                  ComparisonRules(), ComparisonRules())
-        data = {1: data_for(STRONG),
-                2: ComparisonData(table=TwoByTwo(5, 5, 0, 0), arm_responders=5, arm_total=10)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        data = (data_for(1, STRONG), data_for(2, TwoByTwo(5, 5, 0, 0)))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.outcome(2).inconclusive
 
     def test_combine_permutation_invariant(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
-        data = {i: data_for(STRONG) for i in range(1, 5)}
-        data[2] = data_for(EQUAL)
-        outcomes = [evaluate_comparison(rules[i - 1], data[i], PRIOR, i) for i in range(1, 5)]
+        data = tuple(data_for(i, EQUAL if i == 2 else STRONG) for i in range(1, 5))
+        outcomes = [evaluate_comparison(r, t, PRIOR) for r, t in zip(rules, data)]
         verdict = combine(outcomes, INTERIM).verdict
         rng = random.Random(0)
         for _ in range(5):
@@ -246,25 +239,25 @@ class TestCombine:
     def test_adding_sup_rule_never_creates_go(self):
         base = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                 ComparisonRules(), ComparisonRules())
-        data = {1: data_for(TwoByTwo(26, 24, 20, 30))}
-        base_verdict = evaluate_cohort(base, data, PRIOR, INTERIM, (1,)).verdict
+        data = (data_for(1, TwoByTwo(26, 24, 20, 30)),)
+        base_verdict = evaluate_cohort(base, data, PRIOR, INTERIM).verdict
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup + (BayesSupRule(rows=((0.5, 0.99, 1.0),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        new_verdict = evaluate_cohort(extended, data, PRIOR, INTERIM, (1,)).verdict
+        new_verdict = evaluate_cohort(extended, data, PRIOR, INTERIM).verdict
         if base_verdict != GO:
             assert new_verdict != GO
 
     def test_adding_fut_rule_never_removes_stop(self):
         base = (comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60),
                 ComparisonRules(), ComparisonRules(), ComparisonRules())
-        data = {1: data_for(EQUAL)}
-        assert evaluate_cohort(base, data, PRIOR, INTERIM, (1,)).verdict == STOP_FUTILITY
+        data = (data_for(1, EQUAL),)
+        assert evaluate_cohort(base, data, PRIOR, INTERIM).verdict == STOP_FUTILITY
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup, bayes_fut=base[0].bayes_fut +
             (BayesFutRule(rows=((0.0, 0.01),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        assert evaluate_cohort(extended, data, PRIOR, INTERIM, (1,)).verdict == STOP_FUTILITY
+        assert evaluate_cohort(extended, data, PRIOR, INTERIM).verdict == STOP_FUTILITY
 
     def test_trace_complete_one_entry_per_rule(self):
         rules = (ComparisonRules(
@@ -277,8 +270,8 @@ class TestCombine:
             est_sup_fut=(EstSupFutRule("RR", 1.2, 1.0),),
             ci_sup_fut=(CISupFutRule("RR", 0.95, 1.2, 1.0),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        data = {1: data_for(STRONG)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1,))
+        data = (data_for(1, STRONG),)
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         kinds = sorted(t.kind for t in decision.traces)
         assert kinds == sorted(["bayes_sup", "bayes_fut", "bayes_sa_sup", "bayes_sa_fut",
                                 "freq_sup", "freq_fut", "est_sup_fut", "ci_sup_fut"])
@@ -286,7 +279,7 @@ class TestCombine:
     def test_promising_flag_all_comparisons(self):
         rules = tuple(ComparisonRules(
             bayes_sup=(BayesSupRule(rows=((0.0, 0.99999, 0.60),)),),) for _ in range(4))
-        data = {i: data_for(TwoByTwo(35, 15, 20, 30)) for i in range(1, 5)}
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM, (1, 2, 3, 4))
+        data = tuple(data_for(i, TwoByTwo(35, 15, 20, 30)) for i in range(1, 5))
+        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.promising

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from platformsim.config import (SHARING_TYPES, TRIAL_STRUCTURES, IdentityTransform,
                                 parse_scenario)
+from platformsim.decisions import COMPARISON_ARMS
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
-                                ARM_ORDER, CohortState, assemble_analysis_data,
+                                ARM_ORDER, SHARED_ARMS, CohortState, assemble_analysis_data,
                                 classify_decision, cum_pair_probs, draw_blocks,
                                 simulate_trial)
 from platformsim.runner import derive_rng
@@ -117,6 +118,11 @@ def fill(cohort, arm, start_idx, outcomes):
                   np.array([2 * b + h for b, h in outcomes]))
 
 
+def record(data, comparison):
+    """The analysis record of one comparison."""
+    return next(t for t in data if t.comparison == comparison)
+
+
 class TestAssembleAnalysisData:
     def two_cohorts(self):
         c0 = make_cohort(cid=0, open_index=0)
@@ -135,45 +141,45 @@ class TestAssembleAnalysisData:
 
     def test_cohort_mode_own_data_only(self):
         c0, c1 = self.two_cohorts()
-        data, summaries = assemble_analysis_data([c0, c1], c0, "cohort", "final")
-        t3 = data[3].table  # mono_a vs soc
+        data = assemble_analysis_data([c0, c1], c0, "cohort", "final")
+        t3 = record(data, 3)  # mono_a vs soc
         assert (t3.t_resp, t3.t_nonresp, t3.c_resp, t3.c_nonresp) == (2, 8, 3, 7)
-        assert all(s.share_weight is None for s in summaries)
+        assert all(s.share_weight is None for s in data)
 
     def test_all_mode_pools_soc_and_backbone(self):
         c0, c1 = self.two_cohorts()
-        data, _ = assemble_analysis_data([c0, c1], c0, "all", "final")
-        t3 = data[3].table
+        data = assemble_analysis_data([c0, c1], c0, "all", "final")
+        t3 = record(data, 3)
         assert (t3.c_resp, t3.c_nonresp) == (3 + 2, 7 + 6)   # soc pooled
-        t2 = data[2].table
+        t2 = record(data, 2)
         assert (t2.c_resp, t2.c_nonresp) == (4 + 2, 6 + 4)   # backbone pooled
-        t1 = data[1].table  # mono_a comparator is never shared
+        t1 = record(data, 1)  # mono_a comparator is never shared
         assert (t1.c_resp, t1.c_nonresp) == (2, 8)
 
     def test_numerator_never_augmented(self):
         c0, c1 = self.two_cohorts()
-        data, _ = assemble_analysis_data([c0, c1], c0, "all", "final")
-        t4 = data[4].table  # mono_b vs soc: mono_b is numerator here
+        data = assemble_analysis_data([c0, c1], c0, "all", "final")
+        t4 = record(data, 4)  # mono_b vs soc: mono_b is numerator here
         assert (t4.t_resp, t4.t_nonresp) == (4, 6)
 
     def test_concurrent_mode_window(self):
         c0, c1 = self.two_cohorts()
         # cohort 1 opened at patient 40: cohort 0's soc (indices 40..49) and
         # mono_b (30..39 - before the window) differ
-        data, _ = assemble_analysis_data([c0, c1], c1, "concurrent", "final")
-        t3 = data[3].table
+        data = assemble_analysis_data([c0, c1], c1, "concurrent", "final")
+        t3 = record(data, 3)
         assert (t3.c_resp, t3.c_nonresp) == (2 + 3, 6 + 7)   # all of c0's soc is concurrent
-        t2 = data[2].table
+        t2 = record(data, 2)
         assert (t2.c_resp, t2.c_nonresp) == (2, 4)           # none of c0's mono_b is
 
     def test_interim_uses_interim_outcomes(self):
         c0, c1 = self.two_cohorts()
         # add one patient whose interim and final disagree
         fill(c0, "soc", 99, [(1, 0)])
-        data_int, _ = assemble_analysis_data([c0, c1], c0, "cohort", "interim")
-        data_fin, _ = assemble_analysis_data([c0, c1], c0, "cohort", "final")
-        assert data_int[3].table.c_resp == 4
-        assert data_fin[3].table.c_resp == 3
+        data_int = assemble_analysis_data([c0, c1], c0, "cohort", "interim")
+        data_fin = assemble_analysis_data([c0, c1], c0, "cohort", "final")
+        assert record(data_int, 3).c_resp == 4
+        assert record(data_fin, 3).c_resp == 3
 
     def test_dynamic_weight_identical_data_is_one(self):
         c0 = make_cohort(cid=0)
@@ -182,10 +188,9 @@ class TestAssembleAnalysisData:
         fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
         fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
         fill(c1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
-        data, summaries = assemble_analysis_data([c0, c1], c0, "dynamic", "final")
-        s3 = next(s for s in summaries if s.comparison == 3)
+        s3 = record(assemble_analysis_data([c0, c1], c0, "dynamic", "final"), 3)
         assert s3.share_weight == pytest.approx(1.0, abs=1e-9)
-        assert data[3].table.c_resp == pytest.approx(40)
+        assert s3.c_resp == pytest.approx(40)
 
     def test_dynamic_weight_heterogeneous_data_near_zero(self):
         c0 = make_cohort(cid=0)
@@ -194,8 +199,7 @@ class TestAssembleAnalysisData:
         fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
         fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)    # 10%
         fill(c1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)  # 90%
-        _, summaries = assemble_analysis_data([c0, c1], c0, "dynamic", "final")
-        s3 = next(s for s in summaries if s.comparison == 3)
+        s3 = record(assemble_analysis_data([c0, c1], c0, "dynamic", "final"), 3)
         assert s3.share_weight < 0.05
 
 
@@ -515,3 +519,39 @@ class TestInvariants:
                 assert sum(patients["bio"]) == rec.bio_responders
                 assert sum(patients["hist"]) == rec.hist_responders
                 assert len(patients["enroll_idx"]) == rec.n
+            for a in c.analyses:
+                self.check_analysed_counts(result, c, a, p.sharing_type)
+
+    @staticmethod
+    def check_analysed_counts(result, c, a, mode):
+        """The analysis records of cohort ``c`` at analysis ``a`` are exactly
+        the counts of the patient logs that the sharing mode admits."""
+        def counts(cohort, arm, start=0):
+            # (responders, total) of ``arm`` on ``cohort`` at ``a``'s endpoint
+            # over enrolment indices in [start, a.patient_counter)
+            log = cohort.patients
+            keep = (log.arm == ARM_ORDER.index(arm)) & (log.idx >= start) & (
+                log.idx < a.patient_counter)
+            outcome = log.pair[keep] >> 1 if a.stage == "interim" else log.pair[keep] & 1
+            return int(outcome.sum()), int(keep.sum())
+
+        assert [t.comparison for t in a.data] == [
+            k for k, (num, den) in COMPARISON_ARMS.items() if num in c.arms and den in c.arms]
+        for t in a.data:
+            num, den = COMPARISON_ARMS[t.comparison]
+            r, n = counts(c, num)
+            assert (t.t_resp, t.t_nonresp) == (r, n - r)
+            ext_r = ext_n = 0
+            if mode != "cohort" and den in SHARED_ARMS:
+                start = c.open_index if mode == "concurrent" else 0
+                for other in result.cohorts:
+                    if other is not c:
+                        er, en = counts(other, den, start)
+                        ext_r, ext_n = ext_r + er, ext_n + en
+            assert (t.external_resp, t.external_total) == (ext_r, ext_n)
+            assert (t.share_weight is None) == (ext_n == 0)
+            assert mode == "dynamic" or t.share_weight in (None, 1.0)
+            own_r, own_n = counts(c, den)
+            w = t.share_weight or 0.0
+            assert t.c_resp == own_r + w * ext_r
+            assert t.c_resp + t.c_nonresp == pytest.approx(own_n + w * ext_n)
