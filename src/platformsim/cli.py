@@ -19,8 +19,7 @@ import traceback
 from . import reporting
 from .config import (ConfigError, expand_grid, get_path, load_axes,
                      load_scenario, validate)
-from .runner import derive_rng, resolve_workers, run_ocs
-from .engine import simulate_trial
+from .runner import resolve_workers, run_ocs, run_single_trial
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +70,7 @@ def _progress(label: str):
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.config)
     os.makedirs(args.out, exist_ok=True)
-    result = simulate_trial(spec, derive_rng(args.seed, 0, 0))
+    result = run_single_trial(spec, args.seed)
     dump_path = os.path.join(args.out, "trajectory.json")
     reporting.write_trajectory(dump_path, result)
     print(f"scenario {spec.id}: Total_N = {result.total_n}, "

@@ -13,12 +13,16 @@ the end of a round on the cohort's total enrollment, which can overshoot the
 nominal interim/final sizes by at most one block.
 
 The engine steps from event to event.  The patients at which the next safety
-stop and the next cohort entry happen are drawn as geometric waiting times,
-and the rounds before the next event (a safety stop, a cohort entry, a
-size-triggered analysis or ``sr_pats``) are fully determined by the block
-schedule, so each enrolling cohort draws all of their blocks in one
-vectorised call.  Only a block that holds a safety stop or a cohort entry is
-walked patient by patient.
+stop and the next cohort entry happen are drawn as geometric waiting times.
+One step enrolls k whole rounds: up to the next size-triggered analysis or
+``sr_pats``, and before the next safety stop or cohort entry, or the one
+round that holds it.  Each enrolling cohort draws its k blocks in one
+vectorised call, and only a block that holds a safety stop or a cohort entry
+is walked patient by patient.
+
+Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
+the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
+pool is the difference of two tallies.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.
@@ -27,6 +31,7 @@ parallelism happens across trials, never inside one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +115,17 @@ class CohortState:
 
     Its patients are kept as chunks of ``PatientLog`` arrays; ``tally``
     holds the running count of every (arm, outcome pair) at index
-    4 * arm + pair, from which all per-arm counts follow."""
+    4 * arm + pair, from which all per-arm counts follow.  ``tallies_at_open[i]``
+    is the tally of cohort i, one of those ``opened`` before it, taken at its
+    entry (a tally is replaced, never changed in place)."""
 
     __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
                  "status", "analyses", "has_interim", "blocks", "template",
-                 "cum_probs", "active_comparisons", "n", "tally", "_chunks")
+                 "cum_probs", "active_comparisons", "n", "tally", "tallies_at_open",
+                 "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
-                 truth: CohortTruth, truth_class: str, transform, ratio):
+                 truth: CohortTruth, truth_class: str, transform, ratio, opened):
         self.id = cid
         self.open_index = open_index
         self.close_index: int | None = None
@@ -136,7 +144,8 @@ class CohortState:
         self.active_comparisons = tuple(
             c for c, (num, den) in COMPARISON_ARMS.items() if num in arms and den in arms)
         self.n = 0
-        self.tally = [0] * 16
+        self.tally = (0,) * 16
+        self.tallies_at_open = tuple(c.tally for c in opened)
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [_NO_PATIENTS]
 
     def record(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray) -> None:
@@ -144,27 +153,18 @@ class CohortState:
         self._chunks.append((idx, arm, pair))
         self.n += len(idx)
         added = np.bincount(4 * arm + pair, minlength=16).tolist()
-        self.tally = [a + b for a, b in zip(self.tally, added)]
+        self.tally = tuple(map(operator.add, self.tally, added))
 
     def patients(self) -> PatientLog:
-        if len(self._chunks) > 1:
-            self._chunks = [tuple(np.concatenate(col) for col in zip(*self._chunks))]
-        return PatientLog(*self._chunks[0])
+        return PatientLog(*(np.concatenate(col) for col in zip(*self._chunks)))
 
     def pair_counts(self, arm: str) -> tuple[int, int, int, int]:
         i = 4 * ARM_INDEX[arm]
-        return tuple(self.tally[i:i + 4])
+        return self.tally[i:i + 4]
 
     def counts(self, arm: str, stage: str) -> tuple[int, int]:
         """(responders, total) of one arm at the given endpoint stage."""
         return _responders(self.pair_counts(arm), stage)
-
-    def counts_from(self, arm: str, start_idx: int, stage: str) -> tuple[int, int]:
-        """(responders, total) of one arm over patients with enrollment
-        index >= start_idx."""
-        log = self.patients()
-        keep = (log.idx >= start_idx) & (log.arm == ARM_INDEX[arm])
-        return _responders(np.bincount(log.pair[keep], minlength=4).tolist(), stage)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +257,18 @@ def _dynamic_weight(own_resp: float, own_n: float, ext_resp: float, ext_n: float
 
 def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
                    mode: str) -> tuple[float, float]:
+    """(responders, total) of ``arm`` over the other cohorts; under
+    ``concurrent`` only their patients enrolled since ``cohort`` opened."""
+    i = 4 * ARM_INDEX[arm]
     resp = 0.0
     tot = 0.0
     for other in cohorts:
         if other is cohort or arm not in other.arms or other.n == 0:
             continue
-        if mode == "concurrent":
-            r, n = other.counts_from(arm, cohort.open_index, stage)
-        else:
-            r, n = other.counts(arm, stage)
+        pairs = other.tally[i:i + 4]
+        if mode == "concurrent" and other.id < len(cohort.tallies_at_open):
+            pairs = [a - b for a, b in zip(pairs, cohort.tallies_at_open[other.id][i:i + 4])]
+        r, n = _responders(pairs, stage)
         resp += r
         tot += n
     return resp, tot
@@ -364,7 +367,7 @@ class _Platform:
         transform = spec.endpoint.sample_transform(self.rng)
         truth_class = classify_truth(truth, spec.target, has_soc_comparisons="soc" in arms)
         cohort = CohortState(len(self.cohorts), self.patient_counter, arms,
-                             truth, truth_class, transform, ratio)
+                             truth, truth_class, transform, ratio, self.cohorts)
         self.cohorts.append(cohort)
         self.last_open_index = self.patient_counter
         return cohort
@@ -393,65 +396,53 @@ class _Platform:
     # --- enrollment --------------------------------------------------------
 
     def enroll(self, enrolling: list[CohortState]) -> None:
-        """One step: the whole rounds up to the next event in one draw per
-        cohort, or, when the next safety stop or cohort entry falls in the
-        coming round, that round block by block."""
+        """One step of k whole rounds, one ``draw_blocks`` call per cohort:
+        up to the next analysis or ``sr_pats`` and before the next safety stop
+        or cohort entry, or k = 1 when that event falls in the coming round.
+        The block that holds the event is walked patient by patient."""
         p = self.spec.platform
         sizes = [c.template.size for c in enrolling]
         round_n = sum(sizes)
-        next_event = min(self.next_safety, self.next_entry)
-        if next_event - self.patient_counter <= round_n:
-            for cohort in enrolling:
-                if cohort.status == ENROLLING:
-                    self.enroll_block(cohort)
-            return
-        # whole rounds up to the next analysis or sr_pats, all before the event
         k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
         if p.sr_pats < math.inf and not self.sr_pats_fired:
             k = min(k, math.ceil((p.sr_pats - self.patient_counter) / round_n))
-        if next_event < math.inf:
-            k = min(k, (next_event - self.patient_counter - 1) // round_n)
+        next_event = min(self.next_safety, self.next_entry)
+        if next_event < math.inf:  # math.inf // round_n is nan
+            k = max(1, min(k, (next_event - self.patient_counter - 1) // round_n))
         first = self.patient_counter
         starts = round_n * np.arange(k).reshape(-1, 1)
         for cohort, b in zip(enrolling, sizes):
             arm, pair = draw_blocks(cohort, k, self.rng)
-            cohort.record((starts + np.arange(first, first + b)).ravel(), arm, pair)
+            idx = (starts + np.arange(first, first + b)).ravel()
             cohort.blocks += k
-            first += b
-        self.patient_counter += k * round_n
+            done, n = 0, idx.size  # recorded so far, enrolled of this step
+            # an event within first + b can only happen when k = 1
+            if min(self.next_safety, self.next_entry) <= first + b:
+                for j in range(1, b + 1):
+                    counter = first + j
+                    if counter == self.next_safety:
+                        cohort.status = STOPPED_SAFETY
+                        cohort.close_index = counter
+                        self.safety_stops.append((cohort.id, counter))
+                        self.next_safety = counter + self._waiting_time(p.safety_prob)
+                    if counter == self.next_entry:  # snapshot after the entry patient
+                        cohort.record(idx[done:j], arm[done:j], pair[done:j])
+                        done = j
+                        self.patient_counter = counter
+                        self.open_cohort()
+                        self.schedule_entry()
+                    if cohort.status != ENROLLING:
+                        n = j  # the rest of the block is not enrolled
+                        break
+            cohort.record(idx[done:n], arm[done:n], pair[done:n])
+            first += b - (idx.size - n)  # less the patients a safety stop dropped
+        self.patient_counter = first + (k - 1) * round_n
 
     def _rounds_to_analysis(self, cohort: CohortState, block: int) -> int:
         """Rounds until ``cohort`` reaches the size of its next analysis."""
         p = self.spec.platform
         size = p.n_int if p.n_int < p.n_fin and not cohort.has_interim else p.n_fin
         return -(-(size - cohort.n) // block)
-
-    def enroll_block(self, cohort: CohortState) -> None:
-        """One block of ``cohort``; a block holding a safety stop or a cohort
-        entry is walked patient by patient, and a safety stop drops the rest
-        of the block."""
-        arm, pair = draw_blocks(cohort, 1, self.rng)
-        cohort.blocks += 1
-        first = self.patient_counter
-        n = arm.size
-        if min(self.next_safety, self.next_entry) <= first + n:
-            for j in range(1, n + 1):
-                counter = first + j
-                if counter == self.next_safety:
-                    cohort.status = STOPPED_SAFETY
-                    cohort.close_index = counter
-                    self.safety_stops.append((cohort.id, counter))
-                    self.next_safety = counter + self._waiting_time(
-                        self.spec.platform.safety_prob)
-                if counter == self.next_entry:
-                    self.patient_counter = counter
-                    self.open_cohort()
-                    self.schedule_entry()
-                if cohort.status != ENROLLING:
-                    n = j  # rest of this cohort's block is not enrolled
-                    break
-        cohort.record(np.arange(first, first + n), arm[:n], pair[:n])
-        self.patient_counter = first + n
 
     # --- analyses ----------------------------------------------------------
 
@@ -510,10 +501,7 @@ class _Platform:
                 continue
             if cohort.n > 0 and any(not final_rules[c - 1].empty
                                     for c in cohort.active_comparisons):
-                self.run_analysis(cohort, FINAL, halted=True)
-                if cohort.status == ENROLLING:  # CONTINUE cannot happen at final
-                    cohort.status = COMPLETED_UNSUCCESSFUL
-                    cohort.close_index = self.patient_counter
+                self.run_analysis(cohort, FINAL, halted=True)  # never CONTINUE
             else:
                 cohort.status = HALTED_RECRUITMENT
                 cohort.close_index = self.patient_counter

@@ -319,12 +319,10 @@ def merge(a: TrialAccumulator, b: TrialAccumulator) -> TrialAccumulator:
     return out
 
 
-def aggregate(results: Sequence[TrialResult], cohorts_max: int | None = None) -> OperatingCharacteristics:
+def aggregate(results: Sequence[TrialResult], cohorts_max: int) -> OperatingCharacteristics:
     """Aggregate trial results (in iteration order) into one OC record."""
     if not results:
         raise ValueError("results must be non-empty")
-    if cohorts_max is None:
-        cohorts_max = max(max((len(r.cohorts) for r in results), default=1), 1)
     acc = TrialAccumulator()
     for i, r in enumerate(results):
         acc.add(i, r, cohorts_max)

@@ -3,8 +3,8 @@
 Every (scenario_index, iteration_index) pair gets its own random stream
 derived from the master seed via numpy SeedSequence spawn keys, so results
 are bit-identical for any worker count and any scheduling order.  Workers
-receive the scenario as a plain dict and rebuild it locally; merging of
-per-worker accumulators happens once at the join point.
+receive the scenario object itself (pickled, not re-parsed from a dict);
+merging of per-worker accumulators happens once at the join point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import reporting
-from .config import ScenarioSpec, parse_scenario, scenario_to_dict
+from .config import ScenarioSpec
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
 
@@ -45,12 +45,6 @@ def _run_range(spec: ScenarioSpec, scenario_index: int, start: int, count: int,
                 os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
         acc.add(k, result, cohorts_max)
     return acc
-
-
-def _worker(spec_dict: dict, scenario_index: int, start: int, count: int,
-            master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
-    return _run_range(parse_scenario(spec_dict), scenario_index, start, count,
-                      master_seed, dump_first, dump_dir)
 
 
 def resolve_workers(workers: int | str | None) -> int:
@@ -85,7 +79,6 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
             progress(iterations, iterations)
         return acc.finalize()
 
-    spec_dict = scenario_to_dict(spec)
     chunk = max(1, iterations // (n_workers * 4))
     tasks = []
     start = 0
@@ -96,7 +89,7 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
     acc = TrialAccumulator()
     done = 0
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_worker, spec_dict, scenario_index, s, c,
+        futures = [pool.submit(_run_range, spec, scenario_index, s, c,
                                master_seed, dump_first, dump_dir)
                    for s, c in tasks]
         for fut, (s, c) in zip(futures, tasks):

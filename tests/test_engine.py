@@ -28,10 +28,10 @@ def rng(seed=0):
 
 
 def make_cohort(cid=0, open_index=0, arms=("comb", "mono_a", "mono_b", "soc"),
-                truth=None, ratio=(2, 1, 1, 1), transform=None):
+                truth=None, ratio=(2, 1, 1, 1), transform=None, opened=()):
     truth = truth or CohortTruth(0.4, 0.2, 0.2, 0.1)
     return CohortState(cid, open_index, tuple(arms), truth, "superior",
-                       transform or IdentityTransform(), ratio)
+                       transform or IdentityTransform(), ratio, opened)
 
 
 def block_arms(cohort, k, g):
@@ -126,11 +126,12 @@ def record(data, comparison):
 class TestAssembleAnalysisData:
     def two_cohorts(self):
         c0 = make_cohort(cid=0, open_index=0)
-        c1 = make_cohort(cid=1, open_index=40)
         # cohort 0: soc 10 patients 3 resp; mono_b 10 patients 4 resp
         fill(c0, "comb", 0, [(1, 1)] * 8 + [(0, 0)] * 12)
         fill(c0, "mono_a", 20, [(1, 1)] * 2 + [(0, 0)] * 8)
         fill(c0, "mono_b", 30, [(1, 1)] * 4 + [(0, 0)] * 6)
+        # cohort 1 opens at patient 40, after cohort 0's mono_b, before its soc
+        c1 = make_cohort(cid=1, open_index=40, opened=[c0])
         fill(c0, "soc", 40, [(1, 1)] * 3 + [(0, 0)] * 7)
         # cohort 1: soc 8 patients 2 resp (enrolled from index 50 on)
         fill(c1, "comb", 50, [(1, 1)] * 5 + [(0, 0)] * 5)
@@ -164,8 +165,7 @@ class TestAssembleAnalysisData:
 
     def test_concurrent_mode_window(self):
         c0, c1 = self.two_cohorts()
-        # cohort 1 opened at patient 40: cohort 0's soc (indices 40..49) and
-        # mono_b (30..39 - before the window) differ
+        # only cohort 0's patients enrolled after cohort 1 opened are pooled
         data = assemble_analysis_data([c0, c1], c1, "concurrent", "final")
         t3 = record(data, 3)
         assert (t3.c_resp, t3.c_nonresp) == (2 + 3, 6 + 7)   # all of c0's soc is concurrent

@@ -202,7 +202,7 @@ class TestMergeSemantics:
         with pytest.raises(ValueError):
             TrialAccumulator().finalize()
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], cohorts_max=5)
 
 
 class TestInterpretedMetrics:
