@@ -17,6 +17,7 @@ import numpy as np
 
 from . import reporting
 from .config import ScenarioSpec
+from .decisions import rule_outcome
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
 
@@ -65,10 +66,12 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
     """Simulate ``iterations`` independent trials and aggregate them.
 
     The result is identical for every ``workers`` value; parallel workers
-    only change wall-clock time.
+    only change wall-clock time.  The memo ``decisions.rule_outcome`` is
+    cleared first, so every run and every pool worker starts with it empty.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    rule_outcome.cache_clear()
     n_workers = resolve_workers(workers)
     if dump_dir is not None and dump_first > 0:
         os.makedirs(dump_dir, exist_ok=True)

@@ -1,9 +1,13 @@
 import copy
+import dataclasses
+import math
 import pathlib
+import typing
 
 import pytest
+from hypothesis import strategies as st
 
-from platformsim.config import parse_scenario
+from platformsim.config import ComparisonRules, parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -78,3 +82,43 @@ def grid_base_path():
 @pytest.fixture(scope="session")
 def grid_axes_path():
     return str(CONFIGS / "grid_axes.yaml")
+
+
+# --- every rule kind, driven by the declared field limits ---------------------
+
+RULE_HINTS = typing.get_type_hints(ComparisonRules)
+RULE_KINDS = {f.name: typing.get_args(RULE_HINTS[f.name])[0]
+              for f in dataclasses.fields(ComparisonRules)}
+
+
+def in_limits(tp, meta):
+    """Strategy for a value of type ``tp`` inside the limits ``meta``."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            return st.lists(in_limits(args[0], meta), min_size=1, max_size=3).map(tuple)
+        columns = meta.get("columns", (meta,) * len(args))
+        return st.tuples(*(in_limits(a, m) for a, m in zip(args, columns)))
+    if "choices" in meta:
+        return st.sampled_from(meta["choices"])
+    if tp is bool:
+        return st.booleans()
+    is_open = meta.get("open", False)
+    values = st.floats(meta.get("lo"), meta.get("hi"), exclude_min=is_open and "lo" in meta,
+                       exclude_max=is_open and "hi" in meta, allow_nan=False,
+                       allow_infinity=False)
+    return values | st.just(math.inf) if meta.get("inf") else values
+
+
+def rules_of(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: in_limits(hints[f.name], f.metadata)
+                             for f in dataclasses.fields(cls)})
+
+
+def any_comparison_rules(max_per_kind=2):
+    """Strategy for a ComparisonRules with up to ``max_per_kind`` in-limits
+    rules of every kind (possibly none at all)."""
+    return st.fixed_dictionaries({key: st.lists(rules_of(cls), max_size=max_per_kind).map(tuple)
+                                  for key, cls in RULE_KINDS.items()}
+                                 ).map(lambda kinds: ComparisonRules(**kinds))

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-import typing
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from platformsim.config import (ComparisonRules, ConfigError, CorrelatedTransfor
                                 parse_scenario, scenario_to_dict,
                                 serialize_scenario, validate)
 
-from conftest import scenario_dict
+from conftest import RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
 
 
 class TestParse:
@@ -229,35 +228,6 @@ class TestLoudFailures:
 
 # --- every rule kind, driven by the declared field limits ---------------------
 
-RULE_HINTS = typing.get_type_hints(ComparisonRules)
-RULE_KINDS = {f.name: typing.get_args(RULE_HINTS[f.name])[0]
-              for f in dataclasses.fields(ComparisonRules)}
-
-
-def in_limits(tp, meta):
-    """Strategy for a value of type ``tp`` inside the limits ``meta``."""
-    if typing.get_origin(tp) is tuple:
-        args = typing.get_args(tp)
-        if args[-1] is Ellipsis:
-            return st.lists(in_limits(args[0], meta), min_size=1, max_size=3).map(tuple)
-        columns = meta.get("columns", (meta,) * len(args))
-        return st.tuples(*(in_limits(a, m) for a, m in zip(args, columns)))
-    if "choices" in meta:
-        return st.sampled_from(meta["choices"])
-    if tp is bool:
-        return st.booleans()
-    is_open = meta.get("open", False)
-    values = st.floats(meta.get("lo"), meta.get("hi"), exclude_min=is_open and "lo" in meta,
-                       exclude_max=is_open and "hi" in meta, allow_nan=False,
-                       allow_infinity=False)
-    return values | st.just(math.inf) if meta.get("inf") else values
-
-
-def rules_of(cls):
-    hints = typing.get_type_hints(cls)
-    return st.builds(cls, **{f.name: in_limits(hints[f.name], f.metadata)
-                             for f in dataclasses.fields(cls)})
-
 
 def outside_limits(meta):
     """Values just outside the limits ``meta``."""
@@ -286,11 +256,10 @@ class TestRuleKinds:
     def test_field_names_are_rule_keys(self):
         assert all(cls.key == key for key, cls in RULE_KINDS.items())
 
-    @given(st.fixed_dictionaries({key: st.lists(rules_of(cls), max_size=2).map(tuple)
-                                  for key, cls in RULE_KINDS.items()}))
+    @given(any_comparison_rules())
     @settings(max_examples=60, deadline=None)
-    def test_in_limits_rules_round_trip(self, kinds):
-        spec = with_rules(parse_scenario(scenario_dict()), ComparisonRules(**kinds))
+    def test_in_limits_rules_round_trip(self, rules):
+        spec = with_rules(parse_scenario(scenario_dict()), rules)
         assert [v for v in validate(spec) if v.severity == "error"] == []
         assert parse_scenario(serialize_scenario(spec)) == spec
 

@@ -1,16 +1,23 @@
+import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from platformsim import decisions, runner
 from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 BayesSupRule, BetaPrior, CISupFutRule,
                                 ComparisonRules, EstSupFutRule, FreqFutRule,
                                 FreqSupRule)
 from platformsim.decisions import (CONTINUE, FINAL, GO, INTERIM, STOP_FUTILITY,
-                                   UNSUCCESSFUL_MAX_N, ComparisonData,
+                                   UNSUCCESSFUL_MAX_N, ComparisonData, ComparisonOutcome,
                                    combine, evaluate_cohort,
-                                   evaluate_comparison)
+                                   evaluate_comparison, rule_outcome)
 from platformsim.stats import TwoByTwo
+
+from conftest import any_comparison_rules
 
 PRIOR = BetaPrior(1.0, 1.0)
 STRONG = TwoByTwo(90, 10, 10, 90)     # overwhelming treatment effect
@@ -283,3 +290,75 @@ class TestCombine:
         decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.promising
+
+
+# --- the per-run memo of comparison outcomes ----------------------------------
+
+UNCACHED = rule_outcome.__wrapped__
+PRIORS = (PRIOR, BetaPrior(0.5, 0.5))  # uniform and Jeffreys
+_counts = st.integers(0, 120)
+TABLES = st.one_of(st.tuples(*[_counts] * 4),                          # integer cells
+                   st.tuples(*[_counts.map(float)] * 4),               # integer-valued floats
+                   st.tuples(*[st.integers(0, 12000).map(lambda k: k / 100)] * 4))  # fractional
+ACTIVE_RULES = any_comparison_rules(max_per_kind=1).filter(lambda r: not r.empty)
+
+
+def assert_same_outcome(got, want):
+    """Field by field, bit for bit (repr round-trips every float exactly)."""
+    for f in dataclasses.fields(ComparisonOutcome):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+class TestMemo:
+    @given(st.lists(ACTIVE_RULES, min_size=2, max_size=2), TABLES)
+    @settings(max_examples=60, deadline=None)
+    def test_memo_gives_each_input_its_own_uncached_outcome(self, stage_rules, cells):
+        # the same cells under another stage's rules, comparison or prior
+        rule_outcome.cache_clear()
+        inputs = [(rules, comp, prior) for rules in stage_rules
+                  for comp in (1, 4) for prior in PRIORS]
+        first = [evaluate_comparison(rules, ComparisonData(*cells, comp), prior)
+                 for rules, comp, prior in inputs]
+        for (rules, comp, prior), got in zip(inputs, first):
+            assert_same_outcome(got, UNCACHED(rules, cells, comp, prior))
+            assert evaluate_comparison(rules, ComparisonData(*cells, comp), prior) is got
+            # integer cells and their float values share one entry: the
+            # outcome is the same to the bit either way
+            as_float = tuple(float(c) for c in cells)
+            assert_same_outcome(evaluate_comparison(rules, ComparisonData(*as_float, comp), prior),
+                                UNCACHED(rules, as_float, comp, prior))
+
+    @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS), st.floats(0.0, 1.0),
+           st.integers(0, 60), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_reads_only_the_cells(self, rules, cells, prior, weight, ext_r, ext_n):
+        # the purity the memo key relies on: every rule reads nothing of the
+        # record but its four cells, so sharing weight and pool stay out of it
+        bare = ComparisonData(*cells, 2)
+        shared = ComparisonData(*cells, 2, weight, float(ext_r), float(ext_r + ext_n))
+        for rule in rules:
+            if decisions.meets(bare, rule.needs):
+                assert repr(rule.evaluate(shared, prior, 2)) == repr(rule.evaluate(bare, prior, 2))
+        rule_outcome.cache_clear()
+        with_pool = evaluate_comparison(rules, shared, prior)
+        rule_outcome.cache_clear()
+        assert_same_outcome(with_pool, evaluate_comparison(rules, bare, prior))
+
+    def test_each_run_starts_cold(self, example_spec, monkeypatch):
+        # the same spec twice: a memo that outlived the first run would
+        # answer every analysis of the second without the kernel
+        first = runner.run_ocs(example_spec, 20, 3).to_json_dict()
+        calls = []
+        kernel = decisions.prob_greater_by_margin
+        monkeypatch.setattr(decisions, "prob_greater_by_margin",
+                            lambda *a: calls.append(a) or kernel(*a))
+        assert runner.run_ocs(example_spec, 20, 3).to_json_dict() == first
+        assert calls
+
+    def test_memo_stays_within_its_bound(self, example_spec):
+        platform = dataclasses.replace(example_spec.platform, sharing_type="dynamic",
+                                       sr_drugs_pos=math.inf)
+        runner.run_ocs(dataclasses.replace(example_spec, platform=platform), 500, 3)
+        info = rule_outcome.cache_info()
+        assert info.misses > info.maxsize  # the bound was reached
+        assert info.currsize <= info.maxsize
