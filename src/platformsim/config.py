@@ -53,8 +53,8 @@ from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import yaml
 
-from .decisions import (BayesFutRule, BayesSAFutRule, BayesSASupRule, BayesSupRule,
-                        CISupFutRule, EstSupFutRule, FreqFutRule, FreqSupRule)
+from .decisions import (COMPARISON_ARMS, BayesFutRule, BayesSAFutRule, BayesSASupRule,
+                        BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule, FreqSupRule)
 from .schema import (ConfigError, Violation, check_keys, dump, param, parse, parse_field,
                      violations)
 
@@ -62,7 +62,7 @@ RANDOM_TYPES = ("absolute", "risk_difference", "risk_ratio", "odds_ratio")
 TRIAL_STRUCTURES = ("all_plac", "no_plac", "stop_post_back", "stop_post_mono")
 SHARING_TYPES = ("cohort", "concurrent", "dynamic", "all")
 SCALE_NAMES = {1: "risk_difference", 2: "risk_ratio", 3: "odds_ratio"}
-COMPARISON_KEYS = ("comb_vs_mono_a", "comb_vs_mono_b", "mono_a_vs_soc", "mono_b_vs_soc")
+COMPARISON_KEYS = tuple(f"{num}_vs_{den}" for num, den in COMPARISON_ARMS.values())
 STAGES = ("interim", "final")
 
 _PROB_TOL = 1e-9
@@ -407,7 +407,8 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
         out.append(Violation("platform.allocation_ratio",
                              "needs 4 entries (comb, mono_a, mono_b, soc) with comb > 0"))
     for stage in STAGES:
-        for key, cr in zip(COMPARISON_KEYS, spec.rules.for_stage(stage)):
+        for key, (_, den), cr in zip(COMPARISON_KEYS, COMPARISON_ARMS.values(),
+                                     spec.rules.for_stage(stage)):
             path = f"rules.{stage}.{key}"
             out.extend(violations(cr, path))
             # overlapping GO/STOP regions are legal but suspicious
@@ -415,7 +416,7 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
                 for i, rule in enumerate(getattr(cr, f.name)):
                     out.extend(Violation(f"{path}.{f.name}[{i}]", msg, severity="warning")
                                for msg in rule.conflicts(cr))
-            if p.trial_struc == "no_plac" and key in ("mono_a_vs_soc", "mono_b_vs_soc") and not cr.empty:
+            if p.trial_struc == "no_plac" and den == "soc" and not cr.empty:
                 out.append(Violation(path, "rules configured for a SoC comparison under trial_struc "
                                            "'no_plac'; they will never be evaluated",
                                      severity="warning"))

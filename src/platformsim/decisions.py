@@ -3,17 +3,20 @@
 Rule protocol: each rule kind is one frozen dataclass deriving from
 :class:`Rule`.  Its fields are its YAML keys, their metadata (``schema.param``)
 declares their valid values, and class attributes declare its YAML key
-(``key``, also the trace ``kind``), its data need (``needs``: a 2x2 ``TABLE``
-or the numerator ``ARM``'s own counts) and whether it can declare
-superiority.  ``evaluate(t, prior, comparison)`` returns its
-:class:`RuleTrace` from the comparison's :class:`ComparisonData` record ``t``
-(any 2x2 table will do; single-arm rules read only its treatment side);
-``conflicts(rules)`` warns about GO/STOP regions it shares with the other
-rules of its comparison.  Adding a rule kind takes
-one such class plus one ``config.ComparisonRules`` field named after its key
-(the field order is the evaluation and trace order).
+(``key``, also the trace ``kind``), whether it reads only the numerator
+arm's own counts (``single_arm``) and whether it can declare superiority.
+``evaluate(t, prior, comparison)`` returns its :class:`RuleTrace` from the
+comparison's :class:`ComparisonData` record ``t``; ``conflicts(rules)``
+warns about GO/STOP regions it shares with the other rules of its
+comparison.  Adding a rule kind takes one such class plus one
+``config.ComparisonRules`` field named after its key (the field order is the
+evaluation and trace order).
 
-Combination semantics: every configured superiority rule on every active
+The engine decides which comparisons a cohort analyses
+(``engine.analysed_comparisons``); :func:`evaluate_cohort` evaluates every
+record it is given, each with at least one patient on both arms.
+
+Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing
 anywhere declares STOP.  If contradictory rules make both hold at once,
 STOP wins (conservative).  With no superiority rules configured at a stage,
@@ -54,9 +57,6 @@ UNSUCCESSFUL_MAX_N = "UNSUCCESSFUL_MAX_N"
 COMPARISON_ARMS = {1: ("comb", "mono_a"), 2: ("comb", "mono_b"),
                    3: ("mono_a", "soc"), 4: ("mono_b", "soc")}
 
-TABLE = "table"
-ARM = "arm"
-
 
 @dataclass(frozen=True)
 class ComparisonData(TwoByTwo):
@@ -68,11 +68,6 @@ class ComparisonData(TwoByTwo):
     share_weight: float | None = None  # None when no external data entered the table
     external_resp: float = 0.0
     external_total: float = 0.0
-
-
-def meets(t: TwoByTwo, need: str) -> bool:
-    """Whether a rule with data need ``need`` can be evaluated on ``t``."""
-    return t.n_t >= 1.0 and (need != TABLE or t.n_c >= 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,6 @@ class RuleTrace:
     superior: bool = False
     futile: bool = False
     promising: bool = False
-    note: str = ""
 
 
 # --- rule kinds ------------------------------------------------------------
@@ -106,7 +100,7 @@ class Rule:
     """Base of every rule kind (see the module docstring)."""
 
     key: ClassVar[str]
-    needs: ClassVar[str] = TABLE
+    single_arm: ClassVar[bool] = False
     superiority: ClassVar[bool] = False
 
     def conflicts(self, rules: ComparisonRules) -> list[str]:
@@ -120,7 +114,7 @@ class _BayesRows(Rule):
 
     def probs(self, t: TwoByTwo, prior: BetaPrior) -> tuple[float, ...]:
         x = PosteriorBeta(prior.alpha + t.t_resp, prior.beta + t.t_nonresp)
-        if self.needs == ARM:
+        if self.single_arm:
             return tuple(prob_exceeds(x, row[0]) for row in self.rows)
         y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
         return tuple(prob_greater_by_margin(x, y, row[0]) for row in self.rows)
@@ -173,7 +167,7 @@ class BayesSASupRule(BayesSupRule):
     promising_confidence); superior iff P(X > threshold) > confidence."""
 
     key = "bayes_sa_sup"
-    needs = ARM
+    single_arm = True
     rival = "bayes_sa_fut"
     rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
                                                          columns=(_THRESHOLD, _CONF, _PROM))
@@ -185,7 +179,7 @@ class BayesSAFutRule(BayesFutRule):
     P(X > threshold) < confidence for every row."""
 
     key = "bayes_sa_fut"
-    needs = ARM
+    single_arm = True
     rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_THRESHOLD, _CONF))
 
 
@@ -285,8 +279,6 @@ class CISupFutRule(Rule):
 @dataclass(frozen=True)
 class ComparisonOutcome:
     comparison: int
-    active: bool
-    inconclusive: bool  # configured superiority rules could not be evaluated
     superior: bool      # all sup-capable rules satisfied (and at least one present)
     futile: bool        # any futility-capable rule fired
     promising: bool     # every sup-capable rule superior or promising
@@ -306,69 +298,42 @@ class CohortDecision:
     def traces(self) -> tuple[RuleTrace, ...]:
         return tuple(t for c in self.comparisons for t in c.traces)
 
-    def outcome(self, comparison: int) -> ComparisonOutcome | None:
-        return next((c for c in self.comparisons if c.comparison == comparison), None)
-
-
-def _inactive(comparison: int) -> ComparisonOutcome:
-    return ComparisonOutcome(comparison, active=False, inconclusive=False, superior=False,
-                             futile=False, promising=False, n_sup_rules=0)
-
-
-def evaluate_comparison(rules: ComparisonRules, t: ComparisonData,
-                        prior: BetaPrior) -> ComparisonOutcome:
-    """Evaluate every configured rule of comparison ``t.comparison`` on the
-    record ``t``, in field order.
-
-    Rules whose data need ``t`` does not meet (an empty numerator arm, or
-    for two-arm rules an empty comparator) are not evaluated; unevaluable
-    superiority rules make the comparison inconclusive, which blocks GO
-    without contributing futility.
-
-    Memoised for one run on (rules, ``t.cells()``, comparison, prior), all
-    the outcome depends on; a repeat returns the same frozen object.
-    """
-    if rules.empty:
-        return _inactive(t.comparison)
-    return rule_outcome(rules, t.cells(), t.comparison, prior)
-
 
 # 768 keeps cohort_long at 92% hits, about 1 MB; 640 would sit at the 90% line
 @lru_cache(maxsize=768)
 def rule_outcome(rules: ComparisonRules, cells: tuple[float, float, float, float],
                  comparison: int, prior: BetaPrior) -> ComparisonOutcome:
-    """The outcome of a comparison with rules on the 2x2 table ``cells``;
-    ``runner.run_ocs`` clears this memo at the start of every run."""
+    """Evaluate every configured rule of ``comparison`` on the 2x2 table
+    ``cells``, in field order.
+
+    Both arms must hold at least one patient (else ``ValueError``).
+    Memoised for one run on all the outcome depends on; ``runner.run_ocs``
+    clears the memo at the start of every run.
+    """
     t = TwoByTwo(*cells)
-    traces, sup_traces, missing_sup = [], [], 0
-    for rule in rules:
-        if meets(t, rule.needs):
-            traces.append(rule.evaluate(t, prior, comparison))
-            if rule.superiority:
-                sup_traces.append(traces[-1])
-        elif rule.superiority:
-            missing_sup += 1
-    conclusive = bool(sup_traces) and not missing_sup
+    if t.n_t < 1.0 or t.n_c < 1.0:
+        raise ValueError(f"comparison {comparison}: an arm of the table {cells} "
+                         f"holds fewer than one patient")
+    traces = tuple(rule.evaluate(t, prior, comparison) for rule in rules)
+    sup = [s for s, rule in zip(traces, rules) if rule.superiority]
     return ComparisonOutcome(
-        comparison, active=True, inconclusive=missing_sup > 0,
-        superior=conclusive and all(s.superior for s in sup_traces),
+        comparison, superior=bool(sup) and all(s.superior for s in sup),
         futile=any(s.futile for s in traces),
-        promising=conclusive and all(s.superior or s.promising for s in sup_traces),
-        n_sup_rules=len(sup_traces) + missing_sup, traces=tuple(traces))
+        promising=bool(sup) and all(s.superior or s.promising for s in sup),
+        n_sup_rules=len(sup), traces=traces)
 
 
 def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision:
     """Fold per-comparison outcomes into one verdict.
 
-    GO needs every active comparison's superiority rules satisfied (with at
-    least one superiority rule configured overall); STOP_FUTILITY needs any
+    GO needs every comparison's superiority rules satisfied (with at least
+    one superiority rule configured overall); STOP_FUTILITY needs any
     single futility rule to fire and wins over a simultaneous GO.  Otherwise
     the cohort continues (interim) or ends unsuccessful at maximum sample
     size (final).
     """
-    active = [o for o in outcomes if o.active]
-    any_futile = any(o.futile for o in active)
-    sup_bearing = [o for o in active if o.n_sup_rules > 0]
+    any_futile = any(o.futile for o in outcomes)
+    sup_bearing = [o for o in outcomes if o.n_sup_rules > 0]
     go = bool(sup_bearing) and all(o.superior for o in sup_bearing)
     promising = (not go) and bool(sup_bearing) and \
         all(o.superior or o.promising for o in sup_bearing)
@@ -390,12 +355,8 @@ def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision
 
 def evaluate_cohort(stage_rules: Sequence[ComparisonRules], data: Sequence[ComparisonData],
                     prior: BetaPrior, stage: str) -> CohortDecision:
-    """Evaluate one cohort at one stage.
-
-    ``stage_rules`` holds the four ComparisonRules in comparison order and
-    ``data`` one record per comparison whose arms are in the cohort; the
-    other comparisons, and those without rules, are inactive.
-    """
-    records = {t.comparison: t for t in data}
-    return combine([evaluate_comparison(rules, records[c], prior) if c in records
-                    else _inactive(c) for c, rules in enumerate(stage_rules, 1)], stage)
+    """Evaluate one cohort at one stage: every record of ``data`` under its
+    comparison's rules (``stage_rules`` holds the four ComparisonRules in
+    comparison order), folded into one verdict."""
+    return combine([rule_outcome(stage_rules[t.comparison - 1], t.cells(), t.comparison, prior)
+                    for t in data], stage)

@@ -121,8 +121,7 @@ class CohortState:
 
     __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
                  "status", "analyses", "has_interim", "blocks", "template",
-                 "cum_probs", "active_comparisons", "n", "tally", "tallies_at_open",
-                 "_chunks")
+                 "cum_probs", "n", "tally", "tallies_at_open", "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
                  truth: CohortTruth, truth_class: str, transform, ratio, opened):
@@ -141,8 +140,6 @@ class CohortState:
         # row j: the j-th cumulative pair probability of every arm
         self.cum_probs = np.array([cum_pair_probs(transform, truth.rate(a))
                                    for a in ARM_ORDER]).T
-        self.active_comparisons = tuple(
-            c for c, (num, den) in COMPARISON_ARMS.items() if num in arms and den in arms)
         self.n = 0
         self.tally = (0,) * 16
         self.tallies_at_open = tuple(c.tally for c in opened)
@@ -274,11 +271,18 @@ def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
     return resp, tot
 
 
-def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
-                           ) -> tuple[ComparisonData, ...]:
-    """One record per active comparison: the cohort's own arms at the given
-    endpoint stage, with SoC / backbone comparator cells augmented by
-    external data per the sharing mode.
+def analysed_comparisons(arms: tuple[str, ...], stage_rules) -> tuple[int, ...]:
+    """The comparisons a cohort with ``arms`` analyses under one stage's four
+    ``ComparisonRules``: both arms in the cohort and a rule configured."""
+    return tuple(c for c, (num, den) in COMPARISON_ARMS.items()
+                 if num in arms and den in arms and not stage_rules[c - 1].empty)
+
+
+def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int, ...],
+                           mode: str, stage: str) -> tuple[ComparisonData, ...]:
+    """One record per comparison in ``comparisons``: the cohort's own arms at
+    the given endpoint stage, with SoC / backbone comparator cells augmented
+    by external data per the sharing mode.
 
     cohort: own data only.  all: every patient enrolled on other cohorts'
     matching arms so far.  concurrent: only those enrolled while this cohort
@@ -286,7 +290,7 @@ def assemble_analysis_data(cohorts, cohort: CohortState, mode: str, stage: str
     (fractional counts).
     """
     records = []
-    for comp in cohort.active_comparisons:
+    for comp in comparisons:
         num, den = COMPARISON_ARMS[comp]
         num_r, num_n = cohort.counts(num, stage)
         den_r, den_n = cohort.counts(den, stage)
@@ -324,15 +328,12 @@ class _Platform:
         self.patient_counter = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
-        self.recruitment_open = True
-        self.last_open_index = 0
         self.mono_vs_soc_sup = False  # any monotherapy found superior to SoC
         self.back_vs_soc_sup = False  # backbone monotherapy found superior to SoC
         self.first_success: dict | None = None
         self.entry_closed_index: int | None = None
         self.recruitment_halt_index: int | None = None
         self.safety_stops: list[tuple[int, int]] = []
-        self.sr_pats_fired = False
         # patient counters of the next safety stop and the next cohort entry
         self.next_safety: float = math.inf
         self.next_entry: float = math.inf
@@ -369,28 +370,26 @@ class _Platform:
         cohort = CohortState(len(self.cohorts), self.patient_counter, arms,
                              truth, truth_class, transform, ratio, self.cohorts)
         self.cohorts.append(cohort)
-        self.last_open_index = self.patient_counter
         return cohort
 
     def entry_possible(self) -> bool:
         """Whether a cohort can still enter; once False it stays False."""
         p = self.spec.platform
-        return (self.recruitment_open and len(self.cohorts) < p.cohorts_max
+        return (self.entry_closed_index is None and len(self.cohorts) < p.cohorts_max
                 and not (p.sr_first_pos and self.successes >= 1))
 
     def schedule_entry(self) -> None:
         """Draw the next cohort entry: the first entry success among the
         patients that ``cohort_offset`` lets open a cohort."""
         if self.entry_possible():
-            first = max(self.last_open_index + self.spec.platform.cohort_offset,
+            first = max(self.cohorts[-1].open_index + self.spec.platform.cohort_offset,
                         self.patient_counter + 1)
             self.next_entry = first - 1 + self._waiting_time(self.spec.platform.cohort_random)
         else:
             self.next_entry = math.inf
 
     def close_entry(self) -> None:
-        if self.recruitment_open:
-            self.recruitment_open = False
+        if self.entry_closed_index is None:
             self.entry_closed_index = self.patient_counter
 
     # --- enrollment --------------------------------------------------------
@@ -404,7 +403,7 @@ class _Platform:
         sizes = [c.template.size for c in enrolling]
         round_n = sum(sizes)
         k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
-        if p.sr_pats < math.inf and not self.sr_pats_fired:
+        if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
             k = min(k, math.ceil((p.sr_pats - self.patient_counter) / round_n))
         next_event = min(self.next_safety, self.next_entry)
         if next_event < math.inf:  # math.inf // round_n is nan
@@ -448,8 +447,11 @@ class _Platform:
 
     def run_analysis(self, cohort: CohortState, stage: str, halted: bool = False) -> CohortDecision:
         spec = self.spec
-        data = assemble_analysis_data(self.cohorts, cohort, spec.platform.sharing_type, stage)
-        decision = evaluate_cohort(spec.rules.for_stage(stage), data, spec.prior, stage)
+        rules = spec.rules.for_stage(stage)
+        comparisons = analysed_comparisons(cohort.arms, rules)
+        data = assemble_analysis_data(self.cohorts, cohort, comparisons,
+                                      spec.platform.sharing_type, stage)
+        decision = evaluate_cohort(rules, data, spec.prior, stage)
         cohort.analyses.append(AnalysisRecord(
             stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
             halted=halted, data=data, decision=decision))
@@ -457,13 +459,11 @@ class _Platform:
             cohort.has_interim = True
 
         # platform flags for post-success SoC omission in new cohorts
-        out3 = decision.outcome(3)
-        out4 = decision.outcome(4)
-        if out3 is not None and out3.superior:
-            self.mono_vs_soc_sup = True
-        if out4 is not None and out4.superior:
-            self.mono_vs_soc_sup = True
-            self.back_vs_soc_sup = True
+        for outcome in decision.comparisons:
+            num, den = COMPARISON_ARMS[outcome.comparison]
+            if outcome.superior and den == "soc":
+                self.mono_vs_soc_sup = True
+                self.back_vs_soc_sup |= num == "mono_b"
 
         if decision.verdict == GO:
             cohort.status = STOPPED_INTERIM_EFFICACY if stage == INTERIM else COMPLETED_GO
@@ -490,17 +490,15 @@ class _Platform:
         """Stop recruitment everywhere and conclude on accumulated data.
 
         An enrolling cohort only ever gains whole blocks, so once it has
-        patients every arm holds data and any comparison with final-stage
-        rules can be analysed."""
+        patients every arm holds data; it is analysed at the final stage
+        when it analyses any comparison there."""
         self.close_entry()
         if self.recruitment_halt_index is None:
             self.recruitment_halt_index = self.patient_counter
-        final_rules = self.spec.rules.final
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
-            if cohort.n > 0 and any(not final_rules[c - 1].empty
-                                    for c in cohort.active_comparisons):
+            if cohort.n > 0 and analysed_comparisons(cohort.arms, self.spec.rules.final):
                 self.run_analysis(cohort, FINAL, halted=True)  # never CONTINUE
             else:
                 cohort.status = HALTED_RECRUITMENT
@@ -525,8 +523,7 @@ class _Platform:
             self.close_entry()
             if not p.run_out_active_cohorts:
                 self.halt_enrolling_cohorts()
-        if self.patient_counter >= p.sr_pats and not self.sr_pats_fired:
-            self.sr_pats_fired = True
+        if self.patient_counter >= p.sr_pats:
             self.halt_enrolling_cohorts()
         if not self.entry_possible():
             self.next_entry = math.inf

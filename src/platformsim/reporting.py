@@ -2,9 +2,11 @@
 
 Trajectory dumps are JSON files with a ``Trial_Overview`` section (platform
 level summary) and a ``Stage_Data`` section (full per-cohort records
-including per-patient outcomes and per-analysis rule traces).  Dumps and OC
-files are written with sorted keys and fixed float formatting so identical
-runs produce byte-identical files.
+including per-patient outcomes and per-analysis rule traces).  An analysis
+lists only the comparisons it analysed: its ``data`` records and its
+``decision.comparisons`` outcomes are one per such comparison, in the same
+order.  Dumps and OC files are written with sorted keys and fixed float
+formatting so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations

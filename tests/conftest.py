@@ -7,12 +7,10 @@ import typing
 import pytest
 from hypothesis import strategies as st
 
-from platformsim.config import ComparisonRules, parse_scenario
+from platformsim.config import COMPARISON_KEYS, ComparisonRules, parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
-
-COMPARISON_KEYS = ("comb_vs_mono_a", "comb_vs_mono_b", "mono_a_vs_soc", "mono_b_vs_soc")
 
 
 def bayes_stage_rules(sup_margins=(0.10, 0.10, 0.05, 0.05), sup_conf=0.80,

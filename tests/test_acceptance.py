@@ -27,7 +27,7 @@ from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
 
 from conftest import CONFIGS, bayes_stage_rules, make_scenario, scenario_dict
 from test_ocs import fake_trial
-from test_engine import block_arms, fill, make_cohort, outcome_pairs
+from test_engine import ALL, block_arms, fill, make_cohort, outcome_pairs
 
 
 def report(tag, detail=""):
@@ -290,11 +290,11 @@ def test_c12_sharing_modes():
     fill(c1, "mono_b", 65, [(1, 1)] * 2 + [(0, 0)] * 4)
     fill(c1, "soc", 70, [(1, 1)] * 2 + [(0, 0)] * 6)
 
-    own = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, "cohort", "final")}
+    own = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, ALL, "cohort", "final")}
     assert own[3].cells() == (2, 8, 3, 7)
     assert own[4].cells() == (4, 6, 3, 7)
 
-    pooled = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, "all", "final")}
+    pooled = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, ALL, "all", "final")}
     assert pooled[3].cells() == (2, 8, 5, 13)
     assert pooled[2].cells() == (8, 12, 6, 10)
 
@@ -304,13 +304,13 @@ def test_c12_sharing_modes():
     fill(h0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
     fill(h0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
     fill(h1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
-    data = assemble_analysis_data([h0, h1], h0, "dynamic", "final")
+    data = assemble_analysis_data([h0, h1], h0, ALL, "dynamic", "final")
     w_same = next(t.share_weight for t in data if t.comparison == 3)
     assert w_same == pytest.approx(1.0, abs=1e-9)
 
     g1 = make_cohort(cid=1)
     fill(g1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)
-    data = assemble_analysis_data([h0, g1], h0, "dynamic", "final")
+    data = assemble_analysis_data([h0, g1], h0, ALL, "dynamic", "final")
     w_diff = next(t.share_weight for t in data if t.comparison == 3)
     assert w_diff < 0.05
     report("C12 sharing-modes", f"dynamic w: identical={w_same:.3f}, split={w_diff:.2e}")

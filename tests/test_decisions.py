@@ -13,8 +13,7 @@ from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 FreqSupRule)
 from platformsim.decisions import (CONTINUE, FINAL, GO, INTERIM, STOP_FUTILITY,
                                    UNSUCCESSFUL_MAX_N, ComparisonData, ComparisonOutcome,
-                                   combine, evaluate_cohort,
-                                   evaluate_comparison, rule_outcome)
+                                   combine, evaluate_cohort, rule_outcome)
 from platformsim.stats import TwoByTwo
 
 from conftest import any_comparison_rules
@@ -208,12 +207,14 @@ class TestCombine:
         assert evaluate_cohort(rules, data, PRIOR, INTERIM).verdict == CONTINUE
 
     def test_absent_comparisons_skipped(self):
+        # a comparison without rules adds no trace and cannot block GO
         rules = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                  ComparisonRules(), ComparisonRules())
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
         decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == GO
-        assert [o.active for o in decision.comparisons] == [True, False, False, False]
+        assert [o.comparison for o in decision.comparisons] == [1, 2, 3, 4]
+        assert [len(o.traces) for o in decision.comparisons] == [1, 0, 0, 0]
 
     def test_arm_absent_comparisons_skipped(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
@@ -222,20 +223,22 @@ class TestCombine:
         decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
         assert decision.verdict == GO
 
-    def test_insufficient_data_blocks_go(self):
+    @pytest.mark.parametrize("empty", [TwoByTwo(5, 5, 0, 0), TwoByTwo(0, 0, 5, 5),
+                                       TwoByTwo(0.5, 0, 5, 5)])
+    def test_empty_arm_raises(self, empty):
+        # single-arm rules too: every analysed comparison has patients on both arms
         rules = (comparison_rules(bayes_sup_margin=0.10),
-                 comparison_rules(bayes_sup_margin=0.10),
+                 ComparisonRules(bayes_sa_sup=(BayesSASupRule(rows=((0.1, 0.5, 1.0),)),)),
                  ComparisonRules(), ComparisonRules())
-        data = (data_for(1, STRONG), data_for(2, TwoByTwo(5, 5, 0, 0)))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
-        assert decision.verdict == CONTINUE
-        assert decision.outcome(2).inconclusive
+        data = (data_for(1, STRONG), data_for(2, empty))
+        with pytest.raises(ValueError, match="comparison 2"):
+            evaluate_cohort(rules, data, PRIOR, INTERIM)
 
     def test_combine_permutation_invariant(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = tuple(data_for(i, EQUAL if i == 2 else STRONG) for i in range(1, 5))
-        outcomes = [evaluate_comparison(r, t, PRIOR) for r, t in zip(rules, data)]
+        outcomes = [rule_outcome(r, t.cells(), t.comparison, PRIOR) for r, t in zip(rules, data)]
         verdict = combine(outcomes, INTERIM).verdict
         rng = random.Random(0)
         for _ in range(5):
@@ -299,7 +302,8 @@ PRIORS = (PRIOR, BetaPrior(0.5, 0.5))  # uniform and Jeffreys
 _counts = st.integers(0, 120)
 TABLES = st.one_of(st.tuples(*[_counts] * 4),                          # integer cells
                    st.tuples(*[_counts.map(float)] * 4),               # integer-valued floats
-                   st.tuples(*[st.integers(0, 12000).map(lambda k: k / 100)] * 4))  # fractional
+                   st.tuples(*[st.integers(0, 12000).map(lambda k: k / 100)] * 4)  # fractional
+                   ).filter(lambda c: c[0] + c[1] >= 1 and c[2] + c[3] >= 1)  # both arms enrolled
 ACTIVE_RULES = any_comparison_rules(max_per_kind=1).filter(lambda r: not r.empty)
 
 
@@ -317,15 +321,14 @@ class TestMemo:
         rule_outcome.cache_clear()
         inputs = [(rules, comp, prior) for rules in stage_rules
                   for comp in (1, 4) for prior in PRIORS]
-        first = [evaluate_comparison(rules, ComparisonData(*cells, comp), prior)
-                 for rules, comp, prior in inputs]
+        first = [rule_outcome(rules, cells, comp, prior) for rules, comp, prior in inputs]
         for (rules, comp, prior), got in zip(inputs, first):
             assert_same_outcome(got, UNCACHED(rules, cells, comp, prior))
-            assert evaluate_comparison(rules, ComparisonData(*cells, comp), prior) is got
+            assert rule_outcome(rules, cells, comp, prior) is got
             # integer cells and their float values share one entry: the
             # outcome is the same to the bit either way
             as_float = tuple(float(c) for c in cells)
-            assert_same_outcome(evaluate_comparison(rules, ComparisonData(*as_float, comp), prior),
+            assert_same_outcome(rule_outcome(rules, as_float, comp, prior),
                                 UNCACHED(rules, as_float, comp, prior))
 
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS), st.floats(0.0, 1.0),
@@ -337,12 +340,13 @@ class TestMemo:
         bare = ComparisonData(*cells, 2)
         shared = ComparisonData(*cells, 2, weight, float(ext_r), float(ext_r + ext_n))
         for rule in rules:
-            if decisions.meets(bare, rule.needs):
-                assert repr(rule.evaluate(shared, prior, 2)) == repr(rule.evaluate(bare, prior, 2))
+            assert repr(rule.evaluate(shared, prior, 2)) == repr(rule.evaluate(bare, prior, 2))
+        stage = (ComparisonRules(), rules, ComparisonRules(), ComparisonRules())
         rule_outcome.cache_clear()
-        with_pool = evaluate_comparison(rules, shared, prior)
+        (with_pool,) = evaluate_cohort(stage, (shared,), prior, INTERIM).comparisons
         rule_outcome.cache_clear()
-        assert_same_outcome(with_pool, evaluate_comparison(rules, bare, prior))
+        (bare_outcome,) = evaluate_cohort(stage, (bare,), prior, INTERIM).comparisons
+        assert_same_outcome(with_pool, bare_outcome)
 
     def test_each_run_starts_cold(self, example_spec, monkeypatch):
         # the same spec twice: a memo that outlived the first run would

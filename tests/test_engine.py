@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (SHARING_TYPES, TRIAL_STRUCTURES, IdentityTransform,
-                                parse_scenario)
+from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
+                                IdentityTransform, parse_scenario)
 from platformsim.decisions import COMPARISON_ARMS
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
@@ -123,6 +123,9 @@ def record(data, comparison):
     return next(t for t in data if t.comparison == comparison)
 
 
+ALL = tuple(COMPARISON_ARMS)  # every comparison, as for a cohort with all four arms
+
+
 class TestAssembleAnalysisData:
     def two_cohorts(self):
         c0 = make_cohort(cid=0, open_index=0)
@@ -142,14 +145,14 @@ class TestAssembleAnalysisData:
 
     def test_cohort_mode_own_data_only(self):
         c0, c1 = self.two_cohorts()
-        data = assemble_analysis_data([c0, c1], c0, "cohort", "final")
+        data = assemble_analysis_data([c0, c1], c0, ALL, "cohort", "final")
         t3 = record(data, 3)  # mono_a vs soc
         assert (t3.t_resp, t3.t_nonresp, t3.c_resp, t3.c_nonresp) == (2, 8, 3, 7)
         assert all(s.share_weight is None for s in data)
 
     def test_all_mode_pools_soc_and_backbone(self):
         c0, c1 = self.two_cohorts()
-        data = assemble_analysis_data([c0, c1], c0, "all", "final")
+        data = assemble_analysis_data([c0, c1], c0, ALL, "all", "final")
         t3 = record(data, 3)
         assert (t3.c_resp, t3.c_nonresp) == (3 + 2, 7 + 6)   # soc pooled
         t2 = record(data, 2)
@@ -159,14 +162,14 @@ class TestAssembleAnalysisData:
 
     def test_numerator_never_augmented(self):
         c0, c1 = self.two_cohorts()
-        data = assemble_analysis_data([c0, c1], c0, "all", "final")
+        data = assemble_analysis_data([c0, c1], c0, ALL, "all", "final")
         t4 = record(data, 4)  # mono_b vs soc: mono_b is numerator here
         assert (t4.t_resp, t4.t_nonresp) == (4, 6)
 
     def test_concurrent_mode_window(self):
         c0, c1 = self.two_cohorts()
         # only cohort 0's patients enrolled after cohort 1 opened are pooled
-        data = assemble_analysis_data([c0, c1], c1, "concurrent", "final")
+        data = assemble_analysis_data([c0, c1], c1, ALL, "concurrent", "final")
         t3 = record(data, 3)
         assert (t3.c_resp, t3.c_nonresp) == (2 + 3, 6 + 7)   # all of c0's soc is concurrent
         t2 = record(data, 2)
@@ -176,8 +179,8 @@ class TestAssembleAnalysisData:
         c0, c1 = self.two_cohorts()
         # add one patient whose interim and final disagree
         fill(c0, "soc", 99, [(1, 0)])
-        data_int = assemble_analysis_data([c0, c1], c0, "cohort", "interim")
-        data_fin = assemble_analysis_data([c0, c1], c0, "cohort", "final")
+        data_int = assemble_analysis_data([c0, c1], c0, ALL, "cohort", "interim")
+        data_fin = assemble_analysis_data([c0, c1], c0, ALL, "cohort", "final")
         assert record(data_int, 3).c_resp == 4
         assert record(data_fin, 3).c_resp == 3
 
@@ -188,7 +191,7 @@ class TestAssembleAnalysisData:
         fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
         fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)
         fill(c1, "soc", 200, [(1, 1)] * 20 + [(0, 0)] * 180)
-        s3 = record(assemble_analysis_data([c0, c1], c0, "dynamic", "final"), 3)
+        s3 = record(assemble_analysis_data([c0, c1], c0, ALL, "dynamic", "final"), 3)
         assert s3.share_weight == pytest.approx(1.0, abs=1e-9)
         assert s3.c_resp == pytest.approx(40)
 
@@ -199,7 +202,7 @@ class TestAssembleAnalysisData:
         fill(c0, "mono_a", 0, [(1, 1)] * 2 + [(0, 0)] * 8)
         fill(c0, "soc", 0, [(1, 1)] * 20 + [(0, 0)] * 180)    # 10%
         fill(c1, "soc", 200, [(1, 1)] * 180 + [(0, 0)] * 20)  # 90%
-        s3 = record(assemble_analysis_data([c0, c1], c0, "dynamic", "final"), 3)
+        s3 = record(assemble_analysis_data([c0, c1], c0, ALL, "dynamic", "final"), 3)
         assert s3.share_weight < 0.05
 
 
@@ -368,8 +371,8 @@ class TestSimulateTrial:
         for c in result.cohorts:
             assert "soc" not in c.arms
             for a in c.analyses:
-                active = [o.comparison for o in a.decision.comparisons if o.active]
-                assert set(active) <= {1, 2}
+                analysed = [o.comparison for o in a.decision.comparisons]
+                assert set(analysed) <= {1, 2}
 
     def test_stop_post_back_omits_soc_after_backbone_beats_it(self):
         # backbone far above SoC: comparison 4 superiority fires at the first
@@ -385,8 +388,7 @@ class TestSimulateTrial:
         for k in range(15):
             result = simulate_trial(spec, derive_rng(17, 0, k))
             firing = [a.patient_counter for c in result.cohorts for a in c.analyses
-                      if a.decision.outcome(4) is not None
-                      and a.decision.outcome(4).superior]
+                      if any(o.comparison == 4 and o.superior for o in a.decision.comparisons)]
             if not firing:
                 continue
             first_fire = min(firing)
@@ -445,7 +447,8 @@ class TestSimulateTrial:
 @st.composite
 def platform_scenarios(draw):
     """Random valid scenarios over every sharing type and trial structure,
-    with safety stops, cohort entry, offsets, sr_pats and uneven ratios."""
+    with safety stops, cohort entry, offsets, sr_pats, uneven ratios and
+    comparisons left without rules (up to a whole stage)."""
     cohorts_max = draw(st.integers(1, 6))
     n_int = draw(st.integers(5, 60))
     platform = {
@@ -466,11 +469,21 @@ def platform_scenarios(draw):
                                                                       min_size=3, max_size=3)),
     }
     rates = tuple(draw(st.floats(0.0, 1.0)) for _ in range(4))
-    d = scenario_dict(rates=rates, **platform)
+    stage = bayes_stage_rules()
+    some = st.sets(st.sampled_from(COMPARISON_KEYS))
+    rules = {name: {key: stage[key] for key in draw(st.one_of(
+        st.just(COMPARISON_KEYS), st.just(()), some))} for name in ("interim", "final")}
+    d = scenario_dict(rates=rates, rules=rules, **platform)
     if draw(st.booleans()):
         d["endpoint"] = {"transforms": [{"kind": "correlated", "sens": 0.8, "spec": 0.7}],
                          "probs": [1.0]}
     return parse_scenario(d), draw(st.integers(0, 2**32 - 1))
+
+
+def analysed(arms, stage_rules):
+    """The comparisons a cohort with ``arms`` should analyse at a stage."""
+    return [k for k, (num, den) in COMPARISON_ARMS.items()
+            if num in arms and den in arms and not stage_rules[k - 1].empty]
 
 
 class TestInvariants:
@@ -520,12 +533,18 @@ class TestInvariants:
                 assert sum(patients["hist"]) == rec.hist_responders
                 assert len(patients["enroll_idx"]) == rec.n
             for a in c.analyses:
-                self.check_analysed_counts(result, c, a, p.sharing_type)
+                self.check_analysed_counts(result, c, a, spec)
+            # a halted cohort is analysed unless it has nothing to analyse
+            if c.status == HALTED_RECRUITMENT or any(a.halted for a in c.analyses):
+                assert (c.status == HALTED_RECRUITMENT) == (
+                    n == 0 or not analysed(c.arms, spec.rules.final))
 
     @staticmethod
-    def check_analysed_counts(result, c, a, mode):
-        """The analysis records of cohort ``c`` at analysis ``a`` are exactly
-        the counts of the patient logs that the sharing mode admits."""
+    def check_analysed_counts(result, c, a, spec):
+        """The analysis records of cohort ``c`` at analysis ``a`` are one per
+        analysed comparison, each exactly the counts of the patient logs that
+        the sharing mode admits."""
+        mode = spec.platform.sharing_type
         def counts(cohort, arm, start=0):
             # (responders, total) of ``arm`` on ``cohort`` at ``a``'s endpoint
             # over enrolment indices in [start, a.patient_counter)
@@ -535,9 +554,11 @@ class TestInvariants:
             outcome = log.pair[keep] >> 1 if a.stage == "interim" else log.pair[keep] & 1
             return int(outcome.sum()), int(keep.sum())
 
-        assert [t.comparison for t in a.data] == [
-            k for k, (num, den) in COMPARISON_ARMS.items() if num in c.arms and den in c.arms]
+        expected = analysed(c.arms, spec.rules.for_stage(a.stage))
+        assert [t.comparison for t in a.data] == expected
+        assert [o.comparison for o in a.decision.comparisons] == expected
         for t in a.data:
+            assert t.n_t >= 1 and t.n_c >= 1
             num, den = COMPARISON_ARMS[t.comparison]
             r, n = counts(c, num)
             assert (t.t_resp, t.t_nonresp) == (r, n - r)

@@ -7,7 +7,8 @@ random stream or any output byte on purpose re-baselines them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in the change log.
+which prints every scenario/file whose digest changed, and says so in the
+change log.
 """
 
 import copy
@@ -73,9 +74,13 @@ def test_golden_digests(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {}
     for scenario in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as tmp:
             digests[scenario] = golden_digests(scenario, pathlib.Path(tmp))
+        for fname, digest in digests[scenario].items():
+            if old.get(scenario, {}).get(fname) != digest:
+                print(f"changed: {scenario}/{fname}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)
