@@ -6,6 +6,13 @@ Subcommands:
   grid       scenario grid sweep -> per-scenario OCs + combined CSV
   plot-data  turn a trajectory dump into plot-ready CSV tables
 
+``ocs`` and ``grid`` both go through the one scheduler,
+``runner.run_grid``: a grid is one job of (scenario, chunk) tasks on one
+pool, and each scenario's outputs and ``grid_results.csv`` row are written
+as soon as its last chunk is in.  Every scenario starts with cold caches.
+Progress lines on stderr give the rate and an ETA over the whole job; the
+manifests record wall time and trials/s, never the OC files.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -14,12 +21,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 import traceback
 
 from . import reporting
 from .config import (ConfigError, expand_grid, get_path, load_axes,
                      load_scenario, validate)
-from .runner import resolve_workers, run_ocs, run_single_trial
+from .runner import resolve_workers, run_grid, run_ocs, run_single_trial
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,9 +69,13 @@ def _workers(text: str) -> int | str:
     return text if text == "auto" else _int_at_least(1)(text)
 
 
-def _progress(label: str):
+def _progress(label: str, started: float):
+    """Progress callback: trials done, rate and ETA since ``started``
+    (a ``time.perf_counter`` reading)."""
     def cb(done: int, total: int):
-        print(f"{label}: {done}/{total} iterations", file=sys.stderr)
+        rate = done / max(time.perf_counter() - started, 1e-9)
+        print(f"{label}: {done}/{total} trials, {rate:.0f} trials/s, "
+              f"ETA {(total - done) / rate:.0f} s", file=sys.stderr)
     return cb
 
 
@@ -98,12 +110,15 @@ def cmd_ocs(args) -> int:
     formats = _parse_formats(args.format)
     workers = resolve_workers(args.workers)
     dump_dir = os.path.join(args.out, "trajectories") if args.dump_trajectories else None
+    started = time.perf_counter()
     ocs = run_ocs(spec, args.iterations, args.seed, workers=workers,
                   dump_first=args.dump_trajectories, dump_dir=dump_dir,
-                  progress=_progress(spec.id))
+                  progress=_progress(spec.id, started))
+    wall_s = time.perf_counter() - started
     _write_scenario_outputs(args.out, spec, ocs, formats, {
         "command": "ocs", "scenario_id": spec.id, "spec_hash": reporting.spec_hash(spec),
         "master_seed": args.seed, "iterations": args.iterations, "workers": workers,
+        "wall_s": wall_s, "trials_per_s": args.iterations / wall_s,
     })
     print(f"scenario {spec.id}: {args.iterations} iterations -> {args.out}")
     return EXIT_OK
@@ -119,34 +134,42 @@ def cmd_grid(args) -> int:
     axis_names = list(axes)
     rows = []
     completed = []
-    for index, spec in enumerate(specs):
-        try:
-            ocs = run_ocs(spec, args.iterations, args.seed, workers=workers,
-                          scenario_index=index, progress=_progress(spec.id))
-        except Exception:
-            reporting.write_manifest(os.path.join(args.out, "error_manifest.json"), {
-                "command": "grid", "failed_scenario": spec.id, "failed_index": index,
-                "completed": completed, "error": traceback.format_exc(),
+    completed_s = []  # seconds from the start of the job until each scenario is written
+    started = time.perf_counter()
+    results = run_grid(specs, args.iterations, args.seed, workers=workers,
+                       progress=_progress("grid", started))
+    try:
+        for index, ocs in enumerate(results):
+            spec = specs[index]
+            axis_values = {name: get_path(spec, name) for name in axis_names}
+            rows.append(reporting.ocs_csv_row(spec.id, ocs, axis_values))
+            subdir = os.path.join(args.out, f"scenario_{index:03d}")
+            _write_scenario_outputs(subdir, spec, ocs, formats, {
+                "command": "grid", "scenario_id": spec.id, "scenario_index": index,
+                "spec_hash": reporting.spec_hash(spec), "master_seed": args.seed,
+                "iterations": args.iterations, "workers": workers,
+                "axes": {k: axis_values[k] for k in axis_names},
             })
-            if rows:
-                reporting.write_ocs_csv(os.path.join(args.out, "grid_results.csv"),
-                                        rows, axis_names)
-            raise
-        axis_values = {name: get_path(spec, name) for name in axis_names}
-        rows.append(reporting.ocs_csv_row(spec.id, ocs, axis_values))
-        subdir = os.path.join(args.out, f"scenario_{index:03d}")
-        _write_scenario_outputs(subdir, spec, ocs, formats, {
-            "command": "grid", "scenario_id": spec.id, "scenario_index": index,
-            "spec_hash": reporting.spec_hash(spec), "master_seed": args.seed,
-            "iterations": args.iterations, "workers": workers,
-            "axes": {k: axis_values[k] for k in axis_names},
+            reporting.write_ocs_csv(os.path.join(args.out, "grid_results.csv"),
+                                    rows, axis_names)
+            completed.append(spec.id)
+            completed_s.append(time.perf_counter() - started)
+    except Exception:
+        results.close()  # cancels the pending chunks and shuts the pool down
+        index = len(completed)
+        reporting.write_manifest(os.path.join(args.out, "error_manifest.json"), {
+            "command": "grid", "failed_scenario": specs[index].id, "failed_index": index,
+            "completed": completed, "completed_s": completed_s,
+            "error": traceback.format_exc(),
         })
-        completed.append(spec.id)
-    reporting.write_ocs_csv(os.path.join(args.out, "grid_results.csv"), rows, axis_names)
+        raise
+    wall_s = time.perf_counter() - started
     reporting.write_manifest(os.path.join(args.out, "manifest.json"), {
         "command": "grid", "base_spec_hash": reporting.spec_hash(base),
         "scenarios": len(specs), "axes": {k: list(v) for k, v in axes.items()},
         "master_seed": args.seed, "iterations": args.iterations, "workers": workers,
+        "wall_s": wall_s, "trials_per_s": len(specs) * args.iterations / wall_s,
+        "completed_s": completed_s,
     })
     print(f"grid of {len(specs)} scenarios -> {os.path.join(args.out, 'grid_results.csv')}")
     return EXIT_OK

@@ -53,8 +53,9 @@ from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import yaml
 
-from .decisions import (COMPARISON_ARMS, BayesFutRule, BayesSAFutRule, BayesSASupRule,
-                        BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule, FreqSupRule)
+from .decisions import (ARM_ORDER, COMPARISON_ARMS, BayesFutRule, BayesSAFutRule,
+                        BayesSASupRule, BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule,
+                        FreqSupRule)
 from .schema import (ConfigError, Violation, check_keys, dump, param, parse, parse_field,
                      violations)
 
@@ -406,9 +407,14 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
     if len(p.allocation_ratio) != 4 or p.allocation_ratio[0] < 1:
         out.append(Violation("platform.allocation_ratio",
                              "needs 4 entries (comb, mono_a, mono_b, soc) with comb > 0"))
+    # why an arm never enters a cohort, as the engine's open_cohort decides it
+    absent = {arm: f"arm {arm!r} has allocation_ratio 0"
+              for arm, r in zip(ARM_ORDER, p.allocation_ratio) if r == 0}
+    if p.trial_struc == "no_plac":
+        absent.setdefault("soc", "trial_struc 'no_plac' has no SoC arm")
     for stage in STAGES:
-        for key, (_, den), cr in zip(COMPARISON_KEYS, COMPARISON_ARMS.values(),
-                                     spec.rules.for_stage(stage)):
+        for key, arms, cr in zip(COMPARISON_KEYS, COMPARISON_ARMS.values(),
+                                 spec.rules.for_stage(stage)):
             path = f"rules.{stage}.{key}"
             out.extend(violations(cr, path))
             # overlapping GO/STOP regions are legal but suspicious
@@ -416,10 +422,10 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
                 for i, rule in enumerate(getattr(cr, f.name)):
                     out.extend(Violation(f"{path}.{f.name}[{i}]", msg, severity="warning")
                                for msg in rule.conflicts(cr))
-            if p.trial_struc == "no_plac" and den == "soc" and not cr.empty:
-                out.append(Violation(path, "rules configured for a SoC comparison under trial_struc "
-                                           "'no_plac'; they will never be evaluated",
-                                     severity="warning"))
+            missing = "; ".join(absent[arm] for arm in arms if arm in absent)
+            if missing and not cr.empty:
+                out.append(Violation(path, f"rules configured, but {missing}; they will never "
+                                           f"be evaluated", severity="warning"))
     return out
 
 

@@ -27,8 +27,9 @@ The "promising" flag is recorded in traces and outputs only; it never
 changes a verdict.
 
 A comparison's outcome is a pure function of (rules, the 2x2 cells,
-comparison, prior).  It is memoised for one run (``rule_outcome``, cleared
-by ``runner.run_ocs``), so a repeated input returns the same frozen object.
+comparison, prior).  It is memoised for one scenario of one run
+(``rule_outcome``, cleared by ``runner``'s scheduler), so a repeated input
+returns the same frozen object.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ GO = "GO"
 STOP_FUTILITY = "STOP_FUTILITY"
 CONTINUE = "CONTINUE"
 UNSUCCESSFUL_MAX_N = "UNSUCCESSFUL_MAX_N"
+
+#: the arms, in the order of ``platform.allocation_ratio``
+ARM_ORDER = ("comb", "mono_a", "mono_b", "soc")
 
 #: comparison index -> (numerator arm, comparator arm)
 COMPARISON_ARMS = {1: ("comb", "mono_a"), 2: ("comb", "mono_b"),
@@ -307,8 +311,8 @@ def rule_outcome(rules: ComparisonRules, cells: tuple[float, float, float, float
     ``cells``, in field order.
 
     Both arms must hold at least one patient (else ``ValueError``).
-    Memoised for one run on all the outcome depends on; ``runner.run_ocs``
-    clears the memo at the start of every run.
+    Memoised for one scenario of one run on all the outcome depends on; the
+    ``runner`` clears the memo whenever a process starts a scenario.
     """
     t = TwoByTwo(*cells)
     if t.n_t < 1.0 or t.n_c < 1.0:

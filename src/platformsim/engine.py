@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioSpec
-from .decisions import (COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
+from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
                         UNSUCCESSFUL_MAX_N, CohortDecision, ComparisonData,
                         evaluate_cohort)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
@@ -47,7 +47,6 @@ from .stats import TwoByTwo, one_sided_prop_test
 #: generator; a change of the draws (not of the simulated law) bumps it
 STREAM_VERSION = 2
 
-ARM_ORDER = ("comb", "mono_a", "mono_b", "soc")
 ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 SHARED_ARMS = ("mono_b", "soc")  # comparator arms augmented by data sharing
 

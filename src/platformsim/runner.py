@@ -2,16 +2,28 @@
 
 Every (scenario_index, iteration_index) pair gets its own random stream
 derived from the master seed via numpy SeedSequence spawn keys, so results
-are bit-identical for any worker count and any scheduling order.  Workers
-receive the scenario object itself (pickled, not re-parsed from a dict);
-merging of per-worker accumulators happens once at the join point.
+are bit-identical for any worker count and any scheduling order.
+
+One scheduler, :func:`run_grid`, runs every simulation: it splits each
+scenario into iteration chunks, runs the (scenario, chunk) tasks of the
+whole grid in order on one process pool (or in this process for one
+worker), merges each scenario's accumulators and yields its OCs as soon as
+its last chunk is in.  :func:`run_ocs` is its one-scenario case.  Tasks
+carry the scenario object itself (pickled, not re-parsed from a dict).
+
+Cache scope is one scenario of one run: a process clears the outcome memo
+(``decisions.rule_outcome``) and the kernel cache
+(``stats._prob_greater_cached``) whenever it starts a scenario it has not
+run in this run, and every run starts with both cleared before any pool is
+forked.  The caches only save work; their scope cannot change a result.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +32,20 @@ from .config import ScenarioSpec
 from .decisions import rule_outcome
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
+from .stats import _prob_greater_cached
+
+#: the scenario index the caches of this process hold entries for
+_cached_scenario: int | None = None
+
+
+def _enter_scenario(scenario_index: int | None) -> None:
+    """Clear both caches unless they already belong to ``scenario_index``;
+    ``None`` clears them for a new run."""
+    global _cached_scenario
+    if scenario_index is None or scenario_index != _cached_scenario:
+        rule_outcome.cache_clear()
+        _prob_greater_cached.cache_clear()
+        _cached_scenario = scenario_index
 
 
 def derive_rng(master_seed: int, scenario_index: int, iteration_index: int) -> np.random.Generator:
@@ -37,6 +63,7 @@ def _run_range(spec: ScenarioSpec, scenario_index: int, start: int, count: int,
                master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
     """Simulate iterations ``start .. start+count-1``; the first ``dump_first``
     iterations of the run are also dumped to ``dump_dir``."""
+    _enter_scenario(scenario_index)
     acc = TrialAccumulator()
     cohorts_max = spec.platform.cohorts_max
     for k in range(start, start + count):
@@ -59,45 +86,65 @@ def resolve_workers(workers: int | str | None) -> int:
     return w
 
 
+def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
+             workers: int | str | None = 1, scenario_index: int = 0,
+             dump_first: int = 0, dump_dir: str | None = None,
+             progress: Callable[[int, int], None] | None = None
+             ) -> Iterator[OperatingCharacteristics]:
+    """Simulate ``iterations`` trials of every scenario in ``specs`` and
+    yield each scenario's OCs, in order, as soon as all its trials are in.
+
+    Scenario ``i`` draws from stream index ``scenario_index + i``.  Results
+    are identical for every ``workers`` value.  ``progress(done, total)``
+    counts trials over the whole grid.  Trajectory dumps need a single
+    scenario.  A failing chunk cancels the pending ones and shuts the pool
+    down before its exception propagates.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if dump_first > 0 and len(specs) > 1:
+        raise ValueError("trajectory dumps need a single scenario")
+    n_workers = resolve_workers(workers)
+    if dump_dir is not None and dump_first > 0:
+        os.makedirs(dump_dir, exist_ok=True)
+    chunk = max(1, iterations // (n_workers * 4))
+    tasks = [(spec, scenario_index + i, start, min(chunk, iterations - start),
+              master_seed, dump_first, dump_dir)
+             for i, spec in enumerate(specs) for start in range(0, iterations, chunk)]
+    _enter_scenario(None)  # before any fork, so no worker inherits warm caches
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    try:
+        if pool is None:
+            parts = (_run_range(*task) for task in tasks)
+        else:
+            futures = deque(pool.submit(_run_range, *task) for task in tasks)
+            parts = (futures.popleft().result() for _ in tasks)
+        done, total = 0, len(specs) * iterations
+        acc = TrialAccumulator()
+        for (_, _, start, count, *_), part in zip(tasks, parts):
+            acc.merge_in(part)
+            done += count
+            if progress is not None:
+                progress(done, total)
+            if start + count == iterations:
+                yield acc.finalize()
+                acc = TrialAccumulator()  # the finished scenario's parts are released
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
             workers: int | str | None = 1, scenario_index: int = 0,
             dump_first: int = 0, dump_dir: str | None = None,
             progress: Callable[[int, int], None] | None = None) -> OperatingCharacteristics:
-    """Simulate ``iterations`` independent trials and aggregate them.
+    """Simulate ``iterations`` independent trials and aggregate them: the
+    one-scenario case of :func:`run_grid`.
 
     The result is identical for every ``workers`` value; parallel workers
-    only change wall-clock time.  The memo ``decisions.rule_outcome`` is
-    cleared first, so every run and every pool worker starts with it empty.
+    only change wall-clock time.  Every run, and every pool worker, starts
+    with the outcome memo and the kernel cache empty.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    rule_outcome.cache_clear()
-    n_workers = resolve_workers(workers)
-    if dump_dir is not None and dump_first > 0:
-        os.makedirs(dump_dir, exist_ok=True)
-
-    if n_workers == 1:
-        acc = _run_range(spec, scenario_index, 0, iterations, master_seed, dump_first, dump_dir)
-        if progress is not None:
-            progress(iterations, iterations)
-        return acc.finalize()
-
-    chunk = max(1, iterations // (n_workers * 4))
-    tasks = []
-    start = 0
-    while start < iterations:
-        count = min(chunk, iterations - start)
-        tasks.append((start, count))
-        start += count
-    acc = TrialAccumulator()
-    done = 0
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_run_range, spec, scenario_index, s, c,
-                               master_seed, dump_first, dump_dir)
-                   for s, c in tasks]
-        for fut, (s, c) in zip(futures, tasks):
-            acc.merge_in(fut.result())
-            done += c
-            if progress is not None:
-                progress(done, iterations)
-    return acc.finalize()
+    (ocs,) = run_grid([spec], iterations, master_seed, workers, scenario_index,
+                      dump_first, dump_dir, progress)
+    return ocs

@@ -130,7 +130,9 @@ def _prob_greater_cached(ax: float, bx: float, ay: float, by: float, delta: floa
     lnorm = math.lgamma(ay) + math.lgamma(by) - math.lgamma(ay + by)
     # logit(Y) has tails below e^(a z) / (a B) and e^(-b z) / (b B): cut at _TAIL
     zl = max(special.logit(lo), (math.log(_TAIL * ay) + lnorm) / ay)
-    zr = min(special.logit(hi), -(math.log(_TAIL * by) + lnorm) / by)
+    # below delta = 2^-53, 1 - delta rounds to 1; logit(1 - delta) is then -log(delta)
+    cut = special.logit(hi) if hi < 1.0 or delta <= 0.0 else -math.log(delta)
+    zr = min(cut, -(math.log(_TAIL * by) + lnorm) / by)
     if delta >= 0.0:  # then 1 - x <= e^(-z), and S_X(x) falls below about e^(-b z) / (b B)
         lnorm_x = math.lgamma(ax) + math.lgamma(bx) - math.lgamma(ax + bx)
         zr = min(zr, -(math.log(_TAIL * bx) + lnorm_x) / bx)

@@ -1,17 +1,20 @@
 import csv
 import json
+import multiprocessing
 import os
 import pathlib
 
 import pytest
 import yaml
 
-from platformsim import stats
-from platformsim.engine import STREAM_VERSION
+from platformsim import runner, stats
 from platformsim.cli import main
+from platformsim.config import expand_grid, load_axes, load_scenario
+from platformsim.decisions import rule_outcome
+from platformsim.engine import STREAM_VERSION
 from platformsim.ocs import OperatingCharacteristics
-from platformsim.reporting import read_trajectory
-from platformsim.runner import resolve_workers
+from platformsim.reporting import read_trajectory, write_ocs_json
+from platformsim.runner import resolve_workers, run_ocs
 
 from conftest import CONFIGS, scenario_dict
 
@@ -171,22 +174,22 @@ class TestGrid:
                      "--out", str(out)]) == 2
         assert not (out / "grid_results.csv").exists()
 
-    def test_failing_scenario_aborts_with_manifest(self, spec_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_scenario_aborts_with_manifest(self, spec_file, tmp_path, monkeypatch,
+                                                   workers):
+        # the third scenario's trials raise, in this process or in the forked pool workers
         axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60, 70]})
         out = tmp_path / "grid"
-        import platformsim.cli as cli_mod
-        real = cli_mod.run_ocs
-        calls = {"n": 0}
+        real = runner.simulate_trial
 
-        def flaky(spec, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 3:
+        def flaky(spec, rng):
+            if spec.platform.n_int == 70:
                 raise RuntimeError("boom")
-            return real(spec, *args, **kwargs)
+            return real(spec, rng)
 
-        monkeypatch.setattr(cli_mod, "run_ocs", flaky)
-        assert main(["grid", "--config", spec_file, "--axes", axes,
-                     "--iterations", "4", "--seed", "1", "--out", str(out)]) == 3
+        monkeypatch.setattr(runner, "simulate_trial", flaky)
+        assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "4",
+                     "--seed", "1", "--workers", workers, "--out", str(out)]) == 3
         manifest = json.loads((out / "error_manifest.json").read_text())
         assert manifest["failed_index"] == 2
         assert len(manifest["completed"]) == 2
@@ -194,6 +197,48 @@ class TestGrid:
         # partial results preserved
         assert (out / "grid_results.csv").exists()
         assert len(read_csv_rows(out / "grid_results.csv")) == 2
+        # pending chunks cancelled and the pool shut down
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_scenario_equals_its_lone_run(self, spec_file, tmp_path, workers):
+        axes = write_yaml(tmp_path / "axes.yaml", {"cohort_random": [0.01, 0.05, 0.1]})
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "9",
+                     "--seed", "6", "--workers", str(workers), "--out", str(out)]) == 0
+        specs = expand_grid(load_scenario(spec_file), load_axes(axes))
+        for i, spec in enumerate(specs):
+            lone = tmp_path / f"lone_{i}.json"
+            write_ocs_json(lone, spec.id, run_ocs(spec, 9, 6, scenario_index=i))
+            assert (out / f"scenario_{i:03d}" / "ocs.json").read_bytes() == lone.read_bytes()
+
+    def test_caches_hold_only_the_last_scenario(self, spec_file, tmp_path):
+        axes = write_yaml(tmp_path / "axes.yaml", {"cohort_random": [0.01, 0.05, 0.1]})
+        assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "8",
+                     "--seed", "2", "--out", str(tmp_path / "grid")]) == 0
+        after_grid = (rule_outcome.cache_info().currsize,
+                      stats._prob_greater_cached.cache_info().currsize)
+        last = expand_grid(load_scenario(spec_file), load_axes(axes))[-1]
+        run_ocs(last, 8, 2, scenario_index=2)
+        assert after_grid == (rule_outcome.cache_info().currsize,
+                              stats._prob_greater_cached.cache_info().currsize)
+        assert after_grid[1] > 0
+
+    def test_manifests_record_wall_time_and_rate(self, spec_file, tmp_path, capsys):
+        axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60]})
+        out = tmp_path / "grid"
+        main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "4",
+              "--seed", "3", "--workers", "2", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["trials_per_s"] == pytest.approx(8 / manifest["wall_s"])
+        done = manifest["completed_s"]
+        assert len(done) == 2 and 0 < done[0] <= done[1] <= manifest["wall_s"]
+        progress = capsys.readouterr().err.splitlines()
+        assert progress[-1].startswith("grid: 8/8 trials, ") and "ETA" in progress[-1]
+        main(["ocs", "--config", spec_file, "--iterations", "4", "--seed", "3",
+              "--out", str(tmp_path / "ocs")])
+        manifest = json.loads((tmp_path / "ocs" / "manifest.json").read_text())
+        assert manifest["trials_per_s"] == pytest.approx(4 / manifest["wall_s"])
 
 
 class TestBadArguments:

@@ -11,7 +11,7 @@ from platformsim.config import (ComparisonRules, ConfigError, CorrelatedTransfor
                                 parse_scenario, scenario_to_dict,
                                 serialize_scenario, validate)
 
-from conftest import RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
+from conftest import CONFIGS, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
 
 
 class TestParse:
@@ -91,6 +91,28 @@ class TestValidate:
         d = scenario_dict(trial_struc="no_plac")
         warnings = [v for v in validate_unchecked(d) if v.severity == "warning"]
         assert any("no_plac" in v.message for v in warnings)
+
+    @pytest.mark.parametrize("ratio, keys", [
+        ([2, 1, 1, 0], ["mono_a_vs_soc", "mono_b_vs_soc"]),
+        ([2, 0, 1, 1], ["comb_vs_mono_a", "mono_a_vs_soc"]),
+    ])
+    def test_zero_allocation_warns_per_ruled_comparison(self, ratio, keys):
+        # an arm with ratio 0 never enters a cohort, so its comparisons are never analysed
+        violations = validate_unchecked(scenario_dict(allocation_ratio=ratio))
+        assert all(v.severity == "warning" for v in violations)
+        assert sorted(v.field for v in violations) == sorted(
+            f"rules.{stage}.{key}" for stage in ("interim", "final") for key in keys)
+        assert all("allocation_ratio 0" in v.message for v in violations)
+
+    def test_zero_allocation_without_rules_is_silent(self):
+        d = scenario_dict(allocation_ratio=[2, 1, 1, 0])
+        for stage in d["rules"].values():
+            del stage["mono_a_vs_soc"], stage["mono_b_vs_soc"]
+        assert validate_unchecked(d) == []
+
+    @pytest.mark.parametrize("name", ["example_scenario.yaml", "grid_base.yaml"])
+    def test_bundled_configs_validate_clean(self, name):
+        assert validate(parse_scenario((CONFIGS / name).read_text())) == []
 
     def test_validate_is_pure(self, example_spec):
         assert validate(example_spec) == validate(example_spec)

@@ -106,6 +106,15 @@ class TestProbGreaterByMargin:
         total = prob_greater_by_margin(x, y, 0.0) + prob_greater_by_margin(y, x, 0.0)
         assert total == pytest.approx(1.0, abs=2e-6)
 
+    # below delta = 2^-53, 1 - delta rounds to 1: the cut at y = 1 - delta must come
+    # from delta itself.  With a_X = a_Y = 1 the probability is
+    # int_delta^1 b_Y u^(b_Y - 1) (u - delta)^b_X du, here by mpmath at 40 digits
+    @pytest.mark.parametrize("delta, want", [(1.3313743372930965e-21, 0.666583683246406),
+                                             (1e-17, 0.666224399145938)])
+    def test_margin_below_double_resolution(self, delta, want):
+        p = prob_greater_by_margin(PosteriorBeta(1.0, 0.0625), PosteriorBeta(1.0, 0.125), delta)
+        assert p == pytest.approx(want, abs=1e-6)
+
     # fractional shapes below 1 put an unbounded slope at an end of the range
     def test_identical_jeffreys_posteriors_half(self):
         x = PosteriorBeta(0.5, 50.5)
