@@ -12,9 +12,13 @@ comparison.  Adding a rule kind takes one such class plus one
 ``config.ComparisonRules`` field named after its key (the field order is the
 evaluation and trace order).
 
-The engine decides which comparisons a cohort analyses
-(``engine.analysed_comparisons``); :func:`evaluate_cohort` evaluates every
-record it is given, each with at least one patient on both arms.
+Everything one scenario analyses lives in its :class:`AnalysisPlan`: each
+stage's rules, the prior, the comparisons each arm set analyses and the memo
+of comparison outcomes.  An outcome is a pure function of (rules, the 2x2
+cells, comparison, prior) and the plan fixes rules and prior, so the memo
+keys on (stage, comparison, cells); a repeated input returns the same frozen
+object.  ``runner`` builds one plan per scenario and process.  Each record
+given to :func:`evaluate_cohort` has at least one patient on both arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing
@@ -25,18 +29,13 @@ makes interim-futility-only / final-superiority-only rule sets work.
 
 The "promising" flag is recorded in traces and outputs only; it never
 changes a verdict.
-
-A comparison's outcome is a pure function of (rules, the 2x2 cells,
-comparison, prior).  It is memoised for one scenario of one run
-(``rule_outcome``, cleared by ``runner``'s scheduler), so a repeated input
-returns the same frozen object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .schema import param
@@ -44,7 +43,7 @@ from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
                     point_estimate, prob_exceeds, prob_greater_by_margin)
 
 if TYPE_CHECKING:
-    from .config import BetaPrior, ComparisonRules
+    from .config import BetaPrior, ComparisonRules, DecisionRuleSet
 
 INTERIM = "interim"
 FINAL = "final"
@@ -303,28 +302,39 @@ class CohortDecision:
         return tuple(t for c in self.comparisons for t in c.traces)
 
 
-# 768 keeps cohort_long at 92% hits, about 1 MB; 640 would sit at the 90% line
-@lru_cache(maxsize=768)
-def rule_outcome(rules: ComparisonRules, cells: tuple[float, float, float, float],
-                 comparison: int, prior: BetaPrior) -> ComparisonOutcome:
-    """Evaluate every configured rule of ``comparison`` on the 2x2 table
-    ``cells``, in field order.
+class AnalysisPlan:
+    """One scenario's ``rules``, ``prior``, ``comparisons`` and ``outcome`` memo."""
 
-    Both arms must hold at least one patient (else ``ValueError``).
-    Memoised for one scenario of one run on all the outcome depends on; the
-    ``runner`` clears the memo whenever a process starts a scenario.
-    """
-    t = TwoByTwo(*cells)
-    if t.n_t < 1.0 or t.n_c < 1.0:
-        raise ValueError(f"comparison {comparison}: an arm of the table {cells} "
-                         f"holds fewer than one patient")
-    traces = tuple(rule.evaluate(t, prior, comparison) for rule in rules)
-    sup = [s for s, rule in zip(traces, rules) if rule.superiority]
-    return ComparisonOutcome(
-        comparison, superior=bool(sup) and all(s.superior for s in sup),
-        futile=any(s.futile for s in traces),
-        promising=bool(sup) and all(s.superior or s.promising for s in sup),
-        n_sup_rules=len(sup), traces=traces)
+    def __init__(self, rules: DecisionRuleSet, prior: BetaPrior):
+        self.rules, self.prior = rules, prior
+
+        # closures, not methods: a dropped plan frees its memo without a cycle
+        @cache
+        def comparisons(arms: tuple[str, ...], stage: str) -> tuple[int, ...]:
+            """Both arms in a cohort with ``arms`` and a rule configured (at most 32 keys)."""
+            stage_rules = rules.for_stage(stage)
+            return tuple(c for c, (num, den) in COMPARISON_ARMS.items()
+                         if num in arms and den in arms and not stage_rules[c - 1].empty)
+
+        # 768 keeps cohort_long at 92% hits in about 0.6 MB; 640 would sit at the 90% line
+        @lru_cache(maxsize=768)
+        def outcome(stage: str, comparison: int, cells: tuple[float, ...]) -> ComparisonOutcome:
+            """Every configured rule of ``comparison`` at ``stage`` on the 2x2
+            table ``cells``, in field order; both arms must hold a patient."""
+            t = TwoByTwo(*cells)
+            if t.n_t < 1.0 or t.n_c < 1.0:
+                raise ValueError(f"comparison {comparison}: an arm of the table {cells} "
+                                 f"holds fewer than one patient")
+            comp_rules = rules.for_stage(stage)[comparison - 1]
+            traces = tuple(rule.evaluate(t, prior, comparison) for rule in comp_rules)
+            sup = [s for s, rule in zip(traces, comp_rules) if rule.superiority]
+            return ComparisonOutcome(
+                comparison, superior=bool(sup) and all(s.superior for s in sup),
+                futile=any(s.futile for s in traces),
+                promising=bool(sup) and all(s.superior or s.promising for s in sup),
+                n_sup_rules=len(sup), traces=traces)
+
+        self.comparisons, self.outcome = comparisons, outcome
 
 
 def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision:
@@ -357,10 +367,8 @@ def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision
                           comparisons=tuple(outcomes), note=note)
 
 
-def evaluate_cohort(stage_rules: Sequence[ComparisonRules], data: Sequence[ComparisonData],
-                    prior: BetaPrior, stage: str) -> CohortDecision:
+def evaluate_cohort(plan: AnalysisPlan, data: Sequence[ComparisonData],
+                    stage: str) -> CohortDecision:
     """Evaluate one cohort at one stage: every record of ``data`` under its
-    comparison's rules (``stage_rules`` holds the four ComparisonRules in
-    comparison order), folded into one verdict."""
-    return combine([rule_outcome(stage_rules[t.comparison - 1], t.cells(), t.comparison, prior)
-                    for t in data], stage)
+    comparison's rules in ``plan``, folded into one verdict."""
+    return combine([plan.outcome(stage, t.comparison, t.cells()) for t in data], stage)

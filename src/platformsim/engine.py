@@ -25,7 +25,9 @@ the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
 pool is the difference of two tallies.
 
 One trial owns exactly one random generator and is strictly sequential;
-parallelism happens across trials, never inside one.
+parallelism happens across trials, never inside one.  Rules, analysed
+comparisons and outcome memo come from the scenario's ``AnalysisPlan``, which
+``runner`` shares across the trials one process runs of that scenario.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .config import ScenarioSpec
 from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
-                        UNSUCCESSFUL_MAX_N, CohortDecision, ComparisonData,
+                        UNSUCCESSFUL_MAX_N, AnalysisPlan, CohortDecision, ComparisonData,
                         evaluate_cohort)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from .stats import TwoByTwo, one_sided_prop_test
@@ -270,13 +272,6 @@ def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
     return resp, tot
 
 
-def analysed_comparisons(arms: tuple[str, ...], stage_rules) -> tuple[int, ...]:
-    """The comparisons a cohort with ``arms`` analyses under one stage's four
-    ``ComparisonRules``: both arms in the cohort and a rule configured."""
-    return tuple(c for c, (num, den) in COMPARISON_ARMS.items()
-                 if num in arms and den in arms and not stage_rules[c - 1].empty)
-
-
 def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int, ...],
                            mode: str, stage: str) -> tuple[ComparisonData, ...]:
     """One record per comparison in ``comparisons``: the cohort's own arms at
@@ -321,9 +316,10 @@ def classify_decision(cohort_status: str, truth_class: str) -> str | None:
 class _Platform:
     """Mutable platform state for one trial."""
 
-    def __init__(self, spec: ScenarioSpec, rng):
+    def __init__(self, spec: ScenarioSpec, rng, plan: AnalysisPlan):
         self.spec = spec
         self.rng = rng
+        self.plan = plan
         self.patient_counter = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
@@ -445,12 +441,10 @@ class _Platform:
     # --- analyses ----------------------------------------------------------
 
     def run_analysis(self, cohort: CohortState, stage: str, halted: bool = False) -> CohortDecision:
-        spec = self.spec
-        rules = spec.rules.for_stage(stage)
-        comparisons = analysed_comparisons(cohort.arms, rules)
-        data = assemble_analysis_data(self.cohorts, cohort, comparisons,
-                                      spec.platform.sharing_type, stage)
-        decision = evaluate_cohort(rules, data, spec.prior, stage)
+        data = assemble_analysis_data(self.cohorts, cohort,
+                                      self.plan.comparisons(cohort.arms, stage),
+                                      self.spec.platform.sharing_type, stage)
+        decision = evaluate_cohort(self.plan, data, stage)
         cohort.analyses.append(AnalysisRecord(
             stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
             halted=halted, data=data, decision=decision))
@@ -497,7 +491,7 @@ class _Platform:
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
-            if cohort.n > 0 and analysed_comparisons(cohort.arms, self.spec.rules.final):
+            if cohort.n > 0 and self.plan.comparisons(cohort.arms, FINAL):
                 self.run_analysis(cohort, FINAL, halted=True)  # never CONTINUE
             else:
                 cohort.status = HALTED_RECRUITMENT
@@ -528,9 +522,10 @@ class _Platform:
             self.next_entry = math.inf
 
 
-def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
+def simulate_trial(spec: ScenarioSpec, rng, plan: AnalysisPlan | None = None) -> TrialResult:
     """Simulate one platform-trial trajectory to completion.
 
+    ``plan`` is ``spec``'s analysis plan, new when omitted; it only saves work.
     Identical (spec, generator state) pairs produce identical results.  The
     generator is consumed in a fixed documented order (random stream
     ``STREAM_VERSION`` = 2):
@@ -546,7 +541,7 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
       new cohort's opening draws, then the next entry waiting time (if a
       cohort can still enter).
     """
-    state = _Platform(spec, rng)
+    state = _Platform(spec, rng, plan or AnalysisPlan(spec.rules, spec.prior))
     p = spec.platform
     for _ in range(p.initial_cohorts):
         state.open_cohort()

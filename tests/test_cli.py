@@ -10,7 +10,6 @@ import yaml
 from platformsim import runner, stats
 from platformsim.cli import main
 from platformsim.config import expand_grid, load_axes, load_scenario
-from platformsim.decisions import rule_outcome
 from platformsim.engine import STREAM_VERSION
 from platformsim.ocs import OperatingCharacteristics
 from platformsim.reporting import read_trajectory, write_ocs_json
@@ -182,10 +181,10 @@ class TestGrid:
         out = tmp_path / "grid"
         real = runner.simulate_trial
 
-        def flaky(spec, rng):
+        def flaky(spec, rng, plan):
             if spec.platform.n_int == 70:
                 raise RuntimeError("boom")
-            return real(spec, rng)
+            return real(spec, rng, plan)
 
         monkeypatch.setattr(runner, "simulate_trial", flaky)
         assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "4",
@@ -216,13 +215,16 @@ class TestGrid:
         axes = write_yaml(tmp_path / "axes.yaml", {"cohort_random": [0.01, 0.05, 0.1]})
         assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "8",
                      "--seed", "2", "--out", str(tmp_path / "grid")]) == 0
-        after_grid = (rule_outcome.cache_info().currsize,
-                      stats._prob_greater_cached.cache_info().currsize)
+        def caches():
+            scenario_index, plan = runner._current
+            return (scenario_index, plan.outcome.cache_info().currsize,
+                    stats._prob_greater_cached.cache_info().currsize)
+
+        after_grid = caches()
         last = expand_grid(load_scenario(spec_file), load_axes(axes))[-1]
         run_ocs(last, 8, 2, scenario_index=2)
-        assert after_grid == (rule_outcome.cache_info().currsize,
-                              stats._prob_greater_cached.cache_info().currsize)
-        assert after_grid[1] > 0
+        assert after_grid == caches()
+        assert after_grid[0] == 2 and after_grid[2] > 0
 
     def test_manifests_record_wall_time_and_rate(self, spec_file, tmp_path, capsys):
         axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60]})

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from platformsim import decisions, runner
 from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 BayesSupRule, BetaPrior, CISupFutRule,
-                                ComparisonRules, EstSupFutRule, FreqFutRule,
-                                FreqSupRule)
-from platformsim.decisions import (CONTINUE, FINAL, GO, INTERIM, STOP_FUTILITY,
-                                   UNSUCCESSFUL_MAX_N, ComparisonData, ComparisonOutcome,
-                                   combine, evaluate_cohort, rule_outcome)
+                                ComparisonRules, DecisionRuleSet, EstSupFutRule,
+                                FreqFutRule, FreqSupRule)
+from platformsim.decisions import (ARM_ORDER, COMPARISON_ARMS, CONTINUE, FINAL, GO, INTERIM,
+                                   STOP_FUTILITY, UNSUCCESSFUL_MAX_N, AnalysisPlan,
+                                   ComparisonData, ComparisonOutcome, combine,
+                                   evaluate_cohort)
 from platformsim.stats import TwoByTwo
 
 from conftest import any_comparison_rules
@@ -153,6 +154,11 @@ def comparison_rules(bayes_sup_margin=None, bayes_fut_conf=None, est=False):
     return ComparisonRules(**kwargs)
 
 
+def plan_of(stage_rules, prior=PRIOR):
+    """A plan whose interim and final stages both hold ``stage_rules``."""
+    return AnalysisPlan(DecisionRuleSet(tuple(stage_rules), tuple(stage_rules)), prior)
+
+
 def data_for(comparison, table):
     return ComparisonData(*table.cells(), comparison)
 
@@ -164,7 +170,7 @@ class TestCombine:
     def test_all_superior_is_go_at_interim(self):
         rules = self.all_sup_rules()
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == GO
 
     def test_any_futility_stops(self):
@@ -172,14 +178,14 @@ class TestCombine:
                       for _ in range(4))
         # one equal comparison trips its futility rule
         data = tuple(data_for(i, EQUAL if i == 4 else STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == STOP_FUTILITY
 
     def test_final_neither_is_unsuccessful(self):
         rules = self.all_sup_rules()
         weak = TwoByTwo(22, 28, 20, 30)  # too weak for the margin
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(rules, data, PRIOR, FINAL)
+        decision = evaluate_cohort(plan_of(rules), data, FINAL)
         assert decision.verdict == UNSUCCESSFUL_MAX_N
         assert "superiority criterion" in decision.note
 
@@ -187,7 +193,7 @@ class TestCombine:
         rules = self.all_sup_rules()
         weak = TwoByTwo(22, 28, 20, 30)
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
-        assert evaluate_cohort(rules, data, PRIOR, INTERIM).verdict == CONTINUE
+        assert evaluate_cohort(plan_of(rules), data, INTERIM).verdict == CONTINUE
 
     def test_simultaneous_go_and_stop_resolves_to_stop(self):
         # est rule with sup threshold == fut threshold fires both at RR = 1.5... no:
@@ -196,7 +202,7 @@ class TestCombine:
                                                             p_hat_fut=2.0),),),
                  ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, TwoByTwo(30, 20, 20, 30)),)  # RR 1.5: sup and fut both true
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == STOP_FUTILITY
         assert "conservative" in decision.note
 
@@ -204,14 +210,14 @@ class TestCombine:
         # futility-only interim rule set: strong data must CONTINUE, not GO
         rules = tuple(comparison_rules(bayes_fut_conf=0.60) for _ in range(4))
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        assert evaluate_cohort(rules, data, PRIOR, INTERIM).verdict == CONTINUE
+        assert evaluate_cohort(plan_of(rules), data, INTERIM).verdict == CONTINUE
 
     def test_absent_comparisons_skipped(self):
         # a comparison without rules adds no trace and cannot block GO
         rules = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                  ComparisonRules(), ComparisonRules())
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == GO
         assert [o.comparison for o in decision.comparisons] == [1, 2, 3, 4]
         assert [len(o.traces) for o in decision.comparisons] == [1, 0, 0, 0]
@@ -220,7 +226,7 @@ class TestCombine:
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = (data_for(1, STRONG), data_for(2, STRONG))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == GO
 
     @pytest.mark.parametrize("empty", [TwoByTwo(5, 5, 0, 0), TwoByTwo(0, 0, 5, 5),
@@ -232,13 +238,14 @@ class TestCombine:
                  ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG), data_for(2, empty))
         with pytest.raises(ValueError, match="comparison 2"):
-            evaluate_cohort(rules, data, PRIOR, INTERIM)
+            evaluate_cohort(plan_of(rules), data, INTERIM)
 
     def test_combine_permutation_invariant(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = tuple(data_for(i, EQUAL if i == 2 else STRONG) for i in range(1, 5))
-        outcomes = [rule_outcome(r, t.cells(), t.comparison, PRIOR) for r, t in zip(rules, data)]
+        plan = plan_of(rules)
+        outcomes = [plan.outcome(INTERIM, t.comparison, t.cells()) for t in data]
         verdict = combine(outcomes, INTERIM).verdict
         rng = random.Random(0)
         for _ in range(5):
@@ -250,11 +257,11 @@ class TestCombine:
         base = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                 ComparisonRules(), ComparisonRules())
         data = (data_for(1, TwoByTwo(26, 24, 20, 30)),)
-        base_verdict = evaluate_cohort(base, data, PRIOR, INTERIM).verdict
+        base_verdict = evaluate_cohort(plan_of(base), data, INTERIM).verdict
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup + (BayesSupRule(rows=((0.5, 0.99, 1.0),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        new_verdict = evaluate_cohort(extended, data, PRIOR, INTERIM).verdict
+        new_verdict = evaluate_cohort(plan_of(extended), data, INTERIM).verdict
         if base_verdict != GO:
             assert new_verdict != GO
 
@@ -262,12 +269,12 @@ class TestCombine:
         base = (comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60),
                 ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, EQUAL),)
-        assert evaluate_cohort(base, data, PRIOR, INTERIM).verdict == STOP_FUTILITY
+        assert evaluate_cohort(plan_of(base), data, INTERIM).verdict == STOP_FUTILITY
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup, bayes_fut=base[0].bayes_fut +
             (BayesFutRule(rows=((0.0, 0.01),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        assert evaluate_cohort(extended, data, PRIOR, INTERIM).verdict == STOP_FUTILITY
+        assert evaluate_cohort(plan_of(extended), data, INTERIM).verdict == STOP_FUTILITY
 
     def test_trace_complete_one_entry_per_rule(self):
         rules = (ComparisonRules(
@@ -281,7 +288,7 @@ class TestCombine:
             ci_sup_fut=(CISupFutRule("RR", 0.95, 1.2, 1.0),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG),)
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         kinds = sorted(t.kind for t in decision.traces)
         assert kinds == sorted(["bayes_sup", "bayes_fut", "bayes_sa_sup", "bayes_sa_fut",
                                 "freq_sup", "freq_fut", "est_sup_fut", "ci_sup_fut"])
@@ -290,14 +297,13 @@ class TestCombine:
         rules = tuple(ComparisonRules(
             bayes_sup=(BayesSupRule(rows=((0.0, 0.99999, 0.60),)),),) for _ in range(4))
         data = tuple(data_for(i, TwoByTwo(35, 15, 20, 30)) for i in range(1, 5))
-        decision = evaluate_cohort(rules, data, PRIOR, INTERIM)
+        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.promising
 
 
-# --- the per-run memo of comparison outcomes ----------------------------------
+# --- the analysis plan: analysed comparisons and the memo of outcomes ---------
 
-UNCACHED = rule_outcome.__wrapped__
 PRIORS = (PRIOR, BetaPrior(0.5, 0.5))  # uniform and Jeffreys
 _counts = st.integers(0, 120)
 TABLES = st.one_of(st.tuples(*[_counts] * 4),                          # integer cells
@@ -305,6 +311,7 @@ TABLES = st.one_of(st.tuples(*[_counts] * 4),                          # integer
                    st.tuples(*[st.integers(0, 12000).map(lambda k: k / 100)] * 4)  # fractional
                    ).filter(lambda c: c[0] + c[1] >= 1 and c[2] + c[3] >= 1)  # both arms enrolled
 ACTIVE_RULES = any_comparison_rules(max_per_kind=1).filter(lambda r: not r.empty)
+ARM_SETS = [tuple(a for i, a in enumerate(ARM_ORDER) if mask >> i & 1) for mask in range(16)]
 
 
 def assert_same_outcome(got, want):
@@ -313,23 +320,56 @@ def assert_same_outcome(got, want):
         assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
 
 
+class TestPlanComparisons:
+    @given(st.lists(any_comparison_rules(max_per_kind=1), min_size=8, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_comparisons_match_their_definition(self, rules):
+        plan = AnalysisPlan(DecisionRuleSet(tuple(rules[:4]), tuple(rules[4:])), PRIOR)
+        for stage, stage_rules in ((INTERIM, rules[:4]), (FINAL, rules[4:])):
+            for arms in ARM_SETS:
+                got = plan.comparisons(arms, stage)
+                # both arms in the cohort and at least one rule configured
+                assert got == tuple(c for c in (1, 2, 3, 4)
+                                    if set(COMPARISON_ARMS[c]) <= set(arms)
+                                    and len(list(stage_rules[c - 1])) > 0)
+                assert plan.comparisons(arms, stage) is got  # derived once
+
+
 class TestMemo:
     @given(st.lists(ACTIVE_RULES, min_size=2, max_size=2), TABLES)
     @settings(max_examples=60, deadline=None)
     def test_memo_gives_each_input_its_own_uncached_outcome(self, stage_rules, cells):
-        # the same cells under another stage's rules, comparison or prior
-        rule_outcome.cache_clear()
-        inputs = [(rules, comp, prior) for rules in stage_rules
-                  for comp in (1, 4) for prior in PRIORS]
-        first = [rule_outcome(rules, cells, comp, prior) for rules, comp, prior in inputs]
-        for (rules, comp, prior), got in zip(inputs, first):
-            assert_same_outcome(got, UNCACHED(rules, cells, comp, prior))
-            assert rule_outcome(rules, cells, comp, prior) is got
-            # integer cells and their float values share one entry: the
-            # outcome is the same to the bit either way
-            as_float = tuple(float(c) for c in cells)
-            assert_same_outcome(rule_outcome(rules, as_float, comp, prior),
-                                UNCACHED(rules, as_float, comp, prior))
+        # the same cells at the other stage, comparison or prior: each plan
+        # answers from its own rules and prior, with every plan warm
+        first_rules, second_rules = ((r,) * 4 for r in stage_rules)
+        plans = [AnalysisPlan(DecisionRuleSet(*stages), prior) for prior in PRIORS
+                 for stages in ((first_rules, second_rules), (second_rules, first_rules))]
+        inputs = [(stage, comp) for stage in (INTERIM, FINAL) for comp in (1, 4)]
+        first = [[plan.outcome(stage, comp, cells) for stage, comp in inputs] for plan in plans]
+        for plan, outcomes in zip(plans, first):
+            for (stage, comp), got in zip(inputs, outcomes):
+                assert_same_outcome(got, plan.outcome.__wrapped__(stage, comp, cells))
+                rules = plan.rules.for_stage(stage)[comp - 1]
+                want = tuple(rule.evaluate(TwoByTwo(*cells), plan.prior, comp) for rule in rules)
+                assert repr(got.traces) == repr(want)
+                assert plan.outcome(stage, comp, cells) is got
+                # integer cells and their float values share one entry: the
+                # outcome is the same to the bit either way
+                as_float = tuple(float(c) for c in cells)
+                assert_same_outcome(plan.outcome(stage, comp, as_float),
+                                    plan.outcome.__wrapped__(stage, comp, as_float))
+
+    def test_plans_do_not_share_outcomes(self):
+        # the key leaves rules and prior out: another plan's entry must never answer
+        rules = (comparison_rules(bayes_sup_margin=0.10),) * 4
+        other = (comparison_rules(bayes_sup_margin=0.30),) * 4
+        cells = TwoByTwo(30, 20, 20, 30).cells()
+        base = AnalysisPlan(DecisionRuleSet(rules, rules), PRIOR).outcome(INTERIM, 1, cells)
+        for plan in (AnalysisPlan(DecisionRuleSet(rules, rules), BetaPrior(0.5, 0.5)),
+                     AnalysisPlan(DecisionRuleSet(other, rules), PRIOR)):
+            got = plan.outcome(INTERIM, 1, cells)
+            assert repr(got.traces) != repr(base.traces)
+            assert_same_outcome(got, plan.outcome.__wrapped__(INTERIM, 1, cells))
 
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS), st.floats(0.0, 1.0),
            st.integers(0, 60), st.integers(0, 60))
@@ -342,10 +382,8 @@ class TestMemo:
         for rule in rules:
             assert repr(rule.evaluate(shared, prior, 2)) == repr(rule.evaluate(bare, prior, 2))
         stage = (ComparisonRules(), rules, ComparisonRules(), ComparisonRules())
-        rule_outcome.cache_clear()
-        (with_pool,) = evaluate_cohort(stage, (shared,), prior, INTERIM).comparisons
-        rule_outcome.cache_clear()
-        (bare_outcome,) = evaluate_cohort(stage, (bare,), prior, INTERIM).comparisons
+        (with_pool,) = evaluate_cohort(plan_of(stage, prior), (shared,), INTERIM).comparisons
+        (bare_outcome,) = evaluate_cohort(plan_of(stage, prior), (bare,), INTERIM).comparisons
         assert_same_outcome(with_pool, bare_outcome)
 
     def test_each_run_starts_cold(self, example_spec, monkeypatch):
@@ -363,6 +401,8 @@ class TestMemo:
         platform = dataclasses.replace(example_spec.platform, sharing_type="dynamic",
                                        sr_drugs_pos=math.inf)
         runner.run_ocs(dataclasses.replace(example_spec, platform=platform), 500, 3)
-        info = rule_outcome.cache_info()
+        scenario_index, plan = runner._current
+        assert scenario_index == 0
+        info = plan.outcome.cache_info()
         assert info.misses > info.maxsize  # the bound was reached
         assert info.currsize <= info.maxsize

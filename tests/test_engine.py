@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
                                 IdentityTransform, parse_scenario)
-from platformsim.decisions import COMPARISON_ARMS
+from platformsim.decisions import COMPARISON_ARMS, AnalysisPlan
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
@@ -18,6 +18,7 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 ARM_ORDER, SHARED_ARMS, CohortState, assemble_analysis_data,
                                 classify_decision, cum_pair_probs, draw_blocks,
                                 simulate_trial)
+from platformsim.reporting import dump_trajectory
 from platformsim.runner import derive_rng
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
@@ -295,6 +296,19 @@ class TestSimulateTrial:
         a = simulate_trial(spec, derive_rng(9, 0, 0))
         b = simulate_trial(spec, derive_rng(9, 0, 0))
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+    @pytest.mark.parametrize("sharing", ["cohort", "dynamic"])
+    def test_warm_plan_cannot_change_a_trajectory(self, example_spec, sharing):
+        # the memo keys on (stage, comparison, cells): an outcome that read
+        # anything else would differ between a warm and a fresh plan
+        spec = dataclasses.replace(example_spec, platform=dataclasses.replace(
+            example_spec.platform, sharing_type=sharing))
+        warm = AnalysisPlan(spec.rules, spec.prior)
+        for k in range(30):
+            fresh = AnalysisPlan(spec.rules, spec.prior)
+            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k), warm)) == \
+                dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k), fresh))
+        assert warm.outcome.cache_info().hits > 0
 
     def test_sr_drugs_pos_closes_entry_after_first_go(self):
         # strong effects so successes happen; no SoC comparisons
