@@ -106,11 +106,13 @@ class TestProbGreaterByMargin:
         total = prob_greater_by_margin(x, y, 0.0) + prob_greater_by_margin(y, x, 0.0)
         assert total == pytest.approx(1.0, abs=2e-6)
 
-    # below delta = 2^-53, 1 - delta rounds to 1: the cut at y = 1 - delta must come
-    # from delta itself.  With a_X = a_Y = 1 the probability is
-    # int_delta^1 b_Y u^(b_Y - 1) (u - delta)^b_X du, here by mpmath at 40 digits
+    # 1 - delta is inexact relative to a small delta, and rounds to 1 below 2^-53: the
+    # cut at y = 1 - delta must come from delta itself.  With a_X = a_Y = 1 the probability
+    # is int_delta^1 b_Y u^(b_Y - 1) (u - delta)^b_X du, here by mpmath at 40 digits
     @pytest.mark.parametrize("delta, want", [(1.3313743372930965e-21, 0.666583683246406),
-                                             (1e-17, 0.666224399145938)])
+                                             (1e-17, 0.666224399145938),
+                                             (1e-16, 0.665985607179882),
+                                             (1e-14, 0.665051620107714)])
     def test_margin_below_double_resolution(self, delta, want):
         p = prob_greater_by_margin(PosteriorBeta(1.0, 0.0625), PosteriorBeta(1.0, 0.125), delta)
         assert p == pytest.approx(want, abs=1e-6)
@@ -131,7 +133,8 @@ class TestProbGreaterByMargin:
     @given(st.integers(1, 300), shapes(3000.0), shapes(3000.0), shapes(3000.0))
     @settings(max_examples=300, deadline=None)
     def test_matches_cook_exact_sum(self, ax, bx, ay, by):
-        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        # the quadrature itself: at margin 0 the public function may take Cook's sum
+        p = stats._quadrature(float(ax), bx, ay, by, 0.0)
         assert p == pytest.approx(cook_prob_greater(ax, bx, ay, by), abs=1e-6)
 
     def test_cook_sum_closed_form(self):
@@ -140,15 +143,72 @@ class TestProbGreaterByMargin:
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         args = (1.0, 20.0, 0.5, 45.5, 0.0)  # needs 8 panels
-        x, y = PosteriorBeta(1.0, 20.0), PosteriorBeta(0.5, 45.5)
-        stats._prob_greater_cached.cache_clear()
         monkeypatch.setattr(stats, "_MAX_PANELS", 4)
         with pytest.raises(QuadratureError) as info:
-            prob_greater_by_margin(x, y, 0.0)
+            stats._quadrature(*args)
         assert info.value.args == args
         monkeypatch.setattr(stats, "_MAX_PANELS", 8)
-        assert prob_greater_by_margin(x, y, 0.0) == pytest.approx(
+        assert stats._quadrature(*args) == pytest.approx(
             cook_prob_greater(1, 20.0, 0.5, 45.5), abs=1e-6)
+
+
+class TestExactZeroMargin:
+    """At margin 0, an integer shape of at most _COOK_MAX_TERMS gives P(X > Y) as
+    Cook's finite sum; everything else is left to the quadrature."""
+
+    # one shape an integer in each case, in the order a_X, b_Y, a_Y, b_X; the
+    # reference is int f_Y(y) (1 - I_y(a_X, b_X)) dy by mpmath at 40 digits
+    @pytest.mark.parametrize("args, want", [((7.0, 12.3, 5.4, 9.7), 0.51601374770410793),
+                                            ((6.2, 11.5, 3.3, 14.0), 0.86726779433978368),
+                                            ((8.6, 4.1, 9.0, 7.3), 0.76397409028941918),
+                                            ((3.7, 15.0, 2.9, 10.4), 0.45347522008089893)])
+    def test_each_integer_shape(self, args, want, monkeypatch):
+        monkeypatch.setattr(stats, "_quadrature", _must_not_run)
+        stats._prob_greater_cached.cache_clear()
+        ax, bx, ay, by = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        assert p == pytest.approx(want, abs=1e-10)
+
+    @given(st.integers(1, stats._COOK_MAX_TERMS), st.integers(0, 3),
+           shapes(3000.0), shapes(3000.0), shapes(3000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quadrature(self, k, where, s1, s2, s3):
+        shape = [s1, s2, s3]
+        shape.insert(where, float(k))
+        ax, bx, ay, by = shape
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        assert p == pytest.approx(stats._quadrature(ax, bx, ay, by, 0.0), abs=1e-6)
+
+    @pytest.mark.parametrize("args", [(stats._COOK_MAX_TERMS + 1.0, 2.5, 3.5, 4.5),
+                                      (2.5, 3.5, 4.5, stats._COOK_MAX_TERMS + 1.0),
+                                      (1e9 + 5, 1e9 + 10, 1e9 + 3, 1e9 + 12)])
+    def test_too_many_terms_left_to_quadrature(self, args, monkeypatch):
+        monkeypatch.setattr(stats, "_cook", _must_not_run)
+        stats._prob_greater_cached.cache_clear()
+        ax, bx, ay, by = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        assert p == stats._quadrature(*args, 0.0)
+
+    def test_large_shapes_do_not_underflow(self):
+        # term 0 alone, B(3000, 6000) / B(3000, 3000), is below the smallest double
+        assert stats._cook(3000.0, 3000.0, 3000.0, 3000.0) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("args", [(7.5, 12.3, 5.4, 9.7, 0.0), (0.5, 20.5, 0.5, 60.5, 0.0),
+                                      (7.0, 12.0, 5.0, 9.0, 0.1), (7.0, 12.0, 5.0, 9.0, -0.1),
+                                      (1.0, 1.0, 1.0, 1.0, 1e-16), (2.0, 2.0, 2.0, 2.0, -1.0)])
+    def test_fractional_shapes_and_margins_take_quadrature(self, args, monkeypatch):
+        monkeypatch.setattr(stats, "_cook", _must_not_run)
+        stats._prob_greater_cached.cache_clear()
+        seen = []
+        quadrature = stats._quadrature
+        monkeypatch.setattr(stats, "_quadrature", lambda *a: seen.append(a) or quadrature(*a))
+        ax, bx, ay, by, delta = args
+        prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert seen == [args]
+
+
+def _must_not_run(*args):
+    raise AssertionError(f"unexpected call with {args}")
 
 
 class TestProbExceeds:
