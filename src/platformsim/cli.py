@@ -9,8 +9,8 @@ Subcommands:
 ``ocs`` and ``grid`` both go through the one scheduler,
 ``runner.run_grid``: a grid is one job of (scenario, chunk) tasks on one
 pool, and each scenario's outputs and ``grid_results.csv`` row are written
-as soon as its last chunk is in.  Each scenario starts cold: one new
-``decisions.AnalysisPlan`` per process, and an empty kernel cache.
+as soon as its last chunk is in.  The one analysis cache, ``decisions.plan_for``
+(one plan per (rules, prior) per process), is emptied when a run starts.
 Progress lines on stderr give the rate and an ETA over the whole job; the
 manifests record wall time and trials/s, never the OC files.
 

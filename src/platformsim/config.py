@@ -75,7 +75,7 @@ _PROB_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite support distribution; ``probs`` must sum to 1."""
+    """Finite support distribution (rates, effects or transforms); ``probs`` sum to 1."""
 
     values: tuple[float, ...]
     probs: tuple[float, ...] = param(lo=0.0)
@@ -83,9 +83,8 @@ class DiscreteDist:
     def __post_init__(self):
         object.__setattr__(self, "_cum", tuple(itertools.accumulate(self.probs)))
 
-    def sample(self, rng) -> float:
-        u = rng.random()
-        i = bisect.bisect_right(self._cum, u)
+    def sample(self, rng):
+        i = bisect.bisect_right(self._cum, rng.random())
         return self.values[min(i, len(self.values) - 1)]
 
     @classmethod
@@ -154,14 +153,11 @@ class EndpointModel:
         param((IdentityTransform(),), kinds=TRANSFORM_KINDS)
     probs: tuple[float, ...] = param((1.0,), lo=0.0)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_dist", DiscreteDist(self.transforms, self.probs))
+
     def sample_transform(self, rng):
-        u = rng.random()
-        acc = 0.0
-        for t, p in zip(self.transforms, self.probs):
-            acc += p
-            if u < acc:
-                return t
-        return self.transforms[-1]
+        return self._dist.sample(rng)
 
 
 @dataclass(frozen=True)

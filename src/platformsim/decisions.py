@@ -5,8 +5,8 @@ Rule protocol: each rule kind is one frozen dataclass deriving from
 declares their valid values, and class attributes declare its YAML key
 (``key``, also the trace ``kind``), whether it reads only the numerator
 arm's own counts (``single_arm``) and whether it can declare superiority.
-``evaluate(t, prior, comparison)`` returns its :class:`RuleTrace` from the
-comparison's :class:`ComparisonData` record ``t``; ``conflicts(rules)``
+``evaluate(t, prior)`` returns its :class:`RuleTrace` from the 2x2 table
+``t`` (a :class:`ComparisonData` record in a run); ``conflicts(rules)``
 warns about GO/STOP regions it shares with the other rules of its
 comparison.  Adding a rule kind takes one such class plus one
 ``config.ComparisonRules`` field named after its key (the field order is the
@@ -14,11 +14,13 @@ evaluation and trace order).
 
 Everything one scenario analyses lives in its :class:`AnalysisPlan`: each
 stage's rules, the prior, the comparisons each arm set analyses and the memo
-of comparison outcomes.  An outcome is a pure function of (rules, the 2x2
-cells, comparison, prior) and the plan fixes rules and prior, so the memo
-keys on (stage, comparison, cells); a repeated input returns the same frozen
-object.  ``runner`` builds one plan per scenario and process.  Each record
-given to :func:`evaluate_cohort` has at least one patient on both arms.
+of outcomes, the one cache of analysis results.  An outcome is a pure
+function of (a comparison's rules, the 2x2 cells, prior), so the memo keys on
+(the index of the rules among the plan's distinct ones, cells): equal rules
+on two comparisons or stages share entries.  Outcomes carry no comparison:
+``decision.comparisons[i]`` belongs to ``data[i]``.  :func:`plan_for` holds
+one plan per (rules, prior) per process, emptied when a run starts.  Each
+record given to :func:`evaluate_cohort` has a patient on both arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing
@@ -79,7 +81,6 @@ class RuleTrace:
     threshold.  ``satisfied`` is the rule's primary condition (superiority
     for GO-capable rules, futility for STOP-only rules)."""
 
-    comparison: int
     kind: str
     statistic: tuple[float, ...]
     threshold: tuple[float, ...]
@@ -135,11 +136,11 @@ class BayesSupRule(_BayesRows):
     rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
                                                          columns=(_MARGIN, _CONF, _PROM))
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         probs = self.probs(t, prior)
         superior = all(p > conf for p, (_, conf, _) in zip(probs, self.rows))
         promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, self.rows))
-        return RuleTrace(comparison, self.key, probs, tuple(c for _, c, _ in self.rows),
+        return RuleTrace(self.key, probs, tuple(c for _, c, _ in self.rows),
                          satisfied=superior, superior=superior, promising=promising)
 
     def conflicts(self, rules):
@@ -157,10 +158,10 @@ class BayesFutRule(_BayesRows):
     key = "bayes_fut"
     rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_MARGIN, _CONF))
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         probs = self.probs(t, prior)
         futile = all(p < conf for p, (_, conf) in zip(probs, self.rows))
-        return RuleTrace(comparison, self.key, probs, tuple(c for _, c in self.rows),
+        return RuleTrace(self.key, probs, tuple(c for _, c in self.rows),
                          satisfied=futile, futile=futile)
 
 
@@ -200,12 +201,12 @@ class FreqSupRule(Rule):
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         p = one_sided_prop_test(t, correct=self.correct)
         half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
         superior = p < self.p_sup * half
         promising = (not superior) and p < self.p_prom * half
-        return RuleTrace(comparison, self.key, (p,), (self.p_sup * half,),
+        return RuleTrace(self.key, (p,), (self.p_sup * half,),
                          satisfied=superior, superior=superior, promising=promising)
 
 
@@ -219,11 +220,11 @@ class FreqFutRule(Rule):
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         p = one_sided_prop_test(t, correct=self.correct)
         half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
         futile = p >= self.p_fut * half
-        return RuleTrace(comparison, self.key, (p,), (self.p_fut * half,),
+        return RuleTrace(self.key, (p,), (self.p_fut * half,),
                          satisfied=futile, futile=futile)
 
 
@@ -239,12 +240,12 @@ class EstSupFutRule(Rule):
     p_hat_fut: float = param(inf=True)
     p_hat_prom: float = param(math.inf, inf=True)
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         e = point_estimate(t, self.est)
         superior = e >= self.p_hat_sup
         futile = e <= self.p_hat_fut
         promising = (not superior) and e >= self.p_hat_prom
-        return RuleTrace(comparison, self.key, (e,), (self.p_hat_sup, self.p_hat_fut),
+        return RuleTrace(self.key, (e,), (self.p_hat_sup, self.p_hat_fut),
                          satisfied=superior, superior=superior, futile=futile, promising=promising)
 
     def conflicts(self, rules):
@@ -267,12 +268,12 @@ class CISupFutRule(Rule):
     upper_fut: float = param(inf=True)
     lower_prom: float = param(math.inf, inf=True)
 
-    def evaluate(self, t, prior, comparison):
+    def evaluate(self, t, prior):
         lo, hi = ci(t, self.est, self.level)
         superior = hi >= self.lower_sup
         futile = lo <= self.upper_fut
         promising = (not superior) and hi >= self.lower_prom
-        return RuleTrace(comparison, self.key, (lo, hi), (self.lower_sup, self.upper_fut),
+        return RuleTrace(self.key, (lo, hi), (self.lower_sup, self.upper_fut),
                          satisfied=superior, superior=superior, futile=futile, promising=promising)
 
 
@@ -281,7 +282,6 @@ class CISupFutRule(Rule):
 
 @dataclass(frozen=True)
 class ComparisonOutcome:
-    comparison: int
     superior: bool      # all sup-capable rules satisfied (and at least one present)
     futile: bool        # any futility-capable rule fired
     promising: bool     # every sup-capable rule superior or promising
@@ -303,10 +303,14 @@ class CohortDecision:
 
 
 class AnalysisPlan:
-    """One scenario's ``rules``, ``prior``, ``comparisons`` and ``outcome`` memo."""
+    """One scenario's ``rules``, ``prior``, ``comparisons``, ``rule_ids`` and ``outcome`` memo."""
 
     def __init__(self, rules: DecisionRuleSet, prior: BetaPrior):
         self.rules, self.prior = rules, prior
+        stages = (rules.interim, rules.final)
+        distinct = list(dict.fromkeys(r for stage in stages for r in stage))
+        #: stage -> the index of comparison c's rules among the distinct ones, at c - 1
+        self.rule_ids = {s: tuple(map(distinct.index, r)) for s, r in zip((INTERIM, FINAL), stages)}
 
         # closures, not methods: a dropped plan frees its memo without a cycle
         @cache
@@ -316,25 +320,31 @@ class AnalysisPlan:
             return tuple(c for c, (num, den) in COMPARISON_ARMS.items()
                          if num in arms and den in arms and not stage_rules[c - 1].empty)
 
-        # 768 keeps cohort_long at 92% hits in about 0.6 MB; 640 would sit at the 90% line
-        @lru_cache(maxsize=768)
-        def outcome(stage: str, comparison: int, cells: tuple[float, ...]) -> ComparisonOutcome:
-            """Every configured rule of ``comparison`` at ``stage`` on the 2x2
-            table ``cells``, in field order; both arms must hold a patient."""
+        # kernel computations on dynamic_share (seed 7): 10,488 at 768 entries, 9,512 at
+        # 2,048 and 9,126 at 4,096; an entry holds about 0.9 KB, and at 4,096 the peak RSS
+        # of grid_pool (where one plan serves a worker's whole grid) rose 6%
+        @lru_cache(maxsize=2048)
+        def outcome(rule_id: int, cells: tuple[float, ...]) -> ComparisonOutcome:
+            """Every configured rule of the rules ``rule_id`` on the 2x2 table
+            ``cells``, in field order; both arms must hold a patient."""
             t = TwoByTwo(*cells)
             if t.n_t < 1.0 or t.n_c < 1.0:
-                raise ValueError(f"comparison {comparison}: an arm of the table {cells} "
-                                 f"holds fewer than one patient")
-            comp_rules = rules.for_stage(stage)[comparison - 1]
-            traces = tuple(rule.evaluate(t, prior, comparison) for rule in comp_rules)
+                raise ValueError(f"an arm of the table {cells} holds fewer than one patient")
+            comp_rules = distinct[rule_id]
+            traces = tuple(rule.evaluate(t, prior) for rule in comp_rules)
             sup = [s for s, rule in zip(traces, comp_rules) if rule.superiority]
             return ComparisonOutcome(
-                comparison, superior=bool(sup) and all(s.superior for s in sup),
+                superior=bool(sup) and all(s.superior for s in sup),
                 futile=any(s.futile for s in traces),
                 promising=bool(sup) and all(s.superior or s.promising for s in sup),
                 n_sup_rules=len(sup), traces=traces)
 
         self.comparisons, self.outcome = comparisons, outcome
+
+
+#: ``plan_for(rules, prior)``: the plan of the rules and prior this process runs, kept
+#: until other ones come or ``runner.run_grid`` empties it when a run starts
+plan_for = lru_cache(maxsize=1)(AnalysisPlan)
 
 
 def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision:
@@ -370,5 +380,7 @@ def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision
 def evaluate_cohort(plan: AnalysisPlan, data: Sequence[ComparisonData],
                     stage: str) -> CohortDecision:
     """Evaluate one cohort at one stage: every record of ``data`` under its
-    comparison's rules in ``plan``, folded into one verdict."""
-    return combine([plan.outcome(stage, t.comparison, t.cells()) for t in data], stage)
+    comparison's rules in ``plan``, folded into one verdict whose
+    ``comparisons[i]`` belongs to ``data[i]``."""
+    rule_ids = plan.rule_ids[stage]
+    return combine([plan.outcome(rule_ids[t.comparison - 1], t.cells()) for t in data], stage)

@@ -35,19 +35,10 @@ def apply_effect(base: float, gamma: float, scale: str) -> float:
     """Apply a relative effect to a base rate on the given scale.
 
     risk_difference adds, risk_ratio multiplies, odds_ratio multiplies the
-    odds; additive/multiplicative results are clamped into [0, 1].  A base
-    rate of 1 has infinite odds, so any odds-ratio effect leaves it at 1.
+    odds; the result is clamped into [0, 1].  A base rate of 1 has infinite
+    odds, so any odds-ratio effect leaves it at 1.
     """
-    if scale == "risk_difference":
-        return min(1.0, max(0.0, base + gamma))
-    if scale == "risk_ratio":
-        return min(1.0, max(0.0, base * gamma))
-    if scale == "odds_ratio":
-        if base >= 1.0:
-            return 1.0
-        odds = base / (1.0 - base) * gamma
-        return odds / (1.0 + odds)
-    raise ValueError(f"unknown effect scale {scale!r}")
+    return min(1.0, max(0.0, _raw_effect(base, gamma, scale)))
 
 
 def draw_cohort_truth(spec: EfficacySpec, rng) -> CohortTruth:
@@ -87,7 +78,12 @@ def _raw_effect(base: float, gamma: float, scale: str) -> float:
         return base + gamma
     if scale == "risk_ratio":
         return base * gamma
-    return apply_effect(base, gamma, "odds_ratio")
+    if scale == "odds_ratio":
+        if base >= 1.0:
+            return 1.0
+        odds = base / (1.0 - base) * gamma
+        return odds / (1.0 + odds)
+    raise ValueError(f"unknown effect scale {scale!r}")
 
 
 def exceeds_by_margin(x: float, y: float, margin: float, scale: str, strict: bool = True) -> bool:

@@ -26,8 +26,9 @@ pool is the difference of two tallies.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
-comparisons and outcome memo come from the scenario's ``AnalysisPlan``, which
-``runner`` shares across the trials one process runs of that scenario.
+comparisons and outcome memo come from ``decisions.plan_for``: one plan per
+(rules, prior) per process, emptied when a run starts.  An analysis's
+``decision.comparisons[i]`` belongs to its ``data[i]``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from .config import ScenarioSpec
 from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
-                        UNSUCCESSFUL_MAX_N, AnalysisPlan, CohortDecision, ComparisonData,
-                        evaluate_cohort)
+                        UNSUCCESSFUL_MAX_N, CohortDecision, ComparisonData, evaluate_cohort,
+                        plan_for)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from .stats import TwoByTwo, one_sided_prop_test
 
@@ -316,10 +317,10 @@ def classify_decision(cohort_status: str, truth_class: str) -> str | None:
 class _Platform:
     """Mutable platform state for one trial."""
 
-    def __init__(self, spec: ScenarioSpec, rng, plan: AnalysisPlan):
+    def __init__(self, spec: ScenarioSpec, rng):
         self.spec = spec
         self.rng = rng
-        self.plan = plan
+        self.plan = plan_for(spec.rules, spec.prior)
         self.patient_counter = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
@@ -452,8 +453,8 @@ class _Platform:
             cohort.has_interim = True
 
         # platform flags for post-success SoC omission in new cohorts
-        for outcome in decision.comparisons:
-            num, den = COMPARISON_ARMS[outcome.comparison]
+        for t, outcome in zip(data, decision.comparisons):
+            num, den = COMPARISON_ARMS[t.comparison]
             if outcome.superior and den == "soc":
                 self.mono_vs_soc_sup = True
                 self.back_vs_soc_sup |= num == "mono_b"
@@ -522,10 +523,9 @@ class _Platform:
             self.next_entry = math.inf
 
 
-def simulate_trial(spec: ScenarioSpec, rng, plan: AnalysisPlan | None = None) -> TrialResult:
+def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
     """Simulate one platform-trial trajectory to completion.
 
-    ``plan`` is ``spec``'s analysis plan, new when omitted; it only saves work.
     Identical (spec, generator state) pairs produce identical results.  The
     generator is consumed in a fixed documented order (random stream
     ``STREAM_VERSION`` = 2):
@@ -541,7 +541,7 @@ def simulate_trial(spec: ScenarioSpec, rng, plan: AnalysisPlan | None = None) ->
       new cohort's opening draws, then the next entry waiting time (if a
       cohort can still enter).
     """
-    state = _Platform(spec, rng, plan or AnalysisPlan(spec.rules, spec.prior))
+    state = _Platform(spec, rng)
     p = spec.platform
     for _ in range(p.initial_cohorts):
         state.open_cohort()

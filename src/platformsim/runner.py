@@ -11,11 +11,10 @@ worker), merges each scenario's accumulators and yields its OCs as soon as
 its last chunk is in.  :func:`run_ocs` is its one-scenario case.  Tasks
 carry the scenario object itself (pickled, not re-parsed from a dict).
 
-Cache scope is one scenario of one run, held by its ``decisions.AnalysisPlan``:
-a process builds a new plan, and empties the kernel cache
-(``stats._prob_greater_cached``), when it starts a scenario it did not just
-run, and every run drops both before any pool is forked.  The caches only
-save work; their scope cannot change a result.
+The one analysis cache, ``decisions.plan_for``, keeps one plan per (rules,
+prior) per process, shared by a grid's scenarios with equal ones.  Every run
+empties it before any pool is forked, so each run and pool worker starts
+cold.  The plan's memo only saves work; its scope cannot change a result.
 """
 
 from __future__ import annotations
@@ -29,13 +28,9 @@ import numpy as np
 
 from . import reporting
 from .config import ScenarioSpec
-from .decisions import AnalysisPlan
+from .decisions import plan_for
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
-from .stats import _prob_greater_cached
-
-#: (scenario index, its plan) of the scenario this process ran last
-_current: tuple[int, AnalysisPlan] | None = None
 
 
 def derive_rng(master_seed: int, scenario_index: int, iteration_index: int) -> np.random.Generator:
@@ -53,15 +48,10 @@ def _run_range(spec: ScenarioSpec, scenario_index: int, start: int, count: int,
                master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
     """Simulate iterations ``start .. start+count-1``; the first ``dump_first``
     iterations of the run are also dumped to ``dump_dir``."""
-    global _current
-    if _current is None or _current[0] != scenario_index:
-        _prob_greater_cached.cache_clear()
-        _current = (scenario_index, AnalysisPlan(spec.rules, spec.prior))
-    plan = _current[1]
     acc = TrialAccumulator()
     cohorts_max = spec.platform.cohorts_max
     for k in range(start, start + count):
-        result = simulate_trial(spec, derive_rng(master_seed, scenario_index, k), plan)
+        result = simulate_trial(spec, derive_rng(master_seed, scenario_index, k))
         if dump_dir is not None and k < dump_first:
             reporting.write_trajectory(
                 os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
@@ -105,9 +95,7 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
     tasks = [(spec, scenario_index + i, start, min(chunk, iterations - start),
               master_seed, dump_first, dump_dir)
              for i, spec in enumerate(specs) for start in range(0, iterations, chunk)]
-    global _current
-    _current = None  # before any fork, so no worker inherits a warm plan or kernel cache
-    _prob_greater_cached.cache_clear()
+    plan_for.cache_clear()  # before any fork, so no worker inherits a warm plan
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
         if pool is None:
@@ -139,7 +127,7 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
 
     The result is identical for every ``workers`` value; parallel workers
     only change wall-clock time.  Every run, and every pool worker, starts
-    with a new analysis plan and the kernel cache empty.
+    with a new analysis plan.
     """
     (ocs,) = run_grid([spec], iterations, master_seed, workers, scenario_index,
                       dump_first, dump_dir, progress)

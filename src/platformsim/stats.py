@@ -4,12 +4,12 @@ count tables.
 
 Everything here is pure and deterministic (never Monte Carlo), so decisions
 cannot depend on thread count or scheduling.  The posterior comparison
-P(X > Y + delta) has a contract of 1e-6 absolute for any Beta shapes > 0
-(checked from 1e-4 to 5000).  At margin 0 with an integer shape of at most
-140 it is Cook's exact finite sum over that shape.  Otherwise it is adaptive
-composite Gauss-Legendre quadrature: it integrates over a logit, where no
-shape leaves an unbounded slope, with an end map for the kink a margin
-leaves, and raises QuadratureError rather than return an unconverged value.
+P(X > Y + delta) is Cook's exact sum or an adaptive quadrature, to 1e-6
+absolute for Beta shapes in (0, 2e9]; it raises QuadratureError rather than
+return an unconverged value or take a larger shape.  No result is cached
+here: the one cache of analysis results is the outcome memo of the plan
+``decisions.plan_for`` keeps, one per (rules, prior) per process, emptied
+when a run starts.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 class QuadratureError(ArithmeticError):
-    """No two successive panel levels of ``prob_greater_by_margin`` agreed by
-    ``_MAX_PANELS``; ``args`` holds its five arguments (a_X, b_X, a_Y, b_Y, delta)."""
+    """``prob_greater_by_margin`` got a shape above 2e9, or no two successive panel
+    levels agreed by ``_MAX_PANELS``; ``args`` is (a_X, b_X, a_Y, b_Y, delta)."""
 
 
 # 32-point Gauss-Legendre nodes/weights on [-1, 1]
@@ -85,9 +85,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _QUAD_TOL = 5e-8  # coarse pairs of estimates can agree to 5e-7 while 3e-6 off
 _MAX_PANELS = 512
 _TAIL = 1e-10  # Y mass each cut-off logit tail may hold
+# Above this shape or sum of shapes (far above a trial's counts) lgamma differences lose
+# digits, and the tail bounds can reach past 80 SDs of logit(Y): so narrow a posterior can
+# fall between the coarse passes' nodes, which then agree on about 0
+_LARGE = 1e4
+_SPREAD = 80.0  # the z-window's half-width there, in SDs of logit(Y)
+_MAX_SHAPE = 2e9  # identical posteriors give 0.5 to 2.4e-7 up to here, 1.2e-6 off at 1e10
 # Cook's sum costs about 0.55 us a term and the quadrature 75-100 us a call at shapes
 # near 150 (CPython 3.11, one core of a shared 2-vCPU host): they break even near 140
 _COOK_MAX_TERMS = 140
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @lru_cache(maxsize=64)
@@ -131,15 +138,18 @@ def _quadrature(ax: float, bx: float, ay: float, by: float, delta: float) -> flo
     lo, hi = max(0.0, -delta), min(1.0, 1.0 - delta)
     # all mass with Y <= -delta wins outright (X > Y + delta always)
     prob = float(special.betainc(ay, by, min(1.0, -delta))) if delta < 0.0 else 0.0
-    lnorm = math.lgamma(ay) + math.lgamma(by) - math.lgamma(ay + by)
+    lnorm = _log_beta(ay, by)
     # logit(Y) has tails below e^(a z) / (a B) and e^(-b z) / (b B): cut at _TAIL
     zl = max(special.logit(lo), (math.log(_TAIL * ay) + lnorm) / ay)
     # logit(1 - delta) from delta itself: 1 - delta is inexact relative to a small delta
     cut = math.log1p(-delta) - math.log(delta) if 0.0 < delta < 1.0 else special.logit(hi)
     zr = min(cut, -(math.log(_TAIL * by) + lnorm) / by)
     if delta >= 0.0:  # then 1 - x <= e^(-z), and S_X(x) falls below about e^(-b z) / (b B)
-        lnorm_x = math.lgamma(ax) + math.lgamma(bx) - math.lgamma(ax + bx)
-        zr = min(zr, -(math.log(_TAIL * bx) + lnorm_x) / bx)
+        zr = min(zr, -(math.log(_TAIL * bx) + _log_beta(ax, bx)) / bx)
+    if ay + by > _LARGE:  # logit(Y) is log-concave: beyond K SDs lies under e^(1 - K) of it
+        mean = special.digamma(ay) - special.digamma(by)
+        spread = _SPREAD * math.sqrt(special.zeta(2.0, ay) + special.zeta(2.0, by))  # trigamma
+        zl, zr = max(zl, mean - spread), min(zr, mean + spread)
     if lo < hi and zl < zr:
         # at a cut end S_X has a term in x^a_X or (1 - x)^b_X; t^2 smooths a fractional power
         p = 2 if delta < 0.0 and not ax.is_integer() else 1
@@ -157,6 +167,18 @@ def _quadrature(ax: float, bx: float, ay: float, by: float, delta: float) -> flo
     return 1.0 - prob if flip else prob
 
 
+def _log_beta(a: float, b: float) -> float:
+    # lgamma's terms cancel and lose 1e-6 at a + b = 2e9, so above _LARGE Stirling's rests
+    # r(x) = lgamma(x) - (x - 1/2) log x + x (a series past 100, to 1e-17) leave only 1e-7
+    s = a + b
+    if s <= _LARGE:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(s)
+    r = [math.lgamma(x) - (x - 0.5) * math.log(x) + x if x < 100.0 else
+         _HALF_LOG_2PI + (1 / 12 - (1 / 360 - 1 / (1260 * x * x)) / (x * x)) / x for x in (a, b, s)]
+    return (r[0] + r[1] - r[2] - 0.5 * math.log(s)
+            + (a - 0.5) * math.log(a / s) + (b - 0.5) * math.log(b / s))
+
+
 def _cook(a: float, b: float, c: float, d: float) -> float:
     # P(X > Y) for X ~ Beta(a, b) with integer a and Y ~ Beta(c, d): the finite sum of
     # Cook (2005), "Exact calculation of beta inequalities", over i < a.  Term 0 is
@@ -170,9 +192,29 @@ def _cook(a: float, b: float, c: float, d: float) -> float:
     return min(1.0, math.exp(top) * math.fsum([math.exp(t - top) for t in log_terms]))
 
 
-@lru_cache(maxsize=1 << 15)
-def _prob_greater_cached(ax: float, bx: float, ay: float, by: float, delta: float) -> float:
-    if delta == 0.0:
+def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> float:
+    """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
+
+    Any shapes in (0, 2e9] (checked from 1e-4 to 5000, and on large-shape
+    cases to 1e9); larger ones raise QuadratureError.  The margin may be
+    negative (non-inferiority).  At delta = 0 with an integer shape k <= 140
+    (a Beta(1, 1) prior plus whole counts gives one) and no shape above 1e4,
+    it is Cook's exact sum of k terms, which agrees with the quadrature to
+    about 1e-10.  Otherwise it is F_Y(-delta) + int f_Y(y) S_X(y + delta) dy
+    over z = logit(y), where Y's density has no singular end, after swapping
+    the roles of X and Y if X is the narrower posterior, and over at most 80
+    SDs of logit(Y) about its mean when Y's shapes sum past 1e4.  The end map
+    t -> t^2 / (t^2 + 1 - t), or its mirror, smooths the fractional power S_X
+    has where a margin cuts the range at x = 0 or 1.  Raises QuadratureError
+    if successive Gauss-Legendre panel doublings do not agree to 5e-8 by 512
+    panels.
+    """
+    ax, bx, ay, by, delta = (float(x.alpha), float(x.beta), float(y.alpha), float(y.beta),
+                             float(delta))
+    top = max(ax, bx, ay, by)
+    if top > _MAX_SHAPE:
+        raise QuadratureError(ax, bx, ay, by, delta)
+    if delta == 0.0 and top <= _LARGE:  # Cook's term 0 is an lgamma difference: 2e-6 off at 1e9
         # Cook's sum runs over an integer shape: a_X or b_Y give P(X > Y), a_Y or b_X
         # give P(Y > X); take the fewest terms, if few enough to beat the quadrature
         lanes = [lane for lane in ((ax, (ax, bx, ay, by), False), (by, (by, ay, bx, ax), False),
@@ -183,25 +225,6 @@ def _prob_greater_cached(ax: float, bx: float, ay: float, by: float, delta: floa
             prob = _cook(*cook_args)
             return 1.0 - prob if complement else prob
     return _quadrature(ax, bx, ay, by, delta)
-
-
-def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> float:
-    """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
-
-    Any shapes > 0 (checked against independent references from 1e-4 to
-    5000); the margin may be negative (non-inferiority).  At delta = 0 with
-    an integer shape k <= 140 (a Beta(1, 1) prior plus whole counts gives
-    one), it is Cook's exact sum of k terms, which agrees with the
-    quadrature to about 1e-10.  Otherwise it is computed as
-    F_Y(-delta) + int f_Y(y) S_X(y + delta) dy over z = logit(y), where Y's
-    density has no singular end, after swapping the roles of X and Y if X is
-    the narrower posterior.  The end map t -> t^2 / (t^2 + 1 - t), or its
-    mirror, smooths the fractional power S_X has where a margin cuts the
-    range at x = 0 or 1.  Raises QuadratureError if successive
-    Gauss-Legendre panel doublings do not agree to 5e-8 by 512 panels.
-    """
-    return _prob_greater_cached(float(x.alpha), float(x.beta),
-                                float(y.alpha), float(y.beta), float(delta))
 
 
 def prob_exceeds(x: PosteriorBeta, v: float) -> float:

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 import yaml
 
-from platformsim import runner, stats
+from platformsim import decisions, runner, stats
 from platformsim.cli import main
 from platformsim.config import expand_grid, load_axes, load_scenario
 from platformsim.engine import STREAM_VERSION
@@ -121,7 +121,6 @@ class TestOcs:
 
     def test_unconverged_kernel_exits_3(self, tmp_path, monkeypatch, capsys):
         # some Jeffreys-prior posteriors here need 8 panels
-        stats._prob_greater_cached.cache_clear()
         monkeypatch.setattr(stats, "_MAX_PANELS", 4)
         d = scenario_dict()
         d["prior"] = {"alpha": 0.5, "beta": 0.5}
@@ -181,10 +180,10 @@ class TestGrid:
         out = tmp_path / "grid"
         real = runner.simulate_trial
 
-        def flaky(spec, rng, plan):
+        def flaky(spec, rng):
             if spec.platform.n_int == 70:
                 raise RuntimeError("boom")
-            return real(spec, rng, plan)
+            return real(spec, rng)
 
         monkeypatch.setattr(runner, "simulate_trial", flaky)
         assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "4",
@@ -211,20 +210,21 @@ class TestGrid:
             write_ocs_json(lone, spec.id, run_ocs(spec, 9, 6, scenario_index=i))
             assert (out / f"scenario_{i:03d}" / "ocs.json").read_bytes() == lone.read_bytes()
 
-    def test_caches_hold_only_the_last_scenario(self, spec_file, tmp_path):
+    def test_one_plan_per_rules_and_prior_and_each_run_starts_cold(self, spec_file, tmp_path):
+        # the grid's scenarios share rules and prior, so they share one plan
         axes = write_yaml(tmp_path / "axes.yaml", {"cohort_random": [0.01, 0.05, 0.1]})
+        specs = expand_grid(load_scenario(spec_file), load_axes(axes))
         assert main(["grid", "--config", spec_file, "--axes", axes, "--iterations", "8",
                      "--seed", "2", "--out", str(tmp_path / "grid")]) == 0
-        def caches():
-            scenario_index, plan = runner._current
-            return (scenario_index, plan.outcome.cache_info().currsize,
-                    stats._prob_greater_cached.cache_info().currsize)
-
-        after_grid = caches()
-        last = expand_grid(load_scenario(spec_file), load_axes(axes))[-1]
-        run_ocs(last, 8, 2, scenario_index=2)
-        assert after_grid == caches()
-        assert after_grid[0] == 2 and after_grid[2] > 0
+        assert decisions.plan_for.cache_info().currsize == 1
+        grid_plan = decisions.plan_for(specs[-1].rules, specs[-1].prior)
+        grid_memo = grid_plan.outcome.cache_info()
+        assert grid_memo.currsize > 0
+        run_ocs(specs[-1], 8, 2, scenario_index=2)
+        lone_plan = decisions.plan_for(specs[-1].rules, specs[-1].prior)
+        assert lone_plan is not grid_plan
+        # the lone run saw only the last scenario's analyses
+        assert 0 < lone_plan.outcome.cache_info().misses <= grid_memo.misses
 
     def test_manifests_record_wall_time_and_rate(self, spec_file, tmp_path, capsys):
         axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60]})

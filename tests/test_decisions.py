@@ -27,13 +27,13 @@ EQUAL = TwoByTwo(20, 30, 20, 30)
 class TestBayesSup:
     def test_overwhelming_data(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = rule.evaluate(STRONG, PRIOR, 1)
+        trace = rule.evaluate(STRONG, PRIOR)
         assert trace.superior and trace.satisfied
         assert trace.statistic[0] > 0.999
 
     def test_identical_arms_not_superior(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        trace = rule.evaluate(EQUAL, PRIOR, 1)
+        trace = rule.evaluate(EQUAL, PRIOR)
         assert not trace.superior
         assert trace.statistic[0] < 0.5
 
@@ -41,50 +41,50 @@ class TestBayesSup:
         # P(X > Y + 0.1) ~ 0.833 for (30/50 vs 20/50): below conf, and a
         # promising bound of 1.00 can never be crossed
         rule = BayesSupRule(rows=((0.10, 0.90, 1.00),))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
         assert not trace.superior and not trace.promising
 
     def test_promising_threshold_crossed(self):
         rule = BayesSupRule(rows=((0.10, 0.90, 0.50),))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
         assert not trace.superior and trace.promising
 
     def test_multi_row_all_must_hold(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00), (0.50, 0.80, 1.00)))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
         assert not trace.superior  # the 0.50 margin row fails
         single = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        assert single.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
+        assert single.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
 
 
 class TestBayesFut:
     def test_identical_arms_futile_at_point6(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        trace = rule.evaluate(EQUAL, PRIOR, 1)
+        trace = rule.evaluate(EQUAL, PRIOR)
         assert trace.futile  # P = 0.5 < 0.6
 
     def test_strong_effect_not_futile(self):
         rule = BayesFutRule(rows=((0.00, 0.60),))
-        assert not rule.evaluate(STRONG, PRIOR, 1).futile
+        assert not rule.evaluate(STRONG, PRIOR).futile
 
 
 class TestBayesSingleArm:
     def test_sa_sup_two_rows(self):
         rule = BayesSASupRule(rows=((0.05, 0.70, 1.00), (0.10, 0.50, 1.00)))
         # posterior Beta(31, 21)
-        trace = rule.evaluate(TwoByTwo(30, 20, 0, 0), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(30, 20, 0, 0), PRIOR)
         assert trace.superior
 
     def test_sa_fut_no_responders(self):
         rule = BayesSAFutRule(rows=((0.10, 0.50),))
         # posterior Beta(1, 51)
-        trace = rule.evaluate(TwoByTwo(0, 50, 0, 0), PRIOR, 1)
+        trace = rule.evaluate(TwoByTwo(0, 50, 0, 0), PRIOR)
         assert trace.futile
         assert trace.statistic[0] == pytest.approx(0.9 ** 51, rel=1e-9)
 
     def test_sa_sup_zero_threshold_always_holds(self):
         rule = BayesSASupRule(rows=((0.0, 0.99, 1.00),))
-        assert rule.evaluate(TwoByTwo(0, 10, 0, 0), PRIOR, 1).superior
+        assert rule.evaluate(TwoByTwo(0, 10, 0, 0), PRIOR).superior
 
 
 class TestFreqRules:
@@ -92,38 +92,38 @@ class TestFreqRules:
         # table p-value = 0.0227513...
         sup = FreqSupRule(p_sup=0.05, p_adj="bonferroni_half")
         # 0.0228 < 0.025
-        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
+        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
         tight = FreqSupRule(p_sup=0.04, p_adj="bonferroni_half")
         # 0.0228 >= 0.02
-        assert not tight.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
+        assert not tight.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
 
     def test_no_adjustment(self):
         sup = FreqSupRule(p_sup=0.025, p_adj="none")
-        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1).superior
+        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
 
     def test_promising_level_zero_never(self):
         sup = FreqSupRule(p_sup=1e-9, p_prom=0.0)
-        trace = sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)
+        trace = sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
         assert not trace.superior and not trace.promising
 
     def test_futility_boundary_inclusive(self):
         fut = FreqFutRule(p_fut=0.5, p_adj="none")
-        assert fut.evaluate(EQUAL, PRIOR, 1).futile  # p == 0.5 -> stop
+        assert fut.evaluate(EQUAL, PRIOR).futile  # p == 0.5 -> stop
 
 
 class TestEstRule:
     RULE = EstSupFutRule(est="RR", p_hat_sup=1.2, p_hat_fut=1.0)
 
     def test_superior(self):
-        trace = self.RULE.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR, 1)  # RR 1.5
+        trace = self.RULE.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)  # RR 1.5
         assert trace.superior and not trace.futile
 
     def test_futile_at_boundary(self):
-        trace = self.RULE.evaluate(EQUAL, PRIOR, 1)  # RR 1.0 <= 1.0
+        trace = self.RULE.evaluate(EQUAL, PRIOR)  # RR 1.0 <= 1.0
         assert trace.futile and not trace.superior
 
     def test_gap_neither(self):
-        trace = self.RULE.evaluate(TwoByTwo(11, 39, 10, 40), PRIOR, 1)  # RR 1.1
+        trace = self.RULE.evaluate(TwoByTwo(11, 39, 10, 40), PRIOR)  # RR 1.1
         assert not trace.superior and not trace.futile
 
 
@@ -131,15 +131,15 @@ class TestCIRule:
     RULE = CISupFutRule(est="RR", level=0.95, lower_sup=1.2, upper_fut=1.0)
 
     def test_strong_effect_superior(self):
-        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR, 1)
+        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR)
         assert trace.superior
 
     def test_identical_arms_futile(self):
-        trace = self.RULE.evaluate(EQUAL, PRIOR, 1)
+        trace = self.RULE.evaluate(EQUAL, PRIOR)
         assert trace.futile  # CI contains 1
 
     def test_promising_inf_never(self):
-        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR, 1)
+        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR)
         assert not trace.promising
 
 
@@ -219,7 +219,7 @@ class TestCombine:
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
         decision = evaluate_cohort(plan_of(rules), data, INTERIM)
         assert decision.verdict == GO
-        assert [o.comparison for o in decision.comparisons] == [1, 2, 3, 4]
+        assert len(decision.comparisons) == 4  # one outcome per record, in order
         assert [len(o.traces) for o in decision.comparisons] == [1, 0, 0, 0]
 
     def test_arm_absent_comparisons_skipped(self):
@@ -237,15 +237,14 @@ class TestCombine:
                  ComparisonRules(bayes_sa_sup=(BayesSASupRule(rows=((0.1, 0.5, 1.0),)),)),
                  ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG), data_for(2, empty))
-        with pytest.raises(ValueError, match="comparison 2"):
+        with pytest.raises(ValueError, match="fewer than one patient"):
             evaluate_cohort(plan_of(rules), data, INTERIM)
 
     def test_combine_permutation_invariant(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = tuple(data_for(i, EQUAL if i == 2 else STRONG) for i in range(1, 5))
-        plan = plan_of(rules)
-        outcomes = [plan.outcome(INTERIM, t.comparison, t.cells()) for t in data]
+        outcomes = list(evaluate_cohort(plan_of(rules), data, INTERIM).comparisons)
         verdict = combine(outcomes, INTERIM).verdict
         rng = random.Random(0)
         for _ in range(5):
@@ -335,41 +334,72 @@ class TestPlanComparisons:
                 assert plan.comparisons(arms, stage) is got  # derived once
 
 
+def outcome_of(plan, stage, comparison, cells):
+    return plan.outcome(plan.rule_ids[stage][comparison - 1], cells)
+
+
+def uncached_outcome_of(plan, stage, comparison, cells):
+    return plan.outcome.__wrapped__(plan.rule_ids[stage][comparison - 1], cells)
+
+
 class TestMemo:
-    @given(st.lists(ACTIVE_RULES, min_size=2, max_size=2), TABLES)
+    @given(st.lists(ACTIVE_RULES, min_size=2, max_size=2),
+           st.lists(st.integers(0, 1), min_size=8, max_size=8), TABLES)
     @settings(max_examples=60, deadline=None)
-    def test_memo_gives_each_input_its_own_uncached_outcome(self, stage_rules, cells):
-        # the same cells at the other stage, comparison or prior: each plan
-        # answers from its own rules and prior, with every plan warm
-        first_rules, second_rules = ((r,) * 4 for r in stage_rules)
-        plans = [AnalysisPlan(DecisionRuleSet(*stages), prior) for prior in PRIORS
-                 for stages in ((first_rules, second_rules), (second_rules, first_rules))]
-        inputs = [(stage, comp) for stage in (INTERIM, FINAL) for comp in (1, 4)]
-        first = [[plan.outcome(stage, comp, cells) for stage, comp in inputs] for plan in plans]
+    def test_memo_gives_each_input_its_own_uncached_outcome(self, pool, picks, cells):
+        # each comparison at each stage takes one of two rule sets, so rules are
+        # equal across some comparisons and stages and unequal across others:
+        # with every plan warm, each input is answered from its own rules and prior
+        stage_rules = [pool[i] for i in picks]
+        stages = (tuple(stage_rules[:4]), tuple(stage_rules[4:]))
+        plans = [AnalysisPlan(DecisionRuleSet(*stages), prior) for prior in PRIORS]
+        inputs = [(stage, comp) for stage in (INTERIM, FINAL) for comp in (1, 2, 3, 4)]
+        first = [[outcome_of(plan, stage, comp, cells) for stage, comp in inputs] for plan in plans]
         for plan, outcomes in zip(plans, first):
             for (stage, comp), got in zip(inputs, outcomes):
-                assert_same_outcome(got, plan.outcome.__wrapped__(stage, comp, cells))
+                assert_same_outcome(got, uncached_outcome_of(plan, stage, comp, cells))
                 rules = plan.rules.for_stage(stage)[comp - 1]
-                want = tuple(rule.evaluate(TwoByTwo(*cells), plan.prior, comp) for rule in rules)
+                want = tuple(rule.evaluate(TwoByTwo(*cells), plan.prior) for rule in rules)
                 assert repr(got.traces) == repr(want)
-                assert plan.outcome(stage, comp, cells) is got
+                assert outcome_of(plan, stage, comp, cells) is got
                 # integer cells and their float values share one entry: the
                 # outcome is the same to the bit either way
                 as_float = tuple(float(c) for c in cells)
-                assert_same_outcome(plan.outcome(stage, comp, as_float),
-                                    plan.outcome.__wrapped__(stage, comp, as_float))
+                assert_same_outcome(outcome_of(plan, stage, comp, as_float),
+                                    uncached_outcome_of(plan, stage, comp, as_float))
+            # equal rules share one entry, unequal rules never do
+            for (stage, comp), got in zip(inputs, outcomes):
+                for (other_stage, other_comp), other in zip(inputs, outcomes):
+                    same = (plan.rules.for_stage(stage)[comp - 1]
+                            == plan.rules.for_stage(other_stage)[other_comp - 1])
+                    assert (got is other) == same
+
+    def test_equal_rules_share_one_entry(self):
+        # equal values (not the same object) on comparisons 1 and 2 at both
+        # stages and on comparison 4 at the final; other rules on the rest
+        a, b = comparison_rules(bayes_sup_margin=0.10), comparison_rules(bayes_sup_margin=0.10)
+        c = comparison_rules(bayes_sup_margin=0.30)
+        plan = AnalysisPlan(DecisionRuleSet((a, b, c, c), (b, a, c, a)), PRIOR)
+        data = tuple(data_for(i, TwoByTwo(30, 20, 20, 30)) for i in range(1, 5))
+        interim = evaluate_cohort(plan, data, INTERIM).comparisons
+        final = evaluate_cohort(plan, data, FINAL).comparisons
+        assert interim[0] is interim[1] is final[0] is final[1] is final[3]
+        assert interim[2] is interim[3] is final[2]
+        assert interim[0] is not interim[2]
+        info = plan.outcome.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
 
     def test_plans_do_not_share_outcomes(self):
-        # the key leaves rules and prior out: another plan's entry must never answer
+        # the key leaves the prior out: another plan's entry must never answer
         rules = (comparison_rules(bayes_sup_margin=0.10),) * 4
         other = (comparison_rules(bayes_sup_margin=0.30),) * 4
         cells = TwoByTwo(30, 20, 20, 30).cells()
-        base = AnalysisPlan(DecisionRuleSet(rules, rules), PRIOR).outcome(INTERIM, 1, cells)
+        base = outcome_of(AnalysisPlan(DecisionRuleSet(rules, rules), PRIOR), INTERIM, 1, cells)
         for plan in (AnalysisPlan(DecisionRuleSet(rules, rules), BetaPrior(0.5, 0.5)),
                      AnalysisPlan(DecisionRuleSet(other, rules), PRIOR)):
-            got = plan.outcome(INTERIM, 1, cells)
+            got = outcome_of(plan, INTERIM, 1, cells)
             assert repr(got.traces) != repr(base.traces)
-            assert_same_outcome(got, plan.outcome.__wrapped__(INTERIM, 1, cells))
+            assert_same_outcome(got, uncached_outcome_of(plan, INTERIM, 1, cells))
 
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS), st.floats(0.0, 1.0),
            st.integers(0, 60), st.integers(0, 60))
@@ -380,7 +410,7 @@ class TestMemo:
         bare = ComparisonData(*cells, 2)
         shared = ComparisonData(*cells, 2, weight, float(ext_r), float(ext_r + ext_n))
         for rule in rules:
-            assert repr(rule.evaluate(shared, prior, 2)) == repr(rule.evaluate(bare, prior, 2))
+            assert repr(rule.evaluate(shared, prior)) == repr(rule.evaluate(bare, prior))
         stage = (ComparisonRules(), rules, ComparisonRules(), ComparisonRules())
         (with_pool,) = evaluate_cohort(plan_of(stage, prior), (shared,), INTERIM).comparisons
         (bare_outcome,) = evaluate_cohort(plan_of(stage, prior), (bare,), INTERIM).comparisons
@@ -400,9 +430,8 @@ class TestMemo:
     def test_memo_stays_within_its_bound(self, example_spec):
         platform = dataclasses.replace(example_spec.platform, sharing_type="dynamic",
                                        sr_drugs_pos=math.inf)
-        runner.run_ocs(dataclasses.replace(example_spec, platform=platform), 500, 3)
-        scenario_index, plan = runner._current
-        assert scenario_index == 0
-        info = plan.outcome.cache_info()
+        spec = dataclasses.replace(example_spec, platform=platform)
+        runner.run_ocs(spec, 500, 3)
+        info = decisions.plan_for(spec.rules, spec.prior).outcome.cache_info()
         assert info.misses > info.maxsize  # the bound was reached
         assert info.currsize <= info.maxsize

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
                                 IdentityTransform, parse_scenario)
-from platformsim.decisions import COMPARISON_ARMS, AnalysisPlan
+from platformsim.decisions import COMPARISON_ARMS, plan_for
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
@@ -299,16 +299,16 @@ class TestSimulateTrial:
 
     @pytest.mark.parametrize("sharing", ["cohort", "dynamic"])
     def test_warm_plan_cannot_change_a_trajectory(self, example_spec, sharing):
-        # the memo keys on (stage, comparison, cells): an outcome that read
-        # anything else would differ between a warm and a fresh plan
+        # the memo keys on (the comparison's rules, cells): an outcome that read
+        # anything else would differ between a warm and a cold plan
         spec = dataclasses.replace(example_spec, platform=dataclasses.replace(
             example_spec.platform, sharing_type=sharing))
-        warm = AnalysisPlan(spec.rules, spec.prior)
-        for k in range(30):
-            fresh = AnalysisPlan(spec.rules, spec.prior)
-            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k), warm)) == \
-                dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k), fresh))
-        assert warm.outcome.cache_info().hits > 0
+        plan_for.cache_clear()
+        warm = [dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k))) for k in range(30)]
+        assert plan_for(spec.rules, spec.prior).outcome.cache_info().hits > 0
+        for k, dump in enumerate(warm):
+            plan_for.cache_clear()
+            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k))) == dump
 
     def test_sr_drugs_pos_closes_entry_after_first_go(self):
         # strong effects so successes happen; no SoC comparisons
@@ -385,7 +385,7 @@ class TestSimulateTrial:
         for c in result.cohorts:
             assert "soc" not in c.arms
             for a in c.analyses:
-                analysed = [o.comparison for o in a.decision.comparisons]
+                analysed = [t.comparison for t in a.data]
                 assert set(analysed) <= {1, 2}
 
     def test_stop_post_back_omits_soc_after_backbone_beats_it(self):
@@ -402,7 +402,8 @@ class TestSimulateTrial:
         for k in range(15):
             result = simulate_trial(spec, derive_rng(17, 0, k))
             firing = [a.patient_counter for c in result.cohorts for a in c.analyses
-                      if any(o.comparison == 4 and o.superior for o in a.decision.comparisons)]
+                      if any(t.comparison == 4 and o.superior
+                             for t, o in zip(a.data, a.decision.comparisons))]
             if not firing:
                 continue
             first_fire = min(firing)
@@ -570,7 +571,11 @@ class TestInvariants:
 
         expected = analysed(c.arms, spec.rules.for_stage(a.stage))
         assert [t.comparison for t in a.data] == expected
-        assert [o.comparison for o in a.decision.comparisons] == expected
+        # decision.comparisons[i] is the outcome of data[i] under its comparison's rules
+        plan = plan_for(spec.rules, spec.prior)
+        rule_ids = plan.rule_ids[a.stage]
+        assert a.decision.comparisons == tuple(
+            plan.outcome.__wrapped__(rule_ids[t.comparison - 1], t.cells()) for t in a.data)
         for t in a.data:
             assert t.n_t >= 1 and t.n_c >= 1
             num, den = COMPARISON_ARMS[t.comparison]

@@ -7,8 +7,8 @@ random stream or any output byte on purpose re-baselines them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints every scenario/file whose digest changed, and says so in the
-change log.
+which prints ``changed: <scenario>/<file> <old> -> <new>`` for every
+digest that moved, and says so in the change log.
 """
 
 import copy
@@ -80,7 +80,8 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests[scenario] = golden_digests(scenario, pathlib.Path(tmp))
         for fname, digest in digests[scenario].items():
-            if old.get(scenario, {}).get(fname) != digest:
-                print(f"changed: {scenario}/{fname}", file=sys.stderr)
+            before = old.get(scenario, {}).get(fname)
+            if before != digest:
+                print(f"changed: {scenario}/{fname} {before} -> {digest}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

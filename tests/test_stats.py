@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import betaln
 
 from platformsim import stats
+from platformsim.config import BayesSupRule, BetaPrior
 from platformsim.stats import (PosteriorBeta, QuadratureError, TwoByTwo, ci,
                                one_sided_prop_test, point_estimate, prob_exceeds,
                                prob_greater_by_margin, reg_inc_beta)
@@ -164,7 +165,6 @@ class TestExactZeroMargin:
                                             ((3.7, 15.0, 2.9, 10.4), 0.45347522008089893)])
     def test_each_integer_shape(self, args, want, monkeypatch):
         monkeypatch.setattr(stats, "_quadrature", _must_not_run)
-        stats._prob_greater_cached.cache_clear()
         ax, bx, ay, by = args
         p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
         assert p == pytest.approx(want, abs=1e-10)
@@ -184,7 +184,6 @@ class TestExactZeroMargin:
                                       (1e9 + 5, 1e9 + 10, 1e9 + 3, 1e9 + 12)])
     def test_too_many_terms_left_to_quadrature(self, args, monkeypatch):
         monkeypatch.setattr(stats, "_cook", _must_not_run)
-        stats._prob_greater_cached.cache_clear()
         ax, bx, ay, by = args
         p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
         assert p == stats._quadrature(*args, 0.0)
@@ -198,13 +197,65 @@ class TestExactZeroMargin:
                                       (1.0, 1.0, 1.0, 1.0, 1e-16), (2.0, 2.0, 2.0, 2.0, -1.0)])
     def test_fractional_shapes_and_margins_take_quadrature(self, args, monkeypatch):
         monkeypatch.setattr(stats, "_cook", _must_not_run)
-        stats._prob_greater_cached.cache_clear()
         seen = []
         quadrature = stats._quadrature
         monkeypatch.setattr(stats, "_quadrature", lambda *a: seen.append(a) or quadrature(*a))
         ax, bx, ay, by, delta = args
         prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
         assert seen == [args]
+
+
+class TestLargeShapes:
+    """Shapes far above any trial's counts (a large prior), up to 2e9: narrow
+    posteriors must not fall between the quadrature's nodes, and log B must
+    not lose the 1e-6 to lgamma cancellation.  Larger shapes raise."""
+
+    @pytest.mark.parametrize("s", [1e6, 1e7, 1e8, 1e9])
+    @pytest.mark.parametrize("form", [lambda s: (s, s), lambda s: (s + 0.5, s / 2 + 0.25),
+                                      lambda s: (s / 2, s), lambda s: (0.5, s),
+                                      lambda s: (2.0, s), lambda s: (s, 3.0)])
+    def test_identical_posteriors_give_one_half(self, s, form):
+        x = PosteriorBeta(*form(s))
+        assert prob_greater_by_margin(x, x, 0.0) == pytest.approx(0.5, abs=1e-6)
+
+    # int f_Y(y) S_X(y + delta) dy with S_X by an inner integral, both by mpmath at
+    # 35 digits over 40 SDs of each posterior
+    @pytest.mark.parametrize("args, want", [
+        ((1e8 + 5, 1e8 + 10, 1e8 + 3, 1e8 + 12, 0.0), 0.50007978845273914519),
+        ((3e7 + 0.5, 7e7 + 0.25, 2.9e7 + 0.75, 7.1e7 + 0.5, 0.01), 0.49999316351782330976)])
+    def test_matches_mpmath_reference(self, args, want):
+        ax, bx, ay, by, delta = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == pytest.approx(want, abs=1e-6)
+
+    def test_narrow_against_wide_posterior(self):
+        # X ~ Beta(1e8, 3e8) is a near point mass at 1/4: P(X > Y) = E F_Y(X) =
+        # F_Y(1/4) + f_Y'(1/4) Var(X) / 2 + O(1e-17) = 0.040932117576491854 (mpmath)
+        p = prob_greater_by_margin(PosteriorBeta(1e8, 3e8), PosteriorBeta(5.5, 5.5), 0.0)
+        assert p == pytest.approx(0.040932117576491854, abs=1e-6)
+
+    def test_small_margin_between_identical_posteriors(self):
+        # X - Y is symmetric about 0 with density f(0) = B(2a - 1, 2b - 1) / B(a, b)^2
+        # at 0, so P(X > Y + d) = 1/2 - f(0) (d - d^3 / (6 Var(X - Y))) to about 1e-14
+        # here (0.49384443122226979 by mpmath at 40 digits); it came out as 0.0
+        a, b = 3e7, 7e7
+        assert stats._quadrature(a, b, a, b, 1e-6) == pytest.approx(0.49384443122226979,
+                                                                    abs=1e-6)
+
+    def test_rules_under_a_large_prior(self):
+        # Beta(1e8, 1e8) prior, 30/50 against 20/50 responders, margin 1e-6
+        rule = BayesSupRule(rows=((1e-6, 0.5, 1.0),))
+        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), BetaPrior(1e8, 1e8))
+        assert trace.statistic == pytest.approx((0.49242055165408704,), abs=1e-6)
+        assert not trace.superior
+
+    @pytest.mark.parametrize("args", [(2e9 + 1, 2e9, 2e9, 2e9, 0.0), (1e10, 5.0, 5.0, 5.0, 0.0),
+                                      (3.0, 4.0, 1.5, 1e12, 0.1)])
+    def test_above_the_supported_range_raises(self, args):
+        ax, bx, ay, by, delta = args
+        with pytest.raises(QuadratureError) as info:
+            prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert info.value.args == args
 
 
 def _must_not_run(*args):
