@@ -9,10 +9,9 @@ Subcommands:
 ``ocs`` and ``grid`` both go through the one scheduler,
 ``runner.run_grid``: a grid is one job of (scenario, chunk) tasks on one
 pool, and each scenario's outputs and ``grid_results.csv`` row are written
-as soon as its last chunk is in.  The one analysis cache, ``decisions.plan_for``
-(one plan per (rules, prior) per process), is emptied when a run starts.
-Progress lines on stderr give the rate and an ETA over the whole job; the
-manifests record wall time and trials/s, never the OC files.
+as soon as its last chunk is in.  Progress lines on stderr give the rate and
+an ETA over the whole job; the manifests record wall time and trials/s,
+never the OC files.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """

@@ -56,8 +56,7 @@ import yaml
 from .decisions import (ARM_ORDER, COMPARISON_ARMS, BayesFutRule, BayesSAFutRule,
                         BayesSASupRule, BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule,
                         FreqSupRule)
-from .schema import (ConfigError, Violation, check_keys, dump, param, parse, parse_field,
-                     violations)
+from .schema import ConfigError, Violation, dump, param, parse, parse_field, violations
 
 RANDOM_TYPES = ("absolute", "risk_difference", "risk_ratio", "odds_ratio")
 TRIAL_STRUCTURES = ("all_plac", "no_plac", "stop_post_back", "stop_post_mono")
@@ -164,7 +163,8 @@ class EndpointModel:
 class TargetProfile:
     """True-effect margins deciding which cohorts count as truly superior.
 
-    ``scale``: 1 = risk difference, 2 = risk ratio, 3 = odds ratio.
+    ``scale``: 1 = risk difference, 2 = risk ratio, 3 = odds ratio; on the
+    ratio scales the margins are ratios, so they must be > 0.
     ``strict`` controls whether a rate exactly on the margin counts as
     superior (False) or not (True, default).
     """
@@ -237,66 +237,58 @@ class ComparisonRules:
 @dataclass(frozen=True)
 class DecisionRuleSet:
     """One ComparisonRules per comparison (comb/monoA, comb/monoB, monoA/SoC,
-    monoB/SoC) for the interim and the final analysis."""
+    monoB/SoC) for the interim and the final analysis.  Each trial looks its
+    plan up by them, so the hash is computed once; a pickled copy hashes anew."""
 
-    interim: tuple[ComparisonRules, ComparisonRules, ComparisonRules, ComparisonRules]
-    final: tuple[ComparisonRules, ComparisonRules, ComparisonRules, ComparisonRules]
+    interim: tuple[ComparisonRules, ComparisonRules, ComparisonRules, ComparisonRules] = \
+        param((ComparisonRules(),) * 4, keys=COMPARISON_KEYS)
+    final: tuple[ComparisonRules, ComparisonRules, ComparisonRules, ComparisonRules] = \
+        param((ComparisonRules(),) * 4, keys=COMPARISON_KEYS)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.interim, self.final)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.interim, self.final)
 
     def for_stage(self, stage: str):
         return self.interim if stage == "interim" else self.final
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    """A complete, validated simulation scenario."""
+    """A complete, validated simulation scenario; the fields are the keys of
+    its file."""
 
-    id: str
+    id: str = "scenario"
     efficacy: EfficacySpec
-    endpoint: EndpointModel
-    rules: DecisionRuleSet
+    endpoint: EndpointModel = field(default_factory=EndpointModel)
     target: TargetProfile
-    platform: PlatformRules
     prior: BetaPrior = field(default_factory=BetaPrior)
+    platform: PlatformRules
+    rules: DecisionRuleSet
 
 
 # ---------------------------------------------------------------------------
-# parsing: each section is parsed generically from its dataclass (see schema)
-
-
-def _parse_rules(d, path: str) -> DecisionRuleSet:
-    check_keys(d, STAGES, path)
-    stages = {}
-    for stage in STAGES:
-        raw = d.get(stage, {})
-        check_keys(raw, COMPARISON_KEYS, f"{path}.{stage}")
-        stages[stage] = tuple(
-            parse(ComparisonRules, raw[key], f"{path}.{stage}.{key}") if key in raw
-            else ComparisonRules() for key in COMPARISON_KEYS)
-    return DecisionRuleSet(**stages)
+# parsing: the whole file, rules table included, is parsed generically from
+# ScenarioSpec's dataclass tree (see schema)
 
 
 def scenario_from_dict(d: Mapping[str, Any]) -> ScenarioSpec:
     """Build a ScenarioSpec from a plain nested mapping (no validation)."""
-    check_keys(d, ("id", "efficacy", "endpoint", "rules", "target", "platform", "prior"), "scenario")
-    for key in ("efficacy", "rules", "target", "platform"):
-        if key not in d:
-            raise ConfigError(f"scenario: missing required field '{key}'")
-    efficacy = d["efficacy"]
+    efficacy = d.get("efficacy")
     if isinstance(efficacy, Mapping) and "random" in efficacy:
         # legacy key: rates are always drawn per cohort
         if efficacy["random"] is not True:
             raise ConfigError("efficacy.random: only true is supported; give fixed rates "
                               "as one-value distributions, e.g. {values: [0.3], probs: [1.0]}")
-        efficacy = {k: v for k, v in efficacy.items() if k != "random"}
-    return ScenarioSpec(
-        id=str(d.get("id", "scenario")),
-        efficacy=parse(EfficacySpec, efficacy, "efficacy"),
-        endpoint=parse(EndpointModel, d.get("endpoint", {}), "endpoint"),
-        rules=_parse_rules(d["rules"], "rules"),
-        target=parse(TargetProfile, d["target"], "target"),
-        platform=parse(PlatformRules, d["platform"], "platform"),
-        prior=parse(BetaPrior, d.get("prior", {}), "prior"),
-    )
+        d = {**d, "efficacy": {k: v for k, v in efficacy.items() if k != "random"}}
+    if "id" in d:
+        d = {**d, "id": str(d["id"])}
+    return parse(ScenarioSpec, d, "")
 
 
 def parse_scenario(source: str | Mapping[str, Any]) -> ScenarioSpec:
@@ -331,11 +323,7 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    rules = {stage: {key: dump(cr) for key, cr in zip(COMPARISON_KEYS, spec.rules.for_stage(stage))
-                     if not cr.empty} for stage in STAGES}
-    return {"id": spec.id, "efficacy": dump(spec.efficacy), "endpoint": dump(spec.endpoint),
-            "target": dump(spec.target), "prior": dump(spec.prior),
-            "platform": dump(spec.platform), "rules": rules}
+    return dump(spec)
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
@@ -390,11 +378,13 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
     checked structurally only; semantically contradictory rules produce
     warnings rather than errors.
     """
-    out: list[Violation] = []
-    for section in ("efficacy", "endpoint", "target", "prior", "platform"):
-        out.extend(violations(getattr(spec, section), section))
+    out = violations(spec, "")
     out.extend(_efficacy_violations(spec.efficacy))
     out.extend(_endpoint_violations(spec.endpoint))
+    t = spec.target
+    if t.scale != 1:  # a ratio margin of 0 or less puts the bar at 0 for any comparator
+        out.extend(Violation(f"target.{name}", f"{t.scale_name} margins must be > 0")
+                   for name in ("margin_comb", "margin_mono") if getattr(t, name) <= 0.0)
     p = spec.platform
     if p.n_int > p.n_fin:
         out.append(Violation("platform.n_int", f"n_int ({p.n_int}) must be <= n_fin ({p.n_fin})"))
@@ -412,7 +402,6 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
         for key, arms, cr in zip(COMPARISON_KEYS, COMPARISON_ARMS.values(),
                                  spec.rules.for_stage(stage)):
             path = f"rules.{stage}.{key}"
-            out.extend(violations(cr, path))
             # overlapping GO/STOP regions are legal but suspicious
             for f in dataclasses.fields(cr):
                 for i, rule in enumerate(getattr(cr, f.name)):

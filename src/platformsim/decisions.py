@@ -19,8 +19,10 @@ function of (a comparison's rules, the 2x2 cells, prior), so the memo keys on
 (the index of the rules among the plan's distinct ones, cells): equal rules
 on two comparisons or stages share entries.  Outcomes carry no comparison:
 ``decision.comparisons[i]`` belongs to ``data[i]``.  :func:`plan_for` holds
-one plan per (rules, prior) per process, emptied when a run starts.  Each
-record given to :func:`evaluate_cohort` has a patient on both arms.
+one plan per (rules, prior) per process; ``runner.run_grid`` empties it when a
+run starts, before any fork, so each run and worker starts cold.  The memo
+only saves work.  Each record given to :func:`evaluate_cohort` has a patient
+on both arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing

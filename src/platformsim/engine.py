@@ -26,9 +26,9 @@ pool is the difference of two tallies.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
-comparisons and outcome memo come from ``decisions.plan_for``: one plan per
-(rules, prior) per process, emptied when a run starts.  An analysis's
-``decision.comparisons[i]`` belongs to its ``data[i]``.
+comparisons and outcome memo come from the scenario's analysis plan
+(``decisions.plan_for``).  An analysis's ``decision.comparisons[i]`` belongs
+to its ``data[i]``.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ including per-patient outcomes and per-analysis rule traces).  An analysis
 lists only the comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
-traces carry no comparison.  No output depends on the one analysis cache
-(``decisions.plan_for``: one plan per (rules, prior) per process, emptied
-when a run starts).  Dumps and OC files are written with sorted keys and
-fixed float formatting so identical runs produce byte-identical files.
+traces carry no comparison.  Dumps and OC files are written with sorted
+keys and fixed float formatting so identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations

@@ -10,11 +10,6 @@ whole grid in order on one process pool (or in this process for one
 worker), merges each scenario's accumulators and yields its OCs as soon as
 its last chunk is in.  :func:`run_ocs` is its one-scenario case.  Tasks
 carry the scenario object itself (pickled, not re-parsed from a dict).
-
-The one analysis cache, ``decisions.plan_for``, keeps one plan per (rules,
-prior) per process, shared by a grid's scenarios with equal ones.  Every run
-empties it before any pool is forked, so each run and pool worker starts
-cold.  The plan's memo only saves work; its scope cannot change a result.
 """
 
 from __future__ import annotations
@@ -95,7 +90,7 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
     tasks = [(spec, scenario_index + i, start, min(chunk, iterations - start),
               master_seed, dump_first, dump_dir)
              for i, spec in enumerate(specs) for start in range(0, iterations, chunk)]
-    plan_for.cache_clear()  # before any fork, so no worker inherits a warm plan
+    plan_for.cache_clear()  # each run starts cold, and before any fork, so every worker does
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
         if pool is None:
@@ -126,8 +121,7 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
     one-scenario case of :func:`run_grid`.
 
     The result is identical for every ``workers`` value; parallel workers
-    only change wall-clock time.  Every run, and every pool worker, starts
-    with a new analysis plan.
+    only change wall-clock time.
     """
     (ocs,) = run_grid([spec], iterations, master_seed, workers, scenario_index,
                       dump_first, dump_dir, progress)

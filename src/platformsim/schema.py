@@ -35,7 +35,10 @@ def param(default=MISSING, **limits):
     allowed values; ``nonempty=True``: a list that needs at least one entry;
     ``columns``: one such limits mapping (plus a ``name``) per position of a
     fixed-length row; ``kinds``: tagged union, ``{"kind": name, **fields}``
-    with name -> dataclass.  Limits of a list field apply to each entry.
+    with name -> dataclass; ``keys``: a fixed-length tuple written as a
+    mapping from each of these names to the entry at its position, where a
+    missing name stands for (and a dump leaves out) the entry type's default
+    instance.  Limits of a list field apply to each entry.
     """
     return dataclasses.field(default=default, metadata=limits)
 
@@ -45,12 +48,18 @@ def _hints(cls) -> dict[str, Any]:
     return typing.get_type_hints(cls)
 
 
+def _join(path: str, name: str) -> str:
+    """The path of ``name`` below ``path``; the root's path is ``""``."""
+    return f"{path}.{name}" if path else name
+
+
 def check_keys(mapping, allowed: Sequence[str], path: str) -> None:
+    where = path or "top level"
     if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{path}: expected a mapping, got {type(mapping).__name__}")
+        raise ConfigError(f"{where}: expected a mapping, got {type(mapping).__name__}")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{where}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +72,9 @@ def parse(cls, raw, path: str):
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name in raw:
-            kwargs[f.name] = parse_field(cls, f.name, raw[f.name], f"{path}.{f.name}")
+            kwargs[f.name] = parse_field(cls, f.name, raw[f.name], _join(path, f.name))
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{path}: missing required field '{f.name}'")
+            raise ConfigError(f"{path or 'top level'}: missing required field '{f.name}'")
     return cls(**kwargs)
 
 
@@ -75,6 +84,10 @@ def parse_field(cls, name: str, raw, path: str):
 
 
 def _convert(tp, raw, meta: Mapping, path: str):
+    if "keys" in meta:
+        check_keys(raw, meta["keys"], path)
+        return tuple(_convert(a, raw[k], {}, f"{path}.{k}") if k in raw else a()
+                     for a, k in zip(typing.get_args(tp), meta["keys"]))
     if typing.get_origin(tp) is tuple:
         if isinstance(raw, str) or not isinstance(raw, Sequence):
             raise ConfigError(f"{path}: expected a list, got {raw!r}")
@@ -128,6 +141,8 @@ def dump(obj) -> dict:
 
 
 def _dump_value(value, meta: Mapping):
+    if "keys" in meta:
+        return {k: dump(v) for k, v in zip(meta["keys"], value) if v != type(v)()}
     if isinstance(value, tuple):
         return [_dump_value(v, meta) for v in value]
     if "kinds" in meta:
@@ -148,13 +163,16 @@ def violations(obj, path: str) -> list[Violation]:
     out = []
     for f in dataclasses.fields(obj):
         out.extend(_check(_hints(type(obj))[f.name], getattr(obj, f.name), f.metadata,
-                          f"{path}.{f.name}"))
+                          _join(path, f.name)))
     return out
 
 
 def _check(tp, value, meta: Mapping, path: str) -> list[Violation]:
     if dataclasses.is_dataclass(value):
         return violations(value, path)
+    if "keys" in meta:
+        return [v for a, k, x in zip(typing.get_args(tp), meta["keys"], value)
+                for v in _check(a, x, {}, f"{path}.{k}")]
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if args[-1] is not Ellipsis:

@@ -6,10 +6,7 @@ Everything here is pure and deterministic (never Monte Carlo), so decisions
 cannot depend on thread count or scheduling.  The posterior comparison
 P(X > Y + delta) is Cook's exact sum or an adaptive quadrature, to 1e-6
 absolute for Beta shapes in (0, 2e9]; it raises QuadratureError rather than
-return an unconverged value or take a larger shape.  No result is cached
-here: the one cache of analysis results is the outcome memo of the plan
-``decisions.plan_for`` keeps, one per (rules, prior) per process, emptied
-when a run starts.
+return an unconverged value or take a larger shape.
 """
 
 from __future__ import annotations

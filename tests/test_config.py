@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from platformsim.config import (ComparisonRules, ConfigError, CorrelatedTransform,
                                 DiscreteDist, EndpointModel, expand_grid, get_path,
-                                parse_scenario, scenario_to_dict,
+                                load_scenario, parse_scenario, scenario_to_dict,
                                 serialize_scenario, validate)
+from platformsim.reporting import spec_hash
 
-from conftest import CONFIGS, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
+from conftest import CONFIGS, ROOT, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
 
 
 class TestParse:
@@ -117,6 +119,22 @@ class TestValidate:
     def test_validate_is_pure(self, example_spec):
         assert validate(example_spec) == validate(example_spec)
 
+    @pytest.mark.parametrize("margin", [0.0, -0.3])
+    @pytest.mark.parametrize("name", ["margin_comb", "margin_mono"])
+    @pytest.mark.parametrize("scale", [2, 3])
+    def test_ratio_scale_margin_must_be_positive(self, scale, name, margin):
+        d = scenario_dict()
+        d["target"].update({"scale": scale, name: margin})
+        errors = [v for v in validate_unchecked(d) if v.severity == "error"]
+        assert [v.field for v in errors] == [f"target.{name}"]
+        with pytest.raises(ConfigError, match=f"target.{name}"):
+            parse_scenario(d)
+
+    def test_risk_difference_accepts_negative_margins(self):
+        d = scenario_dict()
+        d["target"].update({"scale": 1, "margin_comb": -0.3, "margin_mono": -0.3})
+        assert validate_unchecked(d) == []
+
     def test_transform_marginal_enforced(self):
         bad = EndpointModel((lambda rr: (1.0 - rr, 0.0, rr, 0.0),), (1.0,))
         d = scenario_dict()
@@ -156,6 +174,58 @@ class TestRoundTrip:
             assert all(p >= -1e-12 for p in probs)
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert probs[1] + probs[3] == pytest.approx(rr, abs=1e-9)
+
+
+class TestRulesTable:
+    def test_missing_comparison_or_stage_is_empty(self):
+        d = scenario_dict()
+        d["rules"] = {"final": {"comb_vs_mono_a": d["rules"]["final"]["comb_vs_mono_a"]}}
+        rules = parse_scenario(d).rules
+        assert rules.interim == (ComparisonRules(),) * 4
+        assert not rules.final[0].empty
+        assert rules.final[1:] == (ComparisonRules(),) * 3
+
+    def test_unknown_comparison_key_names_its_stage(self):
+        d = scenario_dict()
+        d["rules"]["interim"]["comb_vs_soc"] = {}
+        with pytest.raises(ConfigError, match=r"^rules\.interim: unknown field\(s\) \['comb_vs_soc'\]"):
+            parse_scenario(d)
+
+    def test_dump_leaves_out_empty_comparisons(self):
+        d = scenario_dict()
+        kept = d["rules"]["final"]["mono_b_vs_soc"]
+        d["rules"] = {"final": {"mono_b_vs_soc": kept}}
+        assert scenario_to_dict(parse_scenario(d))["rules"] == {
+            "interim": {}, "final": {"mono_b_vs_soc": kept}}
+
+    def test_violation_path_names_the_comparison(self):
+        d = scenario_dict()
+        d["rules"]["final"]["mono_b_vs_soc"]["bayes_sup"] = [{"rows": [[0.05, 1.5, 1.0]]}]
+        errors = [v for v in validate_unchecked(d) if v.severity == "error"]
+        assert [v.field for v in errors] == ["rules.final.mono_b_vs_soc.bayes_sup[0].rows[0][1]"]
+
+    def test_pickled_rule_set_hashes_anew(self, example_spec):
+        # str hashes differ between interpreters, so no stored hash may travel
+        data = pickle.dumps(example_spec.rules)
+        assert b"_hash" not in data
+        rules = pickle.loads(data)
+        assert rules == example_spec.rules and hash(rules) == hash(example_spec.rules)
+
+
+#: ``reporting.spec_hash`` of the shipped scenario files: the parse and dump of a
+#: scenario must not move it
+SHIPPED_SPEC_HASHES = {
+    "configs/example_scenario.yaml":
+        "c3c698b43d7b0bd455c7aa4038ed53dcd8f772f61fd5b28d30bfdd9340742447",
+    "configs/grid_base.yaml": "9e8dfce4008822a45a0a61a67dc63f86565e8ba6abe5384553093b0212c9dff6",
+    "tests/golden/all_rules.yaml":
+        "a8fff47d675ebf413bfa8665b1158a41cb01e4df1ce7c4adffd5121e9814bdc9",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_SPEC_HASHES))
+def test_spec_hash_of_shipped_files_is_pinned(path):
+    assert spec_hash(load_scenario(ROOT / path)) == SHIPPED_SPEC_HASHES[path]
 
 
 class TestExpandGrid:
