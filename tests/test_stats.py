@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln
+from scipy.special import betaln, gammaln, logsumexp
 
 from platformsim import stats
 from platformsim.config import BayesSupRule, BetaPrior
@@ -20,6 +21,30 @@ def cook_prob_greater(ax: int, bx: float, ay: float, by: float) -> float:
     i = np.arange(ax)
     log_terms = betaln(ay + i, bx + by) - np.log(bx + i) - betaln(1 + i, bx) - betaln(ay, by)
     return float(np.exp(log_terms).sum())
+
+
+def margin_reference(ax: int, bx: int, ay: int, by: int, delta: float) -> float:
+    """P(X > Y + delta) for integer shapes and 0 < |delta| < 1: with n = ax + bx - 1,
+    (1 - delta)^ay / B(ay, by) sum_j sum_k A_j D_k B(ay + j + k, n + by - j - k) over
+    j < ax, k < by, where A_j = C(n, j) P(Bin(n - j, delta) <= ax - 1 - j) and
+    D_k = C(by - 1, k) delta^k.  Every term, binomial tail included, is summed in
+    log space, so nothing underflows."""
+    if delta < 0.0:
+        return 1.0 - margin_reference(ay, by, ax, bx, -delta)
+    a, b, c, d = ax, bx, ay, by
+    n = a + b - 1
+    log_fact = gammaln(np.arange(1.0, n + c + d + 1))  # log k!
+    j = np.arange(a)
+    m, i = (n - j)[:, None], j[None, :]  # row j: log P(Bin(m, delta) = i) for i <= m - b
+    log_pmf = np.where(i <= m - b, log_fact[m] - log_fact[i] - log_fact[np.maximum(m - i, 0)]
+                       + i * np.log(delta) + (m - i) * np.log1p(-delta), -np.inf)
+    log_a = log_fact[n] - log_fact[j] - log_fact[n - j] + logsumexp(log_pmf, axis=1)
+    k = np.arange(d)
+    log_d = log_fact[d - 1] - log_fact[k] - log_fact[d - 1 - k] + k * np.log(delta)
+    s = j[:, None] + k[None, :]
+    terms = log_a[:, None] + log_d[None, :] + log_fact[c + s - 1] + log_fact[n + d - s - 1]
+    return float(np.exp(c * np.log1p(-delta) - betaln(c, d) - log_fact[n + c + d - 1]
+                        + logsumexp(terms)))
 
 
 def shapes(hi):
@@ -193,16 +218,87 @@ class TestExactZeroMargin:
         assert stats._cook(3000.0, 3000.0, 3000.0, 3000.0) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("args", [(7.5, 12.3, 5.4, 9.7, 0.0), (0.5, 20.5, 0.5, 60.5, 0.0),
-                                      (7.0, 12.0, 5.0, 9.0, 0.1), (7.0, 12.0, 5.0, 9.0, -0.1),
-                                      (1.0, 1.0, 1.0, 1.0, 1e-16), (2.0, 2.0, 2.0, 2.0, -1.0)])
+                                      (7.0, 12.0, 5.5, 9.0, 0.1), (7.0, 12.0, 5.0, 9.5, -0.1),
+                                      (2.0, 2.0, 2.0, 2.0, -1.0)])
     def test_fractional_shapes_and_margins_take_quadrature(self, args, monkeypatch):
         monkeypatch.setattr(stats, "_cook", _must_not_run)
+        monkeypatch.setattr(stats, "_exact_margin", _must_not_run)
         seen = []
         quadrature = stats._quadrature
         monkeypatch.setattr(stats, "_quadrature", lambda *a: seen.append(a) or quadrature(*a))
         ax, bx, ay, by, delta = args
         prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
         assert seen == [args]
+
+
+@st.composite
+def margin_lanes(draw):
+    """(a_X, b_X, a_Y, b_Y, delta) inside the exact margin sum's caps, delta != 0."""
+    a = draw(st.integers(1, stats._MARGIN_MAX_SHAPE))
+    d = draw(st.integers(1, min(stats._MARGIN_MAX_SHAPE, stats._MARGIN_MAX_TERMS // a)))
+    b = draw(st.integers(1, stats._MARGIN_MAX_SHAPE))
+    c = draw(st.integers(1, stats._MARGIN_MAX_SHAPE))
+    delta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # the sum runs over a_X and b_Y at a positive margin, over a_Y and b_X at a negative one
+    return (a, b, c, d, delta) if draw(st.booleans()) else (c, d, a, b, -delta)
+
+
+class TestExactMargin:
+    """At 0 < |delta| < 1 with four integer shapes of at most _MARGIN_MAX_SHAPE and at
+    most _MARGIN_MAX_TERMS products of the summed shapes, P(X > Y + delta) is an exact
+    finite sum; everything else is left to the quadrature."""
+
+    @given(margin_lanes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_log_space_reference_and_quadrature(self, lane):
+        ax, bx, ay, by, delta = lane
+        with mock.patch.object(stats, "_quadrature", _must_not_run):
+            p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == pytest.approx(margin_reference(*lane), abs=1e-10)
+        assert p == pytest.approx(stats._quadrature(*map(float, lane)), abs=1e-8)
+
+    # int f_Y(y) S_X(y + delta) dy (plus F_Y(-delta) at a negative margin) by mpmath at
+    # 30 digits
+    @pytest.mark.parametrize("args, want", [((13, 37, 13, 84, 0.1), 0.63522983151872747259),
+                                            ((13, 37, 13, 84, -0.1), 0.9997147362776467695),
+                                            ((5, 7, 3, 9, -0.3), 0.99393561425650639264),
+                                            ((40, 60, 25, 75, 0.05), 0.9369227463372226869),
+                                            ((2, 30, 9, 4, 0.6), 5.1276475257512175119e-21)])
+    def test_matches_mpmath(self, args, want, monkeypatch):
+        monkeypatch.setattr(stats, "_quadrature", _must_not_run)
+        ax, bx, ay, by, delta = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("args", [(7.0, 12.0, 5.0, 9.0, 0.1), (7.0, 12.0, 5.0, 9.0, -0.1),
+                                      (1.0, 1.0, 1.0, 1.0, 1e-16),
+                                      (400.0, 3.0, 3.0, 75.0, 0.1), (3.0, 75.0, 400.0, 3.0, -0.1)])
+    def test_integer_shapes_at_nonzero_margins_take_the_exact_sum(self, args, monkeypatch):
+        monkeypatch.setattr(stats, "_quadrature", _must_not_run)
+        monkeypatch.setattr(stats, "_cook", _must_not_run)
+        ax, bx, ay, by, delta = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == pytest.approx(margin_reference(*map(int, args[:4]), delta), abs=1e-10)
+
+    # one shape past the shape cap, or a_X b_Y (a_Y b_X at a negative margin) just past
+    # the cost cap
+    @pytest.mark.parametrize("args", [(stats._MARGIN_MAX_SHAPE + 1.0, 2.0, 3.0, 4.0, 0.1),
+                                      (2.0, 3.0, stats._MARGIN_MAX_SHAPE + 1.0, 4.0, -0.1),
+                                      (100.0, 5.0, 5.0, 301.0, 0.1), (5.0, 301.0, 100.0, 5.0, -0.1)])
+    def test_beyond_the_caps_left_to_quadrature(self, args, monkeypatch):
+        monkeypatch.setattr(stats, "_exact_margin", _must_not_run)
+        ax, bx, ay, by, delta = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == stats._quadrature(*args)
+
+    # the sum's scaled coefficients underflow at these shapes (the last one inside the
+    # cost cap): 0.98, 0.36 and 0.07 off
+    @pytest.mark.parametrize("args", [(500, 500, 1, 500, 0.3), (684, 6, 3, 700, 0.9),
+                                      (540, 540, 1, 55, 0.3)])
+    def test_underflow_witnesses(self, args):
+        ax, bx, ay, by, delta = args
+        p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert p == pytest.approx(margin_reference(*args), abs=1e-9)
 
 
 class TestLargeShapes:
