@@ -49,7 +49,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 import yaml
 
@@ -123,8 +123,8 @@ class CorrelatedTransform:
     """
 
     kind: ClassVar[str] = "correlated"
-    sens: float
-    spec: float
+    sens: float = param(lo=0.0, hi=1.0)
+    spec: float = param(lo=0.0, hi=1.0)
 
     def __call__(self, rr: float) -> tuple[float, float, float, float]:
         p11 = self.sens * rr
@@ -143,12 +143,11 @@ class EndpointModel:
 
     Each transform maps the true final response rate to probabilities over
     the outcome pairs (0/0, 0/1, 1/0, 1/1); one transform is sampled per
-    cohort at opening.  Arbitrary callables are accepted at library level;
-    config files can express ``identity`` (the default) and ``correlated``
-    transforms.
+    cohort at opening.  A transform is ``identity`` (the default) or
+    ``correlated``.
     """
 
-    transforms: tuple[Callable[[float], tuple[float, float, float, float]], ...] = \
+    transforms: tuple[IdentityTransform | CorrelatedTransform, ...] = \
         param((IdentityTransform(),), kinds=TRANSFORM_KINDS)
     probs: tuple[float, ...] = param((1.0,), lo=0.0)
 
@@ -181,8 +180,8 @@ class TargetProfile:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    alpha: float = param(1.0, lo=0.0, open=True)
-    beta: float = param(1.0, lo=0.0, open=True)
+    alpha: float = param(1.0, lo=0.01)
+    beta: float = param(1.0, lo=0.01)
 
 
 @dataclass(frozen=True)
@@ -194,14 +193,16 @@ class PlatformRules:
     n_fin: int
     cohort_random: float = param(0.0, lo=0.0, hi=1.0)
     cohort_offset: int = param(0, lo=0)
-    initial_cohorts: int = 1
+    initial_cohorts: int = param(1, lo=1)
     safety_prob: float = param(0.0, lo=0.0, hi=1.0)
     sr_drugs_pos: float = param(math.inf, lo=1, inf=True)
     sr_pats: float = param(math.inf, lo=1, inf=True)
     sr_first_pos: bool = False
     trial_struc: str = param("all_plac", choices=TRIAL_STRUCTURES)
     sharing_type: str = param("cohort", choices=SHARING_TYPES)
-    allocation_ratio: tuple[int, int, int, int] = param((2, 1, 1, 1), lo=0)
+    allocation_ratio: tuple[int, int, int, int] = param((2, 1, 1, 1), columns=(
+        {"name": "comb", "lo": 1}, {"name": "mono_a", "lo": 0}, {"name": "mono_b", "lo": 0},
+        {"name": "soc", "lo": 0}))
     run_out_active_cohorts: bool = True
 
 
@@ -357,20 +358,6 @@ def _efficacy_violations(eff: EfficacySpec) -> list[Violation]:
     return out
 
 
-def _endpoint_violations(ep: EndpointModel) -> list[Violation]:
-    out = _probs_violations(len(ep.transforms), ep.probs, "endpoint", "transforms")
-    for i, t in enumerate(ep.transforms if not out else ()):
-        for rr in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-            probs = t(rr)
-            if (len(probs) != 4 or min(probs) < -_PROB_TOL or abs(sum(probs) - 1.0) > _PROB_TOL
-                    or abs((probs[1] + probs[3]) - rr) > _PROB_TOL):
-                out.append(Violation(f"endpoint.transforms[{i}]",
-                                     f"at rr={rr}: must give 4 non-negative probabilities summing "
-                                     f"to 1 with final-endpoint marginal rr"))
-                break
-    return out
-
-
 def validate(spec: ScenarioSpec) -> list[Violation]:
     """Return all violations; errors break invariants, warnings are advisory.
 
@@ -380,19 +367,18 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
     """
     out = violations(spec, "")
     out.extend(_efficacy_violations(spec.efficacy))
-    out.extend(_endpoint_violations(spec.endpoint))
+    out.extend(_probs_violations(len(spec.endpoint.transforms), spec.endpoint.probs, "endpoint",
+                                 "transforms"))
     t = spec.target
-    if t.scale != 1:  # a ratio margin of 0 or less puts the bar at 0 for any comparator
+    if t.scale in (2, 3):  # a ratio margin of 0 or less puts the bar at 0 for any comparator
         out.extend(Violation(f"target.{name}", f"{t.scale_name} margins must be > 0")
                    for name in ("margin_comb", "margin_mono") if getattr(t, name) <= 0.0)
     p = spec.platform
     if p.n_int > p.n_fin:
         out.append(Violation("platform.n_int", f"n_int ({p.n_int}) must be <= n_fin ({p.n_fin})"))
-    if not 1 <= p.initial_cohorts <= p.cohorts_max:
-        out.append(Violation("platform.initial_cohorts", "must be in [1, cohorts_max]"))
-    if len(p.allocation_ratio) != 4 or p.allocation_ratio[0] < 1:
-        out.append(Violation("platform.allocation_ratio",
-                             "needs 4 entries (comb, mono_a, mono_b, soc) with comb > 0"))
+    if p.initial_cohorts > p.cohorts_max:
+        out.append(Violation("platform.initial_cohorts",
+                             f"must be <= cohorts_max ({p.cohorts_max})"))
     # why an arm never enters a cohort, as the engine's open_cohort decides it
     absent = {arm: f"arm {arm!r} has allocation_ratio 0"
               for arm, r in zip(ARM_ORDER, p.allocation_ratio) if r == 0}

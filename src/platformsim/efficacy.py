@@ -6,9 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EfficacySpec, TargetProfile
+from .decisions import ARM_ORDER
 
 SUPERIOR = "superior"
 FUTILE = "futile"
+
+_RATE_FIELD = {arm: f"pi_{arm}" for arm in ARM_ORDER}
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,7 @@ class CohortTruth:
     clamped: bool = False
 
     def rate(self, arm: str) -> float:
-        return {"comb": self.pi_comb, "mono_a": self.pi_mono_a,
-                "mono_b": self.pi_mono_b, "soc": self.pi_soc}[arm]
+        return getattr(self, _RATE_FIELD[arm])
 
 
 def apply_effect(base: float, gamma: float, scale: str) -> float:

@@ -38,7 +38,9 @@ def param(default=MISSING, **limits):
     with name -> dataclass; ``keys``: a fixed-length tuple written as a
     mapping from each of these names to the entry at its position, where a
     missing name stands for (and a dump leaves out) the entry type's default
-    instance.  Limits of a list field apply to each entry.
+    instance.  Limits of a list field apply to each entry.  Beyond these,
+    :func:`violations` rejects a fixed-length tuple of another length and an
+    entry of a ``kinds`` field whose type is not one of the kinds.
     """
     return dataclasses.field(default=default, metadata=limits)
 
@@ -168,14 +170,14 @@ def violations(obj, path: str) -> list[Violation]:
 
 
 def _check(tp, value, meta: Mapping, path: str) -> list[Violation]:
-    if dataclasses.is_dataclass(value):
-        return violations(value, path)
     if "keys" in meta:
         return [v for a, k, x in zip(typing.get_args(tp), meta["keys"], value)
                 for v in _check(a, x, {}, f"{path}.{k}")]
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                return [Violation(path, f"needs {len(args)} entries, got {len(value)}")]
             metas = meta.get("columns", (meta,) * len(args))
         elif meta.get("nonempty") and not value:
             return [Violation(path, "needs at least one entry")]
@@ -183,6 +185,10 @@ def _check(tp, value, meta: Mapping, path: str) -> list[Violation]:
             args, metas = (args[0],) * len(value), (meta,) * len(value)
         return [v for i, (a, x, m) in enumerate(zip(args, value, metas))
                 for v in _check(a, x, m, f"{path}[{i}]")]
+    if "kinds" in meta and type(value) not in meta["kinds"].values():
+        return [Violation(path, f"must be one of the kinds {list(meta['kinds'])}")]
+    if dataclasses.is_dataclass(value):
+        return violations(value, path)
     what = f"{meta['name']} " if "name" in meta else ""
     if "choices" in meta and value not in meta["choices"]:
         return [Violation(path, f"{what}must be one of {meta['choices']}")]

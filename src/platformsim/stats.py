@@ -3,26 +3,9 @@ two-proportion tests, and point estimates / confidence intervals for 2x2
 count tables.
 
 Everything here is pure and deterministic (never Monte Carlo), so decisions
-cannot depend on thread count or scheduling.  The posterior comparison
-P(X > Y + delta) is met to 1e-6 absolute for Beta shapes in (0, 2e9]; it
-raises QuadratureError rather than return an unconverged value or take a
-larger shape.  It has three paths, each exact one capped where it stops
-paying or stops being exact:
-
-- delta = 0 with an integer shape k <= 140 and no shape above 1e4: Cook's
-  finite sum of k terms.  At 0.55 us a term against the quadrature's 75-100
-  us they break even near k = 140; above 1e4 its lgamma differences lose
-  digits.
-- 0 < |delta| < 1 with four integer shapes of at most 400 and a_X b_Y (for
-  delta < 0, a_Y b_X) of at most 30,000: a finite sum of non-negative terms,
-  within 2e-12 of a log-space reference.  Its scaled coefficients underflow
-  once a shape nears 520, and past a_X b_Y = 30,000 it costs as much as the
-  quadrature or more.
-- anything else: adaptive Gauss-Legendre quadrature over logit(Y).
-
-A Beta(1, 1) prior plus whole counts gives integer shapes, so under
-``cohort``, ``all`` and ``concurrent`` sharing with such a prior the
-quadrature sees only arms past these caps.
+cannot depend on thread count or scheduling.  :func:`prob_greater_by_margin`
+states the posterior comparison's paths and the shapes over which it meets
+its accuracy.
 """
 
 from __future__ import annotations
@@ -246,10 +229,16 @@ def _exact_margin(a: int, b: int, c: int, d: int, delta: float) -> float:
 def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> float:
     """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
 
-    Any shapes in (0, 2e9] (checked from 1e-4 to 5000, and on large-shape
-    cases to 1e9); larger ones raise QuadratureError.  The margin may be
-    negative (non-inferiority).  A Beta(1, 1) prior plus whole counts gives
-    integer shapes, which two exact paths serve:
+    Every shape is a prior shape plus counts, and validation admits prior
+    shapes of at least 0.01 (``config.BetaPrior``), so shapes lie in
+    [0.01, 2e9].  Tests check 0.01 to 0.05 against shapes to 1e9 + 0.5
+    (identical posteriors come within 2.6e-7 of 1/2), 0.05 to 5000 at random,
+    and large-shape cases to 1e9.  Shapes above 2e9 raise QuadratureError.
+    Below 0.01 the accuracy fails: a shape of 0.005 raises QuadratureError
+    against 100.5 to 1e8 + 0.5, and against 1e9 + 0.5 it returns a value
+    3.6e-4 off without raising.  The margin may be negative
+    (non-inferiority).  A Beta(1, 1) prior plus whole counts gives integer
+    shapes, which two exact paths serve:
 
     - delta = 0 with an integer shape k <= 140 and no shape above 1e4:
       Cook's finite sum of k terms, within about 1e-10 of the quadrature.
@@ -262,14 +251,16 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
       (0.07 off at (540, 540, 1, 55, 0.3)); past 30,000 it costs as much as
       the quadrature or more.
 
-    Otherwise it is F_Y(-delta) + int f_Y(y) S_X(y + delta) dy
-    over z = logit(y), where Y's density has no singular end, after swapping
-    the roles of X and Y if X is the narrower posterior, and over at most 80
-    SDs of logit(Y) about its mean when Y's shapes sum past 1e4.  The end map
-    t -> t^2 / (t^2 + 1 - t), or its mirror, smooths the fractional power S_X
-    has where a margin cuts the range at x = 0 or 1.  Raises QuadratureError
-    if successive Gauss-Legendre panel doublings do not agree to 5e-8 by 512
-    panels.
+    Under ``cohort``, ``all`` and ``concurrent`` sharing with such a prior,
+    only arms past these caps reach the quadrature.  It computes
+    F_Y(-delta) + int f_Y(y) S_X(y + delta) dy over z = logit(y), where Y's
+    density has no singular end, after swapping the roles of X and Y if X is
+    the narrower posterior, and over at most 80 SDs of logit(Y) about its
+    mean when Y's shapes sum past 1e4.  The end map t -> t^2 / (t^2 + 1 - t),
+    or its mirror, smooths the fractional power S_X has where a margin cuts
+    the range at x = 0 or 1.  Raises QuadratureError rather than return an
+    unconverged value if successive Gauss-Legendre panel doublings do not
+    agree to 5e-8 by 512 panels.
     """
     ax, bx, ay, by, delta = (float(x.alpha), float(x.beta), float(y.alpha), float(y.beta),
                              float(delta))

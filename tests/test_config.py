@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (ComparisonRules, ConfigError, CorrelatedTransform,
-                                DiscreteDist, EndpointModel, expand_grid, get_path,
-                                load_scenario, parse_scenario, scenario_to_dict,
-                                serialize_scenario, validate)
+from platformsim.config import (BetaPrior, ComparisonRules, ConfigError, CorrelatedTransform,
+                                DiscreteDist, EndpointModel, PlatformRules, TargetProfile,
+                                expand_grid, get_path, load_scenario, parse_scenario,
+                                scenario_to_dict, serialize_scenario, validate)
 from platformsim.reporting import spec_hash
 
 from conftest import CONFIGS, ROOT, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
@@ -130,6 +130,11 @@ class TestValidate:
         with pytest.raises(ConfigError, match=f"target.{name}"):
             parse_scenario(d)
 
+    def test_unknown_scale_is_one_error_even_with_a_margin_of_zero(self):
+        d = scenario_dict()
+        d["target"].update({"scale": 5, "margin_comb": 0.0})
+        assert [v.field for v in validate_unchecked(d) if v.severity == "error"] == ["target.scale"]
+
     def test_risk_difference_accepts_negative_margins(self):
         d = scenario_dict()
         d["target"].update({"scale": 1, "margin_comb": -0.3, "margin_mono": -0.3})
@@ -141,7 +146,8 @@ class TestValidate:
         spec = parse_scenario(d)
         import dataclasses
         broken = dataclasses.replace(spec, endpoint=bad)
-        assert any("marginal" in v.message for v in validate(broken))
+        errors = [v for v in validate(broken) if v.severity == "error"]
+        assert [v.field for v in errors] == ["endpoint.transforms[0]"]
 
 
 def validate_unchecked(d):
@@ -174,6 +180,15 @@ class TestRoundTrip:
             assert all(p >= -1e-12 for p in probs)
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert probs[1] + probs[3] == pytest.approx(rr, abs=1e-9)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_correlated_transform_is_a_joint_with_final_marginal_rr(self, sens, spec_, rr):
+        # any in-limits transform is valid at every rate, so validation checks only the limits
+        probs = CorrelatedTransform(sens=sens, spec=spec_)(rr)
+        assert len(probs) == 4 and min(probs) >= 0.0
+        assert abs(sum(probs) - 1.0) <= 1e-12
+        assert abs(probs[1] + probs[3] - rr) <= 1e-12
 
 
 class TestRulesTable:
@@ -332,10 +347,16 @@ def outside_limits(meta):
         yield meta["hi"] if is_open else math.nextafter(meta["hi"], math.inf)
 
 
-LIMIT_SITES = [(key, f.name, column, bad)
-               for key, cls in RULE_KINDS.items() for f in dataclasses.fields(cls)
-               for column, meta in (enumerate(f.metadata["columns"]) if "columns" in f.metadata
-                                    else [(None, f.metadata)])
+def declared_limits(cls):
+    """(field name, column or None, limits) for each declared limit of ``cls``."""
+    for f in dataclasses.fields(cls):
+        for column, meta in (enumerate(f.metadata["columns"]) if "columns" in f.metadata
+                             else [(None, f.metadata)]):
+            yield f.name, column, meta
+
+
+LIMIT_SITES = [(key, name, column, bad)
+               for key, cls in RULE_KINDS.items() for name, column, meta in declared_limits(cls)
                for bad in outside_limits(meta)]
 
 
@@ -372,3 +393,78 @@ class TestRuleKinds:
         errors = [v for v in validate(spec) if v.severity == "error"]
         assert len(errors) == 1
         assert errors[0].field == "rules.final.comb_vs_mono_a" + where
+
+
+# --- every declared limit of the other scenario sections ----------------------
+
+
+SECTIONS = {"platform": PlatformRules, "target": TargetProfile, "prior": BetaPrior,
+            "endpoint.transforms[0]": CorrelatedTransform}
+SECTION_LIMIT_SITES = [(section, name, column, bad)
+                       for section, cls in SECTIONS.items()
+                       for name, column, meta in declared_limits(cls)
+                       for bad in outside_limits(meta)]
+# a cohorts_max below 1 also puts the default initial_cohorts of 1 above it
+ALSO_BROKEN = {"platform.cohorts_max": ["platform.initial_cohorts"]}
+
+
+def correlated_spec():
+    d = scenario_dict()
+    d["endpoint"] = {"transforms": [{"kind": "correlated", "sens": 0.8, "spec": 0.9}],
+                     "probs": [1.0]}
+    return parse_scenario(d)
+
+
+def with_field(spec, section, name, value):
+    if section.startswith("endpoint."):
+        transform = dataclasses.replace(spec.endpoint.transforms[0], **{name: value})
+        return dataclasses.replace(spec, endpoint=EndpointModel((transform,), (1.0,)))
+    owner = dataclasses.replace(getattr(spec, section), **{name: value})
+    return dataclasses.replace(spec, **{section: owner})
+
+
+def error_fields(spec):
+    return [v.field for v in validate(spec) if v.severity == "error"]
+
+
+class TestSectionLimits:
+    @pytest.mark.parametrize("section,name,column,bad", SECTION_LIMIT_SITES)
+    def test_value_outside_limits_is_an_error_naming_its_field(self, section, name, column, bad):
+        spec = correlated_spec()
+        if column is None:
+            value, where = bad, f"{section}.{name}"
+        else:
+            row = getattr(getattr(spec, section), name)
+            value = row[:column] + (bad,) + row[column + 1:]
+            where = f"{section}.{name}[{column}]"
+        fields = error_fields(with_field(spec, section, name, value))
+        assert fields == [where] + ALSO_BROKEN.get(where, [])
+
+    @pytest.mark.parametrize("section,name,value,where", [
+        ("endpoint.transforms[0]", "sens", -0.1, "endpoint.transforms[0].sens"),
+        ("endpoint.transforms[0]", "sens", 1.01, "endpoint.transforms[0].sens"),
+        ("endpoint.transforms[0]", "spec", -0.1, "endpoint.transforms[0].spec"),
+        ("endpoint.transforms[0]", "spec", 1.01, "endpoint.transforms[0].spec"),
+        ("platform", "allocation_ratio", (0, 1, 1, 1), "platform.allocation_ratio[0]"),
+        ("platform", "allocation_ratio", (2, 1, 1), "platform.allocation_ratio"),
+        ("platform", "initial_cohorts", 0, "platform.initial_cohorts"),
+        ("platform", "initial_cohorts", 6, "platform.initial_cohorts"),  # cohorts_max + 1
+        ("prior", "alpha", 0.005, "prior.alpha"),
+    ])
+    def test_rejected_inputs_give_one_error_naming_the_field(self, section, name, value, where):
+        assert error_fields(with_field(correlated_spec(), section, name, value)) == [where]
+
+    def test_plain_function_transform_is_rejected(self):
+        endpoint = EndpointModel((lambda rr: (1.0 - rr, 0.0, 0.0, rr),), (1.0,))
+        spec = dataclasses.replace(correlated_spec(), endpoint=endpoint)
+        assert error_fields(spec) == ["endpoint.transforms[0]"]
+        with pytest.raises(ConfigError, match=r"(?s)grid scenario .*endpoint\.transforms\[0\]"):
+            expand_grid(spec, {"n_fin": [100]})
+
+    def test_prior_below_the_kernel_domain_is_rejected_from_a_file(self):
+        d = scenario_dict()
+        d["prior"] = {"alpha": 0.005, "beta": 1.0}
+        with pytest.raises(ConfigError, match=r"prior\.alpha"):
+            parse_scenario(d)
+        d["prior"] = {"alpha": 0.01, "beta": 0.01}
+        assert parse_scenario(d).prior == BetaPrior(0.01, 0.01)

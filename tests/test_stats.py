@@ -354,6 +354,20 @@ class TestLargeShapes:
         assert info.value.args == args
 
 
+class TestSmallShapes:
+    """Validation admits prior shapes from 0.01 (config.BetaPrior), and every
+    shape is a prior shape plus counts.  Against fractional partners Cook's
+    sum cannot answer, so the quadrature must meet 1e-6 down to 0.01 (at
+    0.005 it raises or, against 1e9 + 0.5, is 3.6e-4 off)."""
+
+    @pytest.mark.parametrize("b", [100.5, 1000.5, 5000.5, 1e5 + 0.5, 1e6 + 0.5, 1e9 + 0.5])
+    @pytest.mark.parametrize("a", [0.01, 0.02, 0.05])
+    def test_identical_posteriors_give_one_half(self, a, b, monkeypatch):
+        monkeypatch.setattr(stats, "_cook", _must_not_run)
+        x = PosteriorBeta(a, b)
+        assert prob_greater_by_margin(x, x, 0.0) == pytest.approx(0.5, abs=1e-6)
+
+
 def _must_not_run(*args):
     raise AssertionError(f"unexpected call with {args}")
 
