@@ -57,6 +57,7 @@ from .decisions import (ARM_ORDER, COMPARISON_ARMS, BayesFutRule, BayesSAFutRule
                         BayesSASupRule, BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule,
                         FreqSupRule)
 from .schema import ConfigError, Violation, dump, param, parse, parse_field, violations
+from .stats import MIN_SHAPE
 
 RANDOM_TYPES = ("absolute", "risk_difference", "risk_ratio", "odds_ratio")
 TRIAL_STRUCTURES = ("all_plac", "no_plac", "stop_post_back", "stop_post_mono")
@@ -180,8 +181,8 @@ class TargetProfile:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    alpha: float = param(1.0, lo=0.01)
-    beta: float = param(1.0, lo=0.01)
+    alpha: float = param(1.0, lo=MIN_SHAPE)
+    beta: float = param(1.0, lo=MIN_SHAPE)
 
 
 @dataclass(frozen=True)
@@ -384,15 +385,18 @@ def validate(spec: ScenarioSpec) -> list[Violation]:
               for arm, r in zip(ARM_ORDER, p.allocation_ratio) if r == 0}
     if p.trial_struc == "no_plac":
         absent.setdefault("soc", "trial_struc 'no_plac' has no SoC arm")
+    errors = [v.field for v in out if v.severity == "error"]
     for stage in STAGES:
         for key, arms, cr in zip(COMPARISON_KEYS, COMPARISON_ARMS.values(),
                                  spec.rules.for_stage(stage)):
             path = f"rules.{stage}.{key}"
-            # overlapping GO/STOP regions are legal but suspicious
-            for f in dataclasses.fields(cr):
-                for i, rule in enumerate(getattr(cr, f.name)):
-                    out.extend(Violation(f"{path}.{f.name}[{i}]", msg, severity="warning")
-                               for msg in rule.conflicts(cr))
+            # overlapping GO/STOP regions are legal but suspicious; `conflicts` reads well-formed
+            # rules only, so a comparison whose rules already have an error is skipped
+            if not any(e.startswith(path + ".") for e in errors):
+                for f in dataclasses.fields(cr):
+                    for i, rule in enumerate(getattr(cr, f.name)):
+                        out.extend(Violation(f"{path}.{f.name}[{i}]", msg, severity="warning")
+                                   for msg in rule.conflicts(cr))
             missing = "; ".join(absent[arm] for arm in arms if arm in absent)
             if missing and not cr.empty:
                 out.append(Violation(path, f"rules configured, but {missing}; they will never "

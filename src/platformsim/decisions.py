@@ -21,8 +21,10 @@ on two comparisons or stages share entries.  Outcomes carry no comparison:
 ``decision.comparisons[i]`` belongs to ``data[i]``.  :func:`plan_for` holds
 one plan per (rules, prior) per process; ``runner.run_grid`` empties it when a
 run starts, before any fork, so each run and worker starts cold.  The memo
-only saves work.  Each record given to :func:`evaluate_cohort` has a patient
-on both arms.
+only saves work.  The kernel's own tables in ``stats`` (the quadrature's
+nodes, the exact margin sum's coefficient vectors) are not result caches:
+each holds a pure function of its key, never a probability.  Each record
+given to :func:`evaluate_cohort` has a patient on both arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "PosteriorBeta", "TwoByTwo", "QuadratureError", "reg_inc_beta", "prob_greater_by_margin",
-    "prob_exceeds", "one_sided_prop_test", "point_estimate", "ci",
+    "PosteriorBeta", "TwoByTwo", "QuadratureError", "MIN_SHAPE", "reg_inc_beta",
+    "prob_greater_by_margin", "prob_exceeds", "one_sided_prop_test", "point_estimate", "ci",
 ]
 
 
@@ -71,8 +71,14 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 class QuadratureError(ArithmeticError):
-    """``prob_greater_by_margin`` got a shape above 2e9, or no two successive panel
-    levels agreed by ``_MAX_PANELS``; ``args`` is (a_X, b_X, a_Y, b_Y, delta)."""
+    """``prob_greater_by_margin`` got a shape below ``MIN_SHAPE`` or above 2e9, or no
+    two successive panel levels agreed by ``_MAX_PANELS``; ``args`` is
+    (a_X, b_X, a_Y, b_Y, delta)."""
+
+
+#: The smallest Beta shape ``prob_greater_by_margin`` answers for, and so the smallest
+#: prior shape validation admits (``config.BetaPrior``)
+MIN_SHAPE = 0.01
 
 
 # 32-point Gauss-Legendre nodes/weights on [-1, 1]
@@ -94,8 +100,11 @@ _COOK_MAX_TERMS = 140
 # cost cap one that matters first underflows near shape 520: (520, 520, 1, 57, 0.3) is
 # 1.6e-10 and (540, 540, 1, 55, 0.3) 0.07 off a log-space sum, while all of
 # {1, 2, 3, 6, 10, 30, 100, 200, 400}^4 at 12 margins meets 1.5e-12.  Its time against
-# the quadrature's is 0.4-0.7 up to a_X b_Y = 10,000, 0.7-1.0 at 30,000, 1.0 at 40,000
-# and 1.3 at 62,500 (same host)
+# the quadrature's, over 18 lanes per a_X b_Y with b_X, a_Y in 20-150 and margins 0.05
+# and 0.1, is 0.15-0.42 up to a_X b_Y = 10,000, 0.23-0.75 at 30,000, 0.24-0.78 at 40,000
+# and 0.40-1.28 at 62,500 when its coefficient tables hold the lane's keys; with both
+# tables missed it is 0.34-1.26, 0.54-1.55, 0.83-1.70 and 1.23-2.30 (same host).  The cap
+# stays where the cold sum and the quadrature break even: moving it reroutes lanes
 _MARGIN_MAX_SHAPE = 400
 _MARGIN_MAX_TERMS = 30_000
 _LOG_FACT = special.gammaln(np.arange(1.0, 4 * _MARGIN_MAX_SHAPE))  # log k! for k < 1599
@@ -198,6 +207,31 @@ def _cook(a: float, b: float, c: float, d: float) -> float:
     return min(1.0, math.exp(top) * math.fsum([math.exp(t - top) for t in log_terms]))
 
 
+# Each coefficient table holds at most 512 read-only arrays of at most _MARGIN_MAX_SHAPE
+# doubles: 3.6 KB an entry with its header, key and cache node, so 1.83 MB apiece at worst
+# (tracemalloc).  An entry is a pure function of its key, so a hit returns the very bits a
+# recomputation would
+@lru_cache(maxsize=512)
+def _margin_a(a: int, b: int, delta: float) -> tuple[float, np.ndarray]:
+    # _exact_margin's scaled A for X ~ Beta(a, b): one betainc vector per (a, b, delta)
+    n = a + b - 1
+    log_choose = _LOG_FACT[n] - _LOG_FACT[:a] - _LOG_FACT[b:n + 1][::-1]
+    scale = log_choose[min(a - 1, n // 2)]
+    coef = np.exp(log_choose - scale) * special.betainc(b, _COUNT[a:0:-1], 1.0 - delta)
+    coef.flags.writeable = False
+    return scale, coef
+
+
+@lru_cache(maxsize=512)
+def _margin_d(d: int, delta: float) -> tuple[float, np.ndarray]:
+    # _exact_margin's scaled D for Y ~ Beta(c, d): it does not depend on c
+    log_d = _LOG_FACT[d - 1] - _LOG_FACT[:d] - _LOG_FACT[d - 1::-1] + _COUNT[:d] * math.log(delta)
+    scale = log_d[int((d - 1) * delta / (1.0 + delta))]
+    coef = np.exp(log_d - scale)
+    coef.flags.writeable = False
+    return scale, coef
+
+
 def _exact_margin(a: int, b: int, c: int, d: int, delta: float) -> float:
     # P(X > Y + delta) for X ~ Beta(a, b), Y ~ Beta(c, d) with integer shapes and
     # 0 < delta < 1.  With n = a + b - 1 and y = (1 - delta) v,
@@ -207,12 +241,9 @@ def _exact_margin(a: int, b: int, c: int, d: int, delta: float) -> float:
     # D_k = C(d - 1, k) delta^k, k < d, those of (1 - (1 - delta) v)^(d - 1): no term is
     # negative, so nothing cancels.  A and D are scaled by about their largest entries
     n = a + b - 1
-    log_choose = _LOG_FACT[n] - _LOG_FACT[:a] - _LOG_FACT[b:n + 1][::-1]
-    scale_a = log_choose[min(a - 1, n // 2)]
-    coef_a = np.exp(log_choose - scale_a) * special.betainc(b, _COUNT[a:0:-1], 1.0 - delta)
-    log_d = _LOG_FACT[d - 1] - _LOG_FACT[:d] - _LOG_FACT[d - 1::-1] + _COUNT[:d] * math.log(delta)
-    scale_d = log_d[int((d - 1) * delta / (1.0 + delta))]
-    conv = np.convolve(coef_a, np.exp(log_d - scale_d))
+    scale_a, coef_a = _margin_a(a, b, delta)
+    scale_d, coef_d = _margin_d(d, delta)
+    conv = np.convolve(coef_a, coef_d)
     # the B(c + s, n + d - s) span far more than a double's range, so each term goes
     # through log space; an (A * D)_s that underflowed is left out
     log_terms = np.log(conv, out=np.full(conv.size, -np.inf), where=conv > 0.0)
@@ -230,13 +261,13 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
     """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
 
     Every shape is a prior shape plus counts, and validation admits prior
-    shapes of at least 0.01 (``config.BetaPrior``), so shapes lie in
-    [0.01, 2e9].  Tests check 0.01 to 0.05 against shapes to 1e9 + 0.5
+    shapes of at least ``MIN_SHAPE`` = 0.01 (``config.BetaPrior``), so shapes
+    lie in [0.01, 2e9].  Tests check 0.01 to 0.05 against shapes to 1e9 + 0.5
     (identical posteriors come within 2.6e-7 of 1/2), 0.05 to 5000 at random,
-    and large-shape cases to 1e9.  Shapes above 2e9 raise QuadratureError.
-    Below 0.01 the accuracy fails: a shape of 0.005 raises QuadratureError
-    against 100.5 to 1e8 + 0.5, and against 1e9 + 0.5 it returns a value
-    3.6e-4 off without raising.  The margin may be negative
+    and large-shape cases to 1e9.  Shapes below 0.01 or above 2e9 raise
+    QuadratureError: below 0.01 the quadrature loses the mass of X's CDF
+    where exp(logit(y)) underflows (a shape of 0.005 against 1e9 + 0.5 would
+    be 3.6e-4 off).  The margin may be negative
     (non-inferiority).  A Beta(1, 1) prior plus whole counts gives integer
     shapes, which two exact paths serve:
 
@@ -249,7 +280,10 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
       a finite sum of a_X + b_Y - 1 non-negative terms, within 2e-12 of a
       log-space reference.  Above 400 its scaled coefficients can underflow
       (0.07 off at (540, 540, 1, 55, 0.3)); past 30,000 it costs as much as
-      the quadrature or more.
+      the quadrature or more when it must compute its coefficients afresh.
+      Two bounded tables of 512 entries keep those coefficients, X's per
+      (a_X, b_X, delta) and Y's per (b_Y, delta), so a posterior that meets
+      many partners at one margin computes its betainc vector once.
 
     Under ``cohort``, ``all`` and ``concurrent`` sharing with such a prior,
     only arms past these caps reach the quadrature.  It computes
@@ -265,7 +299,7 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
     ax, bx, ay, by, delta = (float(x.alpha), float(x.beta), float(y.alpha), float(y.beta),
                              float(delta))
     top = max(ax, bx, ay, by)
-    if top > _MAX_SHAPE:
+    if top > _MAX_SHAPE or min(ax, bx, ay, by) < MIN_SHAPE:
         raise QuadratureError(ax, bx, ay, by, delta)
     if delta == 0.0 and top <= _LARGE:  # Cook's term 0 is an lgamma difference: 2e-6 off at 1e9
         # Cook's sum runs over an integer shape: a_X or b_Y give P(X > Y), a_Y or b_X

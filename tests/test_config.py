@@ -11,6 +11,7 @@ from platformsim.config import (BetaPrior, ComparisonRules, ConfigError, Correla
                                 DiscreteDist, EndpointModel, PlatformRules, TargetProfile,
                                 expand_grid, get_path, load_scenario, parse_scenario,
                                 scenario_to_dict, serialize_scenario, validate)
+from platformsim.decisions import BayesFutRule, BayesSupRule
 from platformsim.reporting import spec_hash
 
 from conftest import CONFIGS, ROOT, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
@@ -88,6 +89,13 @@ class TestValidate:
         violations = validate_unchecked(d)
         assert [v.severity for v in violations] == ["warning"]
         parse_scenario(d)  # warnings do not block
+
+    def test_short_rule_row_beside_a_rival_is_an_error_not_a_crash(self, example_spec):
+        # built in library code, so no parser stands between the row and validate
+        rules = ComparisonRules(bayes_sup=(BayesSupRule(rows=((0.1, 0.8),)),),
+                                bayes_fut=(BayesFutRule(rows=((0.0, 0.2),)),))
+        assert [str(v) for v in validate(with_rules(example_spec, rules))] == [
+            "[error] rules.final.comb_vs_mono_a.bayes_sup[0].rows[0]: needs 3 entries, got 2"]
 
     def test_no_plac_with_soc_rules_warns(self):
         d = scenario_dict(trial_struc="no_plac")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -301,6 +302,44 @@ class TestExactMargin:
         assert p == pytest.approx(margin_reference(*args), abs=1e-9)
 
 
+class TestMarginTables:
+    """The exact margin sum keeps X's coefficients A per (a_X, b_X, delta) and Y's D per
+    (b_Y, delta): a table hit must give the bits a recomputation gives."""
+
+    @given(margin_lanes())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_tables_give_the_bits_of_cold_ones(self, lane):
+        def kernel(ax, bx, ay, by, delta):
+            return prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+
+        def clear():
+            stats._margin_a.cache_clear()
+            stats._margin_d.cache_clear()
+
+        clear()
+        cold = kernel(*lane)
+        both_hit = 0
+        for i, v in enumerate(lane):
+            # a lane one step away in one shape or in the margin fills the tables first,
+            # so a table keyed on too little would hand this lane that lane's coefficients
+            clear()
+            kernel(*lane[:i], v / 2 if i == 4 else v - 1 if v > 1 else 2, *lane[i + 1:])
+            assert kernel(*lane) == cold
+            both_hit += min(stats._margin_a.cache_info().hits, stats._margin_d.cache_info().hits)
+        # the step in the shape the sum keeps no table for left both of this lane's keys
+        assert both_hit >= 1
+
+    @pytest.mark.parametrize("table, key", [("_margin_a", (7, 12, 0.1)), ("_margin_d", (9, 0.1))])
+    def test_cached_arrays_are_read_only(self, table, key):
+        _, coef = getattr(stats, table)(*key)
+        with pytest.raises(ValueError):
+            coef[0] = 1.0
+
+    @pytest.mark.parametrize("table", ["_margin_a", "_margin_d"])
+    def test_tables_are_bounded(self, table):
+        assert getattr(stats, table).cache_info().maxsize is not None
+
+
 class TestLargeShapes:
     """Shapes far above any trial's counts (a large prior), up to 2e9: narrow
     posteriors must not fall between the quadrature's nodes, and log B must
@@ -355,17 +394,31 @@ class TestLargeShapes:
 
 
 class TestSmallShapes:
-    """Validation admits prior shapes from 0.01 (config.BetaPrior), and every
-    shape is a prior shape plus counts.  Against fractional partners Cook's
-    sum cannot answer, so the quadrature must meet 1e-6 down to 0.01 (at
-    0.005 it raises or, against 1e9 + 0.5, is 3.6e-4 off)."""
+    """Validation admits prior shapes from stats.MIN_SHAPE = 0.01 (config.BetaPrior),
+    and every shape is a prior shape plus counts.  Against fractional partners Cook's
+    sum cannot answer, so the quadrature must meet 1e-6 down to 0.01.  Below it the
+    kernel raises: at 0.005 the quadrature would raise against 100.5 to 1e8 + 0.5,
+    and against 1e9 + 0.5 return 0.50036."""
 
     @pytest.mark.parametrize("b", [100.5, 1000.5, 5000.5, 1e5 + 0.5, 1e6 + 0.5, 1e9 + 0.5])
-    @pytest.mark.parametrize("a", [0.01, 0.02, 0.05])
+    @pytest.mark.parametrize("a", [stats.MIN_SHAPE, 0.02, 0.05])
     def test_identical_posteriors_give_one_half(self, a, b, monkeypatch):
         monkeypatch.setattr(stats, "_cook", _must_not_run)
         x = PosteriorBeta(a, b)
         assert prob_greater_by_margin(x, x, 0.0) == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("args", [(0.005, 1e9 + 0.5, 0.005, 1e9 + 0.5, 0.0),
+                                      (0.005, 3.0, 4.0, 5.0, 0.0), (3.0, 0.005, 4.0, 5.0, 0.1),
+                                      (3.0, 4.0, 0.005, 5.0, -0.1), (3.0, 4.0, 5.0, 0.005, 0.0)])
+    def test_below_the_domain_raises(self, args):
+        ax, bx, ay, by, delta = args
+        with pytest.raises(QuadratureError) as info:
+            prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), delta)
+        assert info.value.args == args
+
+    def test_validation_admits_exactly_the_kernel_domain(self):
+        for f in dataclasses.fields(BetaPrior):
+            assert f.metadata["lo"] == stats.MIN_SHAPE
 
 
 def _must_not_run(*args):
