@@ -13,6 +13,11 @@ as soon as its last chunk is in.  Progress lines on stderr give the rate and
 an ETA over the whole job; the manifests record wall time and trials/s,
 never the OC files.
 
+The scheduler writes no trajectories.  ``ocs --dump-trajectories N``
+re-simulates its first N trials through ``runner.run_single_trial``, with
+the stream cells and the writer that ``simulate`` uses, so a dump is the
+same bytes as ``simulate`` gives for that cell.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -34,12 +39,11 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load_spec(path, quiet: bool = False):
+def _load_spec(path):
     spec = load_scenario(path)
-    if not quiet:
-        for v in validate(spec):
-            if v.severity == "warning":
-                print(f"warning: {v}", file=sys.stderr)
+    for v in validate(spec):
+        if v.severity == "warning":
+            print(f"warning: {v}", file=sys.stderr)
     return spec
 
 
@@ -109,12 +113,17 @@ def cmd_ocs(args) -> int:
     spec = _load_spec(args.config)
     formats = _parse_formats(args.format)
     workers = resolve_workers(args.workers)
-    dump_dir = os.path.join(args.out, "trajectories") if args.dump_trajectories else None
     started = time.perf_counter()
     ocs = run_ocs(spec, args.iterations, args.seed, workers=workers,
-                  dump_first=args.dump_trajectories, dump_dir=dump_dir,
                   progress=_progress(spec.id, started))
     wall_s = time.perf_counter() - started
+    dump_dir = os.path.join(args.out, "trajectories")
+    n_dumps = min(args.dump_trajectories, args.iterations)
+    if n_dumps:
+        os.makedirs(dump_dir, exist_ok=True)
+    for k in range(n_dumps):
+        reporting.write_trajectory(os.path.join(dump_dir, f"trajectory_{k:06d}.json"),
+                                   run_single_trial(spec, args.seed, 0, k))
     _write_scenario_outputs(args.out, spec, ocs, formats, {
         "command": "ocs", "scenario_id": spec.id, "spec_hash": reporting.spec_hash(spec),
         "master_seed": args.seed, "iterations": args.iterations, "workers": workers,

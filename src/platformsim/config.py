@@ -412,11 +412,9 @@ _SECTION_ORDER = ("platform", "target", "prior", "efficacy", "endpoint")
 _SCALAR_TYPES = (int, float, str, bool)
 
 
-def resolve_path(spec: ScenarioSpec, path: str) -> tuple[str, ...]:
+def resolve_path(spec: ScenarioSpec, path: str) -> tuple[str, str]:
     """Resolve an axis path ('platform.n_int' or the shorthand 'n_int') to a
     (section, field) tuple naming a scalar ScenarioSpec field."""
-    if path == "id":
-        return ("id",)
     matches = [(section, f.name) for section in _SECTION_ORDER
                for f in dataclasses.fields(getattr(spec, section))
                if path in (f.name, f"{section}.{f.name}")
@@ -437,9 +435,7 @@ def get_path(spec: ScenarioSpec, path: str):
     return obj
 
 
-def _with_path(spec: ScenarioSpec, parts: tuple[str, ...], value) -> ScenarioSpec:
-    if len(parts) == 1:
-        return dataclasses.replace(spec, **{parts[0]: value})
+def _with_path(spec: ScenarioSpec, parts: tuple[str, str], value) -> ScenarioSpec:
     section, name = parts
     current = getattr(spec, section)
     return dataclasses.replace(spec, **{section: dataclasses.replace(current, **{name: value})})
@@ -466,8 +462,8 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
     for k, combo in enumerate(itertools.product(*value_lists)):
         spec = base
         for parts, value in zip(paths, combo):
-            owner = type(getattr(base, parts[0])) if len(parts) == 2 else ScenarioSpec
-            value = parse_field(owner, parts[-1], value, f"axis {'.'.join(parts)}")
+            value = parse_field(type(getattr(base, parts[0])), parts[1], value,
+                                f"axis {'.'.join(parts)}")
             spec = _with_path(spec, parts, value)
         spec = dataclasses.replace(spec, id=f"{base.id}#{k:0{width}d}")
         errors = [str(v) for v in validate(spec) if v.severity == "error"]

@@ -40,7 +40,11 @@ def apply_effect(base: float, gamma: float, scale: str) -> float:
     odds; the result is clamped into [0, 1].  A base rate of 1 has infinite
     odds, so any odds-ratio effect leaves it at 1.
     """
-    return min(1.0, max(0.0, _raw_effect(base, gamma, scale)))
+    return _clamp(_raw_effect(base, gamma, scale))
+
+
+def _clamp(rate: float) -> float:
+    return min(1.0, max(0.0, rate))
 
 
 def draw_cohort_truth(spec: EfficacySpec, rng) -> CohortTruth:
@@ -66,9 +70,7 @@ def draw_cohort_truth(spec: EfficacySpec, rng) -> CohortTruth:
     raw_a = _raw_effect(pi_soc, g_a, scale)
     raw_b = _raw_effect(pi_soc, g_b, scale)
     raw_comb = _raw_effect(_raw_effect(raw_a, g_b, scale), g_comb, scale)
-    pi_a = min(1.0, max(0.0, raw_a))
-    pi_b = min(1.0, max(0.0, raw_b))
-    pi_comb = min(1.0, max(0.0, raw_comb))
+    pi_a, pi_b, pi_comb = _clamp(raw_a), _clamp(raw_b), _clamp(raw_comb)
     clamped = (pi_a != raw_a) or (pi_b != raw_b) or (pi_comb != raw_comb)
     return CohortTruth(pi_comb, pi_a, pi_b, pi_soc, clamped=clamped)
 

@@ -10,6 +10,8 @@ whole grid in order on one process pool (or in this process for one
 worker), merges each scenario's accumulators and yields its OCs as soon as
 its last chunk is in.  :func:`run_ocs` is its one-scenario case.  Tasks
 carry the scenario object itself (pickled, not re-parsed from a dict).
+The scheduler only simulates and accumulates; one trial to inspect comes
+from :func:`run_single_trial` on the same (seed, scenario, iteration) cell.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import reporting
 from .config import ScenarioSpec
 from .decisions import plan_for
 from .engine import TrialResult, simulate_trial
@@ -40,17 +41,12 @@ def run_single_trial(spec: ScenarioSpec, master_seed: int,
 
 
 def _run_range(spec: ScenarioSpec, scenario_index: int, start: int, count: int,
-               master_seed: int, dump_first: int, dump_dir: str | None) -> TrialAccumulator:
-    """Simulate iterations ``start .. start+count-1``; the first ``dump_first``
-    iterations of the run are also dumped to ``dump_dir``."""
+               master_seed: int) -> TrialAccumulator:
+    """Simulate and accumulate iterations ``start .. start+count-1``."""
     acc = TrialAccumulator()
     cohorts_max = spec.platform.cohorts_max
     for k in range(start, start + count):
-        result = simulate_trial(spec, derive_rng(master_seed, scenario_index, k))
-        if dump_dir is not None and k < dump_first:
-            reporting.write_trajectory(
-                os.path.join(dump_dir, f"trajectory_{k:06d}.json"), result)
-        acc.add(k, result, cohorts_max)
+        acc.add(k, simulate_trial(spec, derive_rng(master_seed, scenario_index, k)), cohorts_max)
     return acc
 
 
@@ -67,7 +63,6 @@ def resolve_workers(workers: int | str | None) -> int:
 
 def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
              workers: int | str | None = 1, scenario_index: int = 0,
-             dump_first: int = 0, dump_dir: str | None = None,
              progress: Callable[[int, int], None] | None = None
              ) -> Iterator[OperatingCharacteristics]:
     """Simulate ``iterations`` trials of every scenario in ``specs`` and
@@ -75,20 +70,14 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
 
     Scenario ``i`` draws from stream index ``scenario_index + i``.  Results
     are identical for every ``workers`` value.  ``progress(done, total)``
-    counts trials over the whole grid.  Trajectory dumps need a single
-    scenario.  A failing chunk cancels the pending ones and shuts the pool
+    counts trials over the whole grid.  A failing chunk cancels the pending ones and shuts the pool
     down before its exception propagates.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if dump_first > 0 and len(specs) > 1:
-        raise ValueError("trajectory dumps need a single scenario")
     n_workers = resolve_workers(workers)
-    if dump_dir is not None and dump_first > 0:
-        os.makedirs(dump_dir, exist_ok=True)
     chunk = max(1, iterations // (n_workers * 4))
-    tasks = [(spec, scenario_index + i, start, min(chunk, iterations - start),
-              master_seed, dump_first, dump_dir)
+    tasks = [(spec, scenario_index + i, start, min(chunk, iterations - start), master_seed)
              for i, spec in enumerate(specs) for start in range(0, iterations, chunk)]
     plan_for.cache_clear()  # each run starts cold, and before any fork, so every worker does
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
@@ -100,7 +89,7 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
             parts = (futures.popleft().result() for _ in tasks)
         done, total = 0, len(specs) * iterations
         acc = TrialAccumulator()
-        for (_, _, start, count, *_), part in zip(tasks, parts):
+        for (_, _, start, count, _), part in zip(tasks, parts):
             acc.merge_in(part)
             done += count
             if progress is not None:
@@ -115,7 +104,6 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
 
 def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
             workers: int | str | None = 1, scenario_index: int = 0,
-            dump_first: int = 0, dump_dir: str | None = None,
             progress: Callable[[int, int], None] | None = None) -> OperatingCharacteristics:
     """Simulate ``iterations`` independent trials and aggregate them: the
     one-scenario case of :func:`run_grid`.
@@ -123,6 +111,5 @@ def run_ocs(spec: ScenarioSpec, iterations: int, master_seed: int,
     The result is identical for every ``workers`` value; parallel workers
     only change wall-clock time.
     """
-    (ocs,) = run_grid([spec], iterations, master_seed, workers, scenario_index,
-                      dump_first, dump_dir, progress)
+    (ocs,) = run_grid([spec], iterations, master_seed, workers, scenario_index, progress)
     return ocs

@@ -106,11 +106,32 @@ class TestOcs:
         assert resolve_workers("auto") == 1
 
     def test_dump_trajectories(self, spec_file, tmp_path):
+        dumps = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["ocs", "--config", spec_file, "--iterations", "6", "--seed", "2",
+                         "--workers", workers, "--dump-trajectories", "3",
+                         "--out", str(out)]) == 0
+            dumps[workers] = {p.name: p.read_bytes()
+                              for p in (out / "trajectories").glob("trajectory_*.json")}
+        assert len(dumps["1"]) == 3
+        assert dumps["2"] == dumps["1"]
+
+    def test_first_dump_equals_simulate(self, spec_file, tmp_path):
+        ocs_out, sim_out = tmp_path / "ocs", tmp_path / "sim"
+        assert main(["ocs", "--config", spec_file, "--iterations", "4", "--seed", "11",
+                     "--dump-trajectories", "1", "--out", str(ocs_out)]) == 0
+        assert main(["simulate", "--config", spec_file, "--seed", "11",
+                     "--out", str(sim_out)]) == 0
+        assert ((ocs_out / "trajectories" / "trajectory_000000.json").read_bytes()
+                == (sim_out / "trajectory.json").read_bytes())
+
+    def test_dump_count_capped_by_iterations(self, spec_file, tmp_path):
         out = tmp_path / "out"
-        main(["ocs", "--config", spec_file, "--iterations", "6", "--seed", "2",
-              "--dump-trajectories", "3", "--out", str(out)])
-        dumps = sorted((out / "trajectories").glob("trajectory_*.json"))
-        assert len(dumps) == 3
+        assert main(["ocs", "--config", spec_file, "--iterations", "2", "--seed", "2",
+                     "--dump-trajectories", "5", "--out", str(out)]) == 0
+        names = sorted(p.name for p in (out / "trajectories").iterdir())
+        assert names == ["trajectory_000000.json", "trajectory_000001.json"]
 
     def test_format_selection(self, spec_file, tmp_path):
         out = tmp_path / "out"

@@ -286,6 +286,13 @@ class TestExpandGrid:
         with pytest.raises(ConfigError, match="no scalar field"):
             expand_grid(example_spec, {"not_a_field": [1]})
 
+    def test_id_is_not_an_axis(self, example_spec):
+        # every grid scenario gets a derived id, so an id axis would be dropped
+        with pytest.raises(ConfigError, match="no scalar field"):
+            expand_grid(example_spec, {"id": ["alpha", "beta"], "n_fin": [100]})
+        with pytest.raises(ConfigError, match="no scalar field"):
+            get_path(example_spec, "id")
+
     def test_get_path(self, example_spec):
         assert get_path(example_spec, "n_fin") == 100
         assert get_path(example_spec, "target.margin_comb") == 0.10

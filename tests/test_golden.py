@@ -21,8 +21,8 @@ import pytest
 import yaml
 
 from platformsim.config import parse_scenario
-from platformsim.reporting import ocs_csv_row, write_ocs_csv, write_ocs_json
-from platformsim.runner import run_ocs
+from platformsim.reporting import ocs_csv_row, write_ocs_csv, write_ocs_json, write_trajectory
+from platformsim.runner import run_ocs, run_single_trial
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -56,8 +56,11 @@ def _sha256(path: pathlib.Path) -> str:
 
 def golden_digests(name: str, out: pathlib.Path) -> dict[str, str]:
     spec = parse_scenario(copy.deepcopy(SCENARIOS[name]()))
+    ocs = run_ocs(spec, ITERATIONS, SEED, workers=1)
     dump_dir = out / "trajectories"
-    ocs = run_ocs(spec, ITERATIONS, SEED, workers=1, dump_first=DUMPS, dump_dir=str(dump_dir))
+    dump_dir.mkdir()
+    for k in range(DUMPS):  # as ``ocs --dump-trajectories`` writes them
+        write_trajectory(dump_dir / f"trajectory_{k:06d}.json", run_single_trial(spec, SEED, 0, k))
     write_ocs_json(out / "ocs.json", spec.id, ocs)
     write_ocs_csv(out / "ocs.csv", [ocs_csv_row(spec.id, ocs)])
     files = [out / "ocs.csv", out / "ocs.json"] + sorted(dump_dir.iterdir())
