@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .schema import param
@@ -123,9 +123,18 @@ class _BayesRows(Rule):
     def probs(self, t: TwoByTwo, prior: BetaPrior) -> tuple[float, ...]:
         x = PosteriorBeta(prior.alpha + t.t_resp, prior.beta + t.t_nonresp)
         if self.single_arm:
-            return tuple(prob_exceeds(x, row[0]) for row in self.rows)
+            return tuple([prob_exceeds(x, row[0]) for row in self.rows])
         y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
-        return tuple(prob_greater_by_margin(x, y, row[0]) for row in self.rows)
+        return tuple([prob_greater_by_margin(x, y, row[0]) for row in self.rows])
+
+    @cached_property
+    def confidences(self) -> tuple[float, ...]:
+        """Each row's confidence: the thresholds of every trace."""
+        return tuple(row[1] for row in self.rows)
+
+    def __getstate__(self):
+        # pickles carry the fields only, like ==, hash and schema.dump: confidences is derived
+        return {k: v for k, v in self.__dict__.items() if k != "confidences"}
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,14 @@ class BayesSupRule(_BayesRows):
 
     def evaluate(self, t, prior):
         probs = self.probs(t, prior)
-        superior = all(p > conf for p, (_, conf, _) in zip(probs, self.rows))
-        promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, self.rows))
-        return RuleTrace(self.key, probs, tuple(c for _, c, _ in self.rows),
-                         satisfied=superior, superior=superior, promising=promising)
+        superior = above_prom = True
+        for p, (_, conf, prom) in zip(probs, self.rows):
+            if not p > conf:
+                superior = False
+            if not p > prom:
+                above_prom = False
+        return RuleTrace(self.key, probs, self.confidences, satisfied=superior,
+                         superior=superior, promising=above_prom and not superior)
 
     def conflicts(self, rules):
         return [f"superiority (margin {sm}, conf {sc}) and futility (margin {fm}, conf {fc}) "
@@ -164,9 +177,12 @@ class BayesFutRule(_BayesRows):
 
     def evaluate(self, t, prior):
         probs = self.probs(t, prior)
-        futile = all(p < conf for p, (_, conf) in zip(probs, self.rows))
-        return RuleTrace(self.key, probs, tuple(c for _, c in self.rows),
-                         satisfied=futile, futile=futile)
+        futile = True
+        for p, (_, conf) in zip(probs, self.rows):
+            if not p < conf:
+                futile = False
+                break
+        return RuleTrace(self.key, probs, self.confidences, satisfied=futile, futile=futile)
 
 
 @dataclass(frozen=True)
@@ -326,7 +342,9 @@ class AnalysisPlan:
 
         # kernel computations on dynamic_share (seed 7): 10,488 at 768 entries, 9,512 at
         # 2,048 and 9,126 at 4,096; an entry holds about 0.9 KB, and at 4,096 the peak RSS
-        # of grid_pool (where one plan serves a worker's whole grid) rose 6%
+        # of grid_pool (where one plan serves a worker's whole grid) rose 6%.  Misses on
+        # grid_pool (2 workers, seed 7, two runs): 16,140-16,180 at 2,048, 14,612-14,645
+        # at 4,096 and 14,105-14,221 unbounded, so about 12% of them are evictions
         @lru_cache(maxsize=2048)
         def outcome(rule_id: int, cells: tuple[float, ...]) -> ComparisonOutcome:
             """Every configured rule of the rules ``rule_id`` on the 2x2 table
@@ -335,13 +353,21 @@ class AnalysisPlan:
             if t.n_t < 1.0 or t.n_c < 1.0:
                 raise ValueError(f"an arm of the table {cells} holds fewer than one patient")
             comp_rules = distinct[rule_id]
-            traces = tuple(rule.evaluate(t, prior) for rule in comp_rules)
-            sup = [s for s, rule in zip(traces, comp_rules) if rule.superiority]
-            return ComparisonOutcome(
-                superior=bool(sup) and all(s.superior for s in sup),
-                futile=any(s.futile for s in traces),
-                promising=bool(sup) and all(s.superior or s.promising for s in sup),
-                n_sup_rules=len(sup), traces=traces)
+            traces = tuple([rule.evaluate(t, prior) for rule in comp_rules])
+            superior = promising = True
+            futile, n_sup = False, 0
+            for rule, trace in zip(comp_rules, traces):
+                if trace.futile:
+                    futile = True
+                if rule.superiority:
+                    n_sup += 1
+                    if not trace.superior:
+                        superior = False
+                        if not trace.promising:
+                            promising = False
+            return ComparisonOutcome(superior=n_sup > 0 and superior, futile=futile,
+                                     promising=n_sup > 0 and promising, n_sup_rules=n_sup,
+                                     traces=traces)
 
         self.comparisons, self.outcome = comparisons, outcome
 

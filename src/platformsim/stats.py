@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 from scipy import special
@@ -32,8 +31,9 @@ class PosteriorBeta:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError(f"Beta parameters must be > 0, got ({self.alpha}, {self.beta})")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError(
+                f"Beta parameters must be finite and > 0, got ({self.alpha}, {self.beta})")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 class QuadratureError(ArithmeticError):
-    """``prob_greater_by_margin`` got a shape below ``MIN_SHAPE`` or above 2e9, or no
+    """``prob_greater_by_margin`` got a shape below ``MIN_SHAPE``, above 2e9 or NaN, or no
     two successive panel levels agreed by ``_MAX_PANELS``; ``args`` is
     (a_X, b_X, a_Y, b_Y, delta)."""
 
@@ -198,10 +198,11 @@ def _cook(a: float, b: float, c: float, d: float) -> float:
     # P(X > Y) for X ~ Beta(a, b) with integer a and Y ~ Beta(c, d): the finite sum of
     # Cook (2005), "Exact calculation of beta inequalities", over i < a.  Term 0 is
     # B(c, b + d) / B(c, d); it underflows for large shapes, so terms stay in log space
-    log_term = math.lgamma(b + d) + math.lgamma(c + d) - math.lgamma(b + c + d) - math.lgamma(d)
+    s = b + c + d
+    log_term = math.lgamma(b + d) + math.lgamma(c + d) - math.lgamma(s) - math.lgamma(d)
     log_terms = [log_term]
     for i in range(int(a) - 1):
-        log_term += math.log((c + i) / (b + c + d + i) * ((b + i) / (1 + i)))
+        log_term += math.log((c + i) / (s + i) * ((b + i) / (1 + i)))
         log_terms.append(log_term)
     top = max(log_terms)
     return min(1.0, math.exp(top) * math.fsum([math.exp(t - top) for t in log_terms]))
@@ -216,7 +217,7 @@ def _margin_a(a: int, b: int, delta: float) -> tuple[float, np.ndarray]:
     # _exact_margin's scaled A for X ~ Beta(a, b): one betainc vector per (a, b, delta)
     n = a + b - 1
     log_choose = _LOG_FACT[n] - _LOG_FACT[:a] - _LOG_FACT[b:n + 1][::-1]
-    scale = log_choose[min(a - 1, n // 2)]
+    scale = float(log_choose[min(a - 1, n // 2)])
     coef = np.exp(log_choose - scale) * special.betainc(b, _COUNT[a:0:-1], 1.0 - delta)
     coef.flags.writeable = False
     return scale, coef
@@ -226,7 +227,7 @@ def _margin_a(a: int, b: int, delta: float) -> tuple[float, np.ndarray]:
 def _margin_d(d: int, delta: float) -> tuple[float, np.ndarray]:
     # _exact_margin's scaled D for Y ~ Beta(c, d): it does not depend on c
     log_d = _LOG_FACT[d - 1] - _LOG_FACT[:d] - _LOG_FACT[d - 1::-1] + _COUNT[:d] * math.log(delta)
-    scale = log_d[int((d - 1) * delta / (1.0 + delta))]
+    scale = float(log_d[int((d - 1) * delta / (1.0 + delta))])
     coef = np.exp(log_d - scale)
     coef.flags.writeable = False
     return scale, coef
@@ -243,17 +244,23 @@ def _exact_margin(a: int, b: int, c: int, d: int, delta: float) -> float:
     n = a + b - 1
     scale_a, coef_a = _margin_a(a, b, delta)
     scale_d, coef_d = _margin_d(d, delta)
-    conv = np.convolve(coef_a, coef_d)
+    # np.convolve(coef_a, coef_d) without its argument handling: the longer operand first
+    conv = (np.correlate(coef_d, coef_a[::-1], "full") if d > a
+            else np.correlate(coef_a, coef_d[::-1], "full"))
     # the B(c + s, n + d - s) span far more than a double's range, so each term goes
     # through log space; an (A * D)_s that underflowed is left out
-    log_terms = np.log(conv, out=np.full(conv.size, -np.inf), where=conv > 0.0)
+    if np.count_nonzero(conv) == conv.size:
+        log_terms = np.log(conv)
+    else:
+        log_terms = np.log(conv, out=np.full(conv.size, -np.inf), where=conv > 0.0)
     log_terms += _LOG_FACT[c - 1:c + a + d - 2] + _LOG_FACT[b:n + d][::-1]
-    top = log_terms.max()
+    top = log_terms.item(log_terms.argmax())  # argmax and count_nonzero skip ufunc reduce set-up
     if top == -math.inf:
         return 0.0
-    log_prob = (math.log(np.exp(log_terms - top).sum()) + top + scale_a + scale_d
-                + c * math.log1p(-delta) - _LOG_FACT[n + c + d - 1]
-                - _LOG_FACT[c - 1] - _LOG_FACT[d - 1] + _LOG_FACT[c + d - 1])
+    log_terms -= top
+    log_prob = (math.log(np.exp(log_terms, out=log_terms).sum()) + top + scale_a + scale_d
+                + c * math.log1p(-delta) - _LOG_FACT.item(n + c + d - 1)
+                - _LOG_FACT.item(c - 1) - _LOG_FACT.item(d - 1) + _LOG_FACT.item(c + d - 1))
     return math.exp(min(0.0, log_prob))
 
 
@@ -273,8 +280,9 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
 
     - delta = 0 with an integer shape k <= 140 and no shape above 1e4:
       Cook's finite sum of k terms, within about 1e-10 of the quadrature.
-      Past 140 terms it costs more than the quadrature; above 1e4 its
-      lgamma differences lose digits.
+      It runs over the integer shape with the fewest terms, the first of a
+      tie in the order a_X, b_Y, a_Y, b_X.  Past 140 terms it costs more
+      than the quadrature; above 1e4 its lgamma differences lose digits.
     - 0 < |delta| < 1 with four integer shapes of at most 400 and a_X b_Y of
       at most 30,000 (for delta < 0, 1 - P(Y > X + |delta|) with a_Y b_X):
       a finite sum of a_X + b_Y - 1 non-negative terms, within 2e-12 of a
@@ -294,23 +302,30 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
     or its mirror, smooths the fractional power S_X has where a margin cuts
     the range at x = 0 or 1.  Raises QuadratureError rather than return an
     unconverged value if successive Gauss-Legendre panel doublings do not
-    agree to 5e-8 by 512 panels.
+    agree to 5e-8 by 512 panels, and ValueError on a NaN margin.  A margin
+    of inf gives exactly 0, one of -inf exactly 1.
     """
     ax, bx, ay, by, delta = (float(x.alpha), float(x.beta), float(y.alpha), float(y.beta),
                              float(delta))
-    top = max(ax, bx, ay, by)
-    if top > _MAX_SHAPE or min(ax, bx, ay, by) < MIN_SHAPE:
+    if not (MIN_SHAPE <= ax <= _MAX_SHAPE and MIN_SHAPE <= bx <= _MAX_SHAPE
+            and MIN_SHAPE <= ay <= _MAX_SHAPE and MIN_SHAPE <= by <= _MAX_SHAPE
+            and delta == delta):
+        if delta != delta:
+            raise ValueError("the margin is NaN")
         raise QuadratureError(ax, bx, ay, by, delta)
+    top = max(ax, bx, ay, by)
     if delta == 0.0 and top <= _LARGE:  # Cook's term 0 is an lgamma difference: 2e-6 off at 1e9
         # Cook's sum runs over an integer shape: a_X or b_Y give P(X > Y), a_Y or b_X
-        # give P(Y > X); take the fewest terms, if few enough to beat the quadrature
-        lanes = [lane for lane in ((ax, (ax, bx, ay, by), False), (by, (by, ay, bx, ax), False),
-                                   (ay, (ay, by, ax, bx), True), (bx, (bx, ax, by, ay), True))
-                 if lane[0] <= _COOK_MAX_TERMS and lane[0].is_integer()]
-        if lanes:
-            _, cook_args, complement = min(lanes, key=itemgetter(0))
-            prob = _cook(*cook_args)
-            return 1.0 - prob if complement else prob
+        # give P(Y > X); take the fewest terms, if few enough to beat the quadrature,
+        # the first of a tie in the order a_X, b_Y, a_Y, b_X
+        lane, terms = -1, _COOK_MAX_TERMS + 1.0
+        for i, shape in enumerate((ax, by, ay, bx)):
+            if shape < terms and shape.is_integer():
+                lane, terms = i, shape
+        if lane >= 0:
+            prob = _cook(*((ax, bx, ay, by), (by, ay, bx, ax), (ay, by, ax, bx),
+                           (bx, ax, by, ay))[lane])
+            return prob if lane < 2 else 1.0 - prob
     elif (0.0 < abs(delta) < 1.0 and top <= _MARGIN_MAX_SHAPE and ax.is_integer()
           and bx.is_integer() and ay.is_integer() and by.is_integer()):
         # the sum takes a positive margin: P(X > Y + delta) = 1 - P(Y > X - delta)

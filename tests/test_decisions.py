@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -10,11 +11,12 @@ from platformsim import decisions, runner
 from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 BayesSupRule, BetaPrior, CISupFutRule,
                                 ComparisonRules, DecisionRuleSet, EstSupFutRule,
-                                FreqFutRule, FreqSupRule)
+                                FreqFutRule, FreqSupRule, load_scenario, scenario_to_dict)
 from platformsim.decisions import (ARM_ORDER, COMPARISON_ARMS, CONTINUE, FINAL, GO, INTERIM,
                                    STOP_FUTILITY, UNSUCCESSFUL_MAX_N, AnalysisPlan,
                                    ComparisonData, ComparisonOutcome, combine,
                                    evaluate_cohort)
+from platformsim.reporting import spec_hash
 from platformsim.stats import TwoByTwo
 
 from conftest import any_comparison_rules
@@ -435,3 +437,107 @@ class TestMemo:
         info = decisions.plan_for(spec.rules, spec.prior).outcome.cache_info()
         assert info.misses > info.maxsize  # the bound was reached
         assert info.currsize <= info.maxsize
+
+
+# --- one-pass verdicts against the all()/any() fold ----------------------------
+
+def folded_flags(rule, probs):
+    """(superior, futile, promising) of a Bayesian rule, folded row by row with all()."""
+    if rule.superiority:
+        superior = all(p > conf for p, (_, conf, _) in zip(probs, rule.rows))
+        promising = (not superior) and all(p > prom for p, (_, _, prom) in zip(probs, rule.rows))
+        return superior, False, promising
+    return False, all(p < conf for p, (_, conf) in zip(probs, rule.rows)), False
+
+
+def folded_outcome(rules, traces):
+    """(superior, futile, promising, n_sup_rules) of one comparison, folded with all()/any()."""
+    sup = [s for s, rule in zip(traces, rules) if rule.superiority]
+    return (bool(sup) and all(s.superior for s in sup), any(s.futile for s in traces),
+            bool(sup) and all(s.superior or s.promising for s in sup), len(sup))
+
+
+EDGE_TABLE = TwoByTwo(30, 20, 20, 30)
+# each kind with the first column of its rows: margins, or single-arm thresholds
+EDGE_KINDS = [(BayesSupRule, (-0.1, 0.0, 0.1)), (BayesFutRule, (-0.1, 0.0, 0.1)),
+              (BayesSASupRule, (0.3, 0.5, 0.7)), (BayesSAFutRule, (0.3, 0.5, 0.7))]
+
+
+def edge_prob(cls, first):
+    """The probability a rule of ``cls`` computes for a row starting with ``first``."""
+    probe = cls(rows=((first, 0.5, 1.0) if cls.superiority else (first, 0.5),))
+    return probe.evaluate(EDGE_TABLE, PRIOR).statistic[0]
+
+
+def near(p, pick):
+    """The probability itself, the doubles either side of it, or 1.0."""
+    return (p, math.nextafter(p, 0.0), math.nextafter(p, 1.0), 1.0)[pick]
+
+
+class TestOnePassVerdicts:
+    """Each Bayesian rule settles its flags in one loop over its rows and each outcome
+    folds its traces in one pass, with the strict > and < of the all()/any() fold: a
+    confidence equal to the probability is neither superior nor futile."""
+
+    @given(st.sampled_from(EDGE_KINDS), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                                           st.integers(0, 3)),
+                                                 min_size=2, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_rules_match_the_fold(self, kind, picks):
+        cls, firsts = kind
+        probs = tuple(edge_prob(cls, firsts[i]) for i, _, _ in picks)
+        rows = tuple((firsts[i], near(p, conf), near(p, prom))[:3 if cls.superiority else 2]
+                     for p, (i, conf, prom) in zip(probs, picks))
+        rule = cls(rows=rows)
+        trace = rule.evaluate(EDGE_TABLE, PRIOR)
+        assert trace.statistic == probs
+        assert trace.threshold == tuple(row[1] for row in rows)
+        flags = (trace.superior, trace.futile, trace.promising)
+        assert flags == folded_flags(rule, probs)
+        assert trace.satisfied == (trace.superior if rule.superiority else trace.futile)
+        assert all(type(flag) is bool for flag in (*flags, trace.satisfied))
+
+    def test_equality_is_neither_superior_nor_futile(self):
+        p, held = edge_prob(BayesSupRule, 0.1), edge_prob(BayesSupRule, 0.0)
+        assert 0.5 < p < held < 0.999
+        for conf, superior in ((p, False), (math.nextafter(p, 0.0), True)):
+            rule = BayesSupRule(rows=((0.0, 0.5, 1.0), (0.1, conf, 1.0)))
+            assert rule.evaluate(EDGE_TABLE, PRIOR).superior is superior
+        for conf, futile in ((p, False), (math.nextafter(p, 1.0), True)):
+            rule = BayesFutRule(rows=((0.0, 0.999), (0.1, conf)))
+            assert rule.evaluate(EDGE_TABLE, PRIOR).futile is futile
+
+    def test_promising_confidence_one_is_never_crossed(self):
+        rows = ((0.0, 0.5, 1.0), (0.1, 0.999, 1.0))
+        assert not BayesSupRule(rows=rows).evaluate(EDGE_TABLE, PRIOR).promising
+        rows = ((0.0, 0.5, 0.5), (0.1, 0.999, 0.5))
+        assert BayesSupRule(rows=rows).evaluate(EDGE_TABLE, PRIOR).promising
+
+    @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS))
+    @settings(max_examples=80, deadline=None)
+    def test_outcome_matches_the_fold(self, rules, cells, prior):
+        got = uncached_outcome_of(plan_of((rules,) * 4, prior), INTERIM, 1, cells)
+        flags = (got.superior, got.futile, got.promising, got.n_sup_rules)
+        assert flags == folded_outcome(list(rules), got.traces)
+        assert all(type(flag) is bool for flag in flags[:3])
+
+    def test_thresholds_stay_out_of_the_rules_identity(self, example_config_path):
+        spec = load_scenario(example_config_path)
+        bayes = [rule for stage in (spec.rules.interim, spec.rules.final) for rules in stage
+                 for rule in rules if isinstance(rule, (BayesSupRule, BayesFutRule))]
+        assert bayes
+
+        def identity():
+            return (scenario_to_dict(spec), spec_hash(spec), pickle.dumps(spec),
+                    [hash(rule) for rule in bayes])
+
+        before = identity()
+        for rule in bayes:
+            rule.evaluate(EDGE_TABLE, spec.prior)
+            assert rule.confidences == tuple(row[1] for row in rule.rows)
+        assert identity() == before
+        for rule in bayes:
+            fresh = dataclasses.replace(rule)
+            assert "confidences" in vars(rule) and "confidences" not in vars(fresh)
+            assert rule == fresh and hash(rule) == hash(fresh)
+            assert "confidences" not in vars(pickle.loads(pickle.dumps(rule)))

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -423,6 +425,145 @@ class TestSmallShapes:
 
 def _must_not_run(*args):
     raise AssertionError(f"unexpected call with {args}")
+
+
+class TestNonFiniteInputs:
+    """A NaN shape or margin raises instead of giving an answer; validation keeps them
+    out of scenario files, so only library callers can pass one."""
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
+    def test_posterior_needs_finite_shapes(self, args):
+        with pytest.raises(ValueError):
+            PosteriorBeta(*args)
+
+    def test_prob_exceeds_never_sees_a_nan_shape(self):
+        with pytest.raises(ValueError):
+            prob_exceeds(PosteriorBeta(math.nan, 1.0), 0.5)
+
+    # the exact sums' lanes and the quadrature's
+    @pytest.mark.parametrize("x, y", [((2.0, 3.0), (4.0, 5.0)), ((2.5, 3.5), (4.5, 5.5))])
+    def test_nan_margin_raises(self, x, y):
+        with pytest.raises(ValueError):
+            prob_greater_by_margin(PosteriorBeta(*x), PosteriorBeta(*y), math.nan)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_nan_shape_raises_in_the_kernel(self, delta):
+        # a posterior that never passed PosteriorBeta's check
+        x = SimpleNamespace(alpha=math.nan, beta=3.0)
+        with pytest.raises(QuadratureError):
+            prob_greater_by_margin(x, PosteriorBeta(4.0, 5.0), delta)
+
+    @pytest.mark.parametrize("x, y", [((2.0, 3.0), (4.0, 5.0)), ((2.5, 3.5), (4.5, 5.5)),
+                                      ((0.5, 20.5), (1e6, 2e6))])
+    def test_infinite_margins_are_exact(self, x, y):
+        x, y = PosteriorBeta(*x), PosteriorBeta(*y)
+        assert prob_greater_by_margin(x, y, math.inf) == 0.0
+        assert prob_greater_by_margin(x, y, -math.inf) == 1.0
+
+
+def pinned_lanes() -> list[tuple[float, ...]]:
+    """3,000 seeded (a_X, b_X, a_Y, b_Y, delta): 750 at margin 0 with integer and
+    half-integer shapes (mostly Cook's sum), 750 each of four integer shapes at positive
+    and negative margins (the exact margin sum) and 750 of fractional shapes at any
+    margin (the quadrature)."""
+    rng = np.random.default_rng(20260219)
+    half = rng.integers(1, 120, (750, 4)) + rng.choice([0.0, 0.5], (750, 4))
+    whole = rng.integers(1, 150, (1500, 4)).astype(float)
+    margin = rng.uniform(0.01, 0.6, 1500) * np.repeat([1.0, -1.0], 750)
+    frac = rng.integers(1, 200, (750, 4)) + rng.uniform(0.05, 0.95, (750, 4))
+    return ([(*s, 0.0) for s in half.tolist()]
+            + [(*s, d) for s, d in zip(whole.tolist(), margin.tolist())]
+            + [(*s, d) for s, d in zip(frac.tolist(), rng.uniform(-0.4, 0.4, 750).tolist())])
+
+
+class TestKernelBits:
+    """prob_greater_by_margin to the bit on lanes of every path: a kernel change that
+    moves a bit of these values fails here.  Like tests/golden/digests.json, the pin
+    holds for the numpy, SciPy and libm builds it was taken with."""
+
+    DIGEST = "b82a9607560c352bc6ee5452e90fee9fbb1fefd25e67e69a27c77bf55e9ca14f"
+
+    def test_values_are_pinned(self):
+        lanes = pinned_lanes()
+        with mock.patch.object(stats, "_cook", wraps=stats._cook) as cook, \
+                mock.patch.object(stats, "_exact_margin", wraps=stats._exact_margin) as margin, \
+                mock.patch.object(stats, "_quadrature", wraps=stats._quadrature) as quad:
+            values = [repr(prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), d))
+                      for ax, bx, ay, by, d in lanes]
+        assert cook.call_count > 600 and margin.call_count == 1500 and quad.call_count > 750
+        digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+def cook_lane(ax, bx, ay, by):
+    """The arguments Cook's sum takes at margin 0 and whether its value is complemented,
+    or None: the fewest terms among the integer shapes of at most _COOK_MAX_TERMS, the
+    first of a tie in the order a_X, b_Y, a_Y, b_X."""
+    lanes = [(ax, (ax, bx, ay, by), False), (by, (by, ay, bx, ax), False),
+             (ay, (ay, by, ax, bx), True), (bx, (bx, ax, by, ay), True)]
+    lanes = [lane for lane in lanes if lane[0] <= stats._COOK_MAX_TERMS and lane[0].is_integer()]
+    return min(lanes, key=lambda lane: lane[0])[1:] if lanes else None
+
+
+# few distinct integers, so that ties are common, and the terms cap on either side
+_LANE_SHAPES = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 7.0, 140.0, 141.0]),
+                         st.integers(1, 300).map(lambda k: k + 0.5))
+
+
+class TestCookLane:
+    """At margin 0 Cook's sum takes the integer shape with the fewest terms; several
+    integer shapes per case, ties included."""
+
+    @staticmethod
+    def run(args):
+        """P(X > Y), and the arguments of each call to Cook's sum and the quadrature."""
+        ax, bx, ay, by = args
+        with mock.patch.object(stats, "_cook", wraps=stats._cook) as cook, \
+                mock.patch.object(stats, "_quadrature", wraps=stats._quadrature) as quad:
+            p = prob_greater_by_margin(PosteriorBeta(ax, bx), PosteriorBeta(ay, by), 0.0)
+        return p, [c.args for c in cook.call_args_list], [c.args for c in quad.call_args_list]
+
+    # two, three and four integer shapes; ties between a_X and b_Y, b_Y and a_Y, a_Y
+    # and b_X, and all four; lanes at 141 skipped
+    @pytest.mark.parametrize("args, want", [
+        ((3.0, 5.0, 4.0, 2.5), ((3.0, 5.0, 4.0, 2.5), False)),
+        ((4.0, 4.5, 2.5, 4.0), ((4.0, 4.5, 2.5, 4.0), False)),
+        ((6.0, 3.0, 3.0, 3.0), ((3.0, 3.0, 3.0, 6.0), False)),
+        ((4.5, 3.0, 3.0, 7.5), ((3.0, 7.5, 4.5, 3.0), True)),
+        ((4.5, 2.0, 3.0, 7.5), ((2.0, 4.5, 7.5, 3.0), True)),
+        ((5.0, 5.0, 5.0, 5.0), ((5.0, 5.0, 5.0, 5.0), False)),
+        ((141.0, 9.0, 2.5, 3.5), ((9.0, 141.0, 3.5, 2.5), True)),
+        ((141.0, 140.0, 2.5, 141.0), ((140.0, 141.0, 141.0, 2.5), True))])
+    def test_fewest_terms_first_of_a_tie(self, args, want):
+        assert cook_lane(*args) == want
+        p, cook_calls, quad_calls = self.run(args)
+        cook_args, complement = want
+        assert (cook_calls, quad_calls) == ([cook_args], [])
+        cook = stats._cook(*cook_args)
+        assert p == (1.0 - cook if complement else cook)
+
+    # every integer lane past the terms cap, or a shape above 1e4
+    @pytest.mark.parametrize("args", [(141.0, 7.5, 2.5, 141.0), (3.0, 20000.0, 4.0, 5.0),
+                                      (2.0, 3.0, 4.0, 10000.5)])
+    def test_left_to_quadrature(self, args):
+        p, cook_calls, quad_calls = self.run(args)
+        assert (cook_calls, quad_calls) == ([], [(*args, 0.0)])
+        assert p == stats._quadrature(*args, 0.0)
+
+    @given(st.lists(_LANE_SHAPES, min_size=4, max_size=4).filter(
+        lambda s: sum(v.is_integer() for v in s) >= 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lane_rule(self, args):
+        want = cook_lane(*args)
+        p, cook_calls, quad_calls = self.run(args)
+        if want is None:
+            assert (cook_calls, len(quad_calls)) == ([], 1)
+        else:
+            cook_args, complement = want
+            assert (cook_calls, quad_calls) == ([cook_args], [])
+            cook = stats._cook(*cook_args)
+            assert p == (1.0 - cook if complement else cook)
 
 
 class TestProbExceeds:
