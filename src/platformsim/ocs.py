@@ -1,7 +1,10 @@
 """Aggregation of many simulated trials into operating characteristics.
 
-Every OC is one entry of ``METRICS``, in CSV column order, and is one of
-four kinds of aggregate over the trials (in iteration order):
+Each trial is kept as one immutable ``TrialSummary`` record, and every OC is
+one entry of ``METRICS``, in CSV column order, that reads its per-trial value
+from one record as ``value(summary)`` (a per-arm OC reads its arm's entry of
+a per-arm field).  ``TrialAccumulator.finalize`` maps each entry over the
+records in iteration order and applies one of four kinds of aggregate:
 
 - ``MEAN``: the mean of a per-trial value;
 - ``COND_MEAN``: the mean over the trials where the per-trial value is
@@ -9,8 +12,9 @@ four kinds of aggregate over the trials (in iteration order):
   least one truly futile or truly superior decided cohort, and their
   "_BA" variants are plain means.  Some keep the per-trial values as a
   ``Dist_*`` vector;
-- ``RATIO``: a pooled ratio, the sum of a per-trial numerator over the sum
-  of a per-trial denominator (FDR, PTP, PTT1ER sum confusion counts);
+- ``RATIO``: a pooled ratio, the sum of a per-trial numerator ``value``
+  over the sum of a per-trial denominator ``den`` (FDR, PTP, PTT1ER sum
+  confusion counts);
 - ``POOLED_SD``: the sample SD of the cohort true rates of one arm, pooled
   over all trials (summed about the first rate, so equal rates give
   exactly 0).
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .engine import (ARM_INDEX, ARM_ORDER, STOPPED_INTERIM_EFFICACY,
@@ -46,13 +51,16 @@ ARM_SUFFIX = dict(zip(ARM_ORDER, ("Comb", "Mono", "Back", "Plac")))
 
 
 class TrialSummary(NamedTuple):
-    """Everything the aggregator needs from one trial.  Per-arm fields hold
-    one count, sum or list of rates per arm, in ``ARM_ORDER``."""
+    """Everything the aggregator needs from one trial, immutable (and so
+    hashable) all the way down.  Per-arm fields are tuples in ``ARM_ORDER``:
+    one count per arm, or for ``rr`` the tuple of the arm's true rates, one
+    per cohort in cohort order (so ``sum(rr[i])`` and ``len(rr[i])`` give
+    the arm's rate total and cohort count)."""
 
     total_n: int
-    pat: list[int]
-    suc_bio: list[int]
-    suc_hist: list[int]
+    pat: tuple[int, ...]
+    suc_bio: tuple[int, ...]
+    suc_hist: tuple[int, ...]
     cohorts: int
     tp: int
     fp: int
@@ -61,9 +69,7 @@ class TrialSummary(NamedTuple):
     safety_stops: int
     int_stops: int
     int_gos: int
-    rr_sum: list[float]
-    rr_count: list[int]
-    rr: list[list[float]]             # the cohorts' true rates
+    rr: tuple[tuple[float, ...], ...]  # the cohorts' true rates
     sup_pat: int                      # patients on arms truly better than SoC
     soc_slots: int
     pat_plac_first_suc: int | None
@@ -72,8 +78,7 @@ class TrialSummary(NamedTuple):
 
 
 def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
-    pat, suc_bio, suc_hist, rr_count = ([0] * len(ARM_ORDER) for _ in range(4))
-    rr_sum = [0.0] * len(ARM_ORDER)
+    pat, suc_bio, suc_hist = ([0] * len(ARM_ORDER) for _ in range(3))
     rr = [[] for _ in ARM_ORDER]
     tp = fp = tn = fn = 0
     safety = int_stop = int_go = 0
@@ -85,9 +90,7 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
             pat[i] += rec.n
             suc_bio[i] += rec.bio_responders
             suc_hist[i] += rec.hist_responders
-            rr_sum[i] += rec.true_rate
             rr[i].append(rec.true_rate)
-            rr_count[i] += 1
             if arm != "soc" and rec.true_rate > soc_rate:
                 sup_pat += rec.n
         if c.confusion == "TP":
@@ -106,10 +109,9 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
             int_go += 1
     first = result.first_success
     return TrialSummary(
-        total_n=result.total_n, pat=pat, suc_bio=suc_bio, suc_hist=suc_hist,
-        cohorts=len(result.cohorts), tp=tp, fp=fp, tn=tn, fn=fn,
-        safety_stops=safety, int_stops=int_stop, int_gos=int_go,
-        rr_sum=rr_sum, rr_count=rr_count, rr=rr,
+        total_n=result.total_n, pat=tuple(pat), suc_bio=tuple(suc_bio),
+        suc_hist=tuple(suc_hist), cohorts=len(result.cohorts), tp=tp, fp=fp, tn=tn, fn=fn,
+        safety_stops=safety, int_stops=int_stop, int_gos=int_go, rr=tuple(map(tuple, rr)),
         sup_pat=sup_pat, soc_slots=result.soc_slot_patients,
         pat_plac_first_suc=None if first is None else first["soc_patients"],
         cohorts_first_suc=None if first is None else first["cohorts_opened"],
@@ -122,75 +124,82 @@ MEAN, COND_MEAN, RATIO, POOLED_SD = "mean", "cond_mean", "ratio", "pooled_sd"
 
 @dataclass(frozen=True)
 class Metric:
-    """One OC column: ``kind`` aggregates the per-trial ``value``, which is
-    the name of a ``TrialSummary`` field (taken at ``arm`` for a per-arm
-    field) or a function whose parameters name the fields it reads."""
+    """One OC column: ``kind`` aggregates the per-trial ``value(summary)``
+    over the records; a ``RATIO`` divides its total by the total of
+    ``den(summary)``."""
 
     name: str
     kind: str
-    value: str | Callable[..., Any]
-    den: tuple[str, ...] = ()         # RATIO: fields whose totals add up
-    arm: str | None = None
+    value: Callable[[TrialSummary], Any]
+    den: Callable[[TrialSummary], Any] | None = None
     flagged: bool = False             # gets a ``<name>_undefined`` column
     dist: str | None = None           # COND_MEAN: name of the per-trial vector
 
 
-def _per_arm(name: str, kind: str, value: str,
-             total: str | Callable[..., Any] | None = None, **kw) -> list[Metric]:
-    """``<name>_<suffix>`` for every arm, after ``<name>`` itself when
-    ``total`` gives its per-trial value."""
+def _per_arm(name: str, kind: str, field: str,
+             total: Callable[[TrialSummary], Any] | None = None,
+             of: Callable[[Any], Any] | None = None,
+             den: Callable[[Any], Any] | None = None) -> list[Metric]:
+    """``<name>_<suffix>`` for every arm, whose per-trial value is the arm's
+    entry of ``field`` (passed through ``of``, and through ``den`` for a
+    ratio's denominator), after ``<name>`` itself when ``total`` gives its
+    per-trial value."""
+    get = attrgetter(field)
     own = [] if total is None else [Metric(name, kind, total)]
-    return own + [Metric(f"{name}_{suffix}", kind, value, arm=arm, **kw)
-                  for arm, suffix in ARM_SUFFIX.items()]
+    return own + [
+        Metric(f"{name}_{suffix}", kind,
+               (lambda s, i=i: get(s)[i]) if of is None else (lambda s, i=i: of(get(s)[i])),
+               den=den and (lambda s, i=i: den(get(s)[i])))
+        for i, suffix in enumerate(ARM_SUFFIX.values())]
 
 
 #: the OC table in CSV column order
 METRICS: tuple[Metric, ...] = (
-    *_per_arm("Avg_Pat", MEAN, "pat", total="total_n"),
-    *_per_arm("Avg_RR", RATIO, "rr_sum", den=("rr_count",)),
+    *_per_arm("Avg_Pat", MEAN, "pat", total=attrgetter("total_n")),
+    *_per_arm("Avg_RR", RATIO, "rr", of=sum, den=len),
     # sample SD over all cohort-level true rates
     *_per_arm("SD_RR", POOLED_SD, "rr"),
-    *_per_arm("Avg_Suc_Hist", MEAN, "suc_hist", total=lambda suc_hist: sum(suc_hist)),
-    *_per_arm("Avg_Suc_Bio", MEAN, "suc_bio", total=lambda suc_bio: sum(suc_bio)),
-    Metric("Avg_Cohorts", MEAN, "cohorts"),
-    Metric("Avg_TP", MEAN, "tp"),
-    Metric("Avg_FP", MEAN, "fp"),
-    Metric("Avg_TN", MEAN, "tn"),
-    Metric("Avg_FN", MEAN, "fn"),
-    Metric("FDR", RATIO, "fp", den=("fp", "tp"), flagged=True),
-    Metric("PTP", RATIO, "tp", den=("tp", "fn"), flagged=True),
-    Metric("PTT1ER", RATIO, "fp", den=("fp", "tn"), flagged=True),
+    *_per_arm("Avg_Suc_Hist", MEAN, "suc_hist", total=lambda s: sum(s.suc_hist)),
+    *_per_arm("Avg_Suc_Bio", MEAN, "suc_bio", total=lambda s: sum(s.suc_bio)),
+    Metric("Avg_Cohorts", MEAN, attrgetter("cohorts")),
+    Metric("Avg_TP", MEAN, attrgetter("tp")),
+    Metric("Avg_FP", MEAN, attrgetter("fp")),
+    Metric("Avg_TN", MEAN, attrgetter("tn")),
+    Metric("Avg_FN", MEAN, attrgetter("fn")),
+    Metric("FDR", RATIO, attrgetter("fp"), den=lambda s: s.fp + s.tp, flagged=True),
+    Metric("PTP", RATIO, attrgetter("tp"), den=lambda s: s.tp + s.fn, flagged=True),
+    Metric("PTT1ER", RATIO, attrgetter("fp"), den=lambda s: s.fp + s.tn, flagged=True),
     # conditioned on trials with a truly futile / truly superior decided cohort
-    Metric("FWER", COND_MEAN, lambda fp, tn: (1.0 if fp >= 1 else 0.0) if fp + tn else None,
+    Metric("FWER", COND_MEAN,
+           lambda s: (1.0 if s.fp >= 1 else 0.0) if s.fp + s.tn else None,
            flagged=True, dist="Dist_FWER"),
-    Metric("FWER_BA", MEAN, lambda fp: 1.0 if fp >= 1 else 0.0),
+    Metric("FWER_BA", MEAN, lambda s: 1.0 if s.fp >= 1 else 0.0),
     Metric("Disj_Power", COND_MEAN,
-           lambda tp, fn: (1.0 if tp >= 1 else 0.0) if tp + fn else None,
+           lambda s: (1.0 if s.tp >= 1 else 0.0) if s.tp + s.fn else None,
            flagged=True, dist="Dist_Disj_Power"),
-    Metric("Disj_Power_BA", MEAN, lambda tp: 1.0 if tp >= 1 else 0.0),
+    Metric("Disj_Power_BA", MEAN, lambda s: 1.0 if s.tp >= 1 else 0.0),
     Metric("Avg_Perc_Pat_Sup_Plac_Th", MEAN,
-           lambda sup_pat, total_n, cohorts, cohorts_max:
-               sup_pat / total_n * (cohorts / cohorts_max) if total_n else 0.0),
+           lambda s: s.sup_pat / s.total_n * (s.cohorts / s.cohorts_max) if s.total_n else 0.0),
     Metric("Avg_Perc_Pat_Sup_Plac_Real", MEAN,
-           lambda sup_pat, total_n: sup_pat / total_n if total_n else 0.0),
-    Metric("Avg_Pat_Plac_First_Suc", COND_MEAN, "pat_plac_first_suc", flagged=True),
-    Metric("Avg_Pat_Plac_Pool", MEAN, "soc_slots"),
-    Metric("Avg_Cohorts_First_Suc", COND_MEAN, "cohorts_first_suc", flagged=True),
-    Metric("Avg_any_P", MEAN, lambda tp, fn: 1.0 if tp + fn else 0.0),
-    Metric("Coh_Safety_STOP_Perc", RATIO, "safety_stops", den=("cohorts",)),
-    Metric("Coh_Int_STOP_Perc", RATIO, "int_stops", den=("cohorts",)),
-    Metric("Coh_Int_GO_Perc", RATIO, "int_gos", den=("cohorts",)),
-    Metric("Avg_Safety_STOP_Trial", MEAN, "safety_stops"),
-    Metric("Avg_Int_STOP_Trial", MEAN, "int_stops"),
-    Metric("Avg_Int_GO_Trial", MEAN, "int_gos"),
+           lambda s: s.sup_pat / s.total_n if s.total_n else 0.0),
+    Metric("Avg_Pat_Plac_First_Suc", COND_MEAN, attrgetter("pat_plac_first_suc"), flagged=True),
+    Metric("Avg_Pat_Plac_Pool", MEAN, attrgetter("soc_slots")),
+    Metric("Avg_Cohorts_First_Suc", COND_MEAN, attrgetter("cohorts_first_suc"), flagged=True),
+    Metric("Avg_any_P", MEAN, lambda s: 1.0 if s.tp + s.fn else 0.0),
+    Metric("Coh_Safety_STOP_Perc", RATIO, attrgetter("safety_stops"), den=attrgetter("cohorts")),
+    Metric("Coh_Int_STOP_Perc", RATIO, attrgetter("int_stops"), den=attrgetter("cohorts")),
+    Metric("Coh_Int_GO_Perc", RATIO, attrgetter("int_gos"), den=attrgetter("cohorts")),
+    Metric("Avg_Safety_STOP_Trial", MEAN, attrgetter("safety_stops")),
+    Metric("Avg_Int_STOP_Trial", MEAN, attrgetter("int_stops")),
+    Metric("Avg_Int_GO_Trial", MEAN, attrgetter("int_gos")),
     Metric("Avg_PTP_Trial", COND_MEAN,
-           lambda tp, fn: tp / (tp + fn) if tp + fn > 0 else None,
+           lambda s: s.tp / (s.tp + s.fn) if s.tp + s.fn > 0 else None,
            flagged=True, dist="Dist_PTP"),
     Metric("Avg_PTT1ER_Trial", COND_MEAN,
-           lambda fp, tn: fp / (fp + tn) if fp + tn > 0 else None,
+           lambda s: s.fp / (s.fp + s.tn) if s.fp + s.tn > 0 else None,
            flagged=True, dist="Dist_PTT1ER"),
     Metric("Avg_FDR_Trial", COND_MEAN,
-           lambda fp, tp: fp / (fp + tp) if fp + tp > 0 else None,
+           lambda s: s.fp / (s.fp + s.tp) if s.fp + s.tp > 0 else None,
            flagged=True, dist="Dist_FDR"),
 )
 _COLUMN = {m.name: i for i, m in enumerate(METRICS)}
@@ -259,25 +268,9 @@ class TrialAccumulator:
             raise ValueError("no trials accumulated")
         items = [self.records[k] for k in sorted(self.records)]
         n = len(items)
-        columns = dict(zip(TrialSummary._fields, zip(*items)))
-
-        def column(value, arm=None):
-            """Per-trial values, in iteration order, of one table entry."""
-            if callable(value):
-                code = value.__code__
-                args = code.co_varnames[:code.co_argcount]
-                return list(map(value, *(columns[f] for f in args)))
-            if arm is None:
-                return columns[value]
-            if (value, arm) not in columns:
-                columns.update(zip([(value, a) for a in ARM_ORDER], zip(*columns[value])))
-            return columns[value, arm]
-
-        values = []
-        dists = []
-        undefined = []
+        values, dists, undefined = [], [], []
         for m in METRICS:
-            vals = column(m.value, m.arm)
+            vals = list(map(m.value, items))
             if m.kind is MEAN:
                 value = sum(vals) / n
             elif m.kind is COND_MEAN:
@@ -286,7 +279,7 @@ class TrialAccumulator:
                 vals = [v for v in vals if v is not None]
                 value = sum(vals) / len(vals) if vals else None
             elif m.kind is RATIO:
-                cnt = sum(sum(column(f, m.arm)) for f in m.den)
+                cnt = sum(map(m.den, items))
                 value = sum(vals) / cnt if cnt > 0 else None
             else:
                 value = _sample_sd([x for rates in vals for x in rates])

@@ -65,8 +65,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be > 0, got ({a}, {b})")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"shape parameters must be finite and > 0, got ({a}, {b})")
     return float(special.betainc(a, b, x))
 
 
@@ -343,6 +343,13 @@ def prob_exceeds(x: PosteriorBeta, v: float) -> float:
     return 1.0 - float(special.betainc(x.alpha, x.beta, v))
 
 
+def _check_cells(t: TwoByTwo) -> None:
+    """The table checks of the functions below (kept out of ``TwoByTwo``
+    itself, which the engine builds for every analysed comparison)."""
+    if not all(0.0 <= c < math.inf for c in t.cells()):
+        raise ValueError(f"cells must be finite and >= 0, got {t}")
+
+
 def one_sided_prop_test(t: TwoByTwo, correct: bool = False) -> float:
     """One-sided pooled two-proportion z test of H1: treatment > comparator.
 
@@ -352,6 +359,7 @@ def one_sided_prop_test(t: TwoByTwo, correct: bool = False) -> float:
     term.  A pooled rate of exactly 0 or 1 carries no information about the
     contrast; by convention p = 0.5 is returned then.
     """
+    _check_cells(t)
     n_t, n_c = t.n_t, t.n_c
     if n_t < 1.0 or n_c < 1.0:
         raise ValueError("both arm totals must be >= 1")
@@ -379,6 +387,7 @@ def point_estimate(t: TwoByTwo, kind: str) -> float:
     """
     if kind not in ("RR", "OR"):
         raise ValueError(f"kind must be 'RR' or 'OR', got {kind!r}")
+    _check_cells(t)
     a, b, c, d = t.cells()
     if min(a, b, c, d) == 0.0:
         a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
@@ -400,6 +409,7 @@ def ci(t: TwoByTwo, kind: str, level: float) -> tuple[float, float]:
         raise ValueError(f"kind must be 'AR', 'RR' or 'OR', got {kind!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_cells(t)
     z = float(special.ndtri(1.0 - (1.0 - level) / 2.0))
     if kind == "AR":
         n_t, n_c = t.n_t, t.n_c

@@ -1,4 +1,5 @@
-"""Exact operating characteristics of single-cohort designs.
+"""Exact operating characteristics of single-cohort designs, and of two
+cohorts that open together and share their backbone arm (below).
 
 With one cohort (``cohorts_max: 1``, ``cohort_random: 0``, ``safety_prob:
 0``), fixed rates and the identity transform, a platform trial is a
@@ -27,7 +28,10 @@ from scipy.special import betaln
 from scipy.stats import binom
 
 from platformsim.config import parse_scenario
-from platformsim.runner import run_ocs
+from platformsim.decisions import FINAL
+from platformsim.engine import simulate_trial
+from platformsim.reporting import write_ocs_json
+from platformsim.runner import derive_rng, run_ocs
 
 from conftest import scenario_dict
 
@@ -171,3 +175,107 @@ def test_simulated_ocs_match_exact_enumeration(rules, rates, n_int, both, truly_
         extra = block * (100 - n_int) // sum(BLOCK)
         assert_within_4_mcse(getattr(ocs, f"Avg_Pat_{suffix}"), n,
                              extra * math.sqrt(p_cont * (1 - p_cont)), f"E[N] {suffix}")
+
+
+# --- two concurrent cohorts sharing the backbone arm ---------------------------
+#
+# Two cohorts open at patient 0 (``initial_cohorts: 2``, ``cohorts_max: 2``)
+# and enrol in lock step, one block each per round, so both reach 100
+# patients in the same round and are analysed once, at the final stage, in
+# cohort order.  With margin-0 Bayesian rules on comb vs mono_b alone, a
+# cohort's verdict is a function of its own comb count (0..40), its own
+# mono_b count (0..20) and the other cohort's mono_b count (0..20): the
+# comparator is its own 20 mono_b patients plus ``w`` times the other
+# cohort's 20, with w = 1 under ``all`` and ``concurrent`` and, under
+# ``dynamic``, the two-sided p-value of the pooled z test of own against
+# external.  The comb posterior has an integer first shape, so Cook's sum is
+# exact even against a fractional comparator.
+
+TWO_COHORT_RATES = (0.40, 0.20, 0.25, 0.10)   # truly superior
+N_COMB, N_BACK = 40, 20                        # per cohort at 100 patients, 2:1:1:1
+
+
+def dynamic_weight(own, other, n):
+    """Borrowing weight of the ``dynamic`` mode: 2 min(p, 1 - p), capped at 1."""
+    p = z_test_p(own, n, other, n)
+    return min(1.0, 2.0 * min(p, 1.0 - p))
+
+
+def cook_over_comb(c, d):
+    """P(X > Y) for X ~ Beta(1 + x, 1 + N_COMB - x) at every x in 0..N_COMB
+    (rows) and Y ~ Beta(c, d) (columns): Cook's finite sum over i < 1 + x."""
+    x = np.arange(N_COMB + 1)[:, None, None]
+    a, b = 1 + x, 1 + N_COMB - x
+    i = np.arange(N_COMB + 1)[None, None, :]
+    c, d = c[None, :, None], d[None, :, None]
+    terms = np.exp(betaln(c + i, b + d) - np.log(b + i) - betaln(1 + i, b) - betaln(c, d))
+    return np.where(i < a, terms, 0.0).sum(axis=2)
+
+
+def two_cohort_exact(mode, rates):
+    """E[GO cohorts], its SD, P(any GO) and the smallest distance of a
+    statistic to its threshold, summed over the joint 41² × 21² states."""
+    pc, _, pb, _ = rates
+    own, other = (g.ravel() for g in np.meshgrid(np.arange(N_BACK + 1.0),
+                                                 np.arange(N_BACK + 1.0), indexing="ij"))
+    w = np.array([dynamic_weight(o, e, N_BACK) if mode == "dynamic" else 1.0
+                  for o, e in zip(own, other)])
+    p = cook_over_comb(1 + own + w * other, 1 + (N_BACK - own) + w * (N_BACK - other))
+    gap = float(np.minimum(abs(p - 0.80), abs(p - 0.60)).min())
+    # q[own, other]: P(a cohort goes | its own and the other cohort's mono_b counts)
+    q = (binom.pmf(np.arange(N_COMB + 1), N_COMB, pc) @ (p > 0.80)).reshape(N_BACK + 1, -1)
+    back = binom.pmf(np.arange(N_BACK + 1), N_BACK, pb)
+    joint = np.outer(back, back)
+    go = float((joint * q).sum())           # each cohort, by symmetry
+    both = float((joint * q * q.T).sum())
+    mean = 2 * go
+    return {"go": mean, "sd": math.sqrt(mean + 2 * both - mean ** 2),
+            "any": 2 * go - both, "gap": gap}
+
+
+def two_cohort_spec(mode):
+    stage = {"comb_vs_mono_b": copy.deepcopy(BAYES)}
+    d = scenario_dict(rates=TWO_COHORT_RATES, rules={"interim": stage, "final": stage},
+                      initial_cohorts=2, cohorts_max=2, cohort_random=0.0, safety_prob=0.0,
+                      n_int=100, n_fin=100, sharing_type=mode)
+    return parse_scenario(d)
+
+
+@pytest.fixture(scope="module")
+def two_cohort_runs():
+    return {mode: run_ocs(two_cohort_spec(mode), TRIALS, SEED)
+            for mode in ("all", "concurrent", "dynamic")}
+
+
+def test_two_cohort_design_is_as_enumerated():
+    w = []
+    for k in range(20):
+        trial = simulate_trial(two_cohort_spec("dynamic"), derive_rng(SEED, 0, k))
+        assert trial.total_n == 200 and len(trial.cohorts) == 2
+        for c in trial.cohorts:
+            (analysis,) = c.analyses
+            assert analysis.stage == FINAL and analysis.patient_counter == 200
+            (data,) = analysis.data
+            assert data.comparison == 2 and data.n_t == N_COMB
+            assert data.external_total == N_BACK
+            w.append(data.share_weight)
+    assert 0.0 < min(w) < 1.0
+
+
+@pytest.mark.parametrize("mode", ["all", "dynamic"])
+def test_two_cohorts_sharing_match_exact_enumeration(two_cohort_runs, mode):
+    exact = two_cohort_exact(mode, TWO_COHORT_RATES)
+    assert exact["gap"] > 1e-9
+    ocs = two_cohort_runs[mode]
+    assert_within_4_mcse(ocs.Avg_TP, exact["go"], exact["sd"], "E[GO cohorts]")
+    assert ocs.Avg_FP == 0.0
+    p = exact["any"]
+    assert_within_4_mcse(ocs.Disj_Power_BA, p, math.sqrt(p * (1 - p)), "P(any GO)")
+
+
+def test_concurrent_equals_all_when_both_open_at_once(two_cohort_runs, tmp_path):
+    paths = []
+    for mode in ("all", "concurrent"):
+        paths.append(tmp_path / f"{mode}.json")
+        write_ocs_json(paths[-1], "two_cohorts", two_cohort_runs[mode])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, STOPPED_INTERIM_EFFICACY,
-                                STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
+                                STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, ARM_INDEX,
                                 ArmResult, CohortResult, TrialResult,
                                 classify_decision, simulate_trial)
 from platformsim.ocs import TrialAccumulator, aggregate, merge, summarize_trial
@@ -152,6 +153,43 @@ class TestAggregateIdentities:
         defined = [v for v in ocs.Dist_PTP if v is not None]
         if defined:
             assert ocs.Avg_PTP_Trial == pytest.approx(sum(defined) / len(defined))
+
+
+class TestRecordFormat:
+    """One ``TrialSummary`` per trial, immutable all the way down and small:
+    the accumulator keeps one per trial until its scenario finishes."""
+
+    @pytest.fixture(scope="class")
+    def trials(self):
+        spec = make_scenario(cohort_random=0.05, safety_prob=0.002)
+        return [simulate_trial(spec, derive_rng(77, 0, k)) for k in range(300)]
+
+    def test_records_are_hashable(self, trials):
+        records = [summarize_trial(t, 5) for t in trials]
+        assert max(s.cohorts for s in records) >= 3
+        assert len({hash(s) for s in records}) > 1
+
+    def test_rates_are_kept_in_cohort_order(self, trials):
+        for t in trials:
+            s = summarize_trial(t, 5)
+            for arm, i in ARM_INDEX.items():
+                rates = tuple(c.per_arm[arm].true_rate for c in t.cohorts if arm in c.per_arm)
+                total = 0.0
+                for rate in rates:
+                    total += rate
+                assert s.rr[i] == rates
+                # the arm's rate total is the left-to-right sum, bit for bit
+                assert sum(s.rr[i]) == total
+
+    def test_retained_size(self, trials):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = [summarize_trial(t, 5) for t in trials]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(records) < 1100, retained / len(records)
 
 
 class TestMergeSemantics:

@@ -461,6 +461,42 @@ class TestNonFiniteInputs:
         assert prob_greater_by_margin(x, y, math.inf) == 0.0
         assert prob_greater_by_margin(x, y, -math.inf) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf)])
+    def test_incomplete_beta_needs_finite_shapes(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            reg_inc_beta(0.5, a, b)
+
+
+#: each 2x2 function, called on a table
+TABLE_FUNCTIONS = {
+    "z_test": one_sided_prop_test,
+    "RR": lambda t: point_estimate(t, "RR"),
+    "OR": lambda t: point_estimate(t, "OR"),
+    "ci_AR": lambda t: ci(t, "AR", 0.9),
+    "ci_RR": lambda t: ci(t, "RR", 0.9),
+    "ci_OR": lambda t: ci(t, "OR", 0.9),
+}
+
+
+class TestBadTables:
+    """A NaN, infinite or negative cell raises a ``ValueError`` that names
+    the table, instead of a nan, a number or a bare math domain error."""
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", TABLE_FUNCTIONS)
+    def test_bad_cell_raises(self, name, cell):
+        for position in range(4):
+            cells = [5.0, 5.0, 3.0, 4.0]
+            cells[position] = cell
+            with pytest.raises(ValueError, match=r"TwoByTwo\("):
+                TABLE_FUNCTIONS[name](TwoByTwo(*cells))
+
+    @pytest.mark.parametrize("name", TABLE_FUNCTIONS)
+    def test_zero_cells_still_answer(self, name):
+        assert all(math.isfinite(v) for v in np.atleast_1d(TABLE_FUNCTIONS[name](
+            TwoByTwo(0.0, 5.0, 3.0, 0.0))))
+
 
 def pinned_lanes() -> list[tuple[float, ...]]:
     """3,000 seeded (a_X, b_X, a_Y, b_Y, delta): 750 at margin 0 with integer and
