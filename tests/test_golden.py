@@ -47,6 +47,9 @@ SCENARIOS = {
     # sr_pats halts recruitment mid-trial: halted final analyses
     "concurrent_sr_pats": lambda: _example(sharing_type="concurrent", sr_pats=180),
     "all_rules": lambda: yaml.safe_load((GOLDEN / "all_rules.yaml").read_text()),
+    # a monotherapy found superior to SoC drops SoC from the cohorts that open later
+    "stop_post_back": lambda: _example(trial_struc="stop_post_back"),
+    "stop_post_mono": lambda: _example(trial_struc="stop_post_mono"),
 }
 
 
