@@ -88,11 +88,11 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     result = run_single_trial(spec, args.seed)
     dump_path = os.path.join(args.out, "trajectory.json")
-    reporting.write_trajectory(dump_path, result)
+    reporting.write_trajectory(dump_path, result, spec)
     print(f"scenario {spec.id}: Total_N = {result.total_n}, "
           f"cohorts = {len(result.cohorts)}, successes = {result.successes}")
     for c in result.cohorts:
-        verdicts = {a.stage: a.decision.verdict for a in c.analyses}
+        verdicts = {a.stage: a.verdict for a in c.analyses}
         print(f"  cohort {c.id}: status = {c.status}, truth = {c.truth_class}, "
               f"analyses = {verdicts if verdicts else 'none'}")
     print(f"trajectory written to {dump_path}")
@@ -123,7 +123,7 @@ def cmd_ocs(args) -> int:
         os.makedirs(dump_dir, exist_ok=True)
     for k in range(n_dumps):
         reporting.write_trajectory(os.path.join(dump_dir, f"trajectory_{k:06d}.json"),
-                                   run_single_trial(spec, args.seed, 0, k))
+                                   run_single_trial(spec, args.seed, 0, k), spec)
     _write_scenario_outputs(args.out, spec, ocs, formats, {
         "command": "ocs", "scenario_id": spec.id, "spec_hash": reporting.spec_hash(spec),
         "master_seed": args.seed, "iterations": args.iterations, "workers": workers,

@@ -4,27 +4,28 @@ Rule protocol: each rule kind is one frozen dataclass deriving from
 :class:`Rule`.  Its fields are its YAML keys, their metadata (``schema.param``)
 declares their valid values, and class attributes declare its YAML key
 (``key``, also the trace ``kind``), whether it reads only the numerator
-arm's own counts (``single_arm``) and whether it can declare superiority.
-``evaluate(t, prior)`` returns its :class:`RuleTrace` from the 2x2 table
-``t`` (a :class:`ComparisonData` record in a run); ``conflicts(rules)``
-warns about GO/STOP regions it shares with the other rules of its
-comparison.  Adding a rule kind takes one such class plus one
-``config.ComparisonRules`` field named after its key (the field order is the
-evaluation and trace order).
+arm's own counts (``single_arm``) and whether it can declare superiority
+(``superiority``) and futility (``futility``).  ``evaluate(t, prior)``
+returns its :class:`RuleTrace` from the 2x2 table ``t`` (a
+:class:`ComparisonData` record in a run), and is the one place its
+thresholds are applied; ``conflicts(rules)`` warns about GO/STOP regions it
+shares with the other rules of its comparison.  Adding a rule kind takes one
+such class plus one ``config.ComparisonRules`` field named after its key (the
+field order is the evaluation and trace order).
 
 Everything one scenario analyses lives in its :class:`AnalysisPlan`: each
 stage's rules, the prior, the comparisons each arm set analyses and the memo
-of outcomes, the one cache of analysis results.  An outcome is a pure
-function of (a comparison's rules, the 2x2 cells, prior), so the memo keys on
-(the index of the rules among the plan's distinct ones, cells): equal rules
-on two comparisons or stages share entries.  Outcomes carry no comparison:
-``decision.comparisons[i]`` belongs to ``data[i]``.  :func:`plan_for` holds
-one plan per (rules, prior) per process; ``runner.run_grid`` empties it when a
-run starts, before any fork, so each run and worker starts cold.  The memo
-only saves work.  The kernel's own tables in ``stats`` (the quadrature's
-nodes, the exact margin sum's coefficient vectors) are not result caches:
-each holds a pure function of its key, never a probability.  Each record
-given to :func:`evaluate_cohort` has a patient on both arms.
+of rule flags, the one cache of analysis results.  A rule's (superior,
+futile) flags are a pure function of (the rule, the 2x2 cells, prior), so
+the memo keys on (the index of the rule among the plan's distinct rules,
+cells): equal rules on two comparisons or stages share entries.
+:func:`plan_for` holds one plan per (rules, prior) per process;
+``runner.run_grid`` empties it when a run starts, before any fork, so each
+run and worker starts cold.  The memo only saves work.  The kernel's own
+tables in ``stats`` (the quadrature's nodes, the exact margin sum's
+coefficient vectors) are not result caches: each holds a pure function of
+its key, never a probability.  Each record given to :func:`evaluate_cohort`
+has a patient on both arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing
@@ -33,7 +34,20 @@ STOP wins (conservative).  With no superiority rules configured at a stage,
 GO is impossible at that stage (nothing can be "fulfilled"), which is what
 makes interim-futility-only / final-superiority-only rule sets work.
 
-The "promising" flag is recorded in traces and outputs only; it never
+Evaluation order: a run needs an analysis's verdict only, so
+:func:`evaluate_cohort` evaluates the rules that verdict needs.  First the
+futility-capable rules of every analysed comparison, in record and field
+order, returning STOP_FUTILITY at the first that fires; then the
+superiority-capable rules in the same order, returning CONTINUE (interim) or
+UNSUCCESSFUL_MAX_N (final) at the first that does not hold, and GO when all
+hold.  A rule the verdict does not need is never evaluated, so a
+``stats.QuadratureError`` or ``ValueError`` it would raise does not fail the
+trial.  :func:`is_superior` answers a comparison's superiority through the
+same memo.  :func:`explain` evaluates every rule and folds the outcomes with
+:func:`combine`, which gives the same verdict; only trajectory dumps call
+it, so rule traces exist only there.
+
+The "promising" flag is recorded in traces and dumps only; it never
 changes a verdict.
 """
 
@@ -42,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Sequence
 
 from .schema import param
 from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
@@ -110,6 +124,7 @@ class Rule:
     key: ClassVar[str]
     single_arm: ClassVar[bool] = False
     superiority: ClassVar[bool] = False
+    futility: ClassVar[bool] = False
 
     def conflicts(self, rules: ComparisonRules) -> list[str]:
         return []
@@ -173,6 +188,7 @@ class BayesFutRule(_BayesRows):
     confidence for every row."""
 
     key = "bayes_fut"
+    futility = True
     rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_MARGIN, _CONF))
 
     def evaluate(self, t, prior):
@@ -236,6 +252,7 @@ class FreqFutRule(Rule):
     ``bonferroni_half``)."""
 
     key = "freq_fut"
+    futility = True
     p_fut: float = param(lo=0.0, hi=1.0)
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
@@ -254,7 +271,7 @@ class EstSupFutRule(Rule):
     >= p_hat_sup, futile iff it is <= p_hat_fut."""
 
     key = "est_sup_fut"
-    superiority = True
+    superiority = futility = True
     est: str = param(choices=("RR", "OR"))
     p_hat_sup: float = param(inf=True)
     p_hat_fut: float = param(inf=True)
@@ -281,7 +298,7 @@ class CISupFutRule(Rule):
     <= upper_fut."""
 
     key = "ci_sup_fut"
-    superiority = True
+    superiority = futility = True
     est: str = param(choices=("AR", "RR", "OR"))
     level: float = param(lo=0.0, hi=1.0, open=True)
     lower_sup: float = param(inf=True)
@@ -322,15 +339,31 @@ class CohortDecision:
         return tuple(t for c in self.comparisons for t in c.traces)
 
 
+class Verdict(NamedTuple):
+    """What one analysis decided (``verdict``), at which ``stage``."""
+
+    verdict: str
+    stage: str
+
+
+def _check_arms(t: TwoByTwo) -> None:
+    if t.n_t < 1.0 or t.n_c < 1.0:
+        raise ValueError(f"an arm of the table {t.cells()} holds fewer than one patient")
+
+
 class AnalysisPlan:
-    """One scenario's ``rules``, ``prior``, ``comparisons``, ``rule_ids`` and ``outcome`` memo."""
+    """One scenario's ``rules``, ``prior``, ``comparisons``, ``rule_ids`` and ``flags`` memo."""
 
     def __init__(self, rules: DecisionRuleSet, prior: BetaPrior):
         self.rules, self.prior = rules, prior
         stages = (rules.interim, rules.final)
-        distinct = list(dict.fromkeys(r for stage in stages for r in stage))
-        #: stage -> the index of comparison c's rules among the distinct ones, at c - 1
-        self.rule_ids = {s: tuple(map(distinct.index, r)) for s, r in zip((INTERIM, FINAL), stages)}
+        distinct = list(dict.fromkeys(r for stage in stages for comp in stage for r in comp))
+        index = {rule: i for i, rule in enumerate(distinct)}
+        #: stage -> the indices among the distinct rules of comparison c's futility-capable
+        #: and of its superiority-capable rules, in field order, at c - 1
+        self.rule_ids = {s: tuple((tuple(index[r] for r in comp if r.futility),
+                                   tuple(index[r] for r in comp if r.superiority))
+                                  for comp in stage) for s, stage in zip((INTERIM, FINAL), stages)}
 
         # closures, not methods: a dropped plan frees its memo without a cycle
         @cache
@@ -340,41 +373,75 @@ class AnalysisPlan:
             return tuple(c for c, (num, den) in COMPARISON_ARMS.items()
                          if num in arms and den in arms and not stage_rules[c - 1].empty)
 
-        # kernel computations on dynamic_share (seed 7): 10,488 at 768 entries, 9,512 at
-        # 2,048 and 9,126 at 4,096; an entry holds about 0.9 KB, and at 4,096 the peak RSS
-        # of grid_pool (where one plan serves a worker's whole grid) rose 6%.  Misses on
-        # grid_pool (2 workers, seed 7, two runs): 16,140-16,180 at 2,048, 14,612-14,645
-        # at 4,096 and 14,105-14,221 unbounded, so about 12% of them are evictions
-        @lru_cache(maxsize=2048)
-        def outcome(rule_id: int, cells: tuple[float, ...]) -> ComparisonOutcome:
-            """Every configured rule of the rules ``rule_id`` on the 2x2 table
-            ``cells``, in field order; both arms must hold a patient."""
+        # an entry holds about 0.3 KB (tracemalloc, seed 7): 4,096 take 1.3 MB.  Kernel
+        # calls on grid_pool (one process, seed 7): 19,597 at 4,096 entries, 18,965 at
+        # 5,632 and 16,592 unbounded; the 3,812 of dynamic_share all fit
+        @lru_cache(maxsize=4096)
+        def flags(rule_id: int, cells: tuple[float, ...]) -> tuple[bool, bool]:
+            """(superior, futile) of the distinct rule ``rule_id`` on the 2x2 table
+            ``cells``; both arms must hold a patient."""
             t = TwoByTwo(*cells)
-            if t.n_t < 1.0 or t.n_c < 1.0:
-                raise ValueError(f"an arm of the table {cells} holds fewer than one patient")
-            comp_rules = distinct[rule_id]
-            traces = tuple([rule.evaluate(t, prior) for rule in comp_rules])
-            superior = promising = True
-            futile, n_sup = False, 0
-            for rule, trace in zip(comp_rules, traces):
-                if trace.futile:
-                    futile = True
-                if rule.superiority:
-                    n_sup += 1
-                    if not trace.superior:
-                        superior = False
-                        if not trace.promising:
-                            promising = False
-            return ComparisonOutcome(superior=n_sup > 0 and superior, futile=futile,
-                                     promising=n_sup > 0 and promising, n_sup_rules=n_sup,
-                                     traces=traces)
+            _check_arms(t)
+            trace = distinct[rule_id].evaluate(t, prior)
+            return trace.superior, trace.futile
 
-        self.comparisons, self.outcome = comparisons, outcome
+        self.comparisons, self.flags = comparisons, flags
 
 
 #: ``plan_for(rules, prior)``: the plan of the rules and prior this process runs, kept
 #: until other ones come or ``runner.run_grid`` empties it when a run starts
 plan_for = lru_cache(maxsize=1)(AnalysisPlan)
+
+
+def evaluate_cohort(plan: AnalysisPlan, data: Sequence[ComparisonData],
+                    stage: str) -> Verdict:
+    """The verdict of one cohort at one stage on the records ``data``, from
+    the rules it needs (see the module docstring): :func:`combine`'s verdict
+    over :func:`explain`'s outcomes."""
+    rule_ids = plan.rule_ids[stage]
+    flags = plan.flags
+    tables = [(rule_ids[t.comparison - 1], t.cells()) for t in data]
+    for (futility, _), cells in tables:
+        for rule_id in futility:
+            if flags(rule_id, cells)[1]:
+                return Verdict(STOP_FUTILITY, stage)
+    not_go = CONTINUE if stage == INTERIM else UNSUCCESSFUL_MAX_N
+    go = False  # GO needs a superiority rule
+    for (_, superiority), cells in tables:
+        for rule_id in superiority:
+            if not flags(rule_id, cells)[0]:
+                return Verdict(not_go, stage)
+            go = True
+    return Verdict(GO if go else not_go, stage)
+
+
+def is_superior(plan: AnalysisPlan, t: ComparisonData, stage: str) -> bool:
+    """Whether the superiority rules of ``t``'s comparison at ``stage`` all
+    hold on it, at least one being configured: its outcome's ``superior``."""
+    superiority = plan.rule_ids[stage][t.comparison - 1][1]
+    cells = t.cells()
+    return bool(superiority) and all(plan.flags(rule_id, cells)[0] for rule_id in superiority)
+
+
+def comparison_outcome(rules: ComparisonRules, t: TwoByTwo,
+                       prior: BetaPrior) -> ComparisonOutcome:
+    """Every rule of ``rules`` on the table ``t``, in field order; both arms
+    must hold a patient."""
+    _check_arms(t)
+    traces = tuple([rule.evaluate(t, prior) for rule in rules])
+    superior = promising = True
+    futile, n_sup = False, 0
+    for rule, trace in zip(rules, traces):
+        if trace.futile:
+            futile = True
+        if rule.superiority:
+            n_sup += 1
+            if not trace.superior:
+                superior = False
+                if not trace.promising:
+                    promising = False
+    return ComparisonOutcome(superior=n_sup > 0 and superior, futile=futile,
+                             promising=n_sup > 0 and promising, n_sup_rules=n_sup, traces=traces)
 
 
 def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision:
@@ -407,10 +474,10 @@ def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision
                           comparisons=tuple(outcomes), note=note)
 
 
-def evaluate_cohort(plan: AnalysisPlan, data: Sequence[ComparisonData],
-                    stage: str) -> CohortDecision:
-    """Evaluate one cohort at one stage: every record of ``data`` under its
-    comparison's rules in ``plan``, folded into one verdict whose
-    ``comparisons[i]`` belongs to ``data[i]``."""
-    rule_ids = plan.rule_ids[stage]
-    return combine([plan.outcome(rule_ids[t.comparison - 1], t.cells()) for t in data], stage)
+def explain(plan: AnalysisPlan, data: Sequence[ComparisonData], stage: str) -> CohortDecision:
+    """What a dump shows of one analysis: every rule of every record of
+    ``data`` evaluated (no memo) and folded by :func:`combine`, with
+    ``comparisons[i]`` belonging to ``data[i]``."""
+    stage_rules = plan.rules.for_stage(stage)
+    return combine([comparison_outcome(stage_rules[t.comparison - 1], t, plan.prior)
+                    for t in data], stage)

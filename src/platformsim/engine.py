@@ -26,9 +26,10 @@ pool is the difference of two tallies.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
-comparisons and outcome memo come from the scenario's analysis plan
-(``decisions.plan_for``).  An analysis's ``decision.comparisons[i]`` belongs
-to its ``data[i]``.
+comparisons and the memo of rule flags come from the scenario's analysis plan
+(``decisions.plan_for``).  An analysis record keeps its data and its verdict
+only; the rule traces behind a verdict exist only in trajectory dumps
+(``decisions.explain``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .config import ScenarioSpec
 from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
-                        UNSUCCESSFUL_MAX_N, CohortDecision, ComparisonData, evaluate_cohort,
+                        UNSUCCESSFUL_MAX_N, ComparisonData, evaluate_cohort, is_superior,
                         plan_for)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from .stats import TwoByTwo, one_sided_prop_test
@@ -52,6 +53,10 @@ STREAM_VERSION = 2
 
 ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 SHARED_ARMS = ("mono_b", "soc")  # comparator arms augmented by data sharing
+
+#: trial structure -> the comparisons whose superiority drops SoC from the cohorts
+#: that open afterwards: the backbone's, or either monotherapy's, against SoC
+DROPS_SOC = {"stop_post_back": (4,), "stop_post_mono": (3, 4)}
 
 ENROLLING = "enrolling"
 STOPPED_INTERIM_FUTILITY = "stopped_interim_futility"
@@ -109,7 +114,7 @@ class AnalysisRecord:
     patient_counter: int
     halted: bool
     data: tuple[ComparisonData, ...]
-    decision: CohortDecision
+    verdict: str
 
 
 class CohortState:
@@ -324,8 +329,8 @@ class _Platform:
         self.patient_counter = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
-        self.mono_vs_soc_sup = False  # any monotherapy found superior to SoC
-        self.back_vs_soc_sup = False  # backbone monotherapy found superior to SoC
+        self.drops_soc = DROPS_SOC.get(spec.platform.trial_struc, ())
+        self.soc_dropped = False  # a comparison of drops_soc was found superior
         self.first_success: dict | None = None
         self.entry_closed_index: int | None = None
         self.recruitment_halt_index: int | None = None
@@ -342,14 +347,8 @@ class _Platform:
     # --- cohort entry -----------------------------------------------------
 
     def _new_cohort_has_soc(self) -> bool:
-        struc = self.spec.platform.trial_struc
-        if struc == "all_plac":
-            return True
-        if struc == "no_plac":
-            return False
-        if struc == "stop_post_back":
-            return not self.back_vs_soc_sup
-        return not self.mono_vs_soc_sup  # stop_post_mono
+        # soc_dropped stays False under all_plac, whose drops_soc is empty
+        return self.spec.platform.trial_struc != "no_plac" and not self.soc_dropped
 
     def open_cohort(self) -> CohortState:
         spec = self.spec
@@ -441,25 +440,23 @@ class _Platform:
 
     # --- analyses ----------------------------------------------------------
 
-    def run_analysis(self, cohort: CohortState, stage: str, halted: bool = False) -> CohortDecision:
+    def run_analysis(self, cohort: CohortState, stage: str, halted: bool = False) -> None:
         data = assemble_analysis_data(self.cohorts, cohort,
                                       self.plan.comparisons(cohort.arms, stage),
                                       self.spec.platform.sharing_type, stage)
-        decision = evaluate_cohort(self.plan, data, stage)
+        verdict = evaluate_cohort(self.plan, data, stage).verdict
         cohort.analyses.append(AnalysisRecord(
             stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
-            halted=halted, data=data, decision=decision))
+            halted=halted, data=data, verdict=verdict))
         if stage == INTERIM:
             cohort.has_interim = True
 
-        # platform flags for post-success SoC omission in new cohorts
-        for t, outcome in zip(data, decision.comparisons):
-            num, den = COMPARISON_ARMS[t.comparison]
-            if outcome.superior and den == "soc":
-                self.mono_vs_soc_sup = True
-                self.back_vs_soc_sup |= num == "mono_b"
+        # the platform flag for post-success SoC omission in new cohorts
+        if self.drops_soc and not self.soc_dropped:
+            self.soc_dropped = any(t.comparison in self.drops_soc
+                                   and is_superior(self.plan, t, stage) for t in data)
 
-        if decision.verdict == GO:
+        if verdict == GO:
             cohort.status = STOPPED_INTERIM_EFFICACY if stage == INTERIM else COMPLETED_GO
             cohort.close_index = self.patient_counter
             self.successes += 1
@@ -471,14 +468,13 @@ class _Platform:
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }
-        elif decision.verdict == STOP_FUTILITY:
+        elif verdict == STOP_FUTILITY:
             cohort.status = STOPPED_INTERIM_FUTILITY if stage == INTERIM else COMPLETED_FUTILITY
             cohort.close_index = self.patient_counter
-        elif decision.verdict == UNSUCCESSFUL_MAX_N:
+        elif verdict == UNSUCCESSFUL_MAX_N:
             cohort.status = COMPLETED_UNSUCCESSFUL
             cohort.close_index = self.patient_counter
         # CONTINUE keeps enrolling
-        return decision
 
     def halt_enrolling_cohorts(self) -> None:
         """Stop recruitment everywhere and conclude on accumulated data.

@@ -2,7 +2,10 @@
 
 Trajectory dumps are JSON files with a ``Trial_Overview`` section (platform
 level summary) and a ``Stage_Data`` section (full per-cohort records
-including per-patient outcomes and per-analysis rule traces).  An analysis
+including per-patient outcomes and per-analysis rule traces).  A trial keeps
+only each analysis's data and verdict; its ``decision``, rule traces
+included, is computed when the dump is written (``decisions.explain`` under
+the scenario's rules and prior), so only dumps hold traces.  An analysis
 lists only the comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
@@ -21,16 +24,27 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
+from .decisions import explain, plan_for
 from .engine import STREAM_VERSION, TrialResult
 from .ocs import OperatingCharacteristics
 
 
-def trial_result_to_dump(result: TrialResult) -> dict:
+def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
+    """The dump of ``result``, a trial of ``spec``."""
+    plan = plan_for(spec.rules, spec.prior)
     d = dataclasses.asdict(result)
     for cohort, rec in zip(result.cohorts, d["cohorts"]):
         del rec["patients"]
         for arm, arm_rec in rec["per_arm"].items():
             arm_rec.update(cohort.patients.arm_lists(arm))
+        for analysis, analysis_rec in zip(cohort.analyses, rec["analyses"]):
+            decision = explain(plan, analysis.data, analysis.stage)
+            if decision.verdict != analysis.verdict:
+                raise ValueError(f"cohort {cohort.id}: the {analysis.stage} verdict "
+                                 f"{analysis.verdict} is not the rules' {decision.verdict}; "
+                                 f"is {result.scenario_id!r} a trial of {spec.id!r}?")
+            del analysis_rec["verdict"]
+            analysis_rec["decision"] = dataclasses.asdict(decision)
     overview = {
         "scenario_id": d["scenario_id"],
         "Total_N": d["total_n"],
@@ -56,13 +70,13 @@ def trial_result_to_dump(result: TrialResult) -> dict:
     return {"Trial_Overview": overview, "Stage_Data": {"cohorts": d["cohorts"]}}
 
 
-def dump_trajectory(result: TrialResult) -> str:
-    return json.dumps(trial_result_to_dump(result), sort_keys=True, indent=1)
+def dump_trajectory(result: TrialResult, spec: ScenarioSpec) -> str:
+    return json.dumps(trial_result_to_dump(result, spec), sort_keys=True, indent=1)
 
 
-def write_trajectory(path, result: TrialResult) -> None:
+def write_trajectory(path, result: TrialResult, spec: ScenarioSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_trajectory(result))
+        fh.write(dump_trajectory(result, spec))
         fh.write("\n")
 
 

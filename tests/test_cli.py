@@ -239,13 +239,13 @@ class TestGrid:
                      "--seed", "2", "--out", str(tmp_path / "grid")]) == 0
         assert decisions.plan_for.cache_info().currsize == 1
         grid_plan = decisions.plan_for(specs[-1].rules, specs[-1].prior)
-        grid_memo = grid_plan.outcome.cache_info()
+        grid_memo = grid_plan.flags.cache_info()
         assert grid_memo.currsize > 0
         run_ocs(specs[-1], 8, 2, scenario_index=2)
         lone_plan = decisions.plan_for(specs[-1].rules, specs[-1].prior)
         assert lone_plan is not grid_plan
         # the lone run saw only the last scenario's analyses
-        assert 0 < lone_plan.outcome.cache_info().misses <= grid_memo.misses
+        assert 0 < lone_plan.flags.cache_info().misses <= grid_memo.misses
 
     def test_manifests_record_wall_time_and_rate(self, spec_file, tmp_path, capsys):
         axes = write_yaml(tmp_path / "axes.yaml", {"n_int": [50, 60]})

@@ -15,7 +15,7 @@ from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
 from platformsim.decisions import (ARM_ORDER, COMPARISON_ARMS, CONTINUE, FINAL, GO, INTERIM,
                                    STOP_FUTILITY, UNSUCCESSFUL_MAX_N, AnalysisPlan,
                                    ComparisonData, ComparisonOutcome, combine,
-                                   evaluate_cohort)
+                                   comparison_outcome, evaluate_cohort, explain, is_superior)
 from platformsim.reporting import spec_hash
 from platformsim.stats import TwoByTwo
 
@@ -165,6 +165,15 @@ def data_for(comparison, table):
     return ComparisonData(*table.cells(), comparison)
 
 
+def decide(stage_rules, data, stage):
+    """The decision a dump shows (``explain``), whose verdict must be the
+    one ``evaluate_cohort`` gives from the rules it needs."""
+    plan = plan_of(stage_rules)
+    decision = explain(plan, data, stage)
+    assert evaluate_cohort(plan, data, stage) == (decision.verdict, stage)
+    return decision
+
+
 class TestCombine:
     def all_sup_rules(self):
         return tuple(comparison_rules(bayes_sup_margin=m) for m in (0.10, 0.10, 0.05, 0.05))
@@ -172,7 +181,7 @@ class TestCombine:
     def test_all_superior_is_go_at_interim(self):
         rules = self.all_sup_rules()
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == GO
 
     def test_any_futility_stops(self):
@@ -180,14 +189,14 @@ class TestCombine:
                       for _ in range(4))
         # one equal comparison trips its futility rule
         data = tuple(data_for(i, EQUAL if i == 4 else STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == STOP_FUTILITY
 
     def test_final_neither_is_unsuccessful(self):
         rules = self.all_sup_rules()
         weak = TwoByTwo(22, 28, 20, 30)  # too weak for the margin
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(plan_of(rules), data, FINAL)
+        decision = decide(rules, data, FINAL)
         assert decision.verdict == UNSUCCESSFUL_MAX_N
         assert "superiority criterion" in decision.note
 
@@ -195,7 +204,7 @@ class TestCombine:
         rules = self.all_sup_rules()
         weak = TwoByTwo(22, 28, 20, 30)
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
-        assert evaluate_cohort(plan_of(rules), data, INTERIM).verdict == CONTINUE
+        assert decide(rules, data, INTERIM).verdict == CONTINUE
 
     def test_simultaneous_go_and_stop_resolves_to_stop(self):
         # est rule with sup threshold == fut threshold fires both at RR = 1.5... no:
@@ -204,7 +213,7 @@ class TestCombine:
                                                             p_hat_fut=2.0),),),
                  ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, TwoByTwo(30, 20, 20, 30)),)  # RR 1.5: sup and fut both true
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == STOP_FUTILITY
         assert "conservative" in decision.note
 
@@ -212,14 +221,14 @@ class TestCombine:
         # futility-only interim rule set: strong data must CONTINUE, not GO
         rules = tuple(comparison_rules(bayes_fut_conf=0.60) for _ in range(4))
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        assert evaluate_cohort(plan_of(rules), data, INTERIM).verdict == CONTINUE
+        assert decide(rules, data, INTERIM).verdict == CONTINUE
 
     def test_absent_comparisons_skipped(self):
         # a comparison without rules adds no trace and cannot block GO
         rules = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                  ComparisonRules(), ComparisonRules())
         data = tuple(data_for(i, STRONG) for i in range(1, 5))
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == GO
         assert len(decision.comparisons) == 4  # one outcome per record, in order
         assert [len(o.traces) for o in decision.comparisons] == [1, 0, 0, 0]
@@ -228,7 +237,7 @@ class TestCombine:
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = (data_for(1, STRONG), data_for(2, STRONG))
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == GO
 
     @pytest.mark.parametrize("empty", [TwoByTwo(5, 5, 0, 0), TwoByTwo(0, 0, 5, 5),
@@ -239,14 +248,15 @@ class TestCombine:
                  ComparisonRules(bayes_sa_sup=(BayesSASupRule(rows=((0.1, 0.5, 1.0),)),)),
                  ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG), data_for(2, empty))
-        with pytest.raises(ValueError, match="fewer than one patient"):
-            evaluate_cohort(plan_of(rules), data, INTERIM)
+        for evaluate in (evaluate_cohort, explain):
+            with pytest.raises(ValueError, match="fewer than one patient"):
+                evaluate(plan_of(rules), data, INTERIM)
 
     def test_combine_permutation_invariant(self):
         rules = tuple(comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60)
                       for _ in range(4))
         data = tuple(data_for(i, EQUAL if i == 2 else STRONG) for i in range(1, 5))
-        outcomes = list(evaluate_cohort(plan_of(rules), data, INTERIM).comparisons)
+        outcomes = list(decide(rules, data, INTERIM).comparisons)
         verdict = combine(outcomes, INTERIM).verdict
         rng = random.Random(0)
         for _ in range(5):
@@ -258,11 +268,11 @@ class TestCombine:
         base = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                 ComparisonRules(), ComparisonRules())
         data = (data_for(1, TwoByTwo(26, 24, 20, 30)),)
-        base_verdict = evaluate_cohort(plan_of(base), data, INTERIM).verdict
+        base_verdict = decide(base, data, INTERIM).verdict
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup + (BayesSupRule(rows=((0.5, 0.99, 1.0),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        new_verdict = evaluate_cohort(plan_of(extended), data, INTERIM).verdict
+        new_verdict = decide(extended, data, INTERIM).verdict
         if base_verdict != GO:
             assert new_verdict != GO
 
@@ -270,12 +280,12 @@ class TestCombine:
         base = (comparison_rules(bayes_sup_margin=0.10, bayes_fut_conf=0.60),
                 ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, EQUAL),)
-        assert evaluate_cohort(plan_of(base), data, INTERIM).verdict == STOP_FUTILITY
+        assert decide(base, data, INTERIM).verdict == STOP_FUTILITY
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup, bayes_fut=base[0].bayes_fut +
             (BayesFutRule(rows=((0.0, 0.01),)),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
-        assert evaluate_cohort(plan_of(extended), data, INTERIM).verdict == STOP_FUTILITY
+        assert decide(extended, data, INTERIM).verdict == STOP_FUTILITY
 
     def test_trace_complete_one_entry_per_rule(self):
         rules = (ComparisonRules(
@@ -289,7 +299,7 @@ class TestCombine:
             ci_sup_fut=(CISupFutRule("RR", 0.95, 1.2, 1.0),)),
             ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG),)
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         kinds = sorted(t.kind for t in decision.traces)
         assert kinds == sorted(["bayes_sup", "bayes_fut", "bayes_sa_sup", "bayes_sa_fut",
                                 "freq_sup", "freq_fut", "est_sup_fut", "ci_sup_fut"])
@@ -298,7 +308,7 @@ class TestCombine:
         rules = tuple(ComparisonRules(
             bayes_sup=(BayesSupRule(rows=((0.0, 0.99999, 0.60),)),),) for _ in range(4))
         data = tuple(data_for(i, TwoByTwo(35, 15, 20, 30)) for i in range(1, 5))
-        decision = evaluate_cohort(plan_of(rules), data, INTERIM)
+        decision = decide(rules, data, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.promising
 
@@ -336,45 +346,51 @@ class TestPlanComparisons:
                 assert plan.comparisons(arms, stage) is got  # derived once
 
 
-def outcome_of(plan, stage, comparison, cells):
-    return plan.outcome(plan.rule_ids[stage][comparison - 1], cells)
+def rule_id_pairs(plan, stage, comparison):
+    """(rule, its index among the plan's distinct rules) for every rule of a
+    comparison that a verdict can ask about: futility-capable, then
+    superiority-capable, each in field order."""
+    rules = plan.rules.for_stage(stage)[comparison - 1]
+    futility, superiority = plan.rule_ids[stage][comparison - 1]
+    return (list(zip([r for r in rules if r.futility], futility))
+            + list(zip([r for r in rules if r.superiority], superiority)))
 
 
-def uncached_outcome_of(plan, stage, comparison, cells):
-    return plan.outcome.__wrapped__(plan.rule_ids[stage][comparison - 1], cells)
+def evaluated_flags(rule, cells, prior):
+    trace = rule.evaluate(TwoByTwo(*cells), prior)
+    return trace.superior, trace.futile
 
 
 class TestMemo:
     @given(st.lists(ACTIVE_RULES, min_size=2, max_size=2),
            st.lists(st.integers(0, 1), min_size=8, max_size=8), TABLES)
     @settings(max_examples=60, deadline=None)
-    def test_memo_gives_each_input_its_own_uncached_outcome(self, pool, picks, cells):
+    def test_memo_gives_each_input_its_own_uncached_flags(self, pool, picks, cells):
         # each comparison at each stage takes one of two rule sets, so rules are
         # equal across some comparisons and stages and unequal across others:
-        # with every plan warm, each input is answered from its own rules and prior
+        # with every plan warm, each input is answered from its own rule and prior
         stage_rules = [pool[i] for i in picks]
         stages = (tuple(stage_rules[:4]), tuple(stage_rules[4:]))
         plans = [AnalysisPlan(DecisionRuleSet(*stages), prior) for prior in PRIORS]
-        inputs = [(stage, comp) for stage in (INTERIM, FINAL) for comp in (1, 2, 3, 4)]
-        first = [[outcome_of(plan, stage, comp, cells) for stage, comp in inputs] for plan in plans]
-        for plan, outcomes in zip(plans, first):
-            for (stage, comp), got in zip(inputs, outcomes):
-                assert_same_outcome(got, uncached_outcome_of(plan, stage, comp, cells))
-                rules = plan.rules.for_stage(stage)[comp - 1]
-                want = tuple(rule.evaluate(TwoByTwo(*cells), plan.prior) for rule in rules)
-                assert repr(got.traces) == repr(want)
-                assert outcome_of(plan, stage, comp, cells) is got
+        pairs = [(rule, rule_id) for stage in (INTERIM, FINAL) for comp in (1, 2, 3, 4)
+                 for rule, rule_id in rule_id_pairs(plans[0], stage, comp)]
+        assert all(rule_id_pairs(plan, INTERIM, 1) == rule_id_pairs(plans[0], INTERIM, 1)
+                   for plan in plans)  # the indices do not depend on the prior
+        first = [[plan.flags(rule_id, cells) for _, rule_id in pairs] for plan in plans]
+        for plan, flags in zip(plans, first):
+            for (rule, rule_id), got in zip(pairs, flags):
+                assert got == plan.flags.__wrapped__(rule_id, cells)
+                assert got == evaluated_flags(rule, cells, plan.prior)
+                assert all(type(flag) is bool for flag in got)
+                assert plan.flags(rule_id, cells) is got
                 # integer cells and their float values share one entry: the
-                # outcome is the same to the bit either way
+                # flags are the same either way
                 as_float = tuple(float(c) for c in cells)
-                assert_same_outcome(outcome_of(plan, stage, comp, as_float),
-                                    uncached_outcome_of(plan, stage, comp, as_float))
-            # equal rules share one entry, unequal rules never do
-            for (stage, comp), got in zip(inputs, outcomes):
-                for (other_stage, other_comp), other in zip(inputs, outcomes):
-                    same = (plan.rules.for_stage(stage)[comp - 1]
-                            == plan.rules.for_stage(other_stage)[other_comp - 1])
-                    assert (got is other) == same
+                assert plan.flags(rule_id, as_float) == plan.flags.__wrapped__(rule_id, as_float)
+        # equal rules share one index, unequal rules never do
+        for rule, rule_id in pairs:
+            for other, other_id in pairs:
+                assert (rule_id == other_id) == (rule == other)
 
     def test_equal_rules_share_one_entry(self):
         # equal values (not the same object) on comparisons 1 and 2 at both
@@ -382,26 +398,38 @@ class TestMemo:
         a, b = comparison_rules(bayes_sup_margin=0.10), comparison_rules(bayes_sup_margin=0.10)
         c = comparison_rules(bayes_sup_margin=0.30)
         plan = AnalysisPlan(DecisionRuleSet((a, b, c, c), (b, a, c, a)), PRIOR)
+        interim, final = ([plan.rule_ids[stage][i][1] for i in range(4)]
+                          for stage in (INTERIM, FINAL))
+        assert interim[0] == interim[1] == final[0] == final[1] == final[3]
+        assert interim[2] == interim[3] == final[2]
+        assert interim[0] != interim[2]
         data = tuple(data_for(i, TwoByTwo(30, 20, 20, 30)) for i in range(1, 5))
-        interim = evaluate_cohort(plan, data, INTERIM).comparisons
-        final = evaluate_cohort(plan, data, FINAL).comparisons
-        assert interim[0] is interim[1] is final[0] is final[1] is final[3]
-        assert interim[2] is interim[3] is final[2]
-        assert interim[0] is not interim[2]
-        info = plan.outcome.cache_info()
+        assert [is_superior(plan, t, stage) for stage in (INTERIM, FINAL) for t in data] == [
+            True, True, False, False, True, True, False, True]
+        info = plan.flags.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
 
-    def test_plans_do_not_share_outcomes(self):
-        # the key leaves the prior out: another plan's entry must never answer
-        rules = (comparison_rules(bayes_sup_margin=0.10),) * 4
-        other = (comparison_rules(bayes_sup_margin=0.30),) * 4
+    def test_plans_do_not_share_flags(self):
+        # the key leaves the prior out: another plan's entry must never answer.
+        # The confidence lies between the two priors' probabilities, and the
+        # other rules' margin is negative, so both plans' flags differ from the base's
         cells = TwoByTwo(30, 20, 20, 30).cells()
-        base = outcome_of(AnalysisPlan(DecisionRuleSet(rules, rules), PRIOR), INTERIM, 1, cells)
+        probe = BayesSupRule(rows=((0.10, 0.5, 1.0),))
+        p_uniform, p_jeffreys = (probe.evaluate(TwoByTwo(*cells), prior).statistic[0]
+                                 for prior in PRIORS)
+        assert p_uniform < p_jeffreys
+        conf = (p_uniform + p_jeffreys) / 2
+        rules = (ComparisonRules(bayes_sup=(BayesSupRule(rows=((0.10, conf, 1.0),)),)),) * 4
+        other = (comparison_rules(bayes_sup_margin=-0.30),) * 4
+        base = AnalysisPlan(DecisionRuleSet(rules, rules), PRIOR)
+        base_flags = base.flags(base.rule_ids[INTERIM][0][1][0], cells)
+        assert base_flags == (False, False)
         for plan in (AnalysisPlan(DecisionRuleSet(rules, rules), BetaPrior(0.5, 0.5)),
                      AnalysisPlan(DecisionRuleSet(other, rules), PRIOR)):
-            got = outcome_of(plan, INTERIM, 1, cells)
-            assert repr(got.traces) != repr(base.traces)
-            assert_same_outcome(got, uncached_outcome_of(plan, INTERIM, 1, cells))
+            rule_id = plan.rule_ids[INTERIM][0][1][0]
+            got = plan.flags(rule_id, cells)
+            assert got == (True, False)
+            assert got == plan.flags.__wrapped__(rule_id, cells)
 
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS), st.floats(0.0, 1.0),
            st.integers(0, 60), st.integers(0, 60))
@@ -414,9 +442,11 @@ class TestMemo:
         for rule in rules:
             assert repr(rule.evaluate(shared, prior)) == repr(rule.evaluate(bare, prior))
         stage = (ComparisonRules(), rules, ComparisonRules(), ComparisonRules())
-        (with_pool,) = evaluate_cohort(plan_of(stage, prior), (shared,), INTERIM).comparisons
-        (bare_outcome,) = evaluate_cohort(plan_of(stage, prior), (bare,), INTERIM).comparisons
+        (with_pool,) = explain(plan_of(stage, prior), (shared,), INTERIM).comparisons
+        (bare_outcome,) = explain(plan_of(stage, prior), (bare,), INTERIM).comparisons
         assert_same_outcome(with_pool, bare_outcome)
+        assert (evaluate_cohort(plan_of(stage, prior), (shared,), INTERIM)
+                == evaluate_cohort(plan_of(stage, prior), (bare,), INTERIM))
 
     def test_each_run_starts_cold(self, example_spec, monkeypatch):
         # the same spec twice: a memo that outlived the first run would
@@ -433,10 +463,97 @@ class TestMemo:
         platform = dataclasses.replace(example_spec.platform, sharing_type="dynamic",
                                        sr_drugs_pos=math.inf)
         spec = dataclasses.replace(example_spec, platform=platform)
-        runner.run_ocs(spec, 500, 3)
-        info = decisions.plan_for(spec.rules, spec.prior).outcome.cache_info()
+        runner.run_ocs(spec, 700, 3)
+        info = decisions.plan_for(spec.rules, spec.prior).flags.cache_info()
         assert info.misses > info.maxsize  # the bound was reached
         assert info.currsize <= info.maxsize
+
+
+# --- lazy verdicts against every rule evaluated ---------------------------------
+
+@st.composite
+def analyses(draw):
+    """A plan over up to two rules of every kind per comparison (or none), the
+    records of some comparisons in random order with random tables, and a stage."""
+    rules = draw(st.lists(any_comparison_rules(max_per_kind=2), min_size=8, max_size=8))
+    plan = AnalysisPlan(DecisionRuleSet(tuple(rules[:4]), tuple(rules[4:])),
+                        draw(st.sampled_from(PRIORS)))
+    comparisons = draw(st.lists(st.sampled_from((1, 2, 3, 4)), unique=True, max_size=4))
+    data = tuple(ComparisonData(*draw(TABLES), c) for c in comparisons)
+    return plan, data, draw(st.sampled_from((INTERIM, FINAL)))
+
+
+def eager_decision(plan, data, stage):
+    """Every rule evaluated on every record, each comparison folded with
+    all()/any(), and the outcomes combined."""
+    outcomes = []
+    for t in data:
+        rules = list(plan.rules.for_stage(stage)[t.comparison - 1])
+        traces = tuple(rule.evaluate(TwoByTwo(*t.cells()), plan.prior) for rule in rules)
+        outcomes.append(ComparisonOutcome(*folded_outcome(rules, traces), traces=traces))
+    return combine(outcomes, stage)
+
+
+def needed_keys(plan, data, stage, decision):
+    """The (rule, cells) pairs a verdict asks about, in order: futility-capable
+    rules until one fires, then superiority-capable ones until one fails."""
+    keys = []
+    for capable, settles in (("futility", lambda tr: tr.futile),
+                             ("superiority", lambda tr: not tr.superior)):
+        for t, outcome in zip(data, decision.comparisons):
+            rules = plan.rules.for_stage(stage)[t.comparison - 1]
+            for rule, trace in zip(rules, outcome.traces):
+                if getattr(rule, capable):
+                    keys.append((rule, t.cells()))
+                    if settles(trace):
+                        return keys
+    return keys
+
+
+class TestLazyVerdict:
+    @given(analyses())
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_verdict_is_combine_over_every_rule(self, case):
+        plan, data, stage = case
+        want = eager_decision(plan, data, stage)
+        assert evaluate_cohort(plan, data, stage) == (want.verdict, stage)
+        # a cold plan evaluated exactly the rules the verdict needs, each once
+        assert plan.flags.cache_info().misses == len(set(needed_keys(plan, data, stage, want)))
+        for t, outcome in zip(data, want.comparisons):
+            assert is_superior(plan, t, stage) == outcome.superior
+        # the dumped decision: traces, promising and note as every rule gives them
+        got = explain(plan, data, stage)
+        assert repr(got) == repr(want)
+        sup_bearing = [o for o in want.comparisons if o.n_sup_rules]
+        go = bool(sup_bearing) and all(o.superior for o in sup_bearing)
+        assert got.promising == ((not go) and bool(sup_bearing)
+                                 and all(o.superior or o.promising for o in sup_bearing))
+        futile = any(o.futile for o in want.comparisons)
+        assert ("conservative" in got.note) == (futile and go)
+        assert ("not reached" in got.note) == (got.verdict == UNSUCCESSFUL_MAX_N)
+
+    @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS))
+    @settings(max_examples=60, deadline=None)
+    def test_class_flags_bound_the_traces(self, rules, cells, prior):
+        # a verdict asks a rule only what its class declares it can answer
+        for rule in rules:
+            trace = rule.evaluate(TwoByTwo(*cells), prior)
+            assert rule.futility or rule.superiority
+            assert rule.futility or not trace.futile
+            assert rule.superiority or not (trace.superior or trace.promising)
+
+    def test_a_rule_the_verdict_does_not_need_cannot_fail_it(self):
+        # comparison 1's futility rule fires first, so comparison 2's superiority
+        # rule is never evaluated on its table with an empty arm: the verdict
+        # stands, while explain, which evaluates every rule, raises
+        rules = (comparison_rules(bayes_fut_conf=0.60), comparison_rules(bayes_sup_margin=0.10),
+                 ComparisonRules(), ComparisonRules())
+        data = (data_for(1, EQUAL), data_for(2, TwoByTwo(5, 5, 0, 0)))
+        plan = plan_of(rules)
+        assert evaluate_cohort(plan, data, INTERIM) == (STOP_FUTILITY, INTERIM)
+        assert plan.flags.cache_info().misses == 1
+        with pytest.raises(ValueError, match="fewer than one patient"):
+            explain(plan, data, INTERIM)
 
 
 # --- one-pass verdicts against the all()/any() fold ----------------------------
@@ -516,7 +633,7 @@ class TestOnePassVerdicts:
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS))
     @settings(max_examples=80, deadline=None)
     def test_outcome_matches_the_fold(self, rules, cells, prior):
-        got = uncached_outcome_of(plan_of((rules,) * 4, prior), INTERIM, 1, cells)
+        got = comparison_outcome(rules, TwoByTwo(*cells), prior)
         flags = (got.superior, got.futile, got.promising, got.n_sup_rules)
         assert flags == folded_outcome(list(rules), got.traces)
         assert all(type(flag) is bool for flag in flags[:3])

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
-                                IdentityTransform, parse_scenario)
-from platformsim.decisions import COMPARISON_ARMS, plan_for
+from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES, BayesSupRule,
+                                ComparisonRules, DecisionRuleSet, IdentityTransform,
+                                parse_scenario)
+from platformsim.decisions import COMPARISON_ARMS, comparison_outcome, explain, plan_for
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
-                                ARM_ORDER, SHARED_ARMS, CohortState, assemble_analysis_data,
+                                ARM_ORDER, DROPS_SOC, SHARED_ARMS, CohortState,
+                                assemble_analysis_data,
                                 classify_decision, cum_pair_probs, draw_blocks,
                                 simulate_trial)
 from platformsim.reporting import dump_trajectory
 from platformsim.runner import derive_rng
+from platformsim.stats import TwoByTwo
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
 
@@ -299,16 +302,28 @@ class TestSimulateTrial:
 
     @pytest.mark.parametrize("sharing", ["cohort", "dynamic"])
     def test_warm_plan_cannot_change_a_trajectory(self, example_spec, sharing):
-        # the memo keys on (the comparison's rules, cells): an outcome that read
-        # anything else would differ between a warm and a cold plan
+        # the memo keys on (the rule, cells): flags that read anything else
+        # would differ between a warm and a cold plan
         spec = dataclasses.replace(example_spec, platform=dataclasses.replace(
             example_spec.platform, sharing_type=sharing))
         plan_for.cache_clear()
-        warm = [dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k))) for k in range(30)]
-        assert plan_for(spec.rules, spec.prior).outcome.cache_info().hits > 0
+        warm = [dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k)), spec)
+                for k in range(30)]
+        assert plan_for(spec.rules, spec.prior).flags.cache_info().hits > 0
         for k, dump in enumerate(warm):
             plan_for.cache_clear()
-            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k))) == dump
+            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k)), spec) == dump
+
+    def test_a_dump_needs_the_rules_the_trial_ran(self, example_spec):
+        # the dump recomputes each decision from the spec it is given: rules
+        # under which every analysis goes contradict a trial that did not
+        result = simulate_trial(example_spec, derive_rng(12, 0, 0))
+        assert any(a.verdict != "GO" for c in result.cohorts for a in c.analyses)
+        always = ComparisonRules(bayes_sup=(BayesSupRule(rows=((-1.0, 0.0, 1.0),)),))
+        other = dataclasses.replace(example_spec, rules=DecisionRuleSet((always,) * 4,
+                                                                        (always,) * 4))
+        with pytest.raises(ValueError, match="is not the rules' GO"):
+            dump_trajectory(result, other)
 
     def test_sr_drugs_pos_closes_entry_after_first_go(self):
         # strong effects so successes happen; no SoC comparisons
@@ -398,12 +413,13 @@ class TestSimulateTrial:
         spec = make_scenario(rates=(0.95, 0.9, 0.9, 0.05), rules=rules,
                              trial_struc="stop_post_back", cohort_random=0.15,
                              cohorts_max=6, n_int=20, n_fin=40)
+        plan = plan_for(spec.rules, spec.prior)
         saw_post = False
         for k in range(15):
             result = simulate_trial(spec, derive_rng(17, 0, k))
             firing = [a.patient_counter for c in result.cohorts for a in c.analyses
-                      if any(t.comparison == 4 and o.superior
-                             for t, o in zip(a.data, a.decision.comparisons))]
+                      if any(t.comparison == 4 and o.superior for t, o in
+                             zip(a.data, explain(plan, a.data, a.stage).comparisons))]
             if not firing:
                 continue
             first_fire = min(firing)
@@ -521,6 +537,16 @@ class TestInvariants:
         assert sorted(result.safety_stops) == sorted(
             (c.id, c.close_index) for c in result.cohorts if c.status == STOPPED_SAFETY)
 
+        # under stop_post_*, SoC leaves exactly the cohorts that open after an
+        # analysis whose dumped decision has a comparison of DROPS_SOC superior
+        if p.trial_struc in DROPS_SOC and p.allocation_ratio[3] > 0:
+            plan = plan_for(spec.rules, spec.prior)
+            fired = [a.patient_counter for c in result.cohorts for a in c.analyses
+                     if any(t.comparison in DROPS_SOC[p.trial_struc] and o.superior for t, o
+                            in zip(a.data, explain(plan, a.data, a.stage).comparisons))]
+            for c in result.cohorts:
+                assert ("soc" in c.arms) == all(at >= c.open_index for at in fired)
+
         for c in result.cohorts:
             ratio = {arm: r for arm, r in zip(ARM_ORDER, p.allocation_ratio) if arm in c.arms}
             block = sum(ratio.values())
@@ -571,11 +597,14 @@ class TestInvariants:
 
         expected = analysed(c.arms, spec.rules.for_stage(a.stage))
         assert [t.comparison for t in a.data] == expected
-        # decision.comparisons[i] is the outcome of data[i] under its comparison's rules
-        plan = plan_for(spec.rules, spec.prior)
-        rule_ids = plan.rule_ids[a.stage]
-        assert a.decision.comparisons == tuple(
-            plan.outcome.__wrapped__(rule_ids[t.comparison - 1], t.cells()) for t in a.data)
+        # the dumped decision.comparisons[i] is the outcome of data[i] under its
+        # comparison's rules, and its verdict the one the trial acted on
+        decision = explain(plan_for(spec.rules, spec.prior), a.data, a.stage)
+        assert decision.verdict == a.verdict
+        stage_rules = spec.rules.for_stage(a.stage)
+        assert decision.comparisons == tuple(
+            comparison_outcome(stage_rules[t.comparison - 1], TwoByTwo(*t.cells()), spec.prior)
+            for t in a.data)
         for t in a.data:
             assert t.n_t >= 1 and t.n_c >= 1
             num, den = COMPARISON_ARMS[t.comparison]

@@ -1,5 +1,6 @@
-"""Exact operating characteristics of single-cohort designs, and of two
-cohorts that open together and share their backbone arm (below).
+"""Exact operating characteristics of single-cohort designs, of two cohorts
+that open together and share their backbone arm, and of two that open 40
+patients apart, where ``concurrent`` sharing differs from ``all`` (below).
 
 With one cohort (``cohorts_max: 1``, ``cohort_random: 0``, ``safety_prob:
 0``), fixed rates and the identity transform, a platform trial is a
@@ -11,8 +12,8 @@ increments to the final counts.  The enumerator below computes them with
 its own rule arithmetic (Cook's finite sum for the margin-0 Bayesian rules,
 the pooled z test for ``freq_sup``), so it shares no code with
 ``decisions``.  Where both comb comparisons are analysed they carry the same
-rules at both stages, so all four of their analyses answer from one entry of
-the plan's memo.
+rules at both stages, so all four of their analyses answer from the same
+entries of the plan's memo.
 
 The simulated OCs must lie within 4 Monte Carlo SEs of the exact values.
 The check holds for any random stream, so it survives a declared stream
@@ -195,9 +196,9 @@ TWO_COHORT_RATES = (0.40, 0.20, 0.25, 0.10)   # truly superior
 N_COMB, N_BACK = 40, 20                        # per cohort at 100 patients, 2:1:1:1
 
 
-def dynamic_weight(own, other, n):
+def dynamic_weight(own, n_own, ext, n_ext):
     """Borrowing weight of the ``dynamic`` mode: 2 min(p, 1 - p), capped at 1."""
-    p = z_test_p(own, n, other, n)
+    p = z_test_p(own, n_own, ext, n_ext)
     return min(1.0, 2.0 * min(p, 1.0 - p))
 
 
@@ -212,19 +213,25 @@ def cook_over_comb(c, d):
     return np.where(i < a, terms, 0.0).sum(axis=2)
 
 
+def go_table(mode, rates, n_ext):
+    """q[own, ext]: P(a cohort goes | its own N_BACK mono_b patients hold
+    ``own`` responders and the n_ext external ones ``ext``), and the smallest
+    distance of a statistic to its threshold."""
+    own, ext = (g.ravel() for g in np.meshgrid(np.arange(N_BACK + 1.0),
+                                               np.arange(n_ext + 1.0), indexing="ij"))
+    w = np.array([dynamic_weight(o, N_BACK, e, n_ext) if mode == "dynamic" else 1.0
+                  for o, e in zip(own, ext)])
+    p = cook_over_comb(1 + own + w * ext, 1 + (N_BACK - own) + w * (n_ext - ext))
+    gap = float(np.minimum(abs(p - 0.80), abs(p - 0.60)).min())
+    q = binom.pmf(np.arange(N_COMB + 1), N_COMB, rates[0]) @ (p > 0.80)
+    return q.reshape(N_BACK + 1, n_ext + 1), gap
+
+
 def two_cohort_exact(mode, rates):
     """E[GO cohorts], its SD, P(any GO) and the smallest distance of a
     statistic to its threshold, summed over the joint 41² × 21² states."""
-    pc, _, pb, _ = rates
-    own, other = (g.ravel() for g in np.meshgrid(np.arange(N_BACK + 1.0),
-                                                 np.arange(N_BACK + 1.0), indexing="ij"))
-    w = np.array([dynamic_weight(o, e, N_BACK) if mode == "dynamic" else 1.0
-                  for o, e in zip(own, other)])
-    p = cook_over_comb(1 + own + w * other, 1 + (N_BACK - own) + w * (N_BACK - other))
-    gap = float(np.minimum(abs(p - 0.80), abs(p - 0.60)).min())
-    # q[own, other]: P(a cohort goes | its own and the other cohort's mono_b counts)
-    q = (binom.pmf(np.arange(N_COMB + 1), N_COMB, pc) @ (p > 0.80)).reshape(N_BACK + 1, -1)
-    back = binom.pmf(np.arange(N_BACK + 1), N_BACK, pb)
+    q, gap = go_table(mode, rates, N_BACK)   # q[own, other]
+    back = binom.pmf(np.arange(N_BACK + 1), N_BACK, rates[2])
     joint = np.outer(back, back)
     go = float((joint * q).sum())           # each cohort, by symmetry
     both = float((joint * q * q.T).sum())
@@ -279,3 +286,94 @@ def test_concurrent_equals_all_when_both_open_at_once(two_cohort_runs, tmp_path)
         paths.append(tmp_path / f"{mode}.json")
         write_ocs_json(paths[-1], "two_cohorts", two_cohort_runs[mode])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --- staggered entry: where ``concurrent`` differs from ``all`` -----------------
+#
+# One cohort opens at patient 0 and the second at patient 40
+# (``cohort_random: 1``, ``cohort_offset: 40``: the waiting time to an entry
+# is always one patient).  Cohort 1 enrols 8 blocks alone, then both enrol in
+# lock step until cohort 1 reaches 100 patients at patient 160; cohort 2
+# then enrols alone up to its 100 at patient 200.  Each is analysed once, at
+# the final stage.  Split the mono_b patients: cohort 1's 8 before cohort 2
+# opens and 12 after, cohort 2's 12 while cohort 1 enrols and 8 after, with
+# a1, a2, b1, b2 responders.  Cohort 1's external pool is cohort 2's first
+# 12 (b1) under every mode.  Cohort 2's is cohort 1's 12 enrolled since it
+# opened (a2) under ``concurrent``, and all 20 (a1 + a2) under ``all`` and
+# ``dynamic``.  Given (a1, a2, b1, b2) the two cohorts' verdicts are
+# independent, as their comb counts are.
+
+STAGGER = 40
+EARLY_1, LATE_1, EARLY_2, LATE_2 = 8, 12, 12, 8   # mono_b patients of each split
+
+
+def staggered_exact(mode, rates):
+    """E[GO cohorts], its SD, P(any GO) and the smallest distance of a
+    statistic to its threshold, summed over the joint 9 × 13 × 13 × 9 states
+    of (a1, a2, b1, b2)."""
+    sizes = (EARLY_1, LATE_1, EARLY_2, LATE_2)
+    a1, a2, b1, b2 = (g.ravel() for g in np.meshgrid(*(np.arange(n + 1) for n in sizes),
+                                                     indexing="ij"))
+    pmf = np.prod([binom.pmf(k, n, rates[2]) for k, n in zip((a1, a2, b1, b2), sizes)], axis=0)
+    q1, gap1 = go_table(mode, rates, EARLY_2)
+    g1 = q1[a1 + a2, b1]
+    if mode == "concurrent":
+        q2, gap2 = go_table(mode, rates, LATE_1)
+        g2 = q2[b1 + b2, a2]
+    else:
+        q2, gap2 = go_table(mode, rates, EARLY_1 + LATE_1)
+        g2 = q2[b1 + b2, a1 + a2]
+    mean, both = float(pmf @ (g1 + g2)), float(pmf @ (g1 * g2))
+    return {"go": mean, "sd": math.sqrt(mean + 2 * both - mean ** 2), "any": mean - both,
+            "gap": min(gap1, gap2)}
+
+
+def staggered_spec(mode):
+    stage = {"comb_vs_mono_b": copy.deepcopy(BAYES)}
+    d = scenario_dict(rates=TWO_COHORT_RATES, rules={"interim": stage, "final": stage},
+                      initial_cohorts=1, cohorts_max=2, cohort_random=1.0,
+                      cohort_offset=STAGGER, safety_prob=0.0, n_int=100, n_fin=100,
+                      sharing_type=mode)
+    return parse_scenario(d)
+
+
+@pytest.fixture(scope="module")
+def staggered_runs():
+    return {mode: run_ocs(staggered_spec(mode), TRIALS, SEED)
+            for mode in ("all", "concurrent", "dynamic")}
+
+
+@pytest.mark.parametrize("mode", ["all", "concurrent", "dynamic"])
+def test_staggered_design_is_as_enumerated(mode):
+    external = {"all": EARLY_1 + LATE_1, "concurrent": LATE_1, "dynamic": EARLY_1 + LATE_1}
+    for k in range(20):
+        trial = simulate_trial(staggered_spec(mode), derive_rng(SEED, 0, k))
+        first, second = trial.cohorts
+        assert (first.open_index, second.open_index, trial.total_n) == (0, STAGGER, 200)
+        for c, at, n_ext in ((first, 160, EARLY_2), (second, 200, external[mode])):
+            (analysis,) = c.analyses
+            assert analysis.stage == FINAL and analysis.patient_counter == at
+            (data,) = analysis.data
+            assert data.comparison == 2 and data.n_t == N_COMB
+            assert data.external_total == n_ext
+            own = c.per_arm["mono_b"].n
+            assert own == N_BACK
+            assert (data.share_weight is not None and 0.0 <= data.share_weight <= 1.0
+                    and data.n_c == pytest.approx(own + data.share_weight * n_ext))
+
+
+@pytest.mark.parametrize("mode", ["all", "concurrent", "dynamic"])
+def test_staggered_entry_matches_exact_enumeration(staggered_runs, mode):
+    exact = staggered_exact(mode, TWO_COHORT_RATES)
+    assert exact["gap"] > 1e-9
+    ocs = staggered_runs[mode]
+    assert_within_4_mcse(ocs.Avg_TP, exact["go"], exact["sd"], "E[GO cohorts]")
+    assert ocs.Avg_FP == 0.0
+    p = exact["any"]
+    assert_within_4_mcse(ocs.Disj_Power_BA, p, math.sqrt(p * (1 - p)), "P(any GO)")
+
+
+def test_concurrent_differs_from_all_under_staggered_entry():
+    # the enumeration itself tells the modes apart, so the check above has power
+    go = {mode: staggered_exact(mode, TWO_COHORT_RATES)["go"] for mode in ("all", "concurrent")}
+    assert abs(go["all"] - go["concurrent"]) > 0.01

@@ -63,7 +63,8 @@ def golden_digests(name: str, out: pathlib.Path) -> dict[str, str]:
     dump_dir = out / "trajectories"
     dump_dir.mkdir()
     for k in range(DUMPS):  # as ``ocs --dump-trajectories`` writes them
-        write_trajectory(dump_dir / f"trajectory_{k:06d}.json", run_single_trial(spec, SEED, 0, k))
+        write_trajectory(dump_dir / f"trajectory_{k:06d}.json", run_single_trial(spec, SEED, 0, k),
+                         spec)
     write_ocs_json(out / "ocs.json", spec.id, ocs)
     write_ocs_csv(out / "ocs.csv", [ocs_csv_row(spec.id, ocs)])
     files = [out / "ocs.csv", out / "ocs.json"] + sorted(dump_dir.iterdir())
