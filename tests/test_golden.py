@@ -50,6 +50,9 @@ SCENARIOS = {
     # a monotherapy found superior to SoC drops SoC from the cohorts that open later
     "stop_post_back": lambda: _example(trial_struc="stop_post_back"),
     "stop_post_mono": lambda: _example(trial_struc="stop_post_mono"),
+    # safety stops cut last blocks, and sr_pats halts cohorts that have no patients yet
+    "safety_halt": lambda: _example(safety_prob=0.01, cohort_random=0.5, cohorts_max=10,
+                                    sr_pats=60),
 }
 
 
