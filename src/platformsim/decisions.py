@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, ClassVar, NamedTuple, Sequence
 
 from .schema import param
@@ -142,15 +142,6 @@ class _BayesRows(Rule):
         y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
         return tuple([prob_greater_by_margin(x, y, row[0]) for row in self.rows])
 
-    @cached_property
-    def confidences(self) -> tuple[float, ...]:
-        """Each row's confidence: the thresholds of every trace."""
-        return tuple(row[1] for row in self.rows)
-
-    def __getstate__(self):
-        # pickles carry the fields only, like ==, hash and schema.dump: confidences is derived
-        return {k: v for k, v in self.__dict__.items() if k != "confidences"}
-
 
 @dataclass(frozen=True)
 class BayesSupRule(_BayesRows):
@@ -172,7 +163,7 @@ class BayesSupRule(_BayesRows):
                 superior = False
             if not p > prom:
                 above_prom = False
-        return RuleTrace(self.key, probs, self.confidences, satisfied=superior,
+        return RuleTrace(self.key, probs, tuple(row[1] for row in self.rows), satisfied=superior,
                          superior=superior, promising=above_prom and not superior)
 
     def conflicts(self, rules):
@@ -198,7 +189,8 @@ class BayesFutRule(_BayesRows):
             if not p < conf:
                 futile = False
                 break
-        return RuleTrace(self.key, probs, self.confidences, satisfied=futile, futile=futile)
+        return RuleTrace(self.key, probs, tuple(row[1] for row in self.rows), satisfied=futile,
+                         futile=futile)
 
 
 @dataclass(frozen=True)

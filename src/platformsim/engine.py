@@ -24,6 +24,11 @@ Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
 the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
 pool is the difference of two tallies.
 
+A trial returns the ``CohortState`` objects it ran as its record of the
+cohorts, read-only once returned: per-arm counts and the confusion outcome
+are read off the tallies, and the patient log is joined from its recorded
+chunks only where it is read, for trajectory dumps.
+
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
 comparisons and the memo of rule flags come from the scenario's analysis plan
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,29 +85,13 @@ def _responders(pairs, stage: str) -> tuple[int, int]:
     return (n10 + n11 if stage == INTERIM else n01 + n11, n00 + n01 + n10 + n11)
 
 
-class PatientLog:
+class Patients(NamedTuple):
     """One cohort's patients in enrolment order: enrolment index, arm (index
     into ``ARM_ORDER``) and outcome pair (2 * interim + final outcome)."""
 
-    __slots__ = ("idx", "arm", "pair")
-    __hash__ = None
-
-    def __init__(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray):
-        self.idx = idx
-        self.arm = arm
-        self.pair = pair
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PatientLog) and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
-
-    def arm_lists(self, arm: str) -> dict[str, list[int]]:
-        """Enrolment indices and interim ('bio') / final ('hist') outcomes of
-        one arm's patients."""
-        on_arm = self.arm == ARM_INDEX[arm]
-        pair = self.pair[on_arm]
-        return {"enroll_idx": self.idx[on_arm].tolist(),
-                "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
+    idx: np.ndarray
+    arm: np.ndarray
+    pair: np.ndarray
 
 
 _NO_PATIENTS = (np.zeros(0, dtype=np.int64),) * 3
@@ -118,9 +108,10 @@ class AnalysisRecord:
 
 
 class CohortState:
-    """Mutable working state of one cohort inside a running trial.
+    """One cohort: the engine's working state while the trial runs, and the
+    trial's record of it once ``simulate_trial`` returns.
 
-    Its patients are kept as chunks of ``PatientLog`` arrays; ``tally``
+    Its patients are kept as chunks of ``Patients`` arrays; ``tally``
     holds the running count of every (arm, outcome pair) at index
     4 * arm + pair, from which all per-arm counts follow.  ``tallies_at_open[i]``
     is the tally of cohort i, one of those ``opened`` before it, taken at its
@@ -153,14 +144,32 @@ class CohortState:
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [_NO_PATIENTS]
 
     def record(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray) -> None:
-        """Add patients in enrolment order (see ``PatientLog``)."""
+        """Add patients in enrolment order (see ``Patients``)."""
         self._chunks.append((idx, arm, pair))
         self.n += len(idx)
         added = np.bincount(4 * arm + pair, minlength=16).tolist()
         self.tally = tuple(map(operator.add, self.tally, added))
 
-    def patients(self) -> PatientLog:
-        return PatientLog(*(np.concatenate(col) for col in zip(*self._chunks)))
+    @property
+    def patients(self) -> Patients:
+        """The patient log, joined from the recorded chunks on each read."""
+        return Patients(*(np.concatenate(col) for col in zip(*self._chunks)))
+
+    @property
+    def per_arm(self) -> dict[str, ArmResult]:
+        """The counts of each of the cohort's arms."""
+        per_arm = {}
+        for arm in self.arms:
+            pairs = self.pair_counts(arm)
+            per_arm[arm] = ArmResult(n=sum(pairs), bio_responders=pairs[2] + pairs[3],
+                                     hist_responders=pairs[1] + pairs[3], pairs=pairs,
+                                     true_rate=self.truth.rate(arm))
+        return per_arm
+
+    @property
+    def confusion(self) -> str | None:
+        """The confusion outcome of a finished cohort (``classify_decision``)."""
+        return classify_decision(self.status, self.truth_class)
 
     def pair_counts(self, arm: str) -> tuple[int, int, int, int]:
         i = 4 * ARM_INDEX[arm]
@@ -185,27 +194,13 @@ class ArmResult:
 
 
 @dataclass(frozen=True)
-class CohortResult:
-    id: int
-    open_index: int
-    close_index: int | None
-    arms: tuple[str, ...]
-    truth: dict[str, float]
-    truth_clamped: bool
-    truth_class: str
-    status: str
-    blocks: int
-    per_arm: dict[str, ArmResult]
-    analyses: tuple[AnalysisRecord, ...]
-    confusion: str | None
-    patients: PatientLog
-
-
-@dataclass(frozen=True)
 class TrialResult:
+    """One finished trial.  Its cohorts are the engine's own records, read-only
+    once returned."""
+
     scenario_id: str
     total_n: int
-    cohorts: tuple[CohortResult, ...]
+    cohorts: tuple[CohortState, ...]
     successes: int
     first_success: dict | None
     entry_closed_index: int | None
@@ -551,28 +546,10 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
         state.enroll(enrolling)
         state.end_round()
 
-    cohorts = []
-    for c in state.cohorts:
-        per_arm = {}
-        for arm in c.arms:
-            pairs = c.pair_counts(arm)
-            per_arm[arm] = ArmResult(
-                n=sum(pairs), bio_responders=pairs[2] + pairs[3],
-                hist_responders=pairs[1] + pairs[3], pairs=pairs,
-                true_rate=c.truth.rate(arm))
-        cohorts.append(CohortResult(
-            id=c.id, open_index=c.open_index, close_index=c.close_index,
-            arms=c.arms,
-            truth={arm: c.truth.rate(arm) for arm in ARM_ORDER},
-            truth_clamped=c.truth.clamped,
-            truth_class=c.truth_class, status=c.status, blocks=c.blocks,
-            per_arm=per_arm, analyses=tuple(c.analyses),
-            confusion=classify_decision(c.status, c.truth_class),
-            patients=c.patients()))
     return TrialResult(
         scenario_id=spec.id,
         total_n=state.patient_counter,
-        cohorts=tuple(cohorts),
+        cohorts=tuple(state.cohorts),
         successes=state.successes,
         first_success=state.first_success,
         entry_closed_index=state.entry_closed_index,

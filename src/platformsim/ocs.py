@@ -84,7 +84,7 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
     safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
-        soc_rate = c.truth["soc"]
+        soc_rate = c.truth.pi_soc
         for arm, rec in c.per_arm.items():
             i = ARM_INDEX[arm]
             pat[i] += rec.n

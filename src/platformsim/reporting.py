@@ -2,11 +2,13 @@
 
 Trajectory dumps are JSON files with a ``Trial_Overview`` section (platform
 level summary) and a ``Stage_Data`` section (full per-cohort records
-including per-patient outcomes and per-analysis rule traces).  A trial keeps
-only each analysis's data and verdict; its ``decision``, rule traces
-included, is computed when the dump is written (``decisions.explain`` under
-the scenario's rules and prior), so only dumps hold traces.  An analysis
-lists only the comparisons it analysed: its ``data`` records and its
+including per-patient outcomes and per-analysis rule traces), built field by
+field from the trial's ``engine.CohortState`` records.  Dumps are the only
+reader of a cohort's patient log (``arm_lists``).  A trial keeps only each
+analysis's data and verdict; its ``decision``, rule traces included, is
+computed when the dump is written (``decisions.explain`` under the
+scenario's rules and prior), so only dumps hold traces.  An analysis lists
+only the comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
 traces carry no comparison.  Dumps and OC files are written with sorted
@@ -24,50 +26,65 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
-from .decisions import explain, plan_for
-from .engine import STREAM_VERSION, TrialResult
+from .decisions import ARM_ORDER, explain, plan_for
+from .engine import ARM_INDEX, STREAM_VERSION, Patients, TrialResult
 from .ocs import OperatingCharacteristics
+
+
+def arm_lists(patients: Patients, arm: str) -> dict[str, list[int]]:
+    """Enrolment indices and interim ('bio') / final ('hist') outcomes of
+    one arm's patients in a cohort's patient log."""
+    on_arm = patients.arm == ARM_INDEX[arm]
+    pair = patients.pair[on_arm]
+    return {"enroll_idx": patients.idx[on_arm].tolist(),
+            "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
 
 
 def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
     """The dump of ``result``, a trial of ``spec``."""
     plan = plan_for(spec.rules, spec.prior)
-    d = dataclasses.asdict(result)
-    for cohort, rec in zip(result.cohorts, d["cohorts"]):
-        del rec["patients"]
-        for arm, arm_rec in rec["per_arm"].items():
-            arm_rec.update(cohort.patients.arm_lists(arm))
-        for analysis, analysis_rec in zip(cohort.analyses, rec["analyses"]):
+    cohorts = []
+    for c in result.cohorts:
+        patients = c.patients
+        analyses = []
+        for analysis in c.analyses:
             decision = explain(plan, analysis.data, analysis.stage)
             if decision.verdict != analysis.verdict:
-                raise ValueError(f"cohort {cohort.id}: the {analysis.stage} verdict "
+                raise ValueError(f"cohort {c.id}: the {analysis.stage} verdict "
                                  f"{analysis.verdict} is not the rules' {decision.verdict}; "
                                  f"is {result.scenario_id!r} a trial of {spec.id!r}?")
-            del analysis_rec["verdict"]
-            analysis_rec["decision"] = dataclasses.asdict(decision)
+            rec = dataclasses.asdict(analysis)
+            del rec["verdict"]
+            rec["decision"] = dataclasses.asdict(decision)
+            analyses.append(rec)
+        cohorts.append({
+            "id": c.id, "open_index": c.open_index, "close_index": c.close_index,
+            "arms": c.arms, "truth": {arm: c.truth.rate(arm) for arm in ARM_ORDER},
+            "truth_clamped": c.truth.clamped, "truth_class": c.truth_class,
+            "status": c.status, "blocks": c.blocks,
+            "per_arm": {arm: {**dataclasses.asdict(rec), **arm_lists(patients, arm)}
+                        for arm, rec in c.per_arm.items()},
+            "analyses": analyses, "confusion": c.confusion,
+        })
     overview = {
-        "scenario_id": d["scenario_id"],
-        "Total_N": d["total_n"],
-        "successes": d["successes"],
-        "n_cohorts": len(d["cohorts"]),
-        "first_success": d["first_success"],
-        "entry_closed_index": d["entry_closed_index"],
-        "recruitment_halt_index": d["recruitment_halt_index"],
-        "safety_stops": d["safety_stops"],
-        "soc_slot_patients": d["soc_slot_patients"],
-        "patients_per_arm": {},
-        "bio_responders_per_arm": {},
-        "hist_responders_per_arm": {},
-        "cohort_statuses": [c["status"] for c in d["cohorts"]],
+        "scenario_id": result.scenario_id,
+        "Total_N": result.total_n,
+        "successes": result.successes,
+        "n_cohorts": len(cohorts),
+        "first_success": result.first_success,
+        "entry_closed_index": result.entry_closed_index,
+        "recruitment_halt_index": result.recruitment_halt_index,
+        "safety_stops": result.safety_stops,
+        "soc_slot_patients": result.soc_slot_patients,
+        "cohort_statuses": [c["status"] for c in cohorts],
     }
-    for c in d["cohorts"]:
-        for arm, rec in c["per_arm"].items():
-            overview["patients_per_arm"][arm] = overview["patients_per_arm"].get(arm, 0) + rec["n"]
-            overview["bio_responders_per_arm"][arm] = \
-                overview["bio_responders_per_arm"].get(arm, 0) + rec["bio_responders"]
-            overview["hist_responders_per_arm"][arm] = \
-                overview["hist_responders_per_arm"].get(arm, 0) + rec["hist_responders"]
-    return {"Trial_Overview": overview, "Stage_Data": {"cohorts": d["cohorts"]}}
+    for total, field in (("patients_per_arm", "n"), ("bio_responders_per_arm", "bio_responders"),
+                         ("hist_responders_per_arm", "hist_responders")):
+        sums = overview[total] = {}
+        for c in cohorts:
+            for arm, rec in c["per_arm"].items():
+                sums[arm] = sums.get(arm, 0) + rec[field]
+    return {"Trial_Overview": overview, "Stage_Data": {"cohorts": cohorts}}
 
 
 def dump_trajectory(result: TrialResult, spec: ScenarioSpec) -> str:

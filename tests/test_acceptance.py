@@ -21,6 +21,7 @@ from platformsim.config import IdentityTransform, parse_scenario
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import STOPPED_SAFETY, simulate_trial
 from platformsim.ocs import aggregate
+from platformsim.reporting import arm_lists
 from platformsim.runner import derive_rng, run_ocs
 from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
                                reg_inc_beta, prob_greater_by_margin)
@@ -97,7 +98,7 @@ def test_c04_identity_transform_interim_equals_final():
     result = simulate_trial(spec, derive_rng(17, 0, 0))
     for c in result.cohorts:
         for arm, rec in c.per_arm.items():
-            patients = c.patients.arm_lists(arm)
+            patients = arm_lists(c.patients, arm)
             assert patients["bio"] == patients["hist"]
             assert rec.pairs[1] == 0 and rec.pairs[2] == 0
     report("C04 identity-transform-exact", "100000 patients")

@@ -20,7 +20,7 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 assemble_analysis_data,
                                 classify_decision, cum_pair_probs, draw_blocks,
                                 simulate_trial)
-from platformsim.reporting import dump_trajectory
+from platformsim.reporting import arm_lists, dump_trajectory
 from platformsim.runner import derive_rng
 from platformsim.stats import TwoByTwo
 
@@ -298,7 +298,29 @@ class TestSimulateTrial:
         spec = make_scenario(cohort_random=0.05, safety_prob=0.001)
         a = simulate_trial(spec, derive_rng(9, 0, 0))
         b = simulate_trial(spec, derive_rng(9, 0, 0))
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        assert dump_trajectory(a, spec) == dump_trajectory(b, spec)
+
+    def test_patient_log_joins_the_recorded_chunks(self, monkeypatch):
+        # safety stops record a cut last block; sr_pats halts cohorts with no patients
+        spec = make_scenario(cohort_random=0.5, safety_prob=0.01, cohorts_max=10, sr_pats=60)
+        chunks = {}
+        record = CohortState.record
+
+        def spy(cohort, idx, arm, pair):
+            chunks.setdefault(cohort.id, []).append((idx, arm, pair))
+            record(cohort, idx, arm, pair)
+
+        monkeypatch.setattr(CohortState, "record", spy)
+        result = simulate_trial(spec, derive_rng(31, 0, 0))
+        assert any(c.n == 0 for c in result.cohorts)
+        assert any(c.status == STOPPED_SAFETY for c in result.cohorts)
+        empty = (np.zeros(0, dtype=np.int64),) * 3
+        for c in result.cohorts:
+            log = c.patients
+            joined = [np.concatenate(col) for col in zip(empty, *chunks.get(c.id, ()))]
+            assert all(np.array_equal(got, want) for got, want in zip(log, joined))
+            assert all(col.dtype == np.int64 and col.size == c.n for col in log)
+            assert np.all(np.diff(log.idx) > 0)
 
     @pytest.mark.parametrize("sharing", ["cohort", "dynamic"])
     def test_warm_plan_cannot_change_a_trajectory(self, example_spec, sharing):
@@ -569,7 +591,7 @@ class TestInvariants:
                 assert sum(rec.pairs) == rec.n
                 assert rec.bio_responders == n10 + n11
                 assert rec.hist_responders == n01 + n11
-                patients = c.patients.arm_lists(arm)
+                patients = arm_lists(c.patients, arm)
                 assert sum(patients["bio"]) == rec.bio_responders
                 assert sum(patients["hist"]) == rec.hist_responders
                 assert len(patients["enroll_idx"]) == rec.n

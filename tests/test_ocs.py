@@ -2,13 +2,15 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from platformsim.config import IdentityTransform
+from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, ARM_INDEX,
-                                ArmResult, CohortResult, TrialResult,
-                                classify_decision, simulate_trial)
+                                ARM_ORDER, CohortState, TrialResult, simulate_trial)
 from platformsim.ocs import TrialAccumulator, aggregate, merge, summarize_trial
 from platformsim.reporting import ocs_csv_columns
 from platformsim.runner import derive_rng
@@ -17,19 +19,18 @@ from conftest import make_scenario
 
 
 def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.1)):
-    arms = ("comb", "mono_a", "mono_b", "soc")
-    per_arm = {}
-    for arm, rate in zip(arms, rates):
+    """A finished cohort of ``n_per_arm`` patients an arm, round(rate * n) of
+    them responders at both endpoints."""
+    cohort = CohortState(cid, 0, ARM_ORDER, CohortTruth(*rates), truth_class,
+                         IdentityTransform(), (1, 1, 1, 1), ())
+    for i, rate in enumerate(rates):
         resp = int(round(rate * n_per_arm))
-        per_arm[arm] = ArmResult(
-            n=n_per_arm, bio_responders=resp, hist_responders=resp,
-            pairs=(n_per_arm - resp, 0, 0, resp), true_rate=rate)
-    return CohortResult(
-        id=cid, open_index=0, close_index=4 * n_per_arm, arms=arms,
-        truth=dict(zip(arms, rates)), truth_clamped=False, truth_class=truth_class,
-        status=status, blocks=n_per_arm, per_arm=per_arm, analyses=(),
-        confusion=classify_decision(status, truth_class),
-        patients=None)
+        cohort.record(np.arange(i * n_per_arm, (i + 1) * n_per_arm), np.full(n_per_arm, i),
+                      np.repeat([0, 3], [n_per_arm - resp, resp]))
+    cohort.status = status
+    cohort.close_index = 4 * n_per_arm
+    cohort.blocks = n_per_arm
+    return cohort
 
 
 def fake_trial(cohort_specs, successes=None, soc_slots=0, rates=None):
