@@ -40,6 +40,22 @@ def _example(**platform):
     return d
 
 
+def _relative_staggered():
+    d = _example(initial_cohorts=2, cohorts_max=6, cohort_offset=25,
+                 allocation_ratio=[3, 2, 1, 1])
+    d["efficacy"] = {
+        "random_type": "odds_ratio",
+        "comb": {"values": [1.0, 1.5, 2.5], "probs": [0.3, 0.4, 0.3]},
+        "mono_a": {"values": [1.2, 2.0], "probs": [0.5, 0.5]},
+        "mono_b": {"values": [1.0, 1.5, 2.0], "probs": [0.3, 0.4, 0.3]},
+        "soc": {"values": [0.10, 0.15, 0.20], "probs": [0.25, 0.5, 0.25]},
+    }
+    d["endpoint"] = {"transforms": [{"kind": "identity"},
+                                    {"kind": "correlated", "sens": 0.8, "spec": 0.9}],
+                     "probs": [0.5, 0.5]}
+    return d
+
+
 #: name -> scenario mapping
 SCENARIOS = {
     "example": lambda: _example(),
@@ -53,6 +69,9 @@ SCENARIOS = {
     # safety stops cut last blocks, and sr_pats halts cohorts that have no patients yet
     "safety_halt": lambda: _example(safety_prob=0.01, cohort_random=0.5, cohorts_max=10,
                                     sr_pats=60),
+    # several cohorts enrol from the first round on, truths are odds-ratio effects on
+    # top of SoC, and each opening draws one of two endpoint transforms
+    "relative_staggered": _relative_staggered,
 }
 
 
