@@ -84,7 +84,12 @@ class DiscreteDist:
         object.__setattr__(self, "_cum", tuple(itertools.accumulate(self.probs)))
 
     def sample(self, rng):
-        i = bisect.bisect_right(self._cum, rng.random())
+        return self.value_at(rng.random())
+
+    def value_at(self, u: float):
+        """The value a uniform ``u`` in [0, 1) selects: the first whose
+        cumulative probability exceeds ``u``."""
+        i = bisect.bisect_right(self._cum, u)
         return self.values[min(i, len(self.values) - 1)]
 
     @classmethod

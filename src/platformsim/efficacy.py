@@ -54,19 +54,21 @@ def draw_cohort_truth(spec: EfficacySpec, rng) -> CohortTruth:
     modes the SoC rate is drawn first and the mono/combination rates are
     composed left-to-right on the chosen scale:
     mono = soc (+) g_mono, comb = ((soc (+) g_a) (+) g_b) (+) g_comb.
+
+    The four uniforms come from one generator call, in the order the draws
+    are named here: comb, mono_a, mono_b, soc in absolute mode, and soc,
+    mono_a, mono_b, comb in relative modes.
     """
+    u0, u1, u2, u3 = rng.random(4).tolist()
     if spec.random_type == "absolute":
-        pi_comb = spec.comb.sample(rng)
-        pi_a = spec.mono_a.sample(rng)
-        pi_b = spec.mono_b.sample(rng)
-        pi_soc = spec.soc.sample(rng)
-        return CohortTruth(pi_comb, pi_a, pi_b, pi_soc)
+        return CohortTruth(spec.comb.value_at(u0), spec.mono_a.value_at(u1),
+                           spec.mono_b.value_at(u2), spec.soc.value_at(u3))
 
     scale = spec.random_type
-    pi_soc = spec.soc.sample(rng)
-    g_a = spec.mono_a.sample(rng)
-    g_b = spec.mono_b.sample(rng)
-    g_comb = spec.comb.sample(rng)
+    pi_soc = spec.soc.value_at(u0)
+    g_a = spec.mono_a.value_at(u1)
+    g_b = spec.mono_b.value_at(u2)
+    g_comb = spec.comb.value_at(u3)
     raw_a = _raw_effect(pi_soc, g_a, scale)
     raw_b = _raw_effect(pi_soc, g_b, scale)
     raw_comb = _raw_effect(_raw_effect(raw_a, g_b, scale), g_comb, scale)

@@ -16,9 +16,12 @@ The engine steps from event to event.  The patients at which the next safety
 stop and the next cohort entry happen are drawn as geometric waiting times.
 One step enrolls k whole rounds: up to the next size-triggered analysis or
 ``sr_pats``, and before the next safety stop or cohort entry, or the one
-round that holds it.  Each enrolling cohort draws its k blocks in one
-vectorised call, and only a block that holds a safety stop or a cohort entry
-is walked patient by patient.
+round that holds it.  On a step without such an event, one generator call
+draws the k blocks of every enrolling cohort, and one pass maps them to arms,
+outcome pairs and tallies.  A step whose first round holds an event draws
+cohort by cohort, and only the block that holds the event is walked patient
+by patient.  A cohort's block template and outcome probabilities are built
+once per layout and shared between cohorts and trials.
 
 Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
 the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
@@ -39,6 +42,7 @@ only; the rule traces behind a verdict exist only in trajectory dumps
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -94,7 +98,22 @@ class Patients(NamedTuple):
     pair: np.ndarray
 
 
-_NO_PATIENTS = (np.zeros(0, dtype=np.int64),) * 3
+_NO_PATIENTS = np.zeros(0, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout(arms: tuple[str, ...], ratio: tuple[int, ...], transform,
+            rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A cohort's block template (the arm index of each slot of one block, in
+    ``ARM_ORDER`` and allocation order) and its cumulative pair probabilities
+    (row j: every arm's j-th, at true rates ``rates`` in ``ARM_ORDER``), both
+    read-only."""
+    template = np.array([ARM_INDEX[a] for a, r in zip(ARM_ORDER, ratio) if a in arms
+                         for _ in range(r)], dtype=np.int64)
+    cum_probs = np.array([cum_pair_probs(transform, rr) for rr in rates]).T
+    template.setflags(write=False)
+    cum_probs.setflags(write=False)
+    return template, cum_probs
 
 
 @dataclass(frozen=True)
@@ -111,7 +130,8 @@ class CohortState:
     """One cohort: the engine's working state while the trial runs, and the
     trial's record of it once ``simulate_trial`` returns.
 
-    Its patients are kept as chunks of ``Patients`` arrays; ``tally``
+    Its patients are kept as recorded chunks (see ``record``), from which
+    ``patients`` derives the enrolment indices when the log is read; ``tally``
     holds the running count of every (arm, outcome pair) at index
     4 * arm + pair, from which all per-arm counts follow.  ``tallies_at_open[i]``
     is the tally of cohort i, one of those ``opened`` before it, taken at its
@@ -133,27 +153,35 @@ class CohortState:
         self.analyses: list[AnalysisRecord] = []
         self.has_interim = False
         self.blocks = 0
-        self.template = np.array([ARM_INDEX[a] for a, r in zip(ARM_ORDER, ratio)
-                                  if a in arms for _ in range(r)])
-        # row j: the j-th cumulative pair probability of every arm
-        self.cum_probs = np.array([cum_pair_probs(transform, truth.rate(a))
-                                   for a in ARM_ORDER]).T
+        self.template, self.cum_probs = _layout(arms, ratio, transform, (
+            truth.pi_comb, truth.pi_mono_a, truth.pi_mono_b, truth.pi_soc))
         self.n = 0
         self.tally = (0,) * 16
         self.tallies_at_open = tuple(c.tally for c in opened)
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [_NO_PATIENTS]
+        self._chunks = [(0, 0, 1, _NO_PATIENTS, _NO_PATIENTS)]
 
-    def record(self, idx: np.ndarray, arm: np.ndarray, pair: np.ndarray) -> None:
-        """Add patients in enrolment order (see ``Patients``)."""
-        self._chunks.append((idx, arm, pair))
-        self.n += len(idx)
-        added = np.bincount(4 * arm + pair, minlength=16).tolist()
-        self.tally = tuple(map(operator.add, self.tally, added))
+    def record(self, arm: np.ndarray, pair: np.ndarray, start: int, stride: int = 0,
+               rounds: int = 1, counts=None) -> None:
+        """Add patients in enrolment order (arms and outcome pairs as in
+        ``Patients``): ``rounds`` runs of ``arm.size // rounds`` consecutive
+        enrolment indices, the r-th run from ``start + r * stride`` on.
+        ``counts`` are the chunk's 16 (arm, pair) counts, if the caller has
+        them.  The indices themselves are derived only when ``patients`` is
+        read."""
+        self._chunks.append((start, stride, rounds, arm, pair))
+        self.n += arm.size
+        if counts is None:
+            counts = np.bincount(4 * arm + pair, minlength=16).tolist()
+        self.tally = tuple(map(operator.add, self.tally, counts))
 
     @property
     def patients(self) -> Patients:
         """The patient log, joined from the recorded chunks on each read."""
-        return Patients(*(np.concatenate(col) for col in zip(*self._chunks)))
+        idx = [(stride * np.arange(rounds)[:, None]
+                + np.arange(start, start + arm.size // rounds)).ravel()
+               for start, stride, rounds, arm, _ in self._chunks]
+        return Patients(np.concatenate(idx), np.concatenate([c[3] for c in self._chunks]),
+                        np.concatenate([c[4] for c in self._chunks]))
 
     @property
     def per_arm(self) -> dict[str, ArmResult]:
@@ -213,23 +241,36 @@ class TrialResult:
 # operations
 
 
-def draw_blocks(cohort: CohortState, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """``k`` randomization blocks of ``cohort`` from one generator call.
+def draw_blocks(cohorts, k: int, rng) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """``k`` randomization blocks of each of ``cohorts`` from one generator call.
+
+    The call's uniforms are split in cohort order, each cohort taking a
+    (2, k, block size) slice: block orders from its first half, outcome
+    uniforms from its second.  Each block holds the exact per-arm counts of
+    the allocation ratio restricted to the cohort's arms, in uniformly
+    random order; each pair is drawn from the arm's ``cum_pair_probs``.
 
     Returns the arms (indices into ``ARM_ORDER``) and outcome pairs
-    (2 * interim + final outcome) of the ``k`` blocks' patients in
-    enrolment order.  Each block holds the exact per-arm counts of the
-    allocation ratio restricted to the cohort's arms, in uniformly random
-    order; each pair is drawn from the arm's ``cum_pair_probs``.
+    (2 * interim + final outcome), cohort after cohort and each cohort's
+    patients in enrolment order, and each cohort's 16 (arm, pair) counts.
     """
-    u = rng.random((2, k, cohort.template.size))
-    arm = cohort.template[u[0].argsort(axis=1)].ravel()
-    v = u[1].ravel()
-    c00, c01, c10 = cohort.cum_probs
-    pair = (v >= c00[arm]).astype(np.int64)
-    pair += v >= c01[arm]
-    pair += v >= c10[arm]
-    return arm, pair
+    m = len(cohorts)
+    u = rng.random(2 * k * sum(c.template.size for c in cohorts))
+    keys, vs = [], []  # key: 4 * position in ``cohorts`` + arm
+    start = 0
+    for i, cohort in enumerate(cohorts):
+        b = cohort.template.size
+        w = u[start:start + 2 * k * b].reshape(2, k, b)
+        # distinct uniforms have one sorted order; the stable sort is quicker on short rows
+        key = cohort.template[w[0].argsort(axis=1, kind="stable")].ravel()
+        keys.append(key + 4 * i if i else key)
+        vs.append(w[1].ravel())
+        start += 2 * k * b
+    key, v = (keys[0], vs[0]) if m == 1 else (np.concatenate(keys), np.concatenate(vs))
+    cum = cohorts[0].cum_probs if m == 1 else np.concatenate([c.cum_probs for c in cohorts], 1)
+    pair = (v >= cum.take(key, axis=1)).sum(axis=0)  # the arm's cumulative probabilities <= v
+    counts = np.bincount(4 * key + pair, minlength=16 * m).tolist()
+    return key & 3 if m > 1 else key, pair, [counts[16 * i:16 * i + 16] for i in range(m)]
 
 
 def cum_pair_probs(transform, rr: float) -> tuple[float, float, float]:
@@ -385,47 +426,60 @@ class _Platform:
     # --- enrollment --------------------------------------------------------
 
     def enroll(self, enrolling: list[CohortState]) -> None:
-        """One step of k whole rounds, one ``draw_blocks`` call per cohort:
-        up to the next analysis or ``sr_pats`` and before the next safety stop
-        or cohort entry, or k = 1 when that event falls in the coming round.
-        The block that holds the event is walked patient by patient."""
+        """One step of k whole rounds: up to the next analysis or ``sr_pats``
+        and before the next safety stop or cohort entry, or k = 1 when that
+        event falls in the coming round.
+
+        Without an event every cohort's blocks come from one ``draw_blocks``
+        call.  With one, each cohort draws its block in turn, because an
+        opening's draws fall between two cohorts' blocks, and the block that
+        holds the event is walked patient by patient."""
         p = self.spec.platform
         sizes = [c.template.size for c in enrolling]
         round_n = sum(sizes)
-        k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
-        if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
-            k = min(k, math.ceil((p.sr_pats - self.patient_counter) / round_n))
-        next_event = min(self.next_safety, self.next_entry)
-        if next_event < math.inf:  # math.inf // round_n is nan
-            k = max(1, min(k, (next_event - self.patient_counter - 1) // round_n))
         first = self.patient_counter
-        starts = round_n * np.arange(k).reshape(-1, 1)
+        next_event = min(self.next_safety, self.next_entry)
+        if next_event > first + round_n:
+            k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
+            if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
+                k = min(k, math.ceil((p.sr_pats - first) / round_n))
+            if next_event < math.inf:  # math.inf // round_n is nan
+                k = min(k, (next_event - first - 1) // round_n)
+            arm, pair, counts = draw_blocks(enrolling, k, self.rng)
+            end = 0
+            for cohort, b, added in zip(enrolling, sizes, counts):
+                start, end = end, end + k * b
+                cohort.record(arm[start:end], pair[start:end], first, round_n, k, added)
+                cohort.blocks += k
+                first += b
+            self.patient_counter = first + (k - 1) * round_n
+            return
         for cohort, b in zip(enrolling, sizes):
-            arm, pair = draw_blocks(cohort, k, self.rng)
-            idx = (starts + np.arange(first, first + b)).ravel()
-            cohort.blocks += k
-            done, n = 0, idx.size  # recorded so far, enrolled of this step
-            # an event within first + b can only happen when k = 1
-            if min(self.next_safety, self.next_entry) <= first + b:
-                for j in range(1, b + 1):
-                    counter = first + j
-                    if counter == self.next_safety:
-                        cohort.status = STOPPED_SAFETY
-                        cohort.close_index = counter
-                        self.safety_stops.append((cohort.id, counter))
-                        self.next_safety = counter + self._waiting_time(p.safety_prob)
-                    if counter == self.next_entry:  # snapshot after the entry patient
-                        cohort.record(idx[done:j], arm[done:j], pair[done:j])
-                        done = j
-                        self.patient_counter = counter
-                        self.open_cohort()
-                        self.schedule_entry()
-                    if cohort.status != ENROLLING:
-                        n = j  # the rest of the block is not enrolled
-                        break
-            cohort.record(idx[done:n], arm[done:n], pair[done:n])
-            first += b - (idx.size - n)  # less the patients a safety stop dropped
-        self.patient_counter = first + (k - 1) * round_n
+            arm, pair, (added,) = draw_blocks((cohort,), 1, self.rng)
+            cohort.blocks += 1
+            if min(self.next_safety, self.next_entry) > first + b:
+                cohort.record(arm, pair, first, counts=added)
+                first += b
+                continue
+            done = 0  # recorded so far
+            for j in range(1, b + 1):
+                counter = first + j
+                if counter == self.next_safety:
+                    cohort.status = STOPPED_SAFETY
+                    cohort.close_index = counter
+                    self.safety_stops.append((cohort.id, counter))
+                    self.next_safety = counter + self._waiting_time(p.safety_prob)
+                if counter == self.next_entry:  # snapshot after the entry patient
+                    cohort.record(arm[done:j], pair[done:j], first + done)
+                    done = j
+                    self.patient_counter = counter
+                    self.open_cohort()
+                    self.schedule_entry()
+                if cohort.status != ENROLLING:
+                    break  # the rest of the block is not enrolled
+            cohort.record(arm[done:j], pair[done:j], first + done)
+            first += j
+        self.patient_counter = first
 
     def _rounds_to_analysis(self, cohort: CohortState, block: int) -> int:
         """Rounds until ``cohort`` reaches the size of its next analysis."""
@@ -521,13 +575,19 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
     generator is consumed in a fixed documented order (random stream
     ``STREAM_VERSION`` = 2):
 
-    - each cohort opening: four truth draws, then one transform draw;
+    - each cohort opening: four truth uniforms in one call, then one
+      transform draw;
     - after the initial cohorts: the waiting time to the first safety stop
       (if ``safety_prob`` > 0), then the one to the first cohort entry (if
       ``cohort_random`` > 0 and a cohort can enter);
-    - per step, for each enrolling cohort in cohort order: one
-      ``draw_blocks`` call of shape (2, blocks, block size), the block
-      orders from the first half and the outcome uniforms from the second;
+    - per step, for each enrolling cohort in cohort order: 2 * blocks *
+      block size uniforms, read as shape (2, blocks, block size), the block
+      orders from the first half and the outcome uniforms from the second.
+      A step without a safety stop or cohort entry in its first round draws
+      all its cohorts' uniforms in one call; it holds the same doubles in the
+      same order as one call per cohort (a PCG64 ``random(n)`` returns the
+      doubles of consecutive calls whose sizes sum to n), so the stream is
+      still version 2;
     - at a safety stop: the next safety waiting time; at a cohort entry: the
       new cohort's opening draws, then the next entry waiting time (if a
       cohort can still enter).

@@ -84,22 +84,26 @@ def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
     safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
-        soc_rate = c.truth.pi_soc
-        for arm, rec in c.per_arm.items():
+        truth = c.truth
+        for arm in c.arms:
             i = ARM_INDEX[arm]
-            pat[i] += rec.n
-            suc_bio[i] += rec.bio_responders
-            suc_hist[i] += rec.hist_responders
-            rr[i].append(rec.true_rate)
-            if arm != "soc" and rec.true_rate > soc_rate:
-                sup_pat += rec.n
-        if c.confusion == "TP":
+            n00, n01, n10, n11 = c.pair_counts(arm)
+            n = n00 + n01 + n10 + n11
+            rate = truth.rate(arm)
+            pat[i] += n
+            suc_bio[i] += n10 + n11
+            suc_hist[i] += n01 + n11
+            rr[i].append(rate)
+            if arm != "soc" and rate > truth.pi_soc:
+                sup_pat += n
+        confusion = c.confusion
+        if confusion == "TP":
             tp += 1
-        elif c.confusion == "FP":
+        elif confusion == "FP":
             fp += 1
-        elif c.confusion == "TN":
+        elif confusion == "TN":
             tn += 1
-        elif c.confusion == "FN":
+        elif confusion == "FN":
             fn += 1
         if c.status == STOPPED_SAFETY:
             safety += 1

@@ -40,7 +40,7 @@ def make_cohort(cid=0, open_index=0, arms=("comb", "mono_a", "mono_b", "soc"),
 
 def block_arms(cohort, k, g):
     """Arm names of ``k`` blocks of ``cohort`` in enrolment order."""
-    return [ARM_ORDER[a] for a in draw_blocks(cohort, k, g)[0]]
+    return [ARM_ORDER[a] for a in draw_blocks((cohort,), k, g)[0]]
 
 
 def outcome_pairs(transform, rr, n, g):
@@ -48,7 +48,7 @@ def outcome_pairs(transform, rr, n, g):
     ``n`` one-patient blocks of a single-arm cohort."""
     cohort = make_cohort(arms=("comb",), ratio=(1, 0, 0, 0), transform=transform,
                          truth=CohortTruth(rr, rr, rr, rr))
-    pair = draw_blocks(cohort, n, g)[1]
+    pair = draw_blocks((cohort,), n, g)[1]
     return list(zip((pair >> 1).tolist(), (pair & 1).tolist()))
 
 
@@ -97,8 +97,8 @@ class TestGenOutcomePair:
         from platformsim.config import CorrelatedTransform
         t = CorrelatedTransform(sens=0.7, spec=0.85)
         cohort = make_cohort(ratio=(2, 2, 1, 1), transform=t)
-        arm, pair = draw_blocks(cohort, 300, rng(4))
-        u = rng(4).random((2, 300, 6))[1].ravel()  # the same generator call
+        arm, pair, _ = draw_blocks((cohort,), 300, rng(4))
+        u = rng(4).random((2, 300, 6))[1].ravel()  # the same doubles
         for a, p, v in zip(arm, pair, u):
             cum = cum_pair_probs(t, cohort.truth.rate(ARM_ORDER[a]))
             assert p == next((j for j, c in enumerate(cum) if v < c), 3)
@@ -114,12 +114,58 @@ class TestGenOutcomePair:
         assert any(b != h for b, h in pairs)
 
 
+#: consecutive ``Generator.random`` calls: None for a scalar call, else its size
+SPLITS = [
+    [None, None, None, None],
+    [4, None],
+    [0, 3, 0, None, 1],
+    [(2, 3, 5), (2, 1, 7), 1],
+    [(2, 0, 6), 30, (2, 4, 5)],
+    [1] * 9 + [(2, 2, 2)],
+]
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_one_generator_call_holds_the_doubles_of_consecutive_calls(split):
+    sizes = [1 if s is None else int(np.prod(s)) for s in split]
+    g = np.random.Generator(np.random.PCG64(20220204))
+    parts = [np.atleast_1d(g.random(s)).ravel() for s in split]
+    whole = np.random.Generator(np.random.PCG64(20220204)).random(sum(sizes))
+    assert np.array_equal(np.concatenate(parts), whole), (
+        "Generator.random(n) no longer returns the doubles of consecutive calls whose sizes "
+        "sum to n; engine._Platform.enroll (one draw_blocks call for every cohort of an "
+        "eventless step) and efficacy.draw_cohort_truth (one random(4) call) depend on it, "
+        "so random stream 2 would move")
+
+
+def test_one_draw_for_many_cohorts_is_each_cohorts_own_draw():
+    # cohorts of two block sizes and two transforms: one call for all of them maps
+    # every cohort's slice as that cohort's own call on the same doubles would
+    from platformsim.config import CorrelatedTransform
+    cohorts = [make_cohort(0),
+               make_cohort(1, arms=("comb", "mono_a", "mono_b"),
+                           transform=CorrelatedTransform(sens=0.7, spec=0.85)),
+               make_cohort(2, truth=CohortTruth(0.5, 0.3, 0.25, 0.2)),
+               make_cohort(3, truth=CohortTruth(0.45, 0.35, 0.3, 0.15))]
+    for k in (1, 3):
+        arm, pair, counts = draw_blocks(cohorts, k, rng(k))
+        g, end = rng(k), 0
+        for c, added in zip(cohorts, counts):
+            own_arm, own_pair, (own_counts,) = draw_blocks((c,), k, g)
+            start, end = end, end + own_arm.size
+            assert np.array_equal(arm[start:end], own_arm)
+            assert np.array_equal(pair[start:end], own_pair)
+            assert added == own_counts == np.bincount(4 * own_arm + own_pair,
+                                                      minlength=16).tolist()
+        assert end == arm.size == pair.size
+
+
 def fill(cohort, arm, start_idx, outcomes):
     """Record patients on one arm of ``cohort``: enrolment indices from
     ``start_idx`` on, one (interim, final) outcome pair each."""
     n = len(outcomes)
-    cohort.record(np.arange(start_idx, start_idx + n), np.full(n, ARM_ORDER.index(arm)),
-                  np.array([2 * b + h for b, h in outcomes]))
+    cohort.record(np.full(n, ARM_ORDER.index(arm)), np.array([2 * b + h for b, h in outcomes]),
+                  start_idx)
 
 
 def record(data, comparison):
@@ -306,9 +352,12 @@ class TestSimulateTrial:
         chunks = {}
         record = CohortState.record
 
-        def spy(cohort, idx, arm, pair):
+        def spy(cohort, arm, pair, start, stride=0, rounds=1, counts=None):
+            width = arm.size // rounds
+            idx = np.array([start + r * stride + j for r in range(rounds) for j in range(width)],
+                           dtype=np.int64)
             chunks.setdefault(cohort.id, []).append((idx, arm, pair))
-            record(cohort, idx, arm, pair)
+            record(cohort, arm, pair, start, stride, rounds, counts)
 
         monkeypatch.setattr(CohortState, "record", spy)
         result = simulate_trial(spec, derive_rng(31, 0, 0))

@@ -25,8 +25,8 @@ def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.
                          IdentityTransform(), (1, 1, 1, 1), ())
     for i, rate in enumerate(rates):
         resp = int(round(rate * n_per_arm))
-        cohort.record(np.arange(i * n_per_arm, (i + 1) * n_per_arm), np.full(n_per_arm, i),
-                      np.repeat([0, 3], [n_per_arm - resp, resp]))
+        cohort.record(np.full(n_per_arm, i), np.repeat([0, 3], [n_per_arm - resp, resp]),
+                      i * n_per_arm)
     cohort.status = status
     cohort.close_index = 4 * n_per_arm
     cohort.blocks = n_per_arm
