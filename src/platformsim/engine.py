@@ -323,9 +323,11 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
     cohort: own data only.  all: every patient enrolled on other cohorts'
     matching arms so far.  concurrent: only those enrolled while this cohort
     has been open.  dynamic: the full pool, downweighted by homogeneity
-    (fractional counts).
+    (fractional counts).  A comparator arm shared by two comparisons (SoC in
+    3 and 4) has its pool and weight built once.
     """
     records = []
+    pools: dict[str, tuple[float | None, float, float]] = {}  # arm -> (weight, ext_r, ext_n)
     for comp in comparisons:
         num, den = COMPARISON_ARMS[comp]
         num_r, num_n = cohort.counts(num, stage)
@@ -333,9 +335,14 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
         weight: float | None = None
         ext_r = ext_n = 0.0
         if mode != "cohort" and den in SHARED_ARMS:
-            ext_r, ext_n = _external_pool(cohorts, cohort, den, stage, mode)
-            if ext_n > 0:
-                weight = _dynamic_weight(den_r, den_n, ext_r, ext_n) if mode == "dynamic" else 1.0
+            if den not in pools:
+                ext_r, ext_n = _external_pool(cohorts, cohort, den, stage, mode)
+                if ext_n > 0:
+                    weight = (_dynamic_weight(den_r, den_n, ext_r, ext_n) if mode == "dynamic"
+                              else 1.0)
+                pools[den] = (weight, ext_r, ext_n)
+            weight, ext_r, ext_n = pools[den]
+            if weight is not None:
                 den_r = den_r + weight * ext_r
                 den_n = den_n + weight * ext_n
         records.append(ComparisonData(num_r, num_n - num_r, den_r, den_n - den_r,
