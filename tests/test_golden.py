@@ -8,7 +8,9 @@ random stream or any output byte on purpose re-baselines them with::
     PYTHONPATH=src python tests/test_golden.py
 
 which prints ``changed: <scenario>/<file> <old> -> <new>`` for every
-digest that moved, and says so in the change log.
+digest that moved, and says so in the change log.  The digests file also
+records the ``engine.STREAM_VERSION`` they were made under, so a stream
+change that forgets to re-baseline fails with a message saying so.
 """
 
 import copy
@@ -21,6 +23,7 @@ import pytest
 import yaml
 
 from platformsim.config import parse_scenario
+from platformsim.engine import STREAM_VERSION
 from platformsim.reporting import ocs_csv_row, write_ocs_csv, write_ocs_json, write_trajectory
 from platformsim.runner import run_ocs, run_single_trial
 
@@ -94,6 +97,14 @@ def golden_digests(name: str, out: pathlib.Path) -> dict[str, str]:
     return {f.name: _sha256(f) for f in files}
 
 
+def test_digests_pin_the_stream_version():
+    recorded = json.loads(DIGESTS.read_text()).get("stream_version")
+    assert recorded == STREAM_VERSION, (
+        f"tests/golden/digests.json was made under random stream {recorded}, the engine draws "
+        f"stream {STREAM_VERSION}; re-baseline with `PYTHONPATH=src python tests/test_golden.py` "
+        "and list the moved digests in the change log")
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text())[name]
@@ -104,7 +115,7 @@ if __name__ == "__main__":
     import tempfile
 
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    digests = {}
+    digests = {"stream_version": STREAM_VERSION}
     for scenario in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as tmp:
             digests[scenario] = golden_digests(scenario, pathlib.Path(tmp))
