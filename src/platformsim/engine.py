@@ -12,16 +12,20 @@ cohorts enter the platform at random patient positions.  Analyses trigger at
 the end of a round on the cohort's total enrollment, which can overshoot the
 nominal interim/final sizes by at most one block.
 
+A cohort draws all the patients it can ever enrol when it opens: a final
+analysis always ends enrolment, so it never takes more than ceil(n_fin / b)
+blocks of b patients.  One generator call gives their block orders and
+outcome pairs, kept as one code 4 * arm + pair a patient.  A cohort's block
+template and outcome probabilities are built once per layout and shared
+between cohorts and trials.
+
 The engine steps from event to event.  The patients at which the next safety
 stop and the next cohort entry happen are drawn as geometric waiting times.
 One step enrolls k whole rounds: up to the next size-triggered analysis or
 ``sr_pats``, and before the next safety stop or cohort entry, or the one
-round that holds it.  On a step without such an event, one generator call
-draws the k blocks of every enrolling cohort, and one pass maps them to arms,
-outcome pairs and tallies.  A step whose first round holds an event draws
-cohort by cohort, and only the block that holds the event is walked patient
-by patient.  A cohort's block template and outcome probabilities are built
-once per layout and shared between cohorts and trials.
+round that holds it.  Enrolment draws nothing: a cohort takes the next
+patients of its draw, and a step whose first round holds an event walks the
+events' patient counters through that round, cohort by cohort.
 
 Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
 the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
@@ -59,7 +63,7 @@ from .stats import TwoByTwo, one_sided_prop_test
 
 #: version of the documented order in which ``simulate_trial`` consumes its
 #: generator; a change of the draws (not of the simulated law) bumps it
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 SHARED_ARMS = ("mono_b", "soc")  # comparator arms augmented by data sharing
@@ -98,12 +102,9 @@ class Patients(NamedTuple):
     pair: np.ndarray
 
 
-_NO_PATIENTS = np.zeros(0, dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=1024)
-def _layout(arms: tuple[str, ...], ratio: tuple[int, ...], transform,
-            rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def cohort_layout(arms: tuple[str, ...], ratio: tuple[int, ...], transform,
+                  rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """A cohort's block template (the arm index of each slot of one block, in
     ``ARM_ORDER`` and allocation order) and its cumulative pair probabilities
     (row j: every arm's j-th, at true rates ``rates`` in ``ARM_ORDER``), both
@@ -130,19 +131,22 @@ class CohortState:
     """One cohort: the engine's working state while the trial runs, and the
     trial's record of it once ``simulate_trial`` returns.
 
-    Its patients are kept as recorded chunks (see ``record``), from which
-    ``patients`` derives the enrolment indices when the log is read; ``tally``
-    holds the running count of every (arm, outcome pair) at index
-    4 * arm + pair, from which all per-arm counts follow.  ``tallies_at_open[i]``
-    is the tally of cohort i, one of those ``opened`` before it, taken at its
-    entry (a tally is replaced, never changed in place)."""
+    ``drawn`` holds the code 4 * arm + outcome pair of every patient the cohort
+    can enrol, in enrolment order (see ``draw_patients``); its first ``n`` are
+    enrolled.  Their enrolment indices are kept as recorded chunks (see
+    ``record``), from which ``patients`` derives them when the log is read.
+    ``tally`` holds the running count of every code, from which all per-arm
+    counts follow.  ``tallies_at_open[i]`` is the tally of cohort i, one of
+    those ``opened`` before it, taken at its entry (a tally is replaced, never
+    changed in place)."""
 
     __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
-                 "status", "analyses", "has_interim", "blocks", "template",
-                 "cum_probs", "n", "tally", "tallies_at_open", "_chunks")
+                 "status", "analyses", "has_interim", "block", "blocks", "drawn",
+                 "n", "tally", "tallies_at_open", "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
-                 truth: CohortTruth, truth_class: str, transform, ratio, opened):
+                 truth: CohortTruth, truth_class: str, block: int, drawn: np.ndarray,
+                 opened):
         self.id = cid
         self.open_index = open_index
         self.close_index: int | None = None
@@ -152,36 +156,35 @@ class CohortState:
         self.status = ENROLLING
         self.analyses: list[AnalysisRecord] = []
         self.has_interim = False
+        self.block = block
         self.blocks = 0
-        self.template, self.cum_probs = _layout(arms, ratio, transform, (
-            truth.pi_comb, truth.pi_mono_a, truth.pi_mono_b, truth.pi_soc))
+        self.drawn = drawn
         self.n = 0
         self.tally = (0,) * 16
         self.tallies_at_open = tuple(c.tally for c in opened)
-        self._chunks = [(0, 0, 1, _NO_PATIENTS, _NO_PATIENTS)]
+        self._chunks = [(0, 0, 1, 0)]  # (start, stride, rounds, width)
 
-    def record(self, arm: np.ndarray, pair: np.ndarray, start: int, stride: int = 0,
-               rounds: int = 1, counts=None) -> None:
-        """Add patients in enrolment order (arms and outcome pairs as in
-        ``Patients``): ``rounds`` runs of ``arm.size // rounds`` consecutive
-        enrolment indices, the r-th run from ``start + r * stride`` on.
-        ``counts`` are the chunk's 16 (arm, pair) counts, if the caller has
-        them.  The indices themselves are derived only when ``patients`` is
-        read."""
-        self._chunks.append((start, stride, rounds, arm, pair))
-        self.n += arm.size
-        if counts is None:
-            counts = np.bincount(4 * arm + pair, minlength=16).tolist()
-        self.tally = tuple(map(operator.add, self.tally, counts))
+    def record(self, count: int, start: int, stride: int = 0, rounds: int = 1) -> None:
+        """Enrol the next ``count`` drawn patients: ``rounds`` runs of
+        ``count // rounds`` consecutive enrolment indices, the r-th run from
+        ``start + r * stride`` on.  The indices themselves are derived only
+        when ``patients`` is read."""
+        n = self.n + count
+        if n > self.drawn.size:
+            raise RuntimeError(f"cohort {self.id} would enrol {n} patients, but its opening "
+                               f"drew {self.drawn.size}")
+        added = np.bincount(self.drawn[self.n:n], minlength=16).tolist()
+        self.tally = tuple(map(operator.add, self.tally, added))
+        self._chunks.append((start, stride, rounds, count // rounds))
+        self.n = n
 
     @property
     def patients(self) -> Patients:
         """The patient log, joined from the recorded chunks on each read."""
-        idx = [(stride * np.arange(rounds)[:, None]
-                + np.arange(start, start + arm.size // rounds)).ravel()
-               for start, stride, rounds, arm, _ in self._chunks]
-        return Patients(np.concatenate(idx), np.concatenate([c[3] for c in self._chunks]),
-                        np.concatenate([c[4] for c in self._chunks]))
+        idx = [(stride * np.arange(rounds)[:, None] + np.arange(start, start + width)).ravel()
+               for start, stride, rounds, width in self._chunks]
+        code = self.drawn[:self.n]
+        return Patients(np.concatenate(idx), code >> 2, code & 3)
 
     @property
     def per_arm(self) -> dict[str, ArmResult]:
@@ -241,36 +244,26 @@ class TrialResult:
 # operations
 
 
-def draw_blocks(cohorts, k: int, rng) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """``k`` randomization blocks of each of ``cohorts`` from one generator call.
+def draw_patients(template: np.ndarray, cum_probs: np.ndarray, blocks: int,
+                  rng) -> np.ndarray:
+    """``blocks`` randomization blocks of one cohort from one generator call,
+    as the read-only codes 4 * arm + outcome pair of its patients in
+    enrolment order (arm: index into ``ARM_ORDER``; pair: 2 * interim + final
+    outcome).
 
-    The call's uniforms are split in cohort order, each cohort taking a
-    (2, k, block size) slice: block orders from its first half, outcome
-    uniforms from its second.  Each block holds the exact per-arm counts of
-    the allocation ratio restricted to the cohort's arms, in uniformly
-    random order; each pair is drawn from the arm's ``cum_pair_probs``.
-
-    Returns the arms (indices into ``ARM_ORDER``) and outcome pairs
-    (2 * interim + final outcome), cohort after cohort and each cohort's
-    patients in enrolment order, and each cohort's 16 (arm, pair) counts.
+    The call's 2 * blocks * b uniforms (b = ``template.size``) are read as
+    shape (2, blocks, b).  Block orders come from the first half: each block
+    holds the arms of ``template`` in uniformly random order.  Each patient's
+    pair is the first of 0/0, 0/1, 1/0 whose cumulative probability in its
+    arm's column of ``cum_probs`` exceeds its uniform from the second half,
+    else 1/1.
     """
-    m = len(cohorts)
-    u = rng.random(2 * k * sum(c.template.size for c in cohorts))
-    keys, vs = [], []  # key: 4 * position in ``cohorts`` + arm
-    start = 0
-    for i, cohort in enumerate(cohorts):
-        b = cohort.template.size
-        w = u[start:start + 2 * k * b].reshape(2, k, b)
-        # distinct uniforms have one sorted order; the stable sort is quicker on short rows
-        key = cohort.template[w[0].argsort(axis=1, kind="stable")].ravel()
-        keys.append(key + 4 * i if i else key)
-        vs.append(w[1].ravel())
-        start += 2 * k * b
-    key, v = (keys[0], vs[0]) if m == 1 else (np.concatenate(keys), np.concatenate(vs))
-    cum = cohorts[0].cum_probs if m == 1 else np.concatenate([c.cum_probs for c in cohorts], 1)
-    pair = (v >= cum.take(key, axis=1)).sum(axis=0)  # the arm's cumulative probabilities <= v
-    counts = np.bincount(4 * key + pair, minlength=16 * m).tolist()
-    return key & 3 if m > 1 else key, pair, [counts[16 * i:16 * i + 16] for i in range(m)]
+    u = rng.random(2 * blocks * template.size).reshape(2, blocks, template.size)
+    # distinct uniforms have one sorted order; the stable sort is quicker on short rows
+    arm = template[u[0].argsort(axis=1, kind="stable")].ravel()
+    code = 4 * arm + (u[1].ravel() >= cum_probs.take(arm, axis=1)).sum(axis=0)
+    code.setflags(write=False)
+    return code
 
 
 def cum_pair_probs(transform, rr: float) -> tuple[float, float, float]:
@@ -404,9 +397,14 @@ class _Platform:
         arms = tuple(arms)
         truth = draw_cohort_truth(spec.efficacy, self.rng)
         transform = spec.endpoint.sample_transform(self.rng)
+        template, cum_probs = cohort_layout(arms, ratio, transform, (
+            truth.pi_comb, truth.pi_mono_a, truth.pi_mono_b, truth.pi_soc))
+        # a final analysis always ends enrolment: no cohort takes more blocks
+        blocks = -(-spec.platform.n_fin // template.size)
+        drawn = draw_patients(template, cum_probs, blocks, self.rng)
         truth_class = classify_truth(truth, spec.target, has_soc_comparisons="soc" in arms)
-        cohort = CohortState(len(self.cohorts), self.patient_counter, arms,
-                             truth, truth_class, transform, ratio, self.cohorts)
+        cohort = CohortState(len(self.cohorts), self.patient_counter, arms, truth,
+                             truth_class, template.size, drawn, self.cohorts)
         self.cohorts.append(cohort)
         return cohort
 
@@ -437,62 +435,52 @@ class _Platform:
         and before the next safety stop or cohort entry, or k = 1 when that
         event falls in the coming round.
 
-        Without an event every cohort's blocks come from one ``draw_blocks``
-        call.  With one, each cohort draws its block in turn, because an
-        opening's draws fall between two cohorts' blocks, and the block that
-        holds the event is walked patient by patient."""
+        Without an event each cohort takes its next k blocks.  With one, the
+        round goes cohort by cohort from event to event: a safety stop cuts
+        its cohort's block after the stopping patient, and an entry opens its
+        cohort after the entry patient."""
         p = self.spec.platform
-        sizes = [c.template.size for c in enrolling]
-        round_n = sum(sizes)
+        round_n = sum(c.block for c in enrolling)
         first = self.patient_counter
         next_event = min(self.next_safety, self.next_entry)
         if next_event > first + round_n:
-            k = min(self._rounds_to_analysis(c, b) for c, b in zip(enrolling, sizes))
+            k = min(self._rounds_to_analysis(c) for c in enrolling)
             if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
                 k = min(k, math.ceil((p.sr_pats - first) / round_n))
             if next_event < math.inf:  # math.inf // round_n is nan
                 k = min(k, (next_event - first - 1) // round_n)
-            arm, pair, counts = draw_blocks(enrolling, k, self.rng)
-            end = 0
-            for cohort, b, added in zip(enrolling, sizes, counts):
-                start, end = end, end + k * b
-                cohort.record(arm[start:end], pair[start:end], first, round_n, k, added)
+            for cohort in enrolling:
+                cohort.record(k * cohort.block, first, round_n, k)
                 cohort.blocks += k
-                first += b
+                first += cohort.block
             self.patient_counter = first + (k - 1) * round_n
             return
-        for cohort, b in zip(enrolling, sizes):
-            arm, pair, (added,) = draw_blocks((cohort,), 1, self.rng)
+        for cohort in enrolling:
             cohort.blocks += 1
-            if min(self.next_safety, self.next_entry) > first + b:
-                cohort.record(arm, pair, first, counts=added)
-                first += b
-                continue
-            done = 0  # recorded so far
-            for j in range(1, b + 1):
-                counter = first + j
-                if counter == self.next_safety:
+            start, end = first, first + cohort.block  # start: the next unrecorded index
+            while cohort.status == ENROLLING:
+                counter = min(self.next_safety, self.next_entry)
+                if counter > end:
+                    break
+                if counter == self.next_safety:  # the rest of the block is not enrolled
                     cohort.status = STOPPED_SAFETY
-                    cohort.close_index = counter
+                    cohort.close_index = end = counter
                     self.safety_stops.append((cohort.id, counter))
                     self.next_safety = counter + self._waiting_time(p.safety_prob)
                 if counter == self.next_entry:  # snapshot after the entry patient
-                    cohort.record(arm[done:j], pair[done:j], first + done)
-                    done = j
-                    self.patient_counter = counter
+                    cohort.record(counter - start, start)
+                    start = self.patient_counter = counter
                     self.open_cohort()
                     self.schedule_entry()
-                if cohort.status != ENROLLING:
-                    break  # the rest of the block is not enrolled
-            cohort.record(arm[done:j], pair[done:j], first + done)
-            first += j
+            cohort.record(end - start, start)
+            first = end
         self.patient_counter = first
 
-    def _rounds_to_analysis(self, cohort: CohortState, block: int) -> int:
+    def _rounds_to_analysis(self, cohort: CohortState) -> int:
         """Rounds until ``cohort`` reaches the size of its next analysis."""
         p = self.spec.platform
         size = p.n_int if p.n_int < p.n_fin and not cohort.has_interim else p.n_fin
-        return -(-(size - cohort.n) // block)
+        return -(-(size - cohort.n) // cohort.block)
 
     # --- analyses ----------------------------------------------------------
 
@@ -580,24 +568,21 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
 
     Identical (spec, generator state) pairs produce identical results.  The
     generator is consumed in a fixed documented order (random stream
-    ``STREAM_VERSION`` = 2):
+    ``STREAM_VERSION`` = 3):
 
     - each cohort opening: four truth uniforms in one call, then one
-      transform draw;
+      transform draw, then its patients in one call of 2 * B * b uniforms
+      (b the block size, B = ceil(n_fin / b)), read as shape (2, B, b): the
+      block orders from the first half and the outcome uniforms from the
+      second (``draw_patients``);
     - after the initial cohorts: the waiting time to the first safety stop
       (if ``safety_prob`` > 0), then the one to the first cohort entry (if
       ``cohort_random`` > 0 and a cohort can enter);
-    - per step, for each enrolling cohort in cohort order: 2 * blocks *
-      block size uniforms, read as shape (2, blocks, block size), the block
-      orders from the first half and the outcome uniforms from the second.
-      A step without a safety stop or cohort entry in its first round draws
-      all its cohorts' uniforms in one call; it holds the same doubles in the
-      same order as one call per cohort (a PCG64 ``random(n)`` returns the
-      doubles of consecutive calls whose sizes sum to n), so the stream is
-      still version 2;
     - at a safety stop: the next safety waiting time; at a cohort entry: the
       new cohort's opening draws, then the next entry waiting time (if a
       cohort can still enter).
+
+    Enrolment draws nothing: each cohort enrols its drawn patients in order.
     """
     state = _Platform(spec, rng)
     p = spec.platform

@@ -105,10 +105,9 @@ def test_c04_identity_transform_interim_equals_final():
 
 
 def test_c05_block_randomization_exactness():
-    cohort = make_cohort(ratio=(2, 2, 1, 1))
     rng = np.random.default_rng(5)
     totals = {"comb": 0, "mono_a": 0, "mono_b": 0, "soc": 0}
-    for arm in block_arms(cohort, 10_000, rng):
+    for arm in block_arms(10_000, rng, ratio=(2, 2, 1, 1)):
         totals[arm] += 1
     assert totals == {"comb": 20_000, "mono_a": 20_000, "mono_b": 10_000, "soc": 10_000}
     report("C05 block-randomization-exact", "10000 blocks")

@@ -87,7 +87,7 @@ class TestOcs:
         assert manifest["master_seed"] == 5
         assert "spec_hash" in manifest
         # the random stream is recorded in the manifest only, never in the OC files
-        assert manifest["versions"]["stream_version"] == STREAM_VERSION == 2
+        assert manifest["versions"]["stream_version"] == STREAM_VERSION == 3
         assert "stream" not in (out / "ocs.csv").read_text() + json.dumps(doc)
 
     def test_workers_do_not_change_results(self, spec_file, tmp_path):

@@ -11,15 +11,14 @@ from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES
                                 ComparisonRules, DecisionRuleSet, IdentityTransform,
                                 parse_scenario)
 from platformsim.decisions import COMPARISON_ARMS, comparison_outcome, explain, plan_for
-from platformsim.efficacy import CohortTruth
+from platformsim.efficacy import CohortTruth, draw_cohort_truth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
-                                ARM_ORDER, DROPS_SOC, SHARED_ARMS, CohortState,
-                                assemble_analysis_data,
-                                classify_decision, cum_pair_probs, draw_blocks,
-                                simulate_trial)
+                                ARM_INDEX, ARM_ORDER, DROPS_SOC, SHARED_ARMS, CohortState,
+                                assemble_analysis_data, classify_decision, cohort_layout,
+                                cum_pair_probs, draw_patients, simulate_trial)
 from platformsim.reporting import arm_lists, dump_trajectory
 from platformsim.runner import derive_rng
 from platformsim.stats import TwoByTwo
@@ -27,52 +26,72 @@ from platformsim.stats import TwoByTwo
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
 
 
+#: a seed whose first trial of the replayed scenario has a safety stop and a second cohort
+SEED_REPLAY = 9
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_cohort(cid=0, open_index=0, arms=("comb", "mono_a", "mono_b", "soc"),
-                truth=None, ratio=(2, 1, 1, 1), transform=None, opened=()):
-    truth = truth or CohortTruth(0.4, 0.2, 0.2, 0.1)
-    return CohortState(cid, open_index, tuple(arms), truth, "superior",
-                       transform or IdentityTransform(), ratio, opened)
+ARMS = ("comb", "mono_a", "mono_b", "soc")
+TRUTH = CohortTruth(0.4, 0.2, 0.2, 0.1)
 
 
-def block_arms(cohort, k, g):
-    """Arm names of ``k`` blocks of ``cohort`` in enrolment order."""
-    return [ARM_ORDER[a] for a in draw_blocks((cohort,), k, g)[0]]
+def make_cohort(cid=0, open_index=0, arms=ARMS, truth=None, ratio=(2, 1, 1, 1), opened=(),
+                drawn=None):
+    """A cohort with the codes ``drawn`` (none if not given; ``fill`` adds
+    patients)."""
+    block = sum(r for arm, r in zip(ARM_ORDER, ratio) if arm in arms)
+    drawn = np.zeros(0, dtype=np.int64) if drawn is None else drawn
+    return CohortState(cid, open_index, tuple(arms), truth or TRUTH, "superior", block, drawn,
+                       opened)
+
+
+def draw(k, g, arms=ARMS, ratio=(2, 1, 1, 1), transform=None, truth=None):
+    """The codes of ``k`` blocks of a cohort, drawn as its opening draws them."""
+    truth = truth or TRUTH
+    template, cum_probs = cohort_layout(tuple(arms), ratio, transform or IdentityTransform(),
+                                        tuple(truth.rate(a) for a in ARM_ORDER))
+    return draw_patients(template, cum_probs, k, g)
+
+
+def block_arms(k, g, **cohort):
+    """Arm names of ``k`` blocks of a cohort in enrolment order."""
+    return [ARM_ORDER[a] for a in (draw(k, g, **cohort) >> 2).tolist()]
 
 
 def outcome_pairs(transform, rr, n, g):
     """``n`` (interim, final) outcome pairs at true rate ``rr``, drawn as
     ``n`` one-patient blocks of a single-arm cohort."""
-    cohort = make_cohort(arms=("comb",), ratio=(1, 0, 0, 0), transform=transform,
-                         truth=CohortTruth(rr, rr, rr, rr))
-    pair = draw_blocks((cohort,), n, g)[1]
-    return list(zip((pair >> 1).tolist(), (pair & 1).tolist()))
+    code = draw(n, g, arms=("comb",), ratio=(1, 0, 0, 0), transform=transform,
+                truth=CohortTruth(rr, rr, rr, rr))
+    return list(zip(((code >> 1) & 1).tolist(), (code & 1).tolist()))
 
 
 class TestAllocateBlock:
     def test_full_block_2211(self):
-        cohort = make_cohort(ratio=(2, 2, 1, 1))
-        block = block_arms(cohort, 1, rng())
+        block = block_arms(1, rng(), ratio=(2, 2, 1, 1))
         assert len(block) == 6
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1, "soc": 1}
 
     def test_no_soc_block(self):
-        cohort = make_cohort(arms=("comb", "mono_a", "mono_b"), ratio=(2, 2, 1, 1))
-        block = block_arms(cohort, 1, rng())
+        block = block_arms(1, rng(), arms=("comb", "mono_a", "mono_b"), ratio=(2, 2, 1, 1))
         assert len(block) == 5
         assert Counter(block) == {"comb": 2, "mono_a": 2, "mono_b": 1}
 
     def test_exactness_over_many_blocks(self):
-        cohort = make_cohort(ratio=(2, 2, 1, 1))
-        totals = Counter(block_arms(cohort, 1000, rng(7)))
+        totals = Counter(block_arms(1000, rng(7), ratio=(2, 2, 1, 1)))
         assert totals == {"comb": 2000, "mono_a": 2000, "mono_b": 1000, "soc": 1000}
 
+    def test_every_block_holds_the_template(self):
+        arms = block_arms(400, rng(8), arms=("comb", "mono_a", "soc"), ratio=(3, 2, 1, 1))
+        blocks = [Counter(arms[i:i + 6]) for i in range(0, len(arms), 6)]
+        assert len(blocks) == 400
+        assert all(b == {"comb": 3, "mono_a": 2, "soc": 1} for b in blocks)
+
     def test_order_is_random(self):
-        cohort = make_cohort(ratio=(2, 2, 1, 1))
-        arms = block_arms(cohort, 50, rng(3))
+        arms = block_arms(50, rng(3), ratio=(2, 2, 1, 1))
         orders = {tuple(arms[i:i + 6]) for i in range(0, len(arms), 6)}
         assert len(orders) > 5
 
@@ -96,12 +115,12 @@ class TestGenOutcomePair:
         # probability exceeds its uniform, else 1/1
         from platformsim.config import CorrelatedTransform
         t = CorrelatedTransform(sens=0.7, spec=0.85)
-        cohort = make_cohort(ratio=(2, 2, 1, 1), transform=t)
-        arm, pair, _ = draw_blocks((cohort,), 300, rng(4))
+        code = draw(300, rng(4), ratio=(2, 2, 1, 1), transform=t)
+        assert code.size == 1800 and not code.flags.writeable
         u = rng(4).random((2, 300, 6))[1].ravel()  # the same doubles
-        for a, p, v in zip(arm, pair, u):
-            cum = cum_pair_probs(t, cohort.truth.rate(ARM_ORDER[a]))
-            assert p == next((j for j, c in enumerate(cum) if v < c), 3)
+        for c, v in zip(code.tolist(), u):
+            cum = cum_pair_probs(t, TRUTH.rate(ARM_ORDER[c >> 2]))
+            assert c & 3 == next((j for j, x in enumerate(cum) if v < x), 3)
 
     def test_correlated_transform_marginal(self):
         from platformsim.config import CorrelatedTransform
@@ -133,39 +152,30 @@ def test_one_generator_call_holds_the_doubles_of_consecutive_calls(split):
     whole = np.random.Generator(np.random.PCG64(20220204)).random(sum(sizes))
     assert np.array_equal(np.concatenate(parts), whole), (
         "Generator.random(n) no longer returns the doubles of consecutive calls whose sizes "
-        "sum to n; engine._Platform.enroll (one draw_blocks call for every cohort of an "
-        "eventless step) and efficacy.draw_cohort_truth (one random(4) call) depend on it, "
-        "so random stream 2 would move")
+        "sum to n; the draw order documented in engine.simulate_trial counts doubles, not "
+        "calls, so a draw split into other calls would move random stream 3")
 
 
-def test_one_draw_for_many_cohorts_is_each_cohorts_own_draw():
-    # cohorts of two block sizes and two transforms: one call for all of them maps
-    # every cohort's slice as that cohort's own call on the same doubles would
-    from platformsim.config import CorrelatedTransform
-    cohorts = [make_cohort(0),
-               make_cohort(1, arms=("comb", "mono_a", "mono_b"),
-                           transform=CorrelatedTransform(sens=0.7, spec=0.85)),
-               make_cohort(2, truth=CohortTruth(0.5, 0.3, 0.25, 0.2)),
-               make_cohort(3, truth=CohortTruth(0.45, 0.35, 0.3, 0.15))]
-    for k in (1, 3):
-        arm, pair, counts = draw_blocks(cohorts, k, rng(k))
-        g, end = rng(k), 0
-        for c, added in zip(cohorts, counts):
-            own_arm, own_pair, (own_counts,) = draw_blocks((c,), k, g)
-            start, end = end, end + own_arm.size
-            assert np.array_equal(arm[start:end], own_arm)
-            assert np.array_equal(pair[start:end], own_pair)
-            assert added == own_counts == np.bincount(4 * own_arm + own_pair,
-                                                      minlength=16).tolist()
-        assert end == arm.size == pair.size
+def test_enrolling_past_the_draw_raises():
+    code = draw(2, rng(1))
+    cohort = make_cohort(drawn=code)
+    cohort.record(9, 0)
+    with pytest.raises(RuntimeError, match="would enrol 11 patients, but its opening drew 10"):
+        cohort.record(2, 9)
+    assert cohort.n == 9 and sum(cohort.tally) == 9  # nothing was undercounted
+    cohort.record(1, 9)
+    assert cohort.tally == tuple(np.bincount(code, minlength=16).tolist())
+    with pytest.raises(RuntimeError):
+        cohort.record(1, 10)
 
 
 def fill(cohort, arm, start_idx, outcomes):
-    """Record patients on one arm of ``cohort``: enrolment indices from
-    ``start_idx`` on, one (interim, final) outcome pair each."""
-    n = len(outcomes)
-    cohort.record(np.full(n, ARM_ORDER.index(arm)), np.array([2 * b + h for b, h in outcomes]),
-                  start_idx)
+    """Enrol patients on one arm of ``cohort``, appended to its draw:
+    enrolment indices from ``start_idx`` on, one (interim, final) outcome pair
+    each."""
+    codes = np.array([4 * ARM_INDEX[arm] + 2 * b + h for b, h in outcomes], dtype=np.int64)
+    cohort.drawn = np.concatenate([cohort.drawn[:cohort.n], codes])
+    cohort.record(codes.size, start_idx)
 
 
 def record(data, comparison):
@@ -352,24 +362,66 @@ class TestSimulateTrial:
         chunks = {}
         record = CohortState.record
 
-        def spy(cohort, arm, pair, start, stride=0, rounds=1, counts=None):
-            width = arm.size // rounds
+        def spy(cohort, count, start, stride=0, rounds=1):
+            width = count // rounds
             idx = np.array([start + r * stride + j for r in range(rounds) for j in range(width)],
                            dtype=np.int64)
-            chunks.setdefault(cohort.id, []).append((idx, arm, pair))
-            record(cohort, arm, pair, start, stride, rounds, counts)
+            code = cohort.drawn[cohort.n:cohort.n + count]
+            chunks.setdefault(cohort.id, []).append((idx, code >> 2, code & 3))
+            record(cohort, count, start, stride, rounds)
 
         monkeypatch.setattr(CohortState, "record", spy)
-        result = simulate_trial(spec, derive_rng(31, 0, 0))
-        assert any(c.n == 0 for c in result.cohorts)
-        assert any(c.status == STOPPED_SAFETY for c in result.cohorts)
         empty = (np.zeros(0, dtype=np.int64),) * 3
-        for c in result.cohorts:
-            log = c.patients
-            joined = [np.concatenate(col) for col in zip(empty, *chunks.get(c.id, ()))]
-            assert all(np.array_equal(got, want) for got, want in zip(log, joined))
-            assert all(col.dtype == np.int64 and col.size == c.n for col in log)
-            assert np.all(np.diff(log.idx) > 0)
+        cohorts = []
+        for k in range(60):  # about 1 in 15 trials halts a cohort that has no patients
+            chunks.clear()
+            result = simulate_trial(spec, derive_rng(31, 0, k))
+            cohorts += result.cohorts
+            for c in result.cohorts:
+                log = c.patients
+                joined = [np.concatenate(col) for col in zip(empty, *chunks.get(c.id, ()))]
+                assert all(np.array_equal(got, want) for got, want in zip(log, joined))
+                assert all(col.dtype == np.int64 and col.size == c.n for col in log)
+                assert np.all(np.diff(log.idx) > 0)
+        assert any(c.n == 0 for c in cohorts)
+        assert any(c.status == STOPPED_SAFETY for c in cohorts)
+
+    def test_replay_of_the_documented_draw_order(self):
+        # simulate_trial's docstring: the first cohort's four truth uniforms, its
+        # transform draw and its 2 * B * b patient uniforms, then the waiting times
+        # to the first safety stop and to the first cohort entry
+        d = scenario_dict(rates=(0.45, 0.3, 0.25, 0.2), safety_prob=0.006, cohort_random=0.02,
+                          cohort_offset=30, n_fin=93, allocation_ratio=[3, 2, 1, 1])
+        d["endpoint"] = {"transforms": [{"kind": "identity"},
+                                        {"kind": "correlated", "sens": 0.8, "spec": 0.7}],
+                         "probs": [0.5, 0.5]}
+        spec = parse_scenario(d)
+        p = spec.platform
+        result = simulate_trial(spec, derive_rng(SEED_REPLAY, 0, 0))
+
+        g = derive_rng(SEED_REPLAY, 0, 0)
+        truth = draw_cohort_truth(spec.efficacy, g)
+        transform = spec.endpoint.sample_transform(g)
+        template = [a for a, r in zip(ARM_ORDER, p.allocation_ratio) for _ in range(r)]
+        b = len(template)
+        u = g.random((2, -(-p.n_fin // b), b))
+        arms, pairs = [], []
+        for order, outcome in zip(u[0], u[1]):
+            # the j-th patient of a block takes the slot with the j-th smallest uniform
+            for slot, v in zip(sorted(range(b), key=order.__getitem__), outcome):
+                cum = cum_pair_probs(transform, truth.rate(template[slot]))
+                arms.append(ARM_INDEX[template[slot]])
+                pairs.append(next((j for j, x in enumerate(cum) if v < x), 3))
+        safety = int(g.geometric(p.safety_prob))
+        entry = p.cohort_offset - 1 + int(g.geometric(p.cohort_random))
+
+        first = result.cohorts[0]
+        assert first.truth == truth
+        assert first.patients.arm.tolist() == arms[:first.n]
+        assert first.patients.pair.tolist() == pairs[:first.n]
+        assert first.n >= p.n_int and len(set(pairs[:first.n])) == 4
+        assert result.safety_stops[0][1] == safety
+        assert result.cohorts[1].open_index == entry
 
     @pytest.mark.parametrize("sharing", ["cohort", "dynamic"])
     def test_warm_plan_cannot_change_a_trajectory(self, example_spec, sharing):
@@ -582,6 +634,30 @@ def platform_scenarios(draw):
     return parse_scenario(d), draw(st.integers(0, 2**32 - 1))
 
 
+def check_draw(c, p):
+    """A cohort's opening drew every block it can enrol, each holding the
+    allocation ratio of its arms, and its tally and patient log are the
+    enrolled prefix of that draw."""
+    template = sorted(ARM_INDEX[a] for a, r in zip(ARM_ORDER, p.allocation_ratio)
+                      if a in c.arms for _ in range(r))
+    assert c.block == len(template)
+    assert c.drawn.size == -(-p.n_fin // c.block) * c.block >= c.n
+    assert (np.sort(c.drawn.reshape(-1, c.block) >> 2, axis=1) == template).all()
+    assert sum(c.tally) == c.n
+    assert c.tally == tuple(np.bincount(c.drawn[:c.n], minlength=16).tolist())
+    log = c.patients
+    assert log.arm.tolist() == (c.drawn[:c.n] >> 2).tolist()
+    assert log.pair.tolist() == (c.drawn[:c.n] & 3).tolist()
+
+
+def mid_block_entries(result):
+    """Cohorts that opened inside another cohort's block: that cohort enrolled
+    the patient before and the patient after the entry."""
+    return [c for c in result.cohorts if c.open_index > 0 and any(
+        {c.open_index - 1, c.open_index} <= set(d.patients.idx.tolist())
+        for d in result.cohorts if d is not c)]
+
+
 def analysed(arms, stage_rules):
     """The comparisons a cohort with ``arms`` should analyse at a stage."""
     return [k for k, (num, den) in COMPARISON_ARMS.items()
@@ -619,6 +695,7 @@ class TestInvariants:
                 assert ("soc" in c.arms) == all(at >= c.open_index for at in fired)
 
         for c in result.cohorts:
+            check_draw(c, p)
             ratio = {arm: r for arm, r in zip(ARM_ORDER, p.allocation_ratio) if arm in c.arms}
             block = sum(ratio.values())
             n = sum(rec.n for rec in c.per_arm.values())
@@ -650,6 +727,18 @@ class TestInvariants:
             if c.status == HALTED_RECRUITMENT or any(a.halted for a in c.analyses):
                 assert (c.status == HALTED_RECRUITMENT) == (
                     n == 0 or not analysed(c.arms, spec.rules.final))
+
+    def test_draws_through_safety_stops_and_mid_block_entries(self):
+        spec = make_scenario(cohort_random=0.3, safety_prob=0.01, cohorts_max=10,
+                             allocation_ratio=[3, 2, 1, 1])
+        stops = entries = 0
+        for k in range(40):
+            result = simulate_trial(spec, derive_rng(32, 0, k))
+            for c in result.cohorts:
+                check_draw(c, spec.platform)
+            stops += len(result.safety_stops)
+            entries += len(mid_block_entries(result))
+        assert stops >= 10 and entries >= 10, (stops, entries)
 
     @staticmethod
     def check_analysed_counts(result, c, a, spec):

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from platformsim.config import IdentityTransform
 from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, STOPPED_INTERIM_EFFICACY,
@@ -21,12 +20,11 @@ from conftest import make_scenario
 def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.1)):
     """A finished cohort of ``n_per_arm`` patients an arm, round(rate * n) of
     them responders at both endpoints."""
-    cohort = CohortState(cid, 0, ARM_ORDER, CohortTruth(*rates), truth_class,
-                         IdentityTransform(), (1, 1, 1, 1), ())
-    for i, rate in enumerate(rates):
-        resp = int(round(rate * n_per_arm))
-        cohort.record(np.full(n_per_arm, i), np.repeat([0, 3], [n_per_arm - resp, resp]),
-                      i * n_per_arm)
+    codes = np.concatenate([4 * i + np.repeat([0, 3], [n_per_arm - round(rate * n_per_arm),
+                                                         round(rate * n_per_arm)])
+                            for i, rate in enumerate(rates)])
+    cohort = CohortState(cid, 0, ARM_ORDER, CohortTruth(*rates), truth_class, 4, codes, ())
+    cohort.record(codes.size, 0)
     cohort.status = status
     cohort.close_index = 4 * n_per_arm
     cohort.blocks = n_per_arm
