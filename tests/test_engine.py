@@ -26,10 +26,6 @@ from platformsim.stats import TwoByTwo
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
 
 
-#: a seed whose first trial of the replayed scenario has a safety stop and a second cohort
-SEED_REPLAY = 9
-
-
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -397,9 +393,10 @@ class TestSimulateTrial:
                          "probs": [0.5, 0.5]}
         spec = parse_scenario(d)
         p = spec.platform
-        result = simulate_trial(spec, derive_rng(SEED_REPLAY, 0, 0))
+        seed = 9  # its first trial has a safety stop and a second cohort
+        result = simulate_trial(spec, derive_rng(seed, 0, 0))
 
-        g = derive_rng(SEED_REPLAY, 0, 0)
+        g = derive_rng(seed, 0, 0)
         truth = draw_cohort_truth(spec.efficacy, g)
         transform = spec.endpoint.sample_transform(g)
         template = [a for a, r in zip(ARM_ORDER, p.allocation_ratio) for _ in range(r)]
