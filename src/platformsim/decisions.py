@@ -5,20 +5,23 @@ Rule protocol: each rule kind is one frozen dataclass deriving from
 declares their valid values, and class attributes declare its YAML key
 (``key``, also the trace ``kind``), whether it reads only the numerator
 arm's own counts (``single_arm``) and whether it can declare superiority
-(``superiority``) and futility (``futility``).  ``evaluate(t, prior)``
-returns its :class:`RuleTrace` from the 2x2 table ``t`` (a
-:class:`ComparisonData` record in a run), and is the one place its
-thresholds are applied; ``conflicts(rules)`` warns about GO/STOP regions it
-shares with the other rules of its comparison.  Adding a rule kind takes one
-such class plus one ``config.ComparisonRules`` field named after its key (the
-field order is the evaluation and trace order).
+(``superiority``) and futility (``futility``).  ``statistic(cells, prior)``
+computes its numbers from a 2x2 table's four cells (``stats.Cells``) and
+``judge(statistic)`` turns them into (superior, futile, promising), the one
+place its thresholds are applied; ``threshold`` is what a trace shows of
+them.  :meth:`Rule.evaluate` builds a :class:`RuleTrace` from the two parts
+for dumps (:func:`explain`).  ``conflicts(rules)`` warns about GO/STOP
+regions a rule shares with the other rules of its comparison.  Adding a rule
+kind takes one such class plus one ``config.ComparisonRules`` field named
+after its key (the field order is the evaluation and trace order).
 
 Everything one scenario analyses lives in its :class:`AnalysisPlan`: each
 stage's rules, the prior, the comparisons each arm set analyses and the memo
 of rule flags, the one cache of analysis results.  A rule's (superior,
 futile) flags are a pure function of (the rule, the 2x2 cells, prior), so
 the memo keys on (the index of the rule among the plan's distinct rules,
-cells): equal rules on two comparisons or stages share entries.
+cells): equal rules on two comparisons or stages share entries.  A miss
+computes ``judge(statistic(cells, prior))`` and builds no table or trace.
 :func:`plan_for` holds one plan per (rules, prior) per process;
 ``runner.run_grid`` empties it when a run starts, before any fork, so each
 run and worker starts cold.  The memo only saves work.  The kernel's own
@@ -59,7 +62,7 @@ from functools import cache, lru_cache
 from typing import TYPE_CHECKING, ClassVar, NamedTuple, Sequence
 
 from .schema import param
-from .stats import (PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
+from .stats import (Cells, PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
                     point_estimate, prob_exceeds, prob_greater_by_margin)
 
 if TYPE_CHECKING:
@@ -126,6 +129,16 @@ class Rule:
     superiority: ClassVar[bool] = False
     futility: ClassVar[bool] = False
 
+    def evaluate(self, t: TwoByTwo, prior: BetaPrior) -> RuleTrace:
+        """The rule's trace on the table ``t``; both arms must hold a patient."""
+        cells = t.cells()
+        _check_arms(cells)
+        statistic = self.statistic(cells, prior)
+        superior, futile, promising = self.judge(statistic)
+        return RuleTrace(self.key, statistic, self.threshold,
+                         satisfied=superior if self.superiority else futile,
+                         superior=superior, futile=futile, promising=promising)
+
     def conflicts(self, rules: ComparisonRules) -> list[str]:
         return []
 
@@ -133,13 +146,15 @@ class Rule:
 @dataclass(frozen=True)
 class _BayesRows(Rule):
     """Bayesian rule whose rows start with a margin (two-arm: P(X > Y +
-    margin)) or a threshold (single-arm: P(X > threshold))."""
+    margin)) or a threshold (single-arm: P(X > threshold)), then a confidence."""
 
-    def probs(self, t: TwoByTwo, prior: BetaPrior) -> tuple[float, ...]:
-        x = PosteriorBeta(prior.alpha + t.t_resp, prior.beta + t.t_nonresp)
+    threshold = property(lambda self: tuple(row[1] for row in self.rows))
+
+    def statistic(self, cells, prior):
+        x = PosteriorBeta(prior.alpha + cells[0], prior.beta + cells[1])
         if self.single_arm:
             return tuple([prob_exceeds(x, row[0]) for row in self.rows])
-        y = PosteriorBeta(prior.alpha + t.c_resp, prior.beta + t.c_nonresp)
+        y = PosteriorBeta(prior.alpha + cells[2], prior.beta + cells[3])
         return tuple([prob_greater_by_margin(x, y, row[0]) for row in self.rows])
 
 
@@ -155,16 +170,10 @@ class BayesSupRule(_BayesRows):
     rows: tuple[tuple[float, float, float], ...] = param(nonempty=True,
                                                          columns=(_MARGIN, _CONF, _PROM))
 
-    def evaluate(self, t, prior):
-        probs = self.probs(t, prior)
-        superior = above_prom = True
-        for p, (_, conf, prom) in zip(probs, self.rows):
-            if not p > conf:
-                superior = False
-            if not p > prom:
-                above_prom = False
-        return RuleTrace(self.key, probs, tuple(row[1] for row in self.rows), satisfied=superior,
-                         superior=superior, promising=above_prom and not superior)
+    def judge(self, statistic):
+        superior = all([p > conf for p, (_, conf, _) in zip(statistic, self.rows)])
+        return superior, False, not superior and all(
+            [p > prom for p, (_, _, prom) in zip(statistic, self.rows)])
 
     def conflicts(self, rules):
         return [f"superiority (margin {sm}, conf {sc}) and futility (margin {fm}, conf {fc}) "
@@ -182,15 +191,8 @@ class BayesFutRule(_BayesRows):
     futility = True
     rows: tuple[tuple[float, float], ...] = param(nonempty=True, columns=(_MARGIN, _CONF))
 
-    def evaluate(self, t, prior):
-        probs = self.probs(t, prior)
-        futile = True
-        for p, (_, conf) in zip(probs, self.rows):
-            if not p < conf:
-                futile = False
-                break
-        return RuleTrace(self.key, probs, tuple(row[1] for row in self.rows), satisfied=futile,
-                         futile=futile)
+    def judge(self, statistic):
+        return False, all([p < conf for p, (_, conf) in zip(statistic, self.rows)]), False
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,20 @@ class BayesSAFutRule(BayesFutRule):
 
 
 @dataclass(frozen=True)
-class FreqSupRule(Rule):
-    """Superior iff the one-sided p-value of the pooled two-proportion z
-    test (``correct``: with continuity correction) is below ``p_sup``
-    (halved under ``bonferroni_half``); ``p_prom`` = 0 disables the
-    promising flag."""
+class _FreqRule(Rule):
+    """Rule on the one-sided p-value of the pooled two-proportion z test (``correct``:
+    continuity-corrected); its thresholds are halved under ``bonferroni_half``."""
+
+    half = property(lambda self: 0.5 if self.p_adj == "bonferroni_half" else 1.0)
+
+    def statistic(self, cells, prior):
+        return (one_sided_prop_test(cells, correct=self.correct),)
+
+
+@dataclass(frozen=True)
+class FreqSupRule(_FreqRule):
+    """Superior iff the p-value is below ``p_sup``; ``p_prom`` = 0 disables
+    the promising flag."""
 
     key = "freq_sup"
     superiority = True
@@ -228,33 +239,27 @@ class FreqSupRule(Rule):
     p_prom: float = param(0.0, lo=0.0, hi=1.0)
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
+    threshold = property(lambda self: (self.p_sup * self.half,))
 
-    def evaluate(self, t, prior):
-        p = one_sided_prop_test(t, correct=self.correct)
-        half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
+    def judge(self, statistic):
+        (p,), half = statistic, self.half
         superior = p < self.p_sup * half
-        promising = (not superior) and p < self.p_prom * half
-        return RuleTrace(self.key, (p,), (self.p_sup * half,),
-                         satisfied=superior, superior=superior, promising=promising)
+        return superior, False, (not superior) and p < self.p_prom * half
 
 
 @dataclass(frozen=True)
-class FreqFutRule(Rule):
-    """Futile iff the one-sided p-value is >= ``p_fut`` (halved under
-    ``bonferroni_half``)."""
+class FreqFutRule(_FreqRule):
+    """Futile iff the p-value is >= ``p_fut``."""
 
     key = "freq_fut"
     futility = True
     p_fut: float = param(lo=0.0, hi=1.0)
     p_adj: str = param("none", choices=P_ADJUSTMENTS)
     correct: bool = False
+    threshold = property(lambda self: (self.p_fut * self.half,))
 
-    def evaluate(self, t, prior):
-        p = one_sided_prop_test(t, correct=self.correct)
-        half = 0.5 if self.p_adj == "bonferroni_half" else 1.0
-        futile = p >= self.p_fut * half
-        return RuleTrace(self.key, (p,), (self.p_fut * half,),
-                         satisfied=futile, futile=futile)
+    def judge(self, statistic):
+        return False, statistic[0] >= self.p_fut * self.half, False
 
 
 @dataclass(frozen=True)
@@ -268,14 +273,15 @@ class EstSupFutRule(Rule):
     p_hat_sup: float = param(inf=True)
     p_hat_fut: float = param(inf=True)
     p_hat_prom: float = param(math.inf, inf=True)
+    threshold = property(lambda self: (self.p_hat_sup, self.p_hat_fut))
 
-    def evaluate(self, t, prior):
-        e = point_estimate(t, self.est)
+    def statistic(self, cells, prior):
+        return (point_estimate(cells, self.est),)
+
+    def judge(self, statistic):
+        (e,) = statistic
         superior = e >= self.p_hat_sup
-        futile = e <= self.p_hat_fut
-        promising = (not superior) and e >= self.p_hat_prom
-        return RuleTrace(self.key, (e,), (self.p_hat_sup, self.p_hat_fut),
-                         satisfied=superior, superior=superior, futile=futile, promising=promising)
+        return superior, e <= self.p_hat_fut, (not superior) and e >= self.p_hat_prom
 
     def conflicts(self, rules):
         if self.p_hat_fut >= self.p_hat_sup:
@@ -296,14 +302,15 @@ class CISupFutRule(Rule):
     lower_sup: float = param(inf=True)
     upper_fut: float = param(inf=True)
     lower_prom: float = param(math.inf, inf=True)
+    threshold = property(lambda self: (self.lower_sup, self.upper_fut))
 
-    def evaluate(self, t, prior):
-        lo, hi = ci(t, self.est, self.level)
+    def statistic(self, cells, prior):
+        return ci(cells, self.est, self.level)
+
+    def judge(self, statistic):
+        lo, hi = statistic
         superior = hi >= self.lower_sup
-        futile = lo <= self.upper_fut
-        promising = (not superior) and hi >= self.lower_prom
-        return RuleTrace(self.key, (lo, hi), (self.lower_sup, self.upper_fut),
-                         satisfied=superior, superior=superior, futile=futile, promising=promising)
+        return superior, lo <= self.upper_fut, (not superior) and hi >= self.lower_prom
 
 
 # --- evaluation ------------------------------------------------------------
@@ -338,9 +345,9 @@ class Verdict(NamedTuple):
     stage: str
 
 
-def _check_arms(t: TwoByTwo) -> None:
-    if t.n_t < 1.0 or t.n_c < 1.0:
-        raise ValueError(f"an arm of the table {t.cells()} holds fewer than one patient")
+def _check_arms(cells: Cells) -> None:
+    if cells[0] + cells[1] < 1.0 or cells[2] + cells[3] < 1.0:
+        raise ValueError(f"an arm of the table {cells} holds fewer than one patient")
 
 
 class AnalysisPlan:
@@ -369,13 +376,12 @@ class AnalysisPlan:
         # calls on grid_pool (one process, seed 7): 19,597 at 4,096 entries, 18,965 at
         # 5,632 and 16,592 unbounded; the 3,812 of dynamic_share all fit
         @lru_cache(maxsize=4096)
-        def flags(rule_id: int, cells: tuple[float, ...]) -> tuple[bool, bool]:
+        def flags(rule_id: int, cells: Cells) -> tuple[bool, bool]:
             """(superior, futile) of the distinct rule ``rule_id`` on the 2x2 table
             ``cells``; both arms must hold a patient."""
-            t = TwoByTwo(*cells)
-            _check_arms(t)
-            trace = distinct[rule_id].evaluate(t, prior)
-            return trace.superior, trace.futile
+            _check_arms(cells)
+            rule = distinct[rule_id]
+            return rule.judge(rule.statistic(cells, prior))[:2]
 
         self.comparisons, self.flags = comparisons, flags
 
@@ -419,21 +425,13 @@ def comparison_outcome(rules: ComparisonRules, t: TwoByTwo,
                        prior: BetaPrior) -> ComparisonOutcome:
     """Every rule of ``rules`` on the table ``t``, in field order; both arms
     must hold a patient."""
-    _check_arms(t)
     traces = tuple([rule.evaluate(t, prior) for rule in rules])
-    superior = promising = True
-    futile, n_sup = False, 0
-    for rule, trace in zip(rules, traces):
-        if trace.futile:
-            futile = True
-        if rule.superiority:
-            n_sup += 1
-            if not trace.superior:
-                superior = False
-                if not trace.promising:
-                    promising = False
-    return ComparisonOutcome(superior=n_sup > 0 and superior, futile=futile,
-                             promising=n_sup > 0 and promising, n_sup_rules=n_sup, traces=traces)
+    sup = [trace for rule, trace in zip(rules, traces) if rule.superiority]
+    return ComparisonOutcome(
+        superior=bool(sup) and all(trace.superior for trace in sup),
+        futile=any(trace.futile for trace in traces),
+        promising=bool(sup) and all(trace.superior or trace.promising for trace in sup),
+        n_sup_rules=len(sup), traces=traces)
 
 
 def combine(outcomes: Sequence[ComparisonOutcome], stage: str) -> CohortDecision:

@@ -59,7 +59,7 @@ from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUT
                         UNSUCCESSFUL_MAX_N, ComparisonData, evaluate_cohort, is_superior,
                         plan_for)
 from .efficacy import CohortTruth, classify_truth, draw_cohort_truth
-from .stats import TwoByTwo, one_sided_prop_test
+from .stats import one_sided_prop_test
 
 #: version of the documented order in which ``simulate_trial`` consumes its
 #: generator; a change of the draws (not of the simulated law) bumps it
@@ -206,10 +206,6 @@ class CohortState:
         i = 4 * ARM_INDEX[arm]
         return self.tally[i:i + 4]
 
-    def counts(self, arm: str, stage: str) -> tuple[int, int]:
-        """(responders, total) of one arm at the given endpoint stage."""
-        return _responders(self.pair_counts(arm), stage)
-
 
 # ---------------------------------------------------------------------------
 # result records
@@ -284,7 +280,7 @@ def _dynamic_weight(own_resp: float, own_n: float, ext_resp: float, ext_n: float
     """
     if own_n < 1.0 or ext_n < 1.0:
         return 1.0
-    p = one_sided_prop_test(TwoByTwo(own_resp, own_n - own_resp, ext_resp, ext_n - ext_resp))
+    p = one_sided_prop_test((own_resp, own_n - own_resp, ext_resp, ext_n - ext_resp))
     return min(1.0, 2.0 * min(p, 1.0 - p))
 
 
@@ -316,15 +312,18 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
     cohort: own data only.  all: every patient enrolled on other cohorts'
     matching arms so far.  concurrent: only those enrolled while this cohort
     has been open.  dynamic: the full pool, downweighted by homogeneity
-    (fractional counts).  A comparator arm shared by two comparisons (SoC in
-    3 and 4) has its pool and weight built once.
+    (fractional counts).  Each arm's counts are read off the tally once, and
+    a comparator arm shared by two comparisons (SoC in 3 and 4) has its pool
+    and weight built once.
     """
+    tally = cohort.tally
+    counts = {arm: _responders(tally[4 * i:4 * i + 4], stage) for i, arm in enumerate(ARM_ORDER)}
     records = []
     pools: dict[str, tuple[float | None, float, float]] = {}  # arm -> (weight, ext_r, ext_n)
     for comp in comparisons:
         num, den = COMPARISON_ARMS[comp]
-        num_r, num_n = cohort.counts(num, stage)
-        den_r, den_n = cohort.counts(den, stage)
+        num_r, num_n = counts[num]
+        den_r, den_n = counts[den]
         weight: float | None = None
         ext_r = ext_n = 0.0
         if mode != "cohort" and den in SHARED_ARMS:
@@ -338,8 +337,11 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
             if weight is not None:
                 den_r = den_r + weight * ext_r
                 den_n = den_n + weight * ext_n
-        records.append(ComparisonData(num_r, num_n - num_r, den_r, den_n - den_r,
-                                      comp, weight, ext_r, ext_n))
+        record = object.__new__(ComparisonData)  # filled as pickle does: no __init__ to run
+        record.__dict__.update(t_resp=num_r, t_nonresp=num_n - num_r, c_resp=den_r,
+                               c_nonresp=den_n - den_r, comparison=comp, share_weight=weight,
+                               external_resp=ext_r, external_total=ext_n)
+        records.append(record)
     return tuple(records)
 
 
@@ -508,7 +510,7 @@ class _Platform:
                 self.first_success = {
                     "cohort_id": cohort.id,
                     "patient_counter": self.patient_counter,
-                    "soc_patients": sum(c.counts("soc", FINAL)[1] for c in self.cohorts),
+                    "soc_patients": sum(sum(c.pair_counts("soc")) for c in self.cohorts),
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }

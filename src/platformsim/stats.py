@@ -36,13 +36,15 @@ class PosteriorBeta:
                 f"Beta parameters must be finite and > 0, got ({self.alpha}, {self.beta})")
 
 
+#: a 2x2 table's cells: treatment responders and non-responders, then the comparator's.
+#: Counts may be fractional: dynamic sharing downweights external comparator patients
+Cells = tuple[float, float, float, float]
+
+
 @dataclass(frozen=True)
 class TwoByTwo:
-    """Responder / non-responder counts for a treatment and a comparator arm.
-
-    Counts may be fractional: dynamic data sharing downweights external
-    comparator patients.
-    """
+    """A 2x2 table with named cells; ``cells()`` gives the :data:`Cells` the
+    table functions below take."""
 
     t_resp: float
     t_nonresp: float
@@ -57,7 +59,7 @@ class TwoByTwo:
     def n_c(self) -> float:
         return self.c_resp + self.c_nonresp
 
-    def cells(self) -> tuple[float, float, float, float]:
+    def cells(self) -> Cells:
         return (self.t_resp, self.t_nonresp, self.c_resp, self.c_nonresp)
 
 
@@ -343,15 +345,14 @@ def prob_exceeds(x: PosteriorBeta, v: float) -> float:
     return 1.0 - float(special.betainc(x.alpha, x.beta, v))
 
 
-def _check_cells(t: TwoByTwo) -> None:
-    """The table checks of the functions below (kept out of ``TwoByTwo``
-    itself, which the engine builds for every analysed comparison)."""
-    if not all(0.0 <= c < math.inf for c in t.cells()):
-        raise ValueError(f"cells must be finite and >= 0, got {t}")
+def _check_cells(cells: Cells) -> None:
+    if not all(0.0 <= c < math.inf for c in cells):
+        raise ValueError(f"cells must be finite and >= 0, got the table {tuple(cells)}")
 
 
-def one_sided_prop_test(t: TwoByTwo, correct: bool = False) -> float:
-    """One-sided pooled two-proportion z test of H1: treatment > comparator.
+def one_sided_prop_test(cells: Cells, correct: bool = False) -> float:
+    """One-sided pooled two-proportion z test of H1: treatment > comparator
+    on the table ``cells``.
 
     Returns p = 1 - Phi(z) with the pooled-variance z statistic; this is the
     one-sided equivalent of the uncorrected chi-square test.  With
@@ -359,15 +360,16 @@ def one_sided_prop_test(t: TwoByTwo, correct: bool = False) -> float:
     term.  A pooled rate of exactly 0 or 1 carries no information about the
     contrast; by convention p = 0.5 is returned then.
     """
-    _check_cells(t)
-    n_t, n_c = t.n_t, t.n_c
+    _check_cells(cells)
+    t_resp, t_nonresp, c_resp, c_nonresp = cells
+    n_t, n_c = t_resp + t_nonresp, c_resp + c_nonresp
     if n_t < 1.0 or n_c < 1.0:
         raise ValueError("both arm totals must be >= 1")
-    pooled = (t.t_resp + t.c_resp) / (n_t + n_c)
+    pooled = (t_resp + c_resp) / (n_t + n_c)
     if pooled <= 0.0 or pooled >= 1.0:
         return 0.5
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_t + 1.0 / n_c))
-    diff = t.t_resp / n_t - t.c_resp / n_c
+    diff = t_resp / n_t - c_resp / n_c
     if correct:
         shift = 0.5 * (1.0 / n_t + 1.0 / n_c)
         diff = math.copysign(max(0.0, abs(diff) - shift), diff)
@@ -375,20 +377,17 @@ def one_sided_prop_test(t: TwoByTwo, correct: bool = False) -> float:
     return float(special.ndtr(-z))
 
 
-def _adjusted_cells(t: TwoByTwo) -> tuple[float, float, float, float]:
-    return tuple(c + 0.5 for c in t.cells())
-
-
-def point_estimate(t: TwoByTwo, kind: str) -> float:
-    """Risk ratio ("RR") or odds ratio ("OR") of treatment vs comparator.
+def point_estimate(cells: Cells, kind: str) -> float:
+    """Risk ratio ("RR") or odds ratio ("OR") of treatment vs comparator on
+    the table ``cells``.
 
     If any cell is zero, 0.5 is added to all four cells first
     (Haldane-Anscombe) so the estimate is always finite and positive.
     """
     if kind not in ("RR", "OR"):
         raise ValueError(f"kind must be 'RR' or 'OR', got {kind!r}")
-    _check_cells(t)
-    a, b, c, d = t.cells()
+    _check_cells(cells)
+    a, b, c, d = cells
     if min(a, b, c, d) == 0.0:
         a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
     if kind == "RR":
@@ -396,9 +395,9 @@ def point_estimate(t: TwoByTwo, kind: str) -> float:
     return (a * d) / (b * c)
 
 
-def ci(t: TwoByTwo, kind: str, level: float) -> tuple[float, float]:
+def ci(cells: Cells, kind: str, level: float) -> tuple[float, float]:
     """Confidence interval for the risk difference ("AR"), risk ratio ("RR")
-    or odds ratio ("OR") of treatment vs comparator.
+    or odds ratio ("OR") of treatment vs comparator on the table ``cells``.
 
     AR uses the Wald interval on the observed rates.  RR and OR use
     log-scale intervals on 0.5-adjusted cells (small-sample correction):
@@ -409,17 +408,18 @@ def ci(t: TwoByTwo, kind: str, level: float) -> tuple[float, float]:
         raise ValueError(f"kind must be 'AR', 'RR' or 'OR', got {kind!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    _check_cells(t)
+    _check_cells(cells)
     z = float(special.ndtri(1.0 - (1.0 - level) / 2.0))
+    a, b, c, d = cells
     if kind == "AR":
-        n_t, n_c = t.n_t, t.n_c
+        n_t, n_c = a + b, c + d
         if n_t < 1.0 or n_c < 1.0:
             raise ValueError("both arm totals must be >= 1")
-        p_t, p_c = t.t_resp / n_t, t.c_resp / n_c
+        p_t, p_c = a / n_t, c / n_c
         se = math.sqrt(p_t * (1.0 - p_t) / n_t + p_c * (1.0 - p_c) / n_c)
-        d = p_t - p_c
-        return (d - z * se, d + z * se)
-    a, b, c, d = _adjusted_cells(t)
+        diff = p_t - p_c
+        return (diff - z * se, diff + z * se)
+    a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
     if kind == "RR":
         est = (a / (a + b)) / (c / (c + d))
         se = math.sqrt(1.0 / a - 1.0 / (a + b) + 1.0 / c - 1.0 / (c + d))

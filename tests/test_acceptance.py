@@ -6,9 +6,7 @@ Wall-clock budgets stated for 4 cores are scaled by 4/workers when fewer
 cores are available.
 """
 
-import copy
 import csv
-import json
 import math
 import os
 import time
@@ -17,16 +15,14 @@ import numpy as np
 import pytest
 
 from platformsim.cli import main as cli_main
-from platformsim.config import IdentityTransform, parse_scenario
-from platformsim.efficacy import CohortTruth
+from platformsim.config import IdentityTransform
 from platformsim.engine import STOPPED_SAFETY, simulate_trial
 from platformsim.ocs import aggregate
 from platformsim.reporting import arm_lists
 from platformsim.runner import derive_rng, run_ocs
-from platformsim.stats import (PosteriorBeta, TwoByTwo, one_sided_prop_test,
-                               reg_inc_beta, prob_greater_by_margin)
+from platformsim.stats import PosteriorBeta, one_sided_prop_test, prob_greater_by_margin
 
-from conftest import CONFIGS, bayes_stage_rules, make_scenario, scenario_dict
+from conftest import CONFIGS, make_scenario, scenario_dict
 from test_ocs import fake_trial
 from test_engine import ALL, block_arms, fill, make_cohort, outcome_pairs
 
@@ -80,11 +76,11 @@ def test_c02_bayes_kernel_vs_monte_carlo_oracle():
 
 
 def test_c03_frequentist_test_closed_form():
-    p = one_sided_prop_test(TwoByTwo(30, 20, 20, 30))
+    p = one_sided_prop_test((30, 20, 20, 30))
     assert p == pytest.approx(0.0227501, abs=1e-7)
-    swapped = one_sided_prop_test(TwoByTwo(20, 30, 30, 20))
+    swapped = one_sided_prop_test((20, 30, 30, 20))
     assert swapped == pytest.approx(1.0 - p, abs=1e-12)
-    assert one_sided_prop_test(TwoByTwo(20, 30, 20, 30)) == pytest.approx(0.5)
+    assert one_sided_prop_test((20, 30, 20, 30)) == pytest.approx(0.5)
     report("C03 frequentist-test-closed-form")
 
 

@@ -2,7 +2,6 @@ import csv
 import json
 import multiprocessing
 import os
-import pathlib
 
 import pytest
 import yaml

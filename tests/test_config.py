@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import pickle

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from platformsim import decisions, runner
+from platformsim import decisions, runner, stats
 from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 BayesSupRule, BetaPrior, CISupFutRule,
                                 ComparisonRules, DecisionRuleSet, EstSupFutRule,
@@ -71,22 +72,25 @@ class TestBayesFut:
 
 
 class TestBayesSingleArm:
+    # a rule is evaluated only with a patient on both arms; the single-arm
+    # probability reads the treatment arm alone
     def test_sa_sup_two_rows(self):
         rule = BayesSASupRule(rows=((0.05, 0.70, 1.00), (0.10, 0.50, 1.00)))
         # posterior Beta(31, 21)
-        trace = rule.evaluate(TwoByTwo(30, 20, 0, 0), PRIOR)
+        trace = rule.evaluate(TwoByTwo(30, 20, 0, 1), PRIOR)
         assert trace.superior
+        assert trace == rule.evaluate(TwoByTwo(30, 20, 40, 9), PRIOR)
 
     def test_sa_fut_no_responders(self):
         rule = BayesSAFutRule(rows=((0.10, 0.50),))
         # posterior Beta(1, 51)
-        trace = rule.evaluate(TwoByTwo(0, 50, 0, 0), PRIOR)
+        trace = rule.evaluate(TwoByTwo(0, 50, 0, 1), PRIOR)
         assert trace.futile
         assert trace.statistic[0] == pytest.approx(0.9 ** 51, rel=1e-9)
 
     def test_sa_sup_zero_threshold_always_holds(self):
         rule = BayesSASupRule(rows=((0.0, 0.99, 1.00),))
-        assert rule.evaluate(TwoByTwo(0, 10, 0, 0), PRIOR).superior
+        assert rule.evaluate(TwoByTwo(0, 10, 0, 1), PRIOR).superior
 
 
 class TestFreqRules:
@@ -556,6 +560,56 @@ class TestLazyVerdict:
         assert plan.flags.cache_info().misses == 1
         with pytest.raises(ValueError, match="fewer than one patient"):
             explain(plan, data, INTERIM)
+
+
+# --- one rule path: the memo's flags are the traces' flags ----------------------
+
+#: tables whose arms often hold fewer than one patient
+SPARSE_TABLES = st.tuples(*[st.integers(0, 6).map(lambda k: k / 4)] * 4)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a verdict built a rule trace or a 2x2 table")
+
+
+class TestOneRulePath:
+    @given(ACTIVE_RULES, st.one_of(TABLES, SPARSE_TABLES), st.sampled_from(PRIORS))
+    # no shrink phase: shrinking a failing rule set takes minutes before it reports
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_flags_are_the_trace_flags(self, rules, cells, prior):
+        # every kind's memo entry is its trace's (superior, futile); with an
+        # arm below one patient both raise the same ValueError
+        plan = plan_of((rules, ComparisonRules(), ComparisonRules(), ComparisonRules()), prior)
+        pairs = rule_id_pairs(plan, INTERIM, 1)
+        assert {rule.key for rule, _ in pairs} == {rule.key for rule in rules}
+        empty = cells[0] + cells[1] < 1.0 or cells[2] + cells[3] < 1.0
+        for rule, rule_id in pairs:
+            if empty:
+                with pytest.raises(ValueError, match="fewer than one patient") as want:
+                    rule.evaluate(TwoByTwo(*cells), prior)
+                with pytest.raises(ValueError) as got:
+                    plan.flags(rule_id, cells)
+                assert str(got.value) == str(want.value)
+            else:
+                trace = rule.evaluate(TwoByTwo(*cells), prior)
+                assert plan.flags(rule_id, cells) == (trace.superior, trace.futile)
+
+    @given(analyses())
+    # no shrink phase: shrinking a failing rule set takes minutes before it reports
+    @settings(max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_cold_verdict_builds_no_trace_or_table(self, case):
+        plan, data, stage = case
+        want = eager_decision(plan, data, stage)
+        with mock.patch.object(decisions, "RuleTrace", _forbidden), \
+                mock.patch.object(decisions, "TwoByTwo", _forbidden), \
+                mock.patch.object(stats, "TwoByTwo", _forbidden):
+            assert evaluate_cohort(plan, data, stage) == (want.verdict, stage)
+            assert [is_superior(plan, t, stage) for t in data] == [
+                o.superior for o in want.comparisons]
+        analysed = [t for t in data if not plan.rules.for_stage(stage)[t.comparison - 1].empty]
+        assert (plan.flags.cache_info().misses > 0) == bool(analysed)
 
 
 # --- one-pass verdicts against the all()/any() fold ----------------------------

@@ -1,16 +1,16 @@
-import copy
 import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES, BayesSupRule,
                                 ComparisonRules, DecisionRuleSet, IdentityTransform,
                                 parse_scenario)
-from platformsim.decisions import COMPARISON_ARMS, comparison_outcome, explain, plan_for
+from platformsim.decisions import (COMPARISON_ARMS, ComparisonData, comparison_outcome, explain,
+                                   plan_for)
 from platformsim.efficacy import CohortTruth, draw_cohort_truth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
@@ -663,7 +663,9 @@ def analysed(arms, stage_rules):
 
 class TestInvariants:
     @given(platform_scenarios())
-    @settings(max_examples=300, deadline=None)
+    # no shrink phase: shrinking a failing scenario takes about a minute before it reports
+    @settings(max_examples=300, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_engine_invariants(self, case):
         spec, seed = case
         p = spec.platform
@@ -781,3 +783,7 @@ class TestInvariants:
             w = t.share_weight or 0.0
             assert t.c_resp == own_r + w * ext_r
             assert t.c_resp + t.c_nonresp == pytest.approx(own_n + w * ext_n)
+            # the record is the value its __init__ builds from its fields, bit for bit
+            same = ComparisonData(*dataclasses.astuple(t))
+            assert type(t) is ComparisonData and repr(t) == repr(same) and t == same
+            assert hash(t) == hash(same)
