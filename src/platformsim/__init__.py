@@ -9,9 +9,8 @@ from .efficacy import CohortTruth, apply_effect, classify_truth, draw_cohort_tru
 from .engine import TrialResult, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator, aggregate, merge
 from .runner import derive_rng, run_ocs, run_single_trial
-from .stats import (PosteriorBeta, QuadratureError, TwoByTwo, ci, one_sided_prop_test,
-                    point_estimate, prob_exceeds, prob_greater_by_margin,
-                    reg_inc_beta)
+from .stats import (PosteriorBeta, QuadratureError, ci, one_sided_prop_test, point_estimate,
+                    prob_exceeds, prob_greater_by_margin)
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,7 @@ __all__ = [
     "TrialResult", "simulate_trial",
     "OperatingCharacteristics", "TrialAccumulator", "aggregate", "merge",
     "derive_rng", "run_ocs", "run_single_trial",
-    "PosteriorBeta", "QuadratureError", "TwoByTwo", "ci", "one_sided_prop_test", "point_estimate",
-    "prob_exceeds", "prob_greater_by_margin", "reg_inc_beta",
+    "PosteriorBeta", "QuadratureError", "ci", "one_sided_prop_test", "point_estimate",
+    "prob_exceeds", "prob_greater_by_margin",
     "__version__",
 ]

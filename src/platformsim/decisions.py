@@ -9,8 +9,8 @@ arm's own counts (``single_arm``) and whether it can declare superiority
 computes its numbers from a 2x2 table's four cells (``stats.Cells``) and
 ``judge(statistic)`` turns them into (superior, futile, promising), the one
 place its thresholds are applied; ``threshold`` is what a trace shows of
-them.  :meth:`Rule.evaluate` builds a :class:`RuleTrace` from the two parts
-for dumps (:func:`explain`).  ``conflicts(rules)`` warns about GO/STOP
+them.  ``evaluate(cells, prior)`` builds a :class:`RuleTrace` from the two
+parts for dumps (:func:`explain`).  ``conflicts(rules)`` warns about GO/STOP
 regions a rule shares with the other rules of its comparison.  Adding a rule
 kind takes one such class plus one ``config.ComparisonRules`` field named
 after its key (the field order is the evaluation and trace order).
@@ -27,8 +27,10 @@ computes ``judge(statistic(cells, prior))`` and builds no table or trace.
 run and worker starts cold.  The memo only saves work.  The kernel's own
 tables in ``stats`` (the quadrature's nodes, the exact margin sum's
 coefficient vectors) are not result caches: each holds a pure function of
-its key, never a probability.  Each record given to :func:`evaluate_cohort`
-has a patient on both arms.
+its key, never a probability.  A :class:`ComparisonData` record's first
+four fields are its cells, so ``t[:4]`` is the table the rules and the memo
+read.  Each record given to :func:`evaluate_cohort` has a patient on both
+arms.
 
 Combination semantics: every configured superiority rule on every analysed
 comparison must hold to declare GO, while any single futility rule firing
@@ -62,8 +64,8 @@ from functools import cache, lru_cache
 from typing import TYPE_CHECKING, ClassVar, NamedTuple, Sequence
 
 from .schema import param
-from .stats import (Cells, PosteriorBeta, TwoByTwo, ci, one_sided_prop_test,
-                    point_estimate, prob_exceeds, prob_greater_by_margin)
+from .stats import (Cells, PosteriorBeta, ci, one_sided_prop_test, point_estimate,
+                    prob_exceeds, prob_greater_by_margin)
 
 if TYPE_CHECKING:
     from .config import BetaPrior, ComparisonRules, DecisionRuleSet
@@ -84,12 +86,16 @@ COMPARISON_ARMS = {1: ("comb", "mono_a"), 2: ("comb", "mono_b"),
                    3: ("mono_a", "soc"), 4: ("mono_b", "soc")}
 
 
-@dataclass(frozen=True)
-class ComparisonData(TwoByTwo):
-    """The counts one comparison is analysed on, as dumped: the 2x2 table
-    (treatment = the numerator arm's own patients, comparator = its own
-    patients plus ``share_weight`` times the external pool) and that pool."""
+class ComparisonData(NamedTuple):
+    """The counts one comparison is analysed on, as dumped: the 2x2 table,
+    whose cells are the first four fields (treatment = the numerator arm's
+    own patients, comparator = its own patients plus ``share_weight`` times
+    the external pool), and that pool."""
 
+    t_resp: float
+    t_nonresp: float
+    c_resp: float
+    c_nonresp: float
     comparison: int
     share_weight: float | None = None  # None when no external data entered the table
     external_resp: float = 0.0
@@ -129,9 +135,8 @@ class Rule:
     superiority: ClassVar[bool] = False
     futility: ClassVar[bool] = False
 
-    def evaluate(self, t: TwoByTwo, prior: BetaPrior) -> RuleTrace:
-        """The rule's trace on the table ``t``; both arms must hold a patient."""
-        cells = t.cells()
+    def evaluate(self, cells: Cells, prior: BetaPrior) -> RuleTrace:
+        """The rule's trace on the table ``cells``; both arms must hold a patient."""
         _check_arms(cells)
         statistic = self.statistic(cells, prior)
         superior, futile, promising = self.judge(statistic)
@@ -398,7 +403,7 @@ def evaluate_cohort(plan: AnalysisPlan, data: Sequence[ComparisonData],
     over :func:`explain`'s outcomes."""
     rule_ids = plan.rule_ids[stage]
     flags = plan.flags
-    tables = [(rule_ids[t.comparison - 1], t.cells()) for t in data]
+    tables = [(rule_ids[t.comparison - 1], t[:4]) for t in data]
     for (futility, _), cells in tables:
         for rule_id in futility:
             if flags(rule_id, cells)[1]:
@@ -417,15 +422,15 @@ def is_superior(plan: AnalysisPlan, t: ComparisonData, stage: str) -> bool:
     """Whether the superiority rules of ``t``'s comparison at ``stage`` all
     hold on it, at least one being configured: its outcome's ``superior``."""
     superiority = plan.rule_ids[stage][t.comparison - 1][1]
-    cells = t.cells()
+    cells = t[:4]
     return bool(superiority) and all(plan.flags(rule_id, cells)[0] for rule_id in superiority)
 
 
-def comparison_outcome(rules: ComparisonRules, t: TwoByTwo,
+def comparison_outcome(rules: ComparisonRules, cells: Cells,
                        prior: BetaPrior) -> ComparisonOutcome:
-    """Every rule of ``rules`` on the table ``t``, in field order; both arms
-    must hold a patient."""
-    traces = tuple([rule.evaluate(t, prior) for rule in rules])
+    """Every rule of ``rules`` on the table ``cells``, in field order; both
+    arms must hold a patient."""
+    traces = tuple([rule.evaluate(cells, prior) for rule in rules])
     sup = [trace for rule, trace in zip(rules, traces) if rule.superiority]
     return ComparisonOutcome(
         superior=bool(sup) and all(trace.superior for trace in sup),
@@ -469,5 +474,5 @@ def explain(plan: AnalysisPlan, data: Sequence[ComparisonData], stage: str) -> C
     ``data`` evaluated (no memo) and folded by :func:`combine`, with
     ``comparisons[i]`` belonging to ``data[i]``."""
     stage_rules = plan.rules.for_stage(stage)
-    return combine([comparison_outcome(stage_rules[t.comparison - 1], t, plan.prior)
+    return combine([comparison_outcome(stage_rules[t.comparison - 1], t[:4], plan.prior)
                     for t in data], stage)

@@ -39,9 +39,10 @@ chunks only where it is read, for trajectory dumps.
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
 comparisons and the memo of rule flags come from the scenario's analysis plan
-(``decisions.plan_for``).  An analysis record keeps its data and its verdict
-only; the rule traces behind a verdict exist only in trajectory dumps
-(``decisions.explain``).
+(``decisions.plan_for``).  An analysis record (``AnalysisRecord``) keeps its
+data and its verdict only; the rule traces behind a verdict exist only in
+trajectory dumps (``decisions.explain``).  It and its data records
+(``decisions.ComparisonData``) are NamedTuples.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def cohort_layout(arms: tuple[str, ...], ratio: tuple[int, ...], transform,
     return template, cum_probs
 
 
-@dataclass(frozen=True)
-class AnalysisRecord:
+class AnalysisRecord(NamedTuple):
+    """One analysis of a cohort: its ``data`` records, one per analysed
+    comparison, and the ``verdict`` they gave."""
+
     stage: str
     n_enrolled: int
     patient_counter: int
@@ -337,11 +340,8 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
             if weight is not None:
                 den_r = den_r + weight * ext_r
                 den_n = den_n + weight * ext_n
-        record = object.__new__(ComparisonData)  # filled as pickle does: no __init__ to run
-        record.__dict__.update(t_resp=num_r, t_nonresp=num_n - num_r, c_resp=den_r,
-                               c_nonresp=den_n - den_r, comparison=comp, share_weight=weight,
-                               external_resp=ext_r, external_total=ext_n)
-        records.append(record)
+        records.append(ComparisonData(num_r, num_n - num_r, den_r, den_n - den_r, comp,
+                                      weight, ext_r, ext_n))
     return tuple(records)
 
 

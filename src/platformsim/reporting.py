@@ -11,7 +11,9 @@ scenario's rules and prior), so only dumps hold traces.  An analysis lists
 only the comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
-traces carry no comparison.  Dumps and OC files are written with sorted
+traces carry no comparison.  An analysis and each of its ``data`` records
+are NamedTuples, written as objects keyed by their field names
+(``_asdict``), never as lists.  Dumps and OC files are written with sorted
 keys and fixed float formatting so identical runs produce byte-identical
 files.
 """
@@ -53,8 +55,9 @@ def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
                 raise ValueError(f"cohort {c.id}: the {analysis.stage} verdict "
                                  f"{analysis.verdict} is not the rules' {decision.verdict}; "
                                  f"is {result.scenario_id!r} a trial of {spec.id!r}?")
-            rec = dataclasses.asdict(analysis)
+            rec = analysis._asdict()
             del rec["verdict"]
+            rec["data"] = [t._asdict() for t in analysis.data]
             rec["decision"] = dataclasses.asdict(decision)
             analyses.append(rec)
         cohorts.append({

@@ -119,13 +119,17 @@ def _convert(tp, raw, meta: Mapping, path: str):
         return math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {raw!r}")
-    if math.isinf(raw) and not meta.get("inf"):
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond a float's range
+        raise ConfigError(f"{path}: must be finite") from None
+    if math.isinf(value) and not meta.get("inf"):
         raise ConfigError(f"{path}: must be finite")
     if tp is int:
-        if not float(raw).is_integer():
+        if not value.is_integer():
             raise ConfigError(f"{path}: expected an integer, got {raw!r}")
         return int(raw)
-    return float(raw)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Numerical statistics primitives: Beta posterior comparisons, one-sided
 two-proportion tests, and point estimates / confidence intervals for 2x2
-count tables.
+count tables.  A table is its four cells, a plain tuple (:data:`Cells`).
 
 Everything here is pure and deterministic (never Monte Carlo), so decisions
 cannot depend on thread count or scheduling.  :func:`prob_greater_by_margin`
@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "PosteriorBeta", "TwoByTwo", "QuadratureError", "MIN_SHAPE", "reg_inc_beta",
-    "prob_greater_by_margin", "prob_exceeds", "one_sided_prop_test", "point_estimate", "ci",
+    "PosteriorBeta", "QuadratureError", "MIN_SHAPE", "prob_greater_by_margin", "prob_exceeds",
+    "one_sided_prop_test", "point_estimate", "ci",
 ]
 
 
@@ -39,37 +39,6 @@ class PosteriorBeta:
 #: a 2x2 table's cells: treatment responders and non-responders, then the comparator's.
 #: Counts may be fractional: dynamic sharing downweights external comparator patients
 Cells = tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class TwoByTwo:
-    """A 2x2 table with named cells; ``cells()`` gives the :data:`Cells` the
-    table functions below take."""
-
-    t_resp: float
-    t_nonresp: float
-    c_resp: float
-    c_nonresp: float
-
-    @property
-    def n_t(self) -> float:
-        return self.t_resp + self.t_nonresp
-
-    @property
-    def n_c(self) -> float:
-        return self.c_resp + self.c_nonresp
-
-    def cells(self) -> Cells:
-        return (self.t_resp, self.t_nonresp, self.c_resp, self.c_nonresp)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValueError(f"shape parameters must be finite and > 0, got ({a}, {b})")
-    return float(special.betainc(a, b, x))
 
 
 class QuadratureError(ArithmeticError):

@@ -287,12 +287,12 @@ def test_c12_sharing_modes():
     fill(c1, "soc", 70, [(1, 1)] * 2 + [(0, 0)] * 6)
 
     own = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, ALL, "cohort", "final")}
-    assert own[3].cells() == (2, 8, 3, 7)
-    assert own[4].cells() == (4, 6, 3, 7)
+    assert own[3][:4] == (2, 8, 3, 7)
+    assert own[4][:4] == (4, 6, 3, 7)
 
     pooled = {t.comparison: t for t in assemble_analysis_data([c0, c1], c0, ALL, "all", "final")}
-    assert pooled[3].cells() == (2, 8, 5, 13)
-    assert pooled[2].cells() == (8, 12, 6, 10)
+    assert pooled[3][:4] == (2, 8, 5, 13)
+    assert pooled[2][:4] == (8, 12, 6, 10)
 
     h0 = make_cohort(cid=0)
     h1 = make_cohort(cid=1)

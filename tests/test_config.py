@@ -3,9 +3,11 @@ import math
 import pickle
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platformsim.cli import EXIT_CONFIG, main
 from platformsim.config import (BetaPrior, ComparisonRules, ConfigError, CorrelatedTransform,
                                 DiscreteDist, EndpointModel, PlatformRules, TargetProfile,
                                 expand_grid, get_path, load_scenario, parse_scenario,
@@ -62,6 +64,20 @@ class TestParse:
     def test_inf_spelling(self):
         spec = parse_scenario(scenario_dict(sr_pats="inf"))
         assert math.isinf(spec.platform.sr_pats)
+
+    @pytest.mark.parametrize("field", ["cohorts_max", "cohort_random", "sr_pats"])
+    def test_integer_beyond_float_range(self, field, tmp_path, capsys):
+        # 10**400 has no float: the field must be rejected, not overflow
+        raw = scenario_dict(**{field: 10 ** 400})
+        with pytest.raises(ConfigError, match=rf"platform\.{field}: must be finite"):
+            parse_scenario(raw)
+        with pytest.raises(ConfigError, match=rf"axis platform\.{field}: must be finite"):
+            expand_grid(parse_scenario(scenario_dict()), {f"platform.{field}": [10 ** 400]})
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert f"platform.{field}: must be finite" in capsys.readouterr().err
 
     def test_yaml_text_and_dict_agree(self, example_config_path, example_spec):
         with open(example_config_path) as fh:

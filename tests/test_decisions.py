@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from platformsim import decisions, runner, stats
+from platformsim import decisions, runner
 from platformsim.config import (BayesFutRule, BayesSAFutRule, BayesSASupRule,
                                 BayesSupRule, BetaPrior, CISupFutRule,
                                 ComparisonRules, DecisionRuleSet, EstSupFutRule,
@@ -18,13 +18,12 @@ from platformsim.decisions import (ARM_ORDER, COMPARISON_ARMS, CONTINUE, FINAL, 
                                    ComparisonData, ComparisonOutcome, combine,
                                    comparison_outcome, evaluate_cohort, explain, is_superior)
 from platformsim.reporting import spec_hash
-from platformsim.stats import TwoByTwo
 
 from conftest import any_comparison_rules
 
 PRIOR = BetaPrior(1.0, 1.0)
-STRONG = TwoByTwo(90, 10, 10, 90)     # overwhelming treatment effect
-EQUAL = TwoByTwo(20, 30, 20, 30)
+STRONG = (90, 10, 10, 90)     # overwhelming treatment effect
+EQUAL = (20, 30, 20, 30)
 
 
 class TestBayesSup:
@@ -44,20 +43,20 @@ class TestBayesSup:
         # P(X > Y + 0.1) ~ 0.833 for (30/50 vs 20/50): below conf, and a
         # promising bound of 1.00 can never be crossed
         rule = BayesSupRule(rows=((0.10, 0.90, 1.00),))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
+        trace = rule.evaluate((30, 20, 20, 30), PRIOR)
         assert not trace.superior and not trace.promising
 
     def test_promising_threshold_crossed(self):
         rule = BayesSupRule(rows=((0.10, 0.90, 0.50),))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
+        trace = rule.evaluate((30, 20, 20, 30), PRIOR)
         assert not trace.superior and trace.promising
 
     def test_multi_row_all_must_hold(self):
         rule = BayesSupRule(rows=((0.10, 0.80, 1.00), (0.50, 0.80, 1.00)))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
+        trace = rule.evaluate((30, 20, 20, 30), PRIOR)
         assert not trace.superior  # the 0.50 margin row fails
         single = BayesSupRule(rows=((0.10, 0.80, 1.00),))
-        assert single.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
+        assert single.evaluate((30, 20, 20, 30), PRIOR).superior
 
 
 class TestBayesFut:
@@ -77,20 +76,20 @@ class TestBayesSingleArm:
     def test_sa_sup_two_rows(self):
         rule = BayesSASupRule(rows=((0.05, 0.70, 1.00), (0.10, 0.50, 1.00)))
         # posterior Beta(31, 21)
-        trace = rule.evaluate(TwoByTwo(30, 20, 0, 1), PRIOR)
+        trace = rule.evaluate((30, 20, 0, 1), PRIOR)
         assert trace.superior
-        assert trace == rule.evaluate(TwoByTwo(30, 20, 40, 9), PRIOR)
+        assert trace == rule.evaluate((30, 20, 40, 9), PRIOR)
 
     def test_sa_fut_no_responders(self):
         rule = BayesSAFutRule(rows=((0.10, 0.50),))
         # posterior Beta(1, 51)
-        trace = rule.evaluate(TwoByTwo(0, 50, 0, 1), PRIOR)
+        trace = rule.evaluate((0, 50, 0, 1), PRIOR)
         assert trace.futile
         assert trace.statistic[0] == pytest.approx(0.9 ** 51, rel=1e-9)
 
     def test_sa_sup_zero_threshold_always_holds(self):
         rule = BayesSASupRule(rows=((0.0, 0.99, 1.00),))
-        assert rule.evaluate(TwoByTwo(0, 10, 0, 1), PRIOR).superior
+        assert rule.evaluate((0, 10, 0, 1), PRIOR).superior
 
 
 class TestFreqRules:
@@ -98,18 +97,18 @@ class TestFreqRules:
         # table p-value = 0.0227513...
         sup = FreqSupRule(p_sup=0.05, p_adj="bonferroni_half")
         # 0.0228 < 0.025
-        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
+        assert sup.evaluate((30, 20, 20, 30), PRIOR).superior
         tight = FreqSupRule(p_sup=0.04, p_adj="bonferroni_half")
         # 0.0228 >= 0.02
-        assert not tight.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
+        assert not tight.evaluate((30, 20, 20, 30), PRIOR).superior
 
     def test_no_adjustment(self):
         sup = FreqSupRule(p_sup=0.025, p_adj="none")
-        assert sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR).superior
+        assert sup.evaluate((30, 20, 20, 30), PRIOR).superior
 
     def test_promising_level_zero_never(self):
         sup = FreqSupRule(p_sup=1e-9, p_prom=0.0)
-        trace = sup.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)
+        trace = sup.evaluate((30, 20, 20, 30), PRIOR)
         assert not trace.superior and not trace.promising
 
     def test_futility_boundary_inclusive(self):
@@ -121,7 +120,7 @@ class TestEstRule:
     RULE = EstSupFutRule(est="RR", p_hat_sup=1.2, p_hat_fut=1.0)
 
     def test_superior(self):
-        trace = self.RULE.evaluate(TwoByTwo(30, 20, 20, 30), PRIOR)  # RR 1.5
+        trace = self.RULE.evaluate((30, 20, 20, 30), PRIOR)  # RR 1.5
         assert trace.superior and not trace.futile
 
     def test_futile_at_boundary(self):
@@ -129,7 +128,7 @@ class TestEstRule:
         assert trace.futile and not trace.superior
 
     def test_gap_neither(self):
-        trace = self.RULE.evaluate(TwoByTwo(11, 39, 10, 40), PRIOR)  # RR 1.1
+        trace = self.RULE.evaluate((11, 39, 10, 40), PRIOR)  # RR 1.1
         assert not trace.superior and not trace.futile
 
 
@@ -137,7 +136,7 @@ class TestCIRule:
     RULE = CISupFutRule(est="RR", level=0.95, lower_sup=1.2, upper_fut=1.0)
 
     def test_strong_effect_superior(self):
-        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR)
+        trace = self.RULE.evaluate((40, 10, 10, 40), PRIOR)
         assert trace.superior
 
     def test_identical_arms_futile(self):
@@ -145,7 +144,7 @@ class TestCIRule:
         assert trace.futile  # CI contains 1
 
     def test_promising_inf_never(self):
-        trace = self.RULE.evaluate(TwoByTwo(40, 10, 10, 40), PRIOR)
+        trace = self.RULE.evaluate((40, 10, 10, 40), PRIOR)
         assert not trace.promising
 
 
@@ -166,7 +165,7 @@ def plan_of(stage_rules, prior=PRIOR):
 
 
 def data_for(comparison, table):
-    return ComparisonData(*table.cells(), comparison)
+    return ComparisonData(*table, comparison)
 
 
 def decide(stage_rules, data, stage):
@@ -198,7 +197,7 @@ class TestCombine:
 
     def test_final_neither_is_unsuccessful(self):
         rules = self.all_sup_rules()
-        weak = TwoByTwo(22, 28, 20, 30)  # too weak for the margin
+        weak = (22, 28, 20, 30)  # too weak for the margin
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
         decision = decide(rules, data, FINAL)
         assert decision.verdict == UNSUCCESSFUL_MAX_N
@@ -206,7 +205,7 @@ class TestCombine:
 
     def test_interim_neither_continues(self):
         rules = self.all_sup_rules()
-        weak = TwoByTwo(22, 28, 20, 30)
+        weak = (22, 28, 20, 30)
         data = tuple(data_for(i, weak if i == 3 else STRONG) for i in range(1, 5))
         assert decide(rules, data, INTERIM).verdict == CONTINUE
 
@@ -216,7 +215,7 @@ class TestCombine:
         rules = (ComparisonRules(est_sup_fut=(EstSupFutRule("RR", p_hat_sup=1.2,
                                                             p_hat_fut=2.0),),),
                  ComparisonRules(), ComparisonRules(), ComparisonRules())
-        data = (data_for(1, TwoByTwo(30, 20, 20, 30)),)  # RR 1.5: sup and fut both true
+        data = (data_for(1, (30, 20, 20, 30)),)  # RR 1.5: sup and fut both true
         decision = decide(rules, data, INTERIM)
         assert decision.verdict == STOP_FUTILITY
         assert "conservative" in decision.note
@@ -244,8 +243,7 @@ class TestCombine:
         decision = decide(rules, data, INTERIM)
         assert decision.verdict == GO
 
-    @pytest.mark.parametrize("empty", [TwoByTwo(5, 5, 0, 0), TwoByTwo(0, 0, 5, 5),
-                                       TwoByTwo(0.5, 0, 5, 5)])
+    @pytest.mark.parametrize("empty", [(5, 5, 0, 0), (0, 0, 5, 5), (0.5, 0, 5, 5)])
     def test_empty_arm_raises(self, empty):
         # single-arm rules too: every analysed comparison has patients on both arms
         rules = (comparison_rules(bayes_sup_margin=0.10),
@@ -271,7 +269,7 @@ class TestCombine:
     def test_adding_sup_rule_never_creates_go(self):
         base = (comparison_rules(bayes_sup_margin=0.10), ComparisonRules(),
                 ComparisonRules(), ComparisonRules())
-        data = (data_for(1, TwoByTwo(26, 24, 20, 30)),)
+        data = (data_for(1, (26, 24, 20, 30)),)
         base_verdict = decide(base, data, INTERIM).verdict
         extended = (ComparisonRules(
             bayes_sup=base[0].bayes_sup + (BayesSupRule(rows=((0.5, 0.99, 1.0),)),)),
@@ -311,7 +309,7 @@ class TestCombine:
     def test_promising_flag_all_comparisons(self):
         rules = tuple(ComparisonRules(
             bayes_sup=(BayesSupRule(rows=((0.0, 0.99999, 0.60),)),),) for _ in range(4))
-        data = tuple(data_for(i, TwoByTwo(35, 15, 20, 30)) for i in range(1, 5))
+        data = tuple(data_for(i, (35, 15, 20, 30)) for i in range(1, 5))
         decision = decide(rules, data, INTERIM)
         assert decision.verdict == CONTINUE
         assert decision.promising
@@ -361,7 +359,7 @@ def rule_id_pairs(plan, stage, comparison):
 
 
 def evaluated_flags(rule, cells, prior):
-    trace = rule.evaluate(TwoByTwo(*cells), prior)
+    trace = rule.evaluate(cells, prior)
     return trace.superior, trace.futile
 
 
@@ -407,7 +405,7 @@ class TestMemo:
         assert interim[0] == interim[1] == final[0] == final[1] == final[3]
         assert interim[2] == interim[3] == final[2]
         assert interim[0] != interim[2]
-        data = tuple(data_for(i, TwoByTwo(30, 20, 20, 30)) for i in range(1, 5))
+        data = tuple(data_for(i, (30, 20, 20, 30)) for i in range(1, 5))
         assert [is_superior(plan, t, stage) for stage in (INTERIM, FINAL) for t in data] == [
             True, True, False, False, True, True, False, True]
         info = plan.flags.cache_info()
@@ -417,9 +415,9 @@ class TestMemo:
         # the key leaves the prior out: another plan's entry must never answer.
         # The confidence lies between the two priors' probabilities, and the
         # other rules' margin is negative, so both plans' flags differ from the base's
-        cells = TwoByTwo(30, 20, 20, 30).cells()
+        cells = (30, 20, 20, 30)
         probe = BayesSupRule(rows=((0.10, 0.5, 1.0),))
-        p_uniform, p_jeffreys = (probe.evaluate(TwoByTwo(*cells), prior).statistic[0]
+        p_uniform, p_jeffreys = (probe.evaluate(cells, prior).statistic[0]
                                  for prior in PRIORS)
         assert p_uniform < p_jeffreys
         conf = (p_uniform + p_jeffreys) / 2
@@ -439,12 +437,10 @@ class TestMemo:
            st.integers(0, 60), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
     def test_outcome_reads_only_the_cells(self, rules, cells, prior, weight, ext_r, ext_n):
-        # the purity the memo key relies on: every rule reads nothing of the
+        # the purity the memo key relies on: an outcome reads nothing of the
         # record but its four cells, so sharing weight and pool stay out of it
         bare = ComparisonData(*cells, 2)
         shared = ComparisonData(*cells, 2, weight, float(ext_r), float(ext_r + ext_n))
-        for rule in rules:
-            assert repr(rule.evaluate(shared, prior)) == repr(rule.evaluate(bare, prior))
         stage = (ComparisonRules(), rules, ComparisonRules(), ComparisonRules())
         (with_pool,) = explain(plan_of(stage, prior), (shared,), INTERIM).comparisons
         (bare_outcome,) = explain(plan_of(stage, prior), (bare,), INTERIM).comparisons
@@ -493,7 +489,7 @@ def eager_decision(plan, data, stage):
     outcomes = []
     for t in data:
         rules = list(plan.rules.for_stage(stage)[t.comparison - 1])
-        traces = tuple(rule.evaluate(TwoByTwo(*t.cells()), plan.prior) for rule in rules)
+        traces = tuple(rule.evaluate(t[:4], plan.prior) for rule in rules)
         outcomes.append(ComparisonOutcome(*folded_outcome(rules, traces), traces=traces))
     return combine(outcomes, stage)
 
@@ -508,7 +504,7 @@ def needed_keys(plan, data, stage, decision):
             rules = plan.rules.for_stage(stage)[t.comparison - 1]
             for rule, trace in zip(rules, outcome.traces):
                 if getattr(rule, capable):
-                    keys.append((rule, t.cells()))
+                    keys.append((rule, t[:4]))
                     if settles(trace):
                         return keys
     return keys
@@ -543,7 +539,7 @@ class TestLazyVerdict:
     def test_class_flags_bound_the_traces(self, rules, cells, prior):
         # a verdict asks a rule only what its class declares it can answer
         for rule in rules:
-            trace = rule.evaluate(TwoByTwo(*cells), prior)
+            trace = rule.evaluate(cells, prior)
             assert rule.futility or rule.superiority
             assert rule.futility or not trace.futile
             assert rule.superiority or not (trace.superior or trace.promising)
@@ -554,7 +550,7 @@ class TestLazyVerdict:
         # stands, while explain, which evaluates every rule, raises
         rules = (comparison_rules(bayes_fut_conf=0.60), comparison_rules(bayes_sup_margin=0.10),
                  ComparisonRules(), ComparisonRules())
-        data = (data_for(1, EQUAL), data_for(2, TwoByTwo(5, 5, 0, 0)))
+        data = (data_for(1, EQUAL), data_for(2, (5, 5, 0, 0)))
         plan = plan_of(rules)
         assert evaluate_cohort(plan, data, INTERIM) == (STOP_FUTILITY, INTERIM)
         assert plan.flags.cache_info().misses == 1
@@ -569,7 +565,7 @@ SPARSE_TABLES = st.tuples(*[st.integers(0, 6).map(lambda k: k / 4)] * 4)
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("a verdict built a rule trace or a 2x2 table")
+    raise AssertionError("a verdict built a rule trace")
 
 
 class TestOneRulePath:
@@ -587,12 +583,12 @@ class TestOneRulePath:
         for rule, rule_id in pairs:
             if empty:
                 with pytest.raises(ValueError, match="fewer than one patient") as want:
-                    rule.evaluate(TwoByTwo(*cells), prior)
+                    rule.evaluate(cells, prior)
                 with pytest.raises(ValueError) as got:
                     plan.flags(rule_id, cells)
                 assert str(got.value) == str(want.value)
             else:
-                trace = rule.evaluate(TwoByTwo(*cells), prior)
+                trace = rule.evaluate(cells, prior)
                 assert plan.flags(rule_id, cells) == (trace.superior, trace.futile)
 
     @given(analyses())
@@ -602,9 +598,7 @@ class TestOneRulePath:
     def test_cold_verdict_builds_no_trace_or_table(self, case):
         plan, data, stage = case
         want = eager_decision(plan, data, stage)
-        with mock.patch.object(decisions, "RuleTrace", _forbidden), \
-                mock.patch.object(decisions, "TwoByTwo", _forbidden), \
-                mock.patch.object(stats, "TwoByTwo", _forbidden):
+        with mock.patch.object(decisions, "RuleTrace", _forbidden):
             assert evaluate_cohort(plan, data, stage) == (want.verdict, stage)
             assert [is_superior(plan, t, stage) for t in data] == [
                 o.superior for o in want.comparisons]
@@ -630,7 +624,7 @@ def folded_outcome(rules, traces):
             bool(sup) and all(s.superior or s.promising for s in sup), len(sup))
 
 
-EDGE_TABLE = TwoByTwo(30, 20, 20, 30)
+EDGE_TABLE = (30, 20, 20, 30)
 # each kind with the first column of its rows: margins, or single-arm thresholds
 EDGE_KINDS = [(BayesSupRule, (-0.1, 0.0, 0.1)), (BayesFutRule, (-0.1, 0.0, 0.1)),
               (BayesSASupRule, (0.3, 0.5, 0.7)), (BayesSAFutRule, (0.3, 0.5, 0.7))]
@@ -689,7 +683,7 @@ class TestOnePassVerdicts:
     @given(ACTIVE_RULES, TABLES, st.sampled_from(PRIORS))
     @settings(max_examples=80, deadline=None)
     def test_outcome_matches_the_fold(self, rules, cells, prior):
-        got = comparison_outcome(rules, TwoByTwo(*cells), prior)
+        got = comparison_outcome(rules, cells, prior)
         flags = (got.superior, got.futile, got.promising, got.n_sup_rules)
         assert flags == folded_outcome(list(rules), got.traces)
         assert all(type(flag) is bool for flag in flags[:3])

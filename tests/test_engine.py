@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -16,12 +17,12 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
-                                ARM_INDEX, ARM_ORDER, DROPS_SOC, SHARED_ARMS, CohortState,
+                                ARM_INDEX, ARM_ORDER, DROPS_SOC, SHARED_ARMS, AnalysisRecord,
+                                CohortState,
                                 assemble_analysis_data, classify_decision, cohort_layout,
                                 cum_pair_probs, draw_patients, simulate_trial)
 from platformsim.reporting import arm_lists, dump_trajectory
 from platformsim.runner import derive_rng
-from platformsim.stats import TwoByTwo
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
 
@@ -351,6 +352,23 @@ class TestSimulateTrial:
         a = simulate_trial(spec, derive_rng(9, 0, 0))
         b = simulate_trial(spec, derive_rng(9, 0, 0))
         assert dump_trajectory(a, spec) == dump_trajectory(b, spec)
+
+    @pytest.mark.parametrize("mode", ["cohort", "dynamic"])
+    def test_dumped_analyses_are_objects_of_their_fields(self, mode):
+        # records are NamedTuples: a dump must write them keyed by field, never as lists
+        spec = make_scenario(cohort_random=0.05, sharing_type=mode)
+        analysed = 0
+        for k in range(5):
+            result = simulate_trial(spec, derive_rng(9, 0, k))
+            dumped = json.loads(dump_trajectory(result, spec))["Stage_Data"]["cohorts"]
+            for c, cohort in zip(result.cohorts, dumped, strict=True):
+                for a, rec in zip(c.analyses, cohort["analyses"], strict=True):
+                    assert set(rec) == {*AnalysisRecord._fields, "decision"} - {"verdict"}
+                    assert all(set(t) == set(ComparisonData._fields) for t in rec["data"])
+                    assert [t._asdict() for t in a.data] == rec["data"]
+                    assert len(rec["decision"]["comparisons"]) == len(rec["data"])
+                    analysed += len(rec["data"])
+        assert analysed
 
     def test_patient_log_joins_the_recorded_chunks(self, monkeypatch):
         # safety stops record a cut last block; sr_pats halts cohorts with no patients
@@ -762,13 +780,13 @@ class TestInvariants:
         assert decision.verdict == a.verdict
         stage_rules = spec.rules.for_stage(a.stage)
         assert decision.comparisons == tuple(
-            comparison_outcome(stage_rules[t.comparison - 1], TwoByTwo(*t.cells()), spec.prior)
+            comparison_outcome(stage_rules[t.comparison - 1], t[:4], spec.prior)
             for t in a.data)
         for t in a.data:
-            assert t.n_t >= 1 and t.n_c >= 1
+            assert type(t) is ComparisonData
+            assert t.t_resp + t.t_nonresp >= 1 and t.c_resp + t.c_nonresp >= 1
             num, den = COMPARISON_ARMS[t.comparison]
             r, n = counts(c, num)
-            assert (t.t_resp, t.t_nonresp) == (r, n - r)
             ext_r = ext_n = 0
             if mode != "cohort" and den in SHARED_ARMS:
                 start = c.open_index if mode == "concurrent" else 0
@@ -781,9 +799,6 @@ class TestInvariants:
             assert mode == "dynamic" or t.share_weight in (None, 1.0)
             own_r, own_n = counts(c, den)
             w = t.share_weight or 0.0
-            assert t.c_resp == own_r + w * ext_r
-            assert t.c_resp + t.c_nonresp == pytest.approx(own_n + w * ext_n)
-            # the record is the value its __init__ builds from its fields, bit for bit
-            same = ComparisonData(*dataclasses.astuple(t))
-            assert type(t) is ComparisonData and repr(t) == repr(same) and t == same
-            assert hash(t) == hash(same)
+            # the first four fields are the cells, the comparator's pooled as the engine adds them
+            c_resp, c_total = own_r + w * ext_r, own_n + w * ext_n
+            assert t[:4] == (r, n - r, c_resp, c_total - c_resp)

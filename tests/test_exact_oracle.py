@@ -263,7 +263,7 @@ def test_two_cohort_design_is_as_enumerated():
             (analysis,) = c.analyses
             assert analysis.stage == FINAL and analysis.patient_counter == 200
             (data,) = analysis.data
-            assert data.comparison == 2 and data.n_t == N_COMB
+            assert data.comparison == 2 and data.t_resp + data.t_nonresp == N_COMB
             assert data.external_total == N_BACK
             w.append(data.share_weight)
     assert 0.0 < min(w) < 1.0
@@ -354,12 +354,13 @@ def test_staggered_design_is_as_enumerated(mode):
             (analysis,) = c.analyses
             assert analysis.stage == FINAL and analysis.patient_counter == at
             (data,) = analysis.data
-            assert data.comparison == 2 and data.n_t == N_COMB
+            assert data.comparison == 2 and data.t_resp + data.t_nonresp == N_COMB
             assert data.external_total == n_ext
             own = c.per_arm["mono_b"].n
             assert own == N_BACK
             assert (data.share_weight is not None and 0.0 <= data.share_weight <= 1.0
-                    and data.n_c == pytest.approx(own + data.share_weight * n_ext))
+                    and data.c_resp + data.c_nonresp
+                    == pytest.approx(own + data.share_weight * n_ext))
 
 
 @pytest.mark.parametrize("mode", ["all", "concurrent", "dynamic"])

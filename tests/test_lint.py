@@ -1,5 +1,6 @@
-"""Lint of the package and test modules that needs only the standard
-library: every name a module imports is read somewhere in it."""
+"""Lint of the package, test and script modules that needs only the
+standard library: every name a module imports is read somewhere in it, and
+every name its ``__all__`` lists is bound at its top level."""
 
 import ast
 import pathlib
@@ -7,7 +8,11 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"),
+                  *ROOT.glob("scripts/*.py")])
+#: nodes whose names are local to them, not bound at the top level of the module
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def unread_imports(source: str) -> list[str]:
@@ -41,3 +46,40 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """The names the ``__all__`` of ``source`` lists and nothing at its top
+    level binds: not a definition, an import or an assignment, also in an
+    ``if`` or ``try`` there."""
+    tree = ast.parse(source)
+    bound, exported, todo = set(), [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__"
+                                                  for target in node.targets):
+            exported = ast.literal_eval(node.value)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted(set(exported) - bound)
+
+
+def test_unbound_exports_are_found():
+    source = ("import os.path\nfrom math import pi as half\nx, (y, z) = 1, (2, 3)\n"
+              "try:\n    import json\nexcept ImportError:\n    json = None\n"
+              "def f():\n    inner = 1\nclass C:\n    attr = 1\n"
+              "squares = [k * k for k in range(3)]\n"
+              "__all__ = ['os', 'half', 'pi', 'x', 'z', 'json', 'f', 'C', 'squares', 'inner',\n"
+              "           'attr', 'k', 'gone']\n")
+    assert unbound_exports(source) == ["attr", "gone", "inner", "k", "pi"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []

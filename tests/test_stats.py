@@ -13,9 +13,8 @@ from scipy.special import betaln, gammaln, logsumexp
 
 from platformsim import stats
 from platformsim.config import BayesSupRule, BetaPrior
-from platformsim.stats import (PosteriorBeta, QuadratureError, TwoByTwo, ci,
-                               one_sided_prop_test, point_estimate, prob_exceeds,
-                               prob_greater_by_margin, reg_inc_beta)
+from platformsim.stats import (PosteriorBeta, QuadratureError, ci, one_sided_prop_test,
+                               point_estimate, prob_exceeds, prob_greater_by_margin)
 
 
 def cook_prob_greater(ax: int, bx: float, ay: float, by: float) -> float:
@@ -53,39 +52,6 @@ def margin_reference(ax: int, bx: int, ay: int, by: int, delta: float) -> float:
 
 def shapes(hi):
     return st.floats(0.05, hi, exclude_min=True)
-
-
-class TestRegIncBeta:
-    def test_uniform_cdf(self):
-        assert reg_inc_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_closed_form_a_equals_one(self):
-        # I_x(1, b) = 1 - (1-x)^b
-        assert reg_inc_beta(0.3, 1.0, 4.0) == pytest.approx(1.0 - 0.7 ** 4, abs=1e-12)
-
-    @given(st.floats(0.01, 0.99), st.floats(0.1, 50.0), st.floats(0.1, 50.0))
-    @settings(max_examples=100, deadline=None)
-    def test_reflection_identity(self, x, a, b):
-        assert reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_continued_fraction_oracle(self):
-        # independent high-precision oracle (mpmath's arbitrary-precision
-        # implementation) on a random parameter grid
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        rng = np.random.default_rng(12345)
-        for _ in range(300):
-            x = float(rng.uniform(0.001, 0.999))
-            a = float(rng.uniform(0.1, 120.0))
-            b = float(rng.uniform(0.1, 120.0))
-            expected = float(mp.betainc(a, b, 0, x, regularized=True))
-            assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, -1.0, 1.0)
 
 
 class TestProbGreaterByMargin:
@@ -383,7 +349,7 @@ class TestLargeShapes:
     def test_rules_under_a_large_prior(self):
         # Beta(1e8, 1e8) prior, 30/50 against 20/50 responders, margin 1e-6
         rule = BayesSupRule(rows=((1e-6, 0.5, 1.0),))
-        trace = rule.evaluate(TwoByTwo(30, 20, 20, 30), BetaPrior(1e8, 1e8))
+        trace = rule.evaluate((30, 20, 20, 30), BetaPrior(1e8, 1e8))
         assert trace.statistic == pytest.approx((0.49242055165408704,), abs=1e-6)
         assert not trace.superior
 
@@ -461,12 +427,6 @@ class TestNonFiniteInputs:
         x, y = PosteriorBeta(*x), PosteriorBeta(*y)
         assert prob_greater_by_margin(x, y, math.inf) == 0.0
         assert prob_greater_by_margin(x, y, -math.inf) == 1.0
-
-    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
-                                      (1.0, math.inf)])
-    def test_incomplete_beta_needs_finite_shapes(self, a, b):
-        with pytest.raises(ValueError, match="finite"):
-            reg_inc_beta(0.5, a, b)
 
 
 #: each 2x2 function, called on a table's cells
@@ -610,9 +570,33 @@ class TestProbExceeds:
     def test_uniform(self):
         assert prob_exceeds(PosteriorBeta(1, 1), 0.1) == pytest.approx(0.9, abs=1e-12)
 
-    def test_cross_check_incomplete_beta(self):
-        p = prob_exceeds(PosteriorBeta(3, 7), 0.3)
-        assert p == pytest.approx(1.0 - reg_inc_beta(0.3, 3, 7), abs=1e-12)
+    def test_closed_form_alpha_one(self):
+        # P(X > x) = (1 - x)^b for X ~ Beta(1, b)
+        assert prob_exceeds(PosteriorBeta(1, 4), 0.3) == pytest.approx(0.7 ** 4, abs=1e-12)
+
+    @given(st.floats(0.01, 0.99), st.floats(0.1, 50.0), st.floats(0.1, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_reflection_identity(self, x, a, b):
+        # X > x exactly when 1 - X < 1 - x, and 1 - X ~ Beta(b, a)
+        assert prob_exceeds(PosteriorBeta(a, b), x) + prob_exceeds(PosteriorBeta(b, a), 1.0 - x) \
+            == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_mpmath_oracle(self):
+        # independent high-precision oracle (mpmath's arbitrary-precision
+        # regularized incomplete beta) on a random parameter grid
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        rng = np.random.default_rng(12345)
+        for _ in range(300):
+            x = float(rng.uniform(0.001, 0.999))
+            a = float(rng.uniform(0.1, 120.0))
+            b = float(rng.uniform(0.1, 120.0))
+            expected = float(mp.betainc(a, b, 0, x, regularized=True))
+            assert 1.0 - prob_exceeds(PosteriorBeta(a, b), x) == pytest.approx(expected, abs=1e-12)
+
+    def test_threshold_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="threshold"):
+            prob_exceeds(PosteriorBeta(1, 1), 1.5)
 
 
 class TestOneSidedPropTest:
