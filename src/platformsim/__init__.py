@@ -4,10 +4,10 @@ sharing, platform-level stopping and operating-characteristics aggregation."""
 
 from .config import (BetaPrior, DiscreteDist, EfficacySpec, EndpointModel,
                      PlatformRules, ScenarioSpec, TargetProfile, expand_grid,
-                     load_scenario, parse_scenario, serialize_scenario, validate)
+                     load_scenario, parse_scenario, validate)
 from .efficacy import CohortTruth, apply_effect, classify_truth, draw_cohort_truth
-from .engine import TrialResult, simulate_trial
-from .ocs import OperatingCharacteristics, TrialAccumulator, aggregate, merge
+from .engine import Trial, simulate_trial
+from .ocs import OperatingCharacteristics, TrialAccumulator
 from .runner import derive_rng, run_ocs, run_single_trial
 from .stats import (PosteriorBeta, QuadratureError, ci, one_sided_prop_test, point_estimate,
                     prob_exceeds, prob_greater_by_margin)
@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaPrior", "DiscreteDist", "EfficacySpec", "EndpointModel", "PlatformRules",
     "ScenarioSpec", "TargetProfile", "expand_grid", "load_scenario", "parse_scenario",
-    "serialize_scenario", "validate",
+    "validate",
     "CohortTruth", "apply_effect", "classify_truth", "draw_cohort_truth",
-    "TrialResult", "simulate_trial",
-    "OperatingCharacteristics", "TrialAccumulator", "aggregate", "merge",
+    "Trial", "simulate_trial",
+    "OperatingCharacteristics", "TrialAccumulator",
     "derive_rng", "run_ocs", "run_single_trial",
     "PosteriorBeta", "QuadratureError", "ci", "one_sided_prop_test", "point_estimate",
     "prob_exceeds", "prob_greater_by_margin",

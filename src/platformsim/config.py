@@ -57,7 +57,7 @@ from .decisions import (ARM_ORDER, COMPARISON_ARMS, BayesFutRule, BayesSAFutRule
                         BayesSASupRule, BayesSupRule, CISupFutRule, EstSupFutRule, FreqFutRule,
                         FreqSupRule)
 from .schema import ConfigError, Violation, dump, param, parse, parse_field, violations
-from .stats import MIN_SHAPE
+from .stats import MAX_PRIOR_SHAPE, MIN_SHAPE
 
 RANDOM_TYPES = ("absolute", "risk_difference", "risk_ratio", "odds_ratio")
 TRIAL_STRUCTURES = ("all_plac", "no_plac", "stop_post_back", "stop_post_mono")
@@ -91,10 +91,6 @@ class DiscreteDist:
         cumulative probability exceeds ``u``."""
         i = bisect.bisect_right(self._cum, u)
         return self.values[min(i, len(self.values) - 1)]
-
-    @classmethod
-    def point(cls, value: float) -> "DiscreteDist":
-        return cls((value,), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -186,8 +182,8 @@ class TargetProfile:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    alpha: float = param(1.0, lo=MIN_SHAPE)
-    beta: float = param(1.0, lo=MIN_SHAPE)
+    alpha: float = param(1.0, lo=MIN_SHAPE, hi=MAX_PRIOR_SHAPE)
+    beta: float = param(1.0, lo=MIN_SHAPE, hi=MAX_PRIOR_SHAPE)
 
 
 @dataclass(frozen=True)
@@ -331,10 +327,6 @@ def load_scenario(path) -> ScenarioSpec:
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return dump(spec)
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    return yaml.safe_dump(scenario_to_dict(spec), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

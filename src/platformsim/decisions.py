@@ -338,10 +338,6 @@ class CohortDecision:
     comparisons: tuple[ComparisonOutcome, ...]
     note: str = ""
 
-    @property
-    def traces(self) -> tuple[RuleTrace, ...]:
-        return tuple(t for c in self.comparisons for t in c.traces)
-
 
 class Verdict(NamedTuple):
     """What one analysis decided (``verdict``), at which ``stage``."""

@@ -31,10 +31,11 @@ Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
 the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
 pool is the difference of two tallies.
 
-A trial returns the ``CohortState`` objects it ran as its record of the
-cohorts, read-only once returned: per-arm counts and the confusion outcome
-are read off the tallies, and the patient log is joined from its recorded
-chunks only where it is read, for trajectory dumps.
+``simulate_trial`` returns the ``Trial`` it ran, with the ``CohortState``
+objects of its cohorts, as the trial's one record, read-only once returned:
+per-arm counts and the confusion outcome are read off the tallies, a
+cohort's block count off its size, and the patient log is joined from its
+recorded chunks only where it is read, for trajectory dumps.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
@@ -50,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -144,8 +144,8 @@ class CohortState:
     changed in place)."""
 
     __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
-                 "status", "analyses", "has_interim", "block", "blocks", "drawn",
-                 "n", "tally", "tallies_at_open", "_chunks")
+                 "status", "analyses", "block", "drawn", "n", "tally", "tallies_at_open",
+                 "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
                  truth: CohortTruth, truth_class: str, block: int, drawn: np.ndarray,
@@ -158,9 +158,7 @@ class CohortState:
         self.truth_class = truth_class
         self.status = ENROLLING
         self.analyses: list[AnalysisRecord] = []
-        self.has_interim = False
         self.block = block
-        self.blocks = 0
         self.drawn = drawn
         self.n = 0
         self.tally = (0,) * 16
@@ -190,15 +188,10 @@ class CohortState:
         return Patients(np.concatenate(idx), code >> 2, code & 3)
 
     @property
-    def per_arm(self) -> dict[str, ArmResult]:
-        """The counts of each of the cohort's arms."""
-        per_arm = {}
-        for arm in self.arms:
-            pairs = self.pair_counts(arm)
-            per_arm[arm] = ArmResult(n=sum(pairs), bio_responders=pairs[2] + pairs[3],
-                                     hist_responders=pairs[1] + pairs[3], pairs=pairs,
-                                     true_rate=self.truth.rate(arm))
-        return per_arm
+    def blocks(self) -> int:
+        """The randomization blocks the cohort began: a safety stop cuts its
+        last block after the stopping patient, who is enrolled."""
+        return -(-self.n // self.block)
 
     @property
     def confusion(self) -> str | None:
@@ -208,35 +201,6 @@ class CohortState:
     def pair_counts(self, arm: str) -> tuple[int, int, int, int]:
         i = 4 * ARM_INDEX[arm]
         return self.tally[i:i + 4]
-
-
-# ---------------------------------------------------------------------------
-# result records
-
-
-@dataclass(frozen=True)
-class ArmResult:
-    n: int
-    bio_responders: int
-    hist_responders: int
-    pairs: tuple[int, int, int, int]
-    true_rate: float
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One finished trial.  Its cohorts are the engine's own records, read-only
-    once returned."""
-
-    scenario_id: str
-    total_n: int
-    cohorts: tuple[CohortState, ...]
-    successes: int
-    first_success: dict | None
-    entry_closed_index: int | None
-    recruitment_halt_index: int | None
-    safety_stops: tuple[tuple[int, int], ...]  # (cohort id, patient counter)
-    soc_slot_patients: int
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +321,16 @@ def classify_decision(cohort_status: str, truth_class: str) -> str | None:
     return None
 
 
-class _Platform:
-    """Mutable platform state for one trial."""
+class Trial:
+    """One platform trial: the engine's working state while it runs, and the
+    trial's record once ``simulate_trial`` returns it, read-only from then on.
+    ``total_n`` is the platform-wide patient counter."""
 
     def __init__(self, spec: ScenarioSpec, rng):
         self.spec = spec
         self.rng = rng
         self.plan = plan_for(spec.rules, spec.prior)
-        self.patient_counter = 0
+        self.total_n = 0
         self.cohorts: list[CohortState] = []
         self.successes = 0
         self.drops_soc = DROPS_SOC.get(spec.platform.trial_struc, ())
@@ -372,10 +338,15 @@ class _Platform:
         self.first_success: dict | None = None
         self.entry_closed_index: int | None = None
         self.recruitment_halt_index: int | None = None
-        self.safety_stops: list[tuple[int, int]] = []
+        self.safety_stops: list[tuple[int, int]] = []  # (cohort id, patient counter)
         # patient counters of the next safety stop and the next cohort entry
         self.next_safety: float = math.inf
         self.next_entry: float = math.inf
+
+    @property
+    def soc_slot_patients(self) -> int:
+        """The SoC slots of every block the cohorts began."""
+        return self.spec.platform.allocation_ratio[3] * sum(c.blocks for c in self.cohorts)
 
     def _waiting_time(self, p: float) -> float:
         """Patients up to and including the first success of a Bernoulli(p)
@@ -405,7 +376,7 @@ class _Platform:
         blocks = -(-spec.platform.n_fin // template.size)
         drawn = draw_patients(template, cum_probs, blocks, self.rng)
         truth_class = classify_truth(truth, spec.target, has_soc_comparisons="soc" in arms)
-        cohort = CohortState(len(self.cohorts), self.patient_counter, arms, truth,
+        cohort = CohortState(len(self.cohorts), self.total_n, arms, truth,
                              truth_class, template.size, drawn, self.cohorts)
         self.cohorts.append(cohort)
         return cohort
@@ -421,14 +392,14 @@ class _Platform:
         patients that ``cohort_offset`` lets open a cohort."""
         if self.entry_possible():
             first = max(self.cohorts[-1].open_index + self.spec.platform.cohort_offset,
-                        self.patient_counter + 1)
+                        self.total_n + 1)
             self.next_entry = first - 1 + self._waiting_time(self.spec.platform.cohort_random)
         else:
             self.next_entry = math.inf
 
     def close_entry(self) -> None:
         if self.entry_closed_index is None:
-            self.entry_closed_index = self.patient_counter
+            self.entry_closed_index = self.total_n
 
     # --- enrollment --------------------------------------------------------
 
@@ -443,7 +414,7 @@ class _Platform:
         cohort after the entry patient."""
         p = self.spec.platform
         round_n = sum(c.block for c in enrolling)
-        first = self.patient_counter
+        first = self.total_n
         next_event = min(self.next_safety, self.next_entry)
         if next_event > first + round_n:
             k = min(self._rounds_to_analysis(c) for c in enrolling)
@@ -453,12 +424,10 @@ class _Platform:
                 k = min(k, (next_event - first - 1) // round_n)
             for cohort in enrolling:
                 cohort.record(k * cohort.block, first, round_n, k)
-                cohort.blocks += k
                 first += cohort.block
-            self.patient_counter = first + (k - 1) * round_n
+            self.total_n = first + (k - 1) * round_n
             return
         for cohort in enrolling:
-            cohort.blocks += 1
             start, end = first, first + cohort.block  # start: the next unrecorded index
             while cohort.status == ENROLLING:
                 counter = min(self.next_safety, self.next_entry)
@@ -471,17 +440,17 @@ class _Platform:
                     self.next_safety = counter + self._waiting_time(p.safety_prob)
                 if counter == self.next_entry:  # snapshot after the entry patient
                     cohort.record(counter - start, start)
-                    start = self.patient_counter = counter
+                    start = self.total_n = counter
                     self.open_cohort()
                     self.schedule_entry()
             cohort.record(end - start, start)
             first = end
-        self.patient_counter = first
+        self.total_n = first
 
     def _rounds_to_analysis(self, cohort: CohortState) -> int:
         """Rounds until ``cohort`` reaches the size of its next analysis."""
         p = self.spec.platform
-        size = p.n_int if p.n_int < p.n_fin and not cohort.has_interim else p.n_fin
+        size = p.n_int if p.n_int < p.n_fin and not cohort.analyses else p.n_fin
         return -(-(size - cohort.n) // cohort.block)
 
     # --- analyses ----------------------------------------------------------
@@ -492,10 +461,8 @@ class _Platform:
                                       self.spec.platform.sharing_type, stage)
         verdict = evaluate_cohort(self.plan, data, stage).verdict
         cohort.analyses.append(AnalysisRecord(
-            stage=stage, n_enrolled=cohort.n, patient_counter=self.patient_counter,
+            stage=stage, n_enrolled=cohort.n, patient_counter=self.total_n,
             halted=halted, data=data, verdict=verdict))
-        if stage == INTERIM:
-            cohort.has_interim = True
 
         # the platform flag for post-success SoC omission in new cohorts
         if self.drops_soc and not self.soc_dropped:
@@ -504,22 +471,22 @@ class _Platform:
 
         if verdict == GO:
             cohort.status = STOPPED_INTERIM_EFFICACY if stage == INTERIM else COMPLETED_GO
-            cohort.close_index = self.patient_counter
+            cohort.close_index = self.total_n
             self.successes += 1
             if self.first_success is None:
                 self.first_success = {
                     "cohort_id": cohort.id,
-                    "patient_counter": self.patient_counter,
+                    "patient_counter": self.total_n,
                     "soc_patients": sum(sum(c.pair_counts("soc")) for c in self.cohorts),
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }
         elif verdict == STOP_FUTILITY:
             cohort.status = STOPPED_INTERIM_FUTILITY if stage == INTERIM else COMPLETED_FUTILITY
-            cohort.close_index = self.patient_counter
+            cohort.close_index = self.total_n
         elif verdict == UNSUCCESSFUL_MAX_N:
             cohort.status = COMPLETED_UNSUCCESSFUL
-            cohort.close_index = self.patient_counter
+            cohort.close_index = self.total_n
         # CONTINUE keeps enrolling
 
     def halt_enrolling_cohorts(self) -> None:
@@ -530,7 +497,7 @@ class _Platform:
         when it analyses any comparison there."""
         self.close_entry()
         if self.recruitment_halt_index is None:
-            self.recruitment_halt_index = self.patient_counter
+            self.recruitment_halt_index = self.total_n
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
@@ -538,7 +505,7 @@ class _Platform:
                 self.run_analysis(cohort, FINAL, halted=True)  # never CONTINUE
             else:
                 cohort.status = HALTED_RECRUITMENT
-                cohort.close_index = self.patient_counter
+                cohort.close_index = self.total_n
 
     def end_round(self) -> None:
         """Size-triggered analyses in cohort order, then platform-level
@@ -549,8 +516,9 @@ class _Platform:
                 continue
             size = cohort.n
             # with n_int == n_fin the stages coincide: only the final runs;
-            # a final analysis always ends enrolment
-            if p.n_int < p.n_fin and size >= p.n_int and not cohort.has_interim:
+            # a final analysis always ends enrolment, so any analysis of an
+            # enrolling cohort is its interim
+            if p.n_int < p.n_fin and size >= p.n_int and not cohort.analyses:
                 self.run_analysis(cohort, INTERIM)
             if cohort.status == ENROLLING and size >= p.n_fin:
                 self.run_analysis(cohort, FINAL)
@@ -559,14 +527,15 @@ class _Platform:
             self.close_entry()
             if not p.run_out_active_cohorts:
                 self.halt_enrolling_cohorts()
-        if self.patient_counter >= p.sr_pats:
+        if self.total_n >= p.sr_pats:
             self.halt_enrolling_cohorts()
         if not self.entry_possible():
             self.next_entry = math.inf
 
 
-def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
-    """Simulate one platform-trial trajectory to completion.
+def simulate_trial(spec: ScenarioSpec, rng) -> Trial:
+    """Simulate one platform-trial trajectory to completion and return its
+    ``Trial``, read-only from then on.
 
     Identical (spec, generator state) pairs produce identical results.  The
     generator is consumed in a fixed documented order (random stream
@@ -586,28 +555,17 @@ def simulate_trial(spec: ScenarioSpec, rng) -> TrialResult:
 
     Enrolment draws nothing: each cohort enrols its drawn patients in order.
     """
-    state = _Platform(spec, rng)
+    trial = Trial(spec, rng)
     p = spec.platform
     for _ in range(p.initial_cohorts):
-        state.open_cohort()
-    state.next_safety = state._waiting_time(p.safety_prob)
-    state.schedule_entry()
+        trial.open_cohort()
+    trial.next_safety = trial._waiting_time(p.safety_prob)
+    trial.schedule_entry()
 
     while True:
-        enrolling = [c for c in state.cohorts if c.status == ENROLLING]
+        enrolling = [c for c in trial.cohorts if c.status == ENROLLING]
         if not enrolling:
             break
-        state.enroll(enrolling)
-        state.end_round()
-
-    return TrialResult(
-        scenario_id=spec.id,
-        total_n=state.patient_counter,
-        cohorts=tuple(state.cohorts),
-        successes=state.successes,
-        first_success=state.first_success,
-        entry_closed_index=state.entry_closed_index,
-        recruitment_halt_index=state.recruitment_halt_index,
-        safety_stops=tuple(state.safety_stops),
-        soc_slot_patients=p.allocation_ratio[3] * sum(c.blocks for c in state.cohorts),
-    )
+        trial.enroll(enrolling)
+        trial.end_round()
+    return trial

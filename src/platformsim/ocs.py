@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .engine import (ARM_INDEX, ARM_ORDER, STOPPED_INTERIM_EFFICACY,
-                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, TrialResult)
+                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, Trial)
 
 #: column suffix of each arm's per-arm OCs
 ARM_SUFFIX = dict(zip(ARM_ORDER, ("Comb", "Mono", "Back", "Plac")))
@@ -77,7 +77,7 @@ class TrialSummary(NamedTuple):
     cohorts_max: int
 
 
-def summarize_trial(result: TrialResult, cohorts_max: int) -> TrialSummary:
+def summarize_trial(result: Trial, cohorts_max: int) -> TrialSummary:
     pat, suc_bio, suc_hist = ([0] * len(ARM_ORDER) for _ in range(3))
     rr = [[] for _ in ARM_ORDER]
     tp = fp = tn = fn = 0
@@ -256,7 +256,7 @@ class TrialAccumulator:
     def __init__(self):
         self.records: dict[int, TrialSummary] = {}
 
-    def add(self, iteration_index: int, result: TrialResult, cohorts_max: int) -> None:
+    def add(self, iteration_index: int, result: Trial, cohorts_max: int) -> None:
         if iteration_index in self.records:
             raise ValueError(f"iteration {iteration_index} already accumulated")
         self.records[iteration_index] = summarize_trial(result, cohorts_max)
@@ -306,21 +306,3 @@ def _sample_sd(xs: Sequence[float]) -> float:
     s = sum(d)
     return math.sqrt(max(0.0, (sum(x * x for x in d) - s * s / len(d)) / (len(d) - 1)))
 
-
-def merge(a: TrialAccumulator, b: TrialAccumulator) -> TrialAccumulator:
-    """Merge accumulators from disjoint iteration sets (associative and
-    commutative; overlapping indices are an error)."""
-    out = TrialAccumulator()
-    out.merge_in(a)
-    out.merge_in(b)
-    return out
-
-
-def aggregate(results: Sequence[TrialResult], cohorts_max: int) -> OperatingCharacteristics:
-    """Aggregate trial results (in iteration order) into one OC record."""
-    if not results:
-        raise ValueError("results must be non-empty")
-    acc = TrialAccumulator()
-    for i, r in enumerate(results):
-        acc.add(i, r, cohorts_max)
-    return acc.finalize()

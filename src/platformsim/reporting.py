@@ -3,8 +3,9 @@
 Trajectory dumps are JSON files with a ``Trial_Overview`` section (platform
 level summary) and a ``Stage_Data`` section (full per-cohort records
 including per-patient outcomes and per-analysis rule traces), built field by
-field from the trial's ``engine.CohortState`` records.  Dumps are the only
-reader of a cohort's patient log (``arm_lists``).  A trial keeps only each
+field from the ``engine.Trial`` and its ``engine.CohortState`` records.  A
+cohort's per-arm records (``arm_record``) are built from its tally and its
+patient log, of which dumps are the only reader.  A trial keeps only each
 analysis's data and verdict; its ``decision``, rule traces included, is
 computed when the dump is written (``decisions.explain`` under the
 scenario's rules and prior), so only dumps hold traces.  An analysis lists
@@ -29,20 +30,24 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
 from .decisions import ARM_ORDER, explain, plan_for
-from .engine import ARM_INDEX, STREAM_VERSION, Patients, TrialResult
+from .engine import ARM_INDEX, STREAM_VERSION, CohortState, Patients, Trial
 from .ocs import OperatingCharacteristics
 
 
-def arm_lists(patients: Patients, arm: str) -> dict[str, list[int]]:
-    """Enrolment indices and interim ('bio') / final ('hist') outcomes of
-    one arm's patients in a cohort's patient log."""
+def arm_record(cohort: CohortState, patients: Patients, arm: str) -> dict:
+    """The dump of one arm of ``cohort``: its counts and true rate, and the
+    enrolment indices and interim ('bio') / final ('hist') outcomes of its
+    patients in the cohort's patient log ``patients``."""
+    pairs = cohort.pair_counts(arm)
     on_arm = patients.arm == ARM_INDEX[arm]
     pair = patients.pair[on_arm]
-    return {"enroll_idx": patients.idx[on_arm].tolist(),
+    return {"n": sum(pairs), "bio_responders": pairs[2] + pairs[3],
+            "hist_responders": pairs[1] + pairs[3], "pairs": pairs,
+            "true_rate": cohort.truth.rate(arm), "enroll_idx": patients.idx[on_arm].tolist(),
             "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
 
 
-def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
+def trial_result_to_dump(result: Trial, spec: ScenarioSpec) -> dict:
     """The dump of ``result``, a trial of ``spec``."""
     plan = plan_for(spec.rules, spec.prior)
     cohorts = []
@@ -54,7 +59,7 @@ def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
             if decision.verdict != analysis.verdict:
                 raise ValueError(f"cohort {c.id}: the {analysis.stage} verdict "
                                  f"{analysis.verdict} is not the rules' {decision.verdict}; "
-                                 f"is {result.scenario_id!r} a trial of {spec.id!r}?")
+                                 f"is {result.spec.id!r} a trial of {spec.id!r}?")
             rec = analysis._asdict()
             del rec["verdict"]
             rec["data"] = [t._asdict() for t in analysis.data]
@@ -65,12 +70,11 @@ def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
             "arms": c.arms, "truth": {arm: c.truth.rate(arm) for arm in ARM_ORDER},
             "truth_clamped": c.truth.clamped, "truth_class": c.truth_class,
             "status": c.status, "blocks": c.blocks,
-            "per_arm": {arm: {**dataclasses.asdict(rec), **arm_lists(patients, arm)}
-                        for arm, rec in c.per_arm.items()},
+            "per_arm": {arm: arm_record(c, patients, arm) for arm in c.arms},
             "analyses": analyses, "confusion": c.confusion,
         })
     overview = {
-        "scenario_id": result.scenario_id,
+        "scenario_id": result.spec.id,
         "Total_N": result.total_n,
         "successes": result.successes,
         "n_cohorts": len(cohorts),
@@ -90,11 +94,11 @@ def trial_result_to_dump(result: TrialResult, spec: ScenarioSpec) -> dict:
     return {"Trial_Overview": overview, "Stage_Data": {"cohorts": cohorts}}
 
 
-def dump_trajectory(result: TrialResult, spec: ScenarioSpec) -> str:
+def dump_trajectory(result: Trial, spec: ScenarioSpec) -> str:
     return json.dumps(trial_result_to_dump(result, spec), sort_keys=True, indent=1)
 
 
-def write_trajectory(path, result: TrialResult, spec: ScenarioSpec) -> None:
+def write_trajectory(path, result: Trial, spec: ScenarioSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_trajectory(result, spec))
         fh.write("\n")

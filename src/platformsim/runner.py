@@ -10,8 +10,10 @@ whole grid in order on one process pool (or in this process for one
 worker), merges each scenario's accumulators and yields its OCs as soon as
 its last chunk is in.  :func:`run_ocs` is its one-scenario case.  Tasks
 carry the scenario object itself (pickled, not re-parsed from a dict).
-The scheduler only simulates and accumulates; one trial to inspect comes
-from :func:`run_single_trial` on the same (seed, scenario, iteration) cell.
+The scheduler only simulates and accumulates, each trial's ``engine.Trial``
+summarised as soon as it returns; one trial to inspect comes from
+:func:`run_single_trial` on the same (seed, scenario, iteration) cell, as
+its ``Trial``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .config import ScenarioSpec
 from .decisions import plan_for
-from .engine import TrialResult, simulate_trial
+from .engine import Trial, simulate_trial
 from .ocs import OperatingCharacteristics, TrialAccumulator
 
 
@@ -36,7 +38,7 @@ def derive_rng(master_seed: int, scenario_index: int, iteration_index: int) -> n
 
 
 def run_single_trial(spec: ScenarioSpec, master_seed: int,
-                     scenario_index: int = 0, iteration_index: int = 0) -> TrialResult:
+                     scenario_index: int = 0, iteration_index: int = 0) -> Trial:
     return simulate_trial(spec, derive_rng(master_seed, scenario_index, iteration_index))
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "PosteriorBeta", "QuadratureError", "MIN_SHAPE", "prob_greater_by_margin", "prob_exceeds",
-    "one_sided_prop_test", "point_estimate", "ci",
+    "PosteriorBeta", "QuadratureError", "MIN_SHAPE", "MAX_PRIOR_SHAPE", "prob_greater_by_margin",
+    "prob_exceeds", "one_sided_prop_test", "point_estimate", "ci",
 ]
 
 
@@ -43,13 +43,16 @@ Cells = tuple[float, float, float, float]
 
 class QuadratureError(ArithmeticError):
     """``prob_greater_by_margin`` got a shape below ``MIN_SHAPE``, above 2e9 or NaN, or no
-    two successive panel levels agreed by ``_MAX_PANELS``; ``args`` is
-    (a_X, b_X, a_Y, b_Y, delta)."""
+    two successive levels of panels at most ``_PANEL_WIDTH`` wide agreed by ``_MAX_PANELS``;
+    ``args`` is (a_X, b_X, a_Y, b_Y, delta)."""
 
 
 #: The smallest Beta shape ``prob_greater_by_margin`` answers for, and so the smallest
 #: prior shape validation admits (``config.BetaPrior``)
 MIN_SHAPE = 0.01
+#: The largest prior shape validation admits (``config.BetaPrior``): half the largest
+#: shape ``prob_greater_by_margin`` answers for, which leaves 1e9 for the counts
+MAX_PRIOR_SHAPE = 1e9
 
 
 # 32-point Gauss-Legendre nodes/weights on [-1, 1]
@@ -57,6 +60,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 _QUAD_TOL = 5e-8  # coarse pairs of estimates can agree to 5e-7 while 3e-6 off
 _MAX_PANELS = 512
+# Wider panels (in z) can agree while both miss the edge of S_X, about 1 wide, that a large
+# b_X gives: for X ~ Beta(0.05, 2515) against Beta(0.05, 0.05), 4 and 8 panels of a window
+# 447 wide agree to 2.4e-8 and are 2.7e-6 off.  Windows of shapes >= 1 are at most 46.1
+# wide, so this bound first binds below shape 1, where it asks for up to 512 panels
+_PANEL_WIDTH = 16.0
 _TAIL = 1e-10  # Y mass each cut-off logit tail may hold
 # Above this shape or sum of shapes (far above a trial's counts) lgamma differences lose
 # digits, and the tail bounds can reach past 80 SDs of logit(Y): so narrow a posterior can
@@ -143,7 +151,7 @@ def _quadrature(ax: float, bx: float, ay: float, by: float, delta: float) -> flo
         quad = (ax, bx, ay, by, delta, zl, zr, lnorm)
         prev, cur = _estimates(*quad, (2, 4), p, q)
         n = 4
-        while abs(cur - prev) >= _QUAD_TOL:
+        while abs(cur - prev) >= _QUAD_TOL or zr - zl > _PANEL_WIDTH * n:
             n *= 2
             if n > _MAX_PANELS:
                 raise QuadratureError(*args)
@@ -239,9 +247,10 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
     """P(X > Y + delta) for independent Beta posteriors, to 1e-6 absolute.
 
     Every shape is a prior shape plus counts, and validation admits prior
-    shapes of at least ``MIN_SHAPE`` = 0.01 (``config.BetaPrior``), so shapes
-    lie in [0.01, 2e9].  Tests check 0.01 to 0.05 against shapes to 1e9 + 0.5
-    (identical posteriors come within 2.6e-7 of 1/2), 0.05 to 5000 at random,
+    shapes in [``MIN_SHAPE``, ``MAX_PRIOR_SHAPE``] = [0.01, 1e9]
+    (``config.BetaPrior``), so with up to 1e9 counts shapes lie in [0.01,
+    2e9].  Tests check 0.01 to 0.05 against shapes to 1e9 + 0.5 (identical
+    posteriors come within 2.6e-7 of 1/2), 0.05 to 5000 at random,
     and large-shape cases to 1e9.  Shapes below 0.01 or above 2e9 raise
     QuadratureError: below 0.01 the quadrature loses the mass of X's CDF
     where exp(logit(y)) underflows (a shape of 0.005 against 1e9 + 0.5 would
@@ -271,9 +280,12 @@ def prob_greater_by_margin(x: PosteriorBeta, y: PosteriorBeta, delta: float) -> 
     the narrower posterior, and over at most 80 SDs of logit(Y) about its
     mean when Y's shapes sum past 1e4.  The end map t -> t^2 / (t^2 + 1 - t),
     or its mirror, smooths the fractional power S_X has where a margin cuts
-    the range at x = 0 or 1.  Raises QuadratureError rather than return an
-    unconverged value if successive Gauss-Legendre panel doublings do not
-    agree to 5e-8 by 512 panels, and ValueError on a NaN margin.  A margin
+    the range at x = 0 or 1.  Panels are at most 16 wide in z, so that below
+    shape 1, where the window can span thousands, coarse levels cannot agree
+    while both miss the edge a large b_X gives S_X.  Raises QuadratureError
+    rather than return an unconverged value if successive Gauss-Legendre
+    panel doublings do not agree to 5e-8 by 512 panels, and ValueError on a
+    NaN margin.  A margin
     of inf gives exactly 0, one of -inf exactly 1.
     """
     ax, bx, ay, by, delta = (float(x.alpha), float(x.beta), float(y.alpha), float(y.beta),

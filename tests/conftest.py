@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from platformsim.config import COMPARISON_KEYS, ComparisonRules, parse_scenario
+from platformsim.ocs import TrialAccumulator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -60,6 +61,14 @@ def scenario_dict(*, rates=(0.35, 0.2, 0.2, 0.1), scenario_id="test",
 
 def make_scenario(**kwargs):
     return parse_scenario(scenario_dict(**kwargs))
+
+
+def aggregate(trials, cohorts_max):
+    """The OCs of ``trials``, the i-th as iteration i."""
+    acc = TrialAccumulator()
+    for i, trial in enumerate(trials):
+        acc.add(i, trial, cohorts_max)
+    return acc.finalize()
 
 
 @pytest.fixture(scope="session")

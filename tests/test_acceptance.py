@@ -17,12 +17,11 @@ import pytest
 from platformsim.cli import main as cli_main
 from platformsim.config import IdentityTransform
 from platformsim.engine import STOPPED_SAFETY, simulate_trial
-from platformsim.ocs import aggregate
-from platformsim.reporting import arm_lists
+from platformsim.reporting import arm_record
 from platformsim.runner import derive_rng, run_ocs
 from platformsim.stats import PosteriorBeta, one_sided_prop_test, prob_greater_by_margin
 
-from conftest import CONFIGS, make_scenario, scenario_dict
+from conftest import CONFIGS, aggregate, make_scenario, scenario_dict
 from test_ocs import fake_trial
 from test_engine import ALL, block_arms, fill, make_cohort, outcome_pairs
 
@@ -93,10 +92,10 @@ def test_c04_identity_transform_interim_equals_final():
     spec = make_scenario(cohort_random=0.1, cohorts_max=3)
     result = simulate_trial(spec, derive_rng(17, 0, 0))
     for c in result.cohorts:
-        for arm, rec in c.per_arm.items():
-            patients = arm_lists(c.patients, arm)
-            assert patients["bio"] == patients["hist"]
-            assert rec.pairs[1] == 0 and rec.pairs[2] == 0
+        for arm in c.arms:
+            rec = arm_record(c, c.patients, arm)
+            assert rec["bio"] == rec["hist"]
+            assert rec["pairs"][1] == 0 and rec["pairs"][2] == 0
     report("C04 identity-transform-exact", "100000 patients")
 
 
@@ -175,7 +174,7 @@ def test_c08_stopping_semantics():
         result = simulate_trial(safety_spec, derive_rng(32, 0, k))
         for c in result.cohorts:
             assert c.status == STOPPED_SAFETY
-            assert sum(rec.n for rec in c.per_arm.values()) == 1
+            assert sum(sum(c.pair_counts(arm)) for arm in c.arms) == 1
     report("C08 stopping-semantics", f"{with_success}/500 trials had a success")
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -334,3 +336,27 @@ class TestPlotData:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["plot-data", "--dump", str(bad), "--out", str(tmp_path)]) == 3
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The OC files, the grid table and the dumps, which build their rule
+    traces when written, are the same bytes under two hash seeds: no cached
+    hash and no dict or set order reaches them."""
+    src = str(CONFIGS.parent / "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"hashseed-{seed}"
+        for args in (["ocs", "--config", str(CONFIGS / "example_scenario.yaml"),
+                      "--iterations", "20", "--workers", "2", "--dump-trajectories", "2",
+                      "--out", str(out / "ocs")],
+                     ["grid", "--config", str(CONFIGS / "grid_base.yaml"),
+                      "--axes", str(CONFIGS / "grid_axes.yaml"), "--iterations", "2",
+                      "--workers", "2", "--out", str(out / "grid")]):
+            subprocess.run([sys.executable, "-m", "platformsim.cli", *args], env=env,
+                           check=True, capture_output=True)
+    for name in ("ocs/ocs.json", "ocs/ocs.csv", "grid/grid_results.csv",
+                 "ocs/trajectories/trajectory_000000.json",
+                 "ocs/trajectories/trajectory_000001.json"):
+        first = (tmp_path / "hashseed-1" / name).read_bytes()
+        assert first and first == (tmp_path / "hashseed-2" / name).read_bytes(), name

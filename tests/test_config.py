@@ -11,9 +11,11 @@ from platformsim.cli import EXIT_CONFIG, main
 from platformsim.config import (BetaPrior, ComparisonRules, ConfigError, CorrelatedTransform,
                                 DiscreteDist, EndpointModel, PlatformRules, TargetProfile,
                                 expand_grid, get_path, load_scenario, parse_scenario,
-                                scenario_to_dict, serialize_scenario, validate)
+                                scenario_to_dict, validate)
 from platformsim.decisions import BayesFutRule, BayesSupRule
 from platformsim.reporting import spec_hash
+from platformsim.runner import run_single_trial
+from platformsim.stats import MAX_PRIOR_SHAPE
 
 from conftest import CONFIGS, ROOT, RULE_KINDS, any_comparison_rules, rules_of, scenario_dict
 
@@ -179,9 +181,13 @@ def validate_unchecked(d):
     return validate(scenario_from_dict(d))
 
 
+def to_yaml(spec):
+    return yaml.safe_dump(scenario_to_dict(spec), sort_keys=False)
+
+
 class TestRoundTrip:
     def test_example_round_trip(self, example_spec):
-        assert parse_scenario(serialize_scenario(example_spec)) == example_spec
+        assert parse_scenario(to_yaml(example_spec)) == example_spec
 
     def test_round_trip_with_correlated_transform_and_inf(self):
         d = scenario_dict(sr_pats="inf", sr_drugs_pos=2)
@@ -192,7 +198,7 @@ class TestRoundTrip:
             {"est": "RR", "p_hat_sup": 1.2, "p_hat_fut": 1.0, "p_hat_prom": "inf"}]
         spec = parse_scenario(d)
         assert isinstance(spec.endpoint.transforms[1], CorrelatedTransform)
-        assert parse_scenario(serialize_scenario(spec)) == spec
+        assert parse_scenario(to_yaml(spec)) == spec
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -323,7 +329,7 @@ class TestDiscreteDist:
 
     def test_point_mass(self):
         import numpy as np
-        d = DiscreteDist.point(0.4)
+        d = DiscreteDist((0.4,), (1.0,))
         rng = np.random.default_rng(0)
         assert all(d.sample(rng) == 0.4 for _ in range(10))
 
@@ -404,7 +410,7 @@ class TestRuleKinds:
     def test_in_limits_rules_round_trip(self, rules):
         spec = with_rules(parse_scenario(scenario_dict()), rules)
         assert [v for v in validate(spec) if v.severity == "error"] == []
-        assert parse_scenario(serialize_scenario(spec)) == spec
+        assert parse_scenario(to_yaml(spec)) == spec
 
     @pytest.mark.parametrize("key,name,column,bad", LIMIT_SITES)
     @given(data=st.data())
@@ -498,3 +504,25 @@ class TestSectionLimits:
             parse_scenario(d)
         d["prior"] = {"alpha": 0.01, "beta": 0.01}
         assert parse_scenario(d).prior == BetaPrior(0.01, 0.01)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_prior_above_the_kernel_domain_is_rejected(self, name, example_config_path,
+                                                       tmp_path, capsys):
+        # a 3e9 shape is past the 2e9 the kernel answers for: every Bayesian
+        # analysis would raise QuadratureError
+        with open(example_config_path) as fh:
+            raw = yaml.safe_load(fh)
+        raw["prior"][name] = 3e9
+        with pytest.raises(ConfigError, match=rf"prior\.{name}"):
+            parse_scenario(raw)
+        path = tmp_path / "prior.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["ocs", "--config", str(path), "--iterations", "2",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"prior.{name}" in capsys.readouterr().err
+
+    def test_prior_at_the_cap_runs_a_trial(self):
+        d = scenario_dict()
+        d["prior"] = {"alpha": MAX_PRIOR_SHAPE, "beta": MAX_PRIOR_SHAPE}
+        trial = run_single_trial(parse_scenario(d), 1)
+        assert all(c.analyses for c in trial.cohorts)

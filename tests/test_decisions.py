@@ -302,7 +302,7 @@ class TestCombine:
             ComparisonRules(), ComparisonRules(), ComparisonRules())
         data = (data_for(1, STRONG),)
         decision = decide(rules, data, INTERIM)
-        kinds = sorted(t.kind for t in decision.traces)
+        kinds = sorted(t.kind for o in decision.comparisons for t in o.traces)
         assert kinds == sorted(["bayes_sup", "bayes_fut", "bayes_sa_sup", "bayes_sa_fut",
                                 "freq_sup", "freq_fut", "est_sup_fut", "ci_sup_fut"])
 

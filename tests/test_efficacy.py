@@ -13,7 +13,7 @@ from platformsim.efficacy import (FUTILE, SUPERIOR, CohortTruth, apply_effect,
 def efficacy(random_type, comb, mono_a, mono_b, soc):
     def dist(v):
         return DiscreteDist(tuple(v[0]), tuple(v[1])) if isinstance(v, tuple) \
-            else DiscreteDist.point(v)
+            else DiscreteDist((v,), (1.0,))
     return EfficacySpec(random_type=random_type, comb=dist(comb),
                         mono_a=dist(mono_a), mono_b=dist(mono_b), soc=dist(soc))
 

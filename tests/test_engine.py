@@ -21,7 +21,7 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 CohortState,
                                 assemble_analysis_data, classify_decision, cohort_layout,
                                 cum_pair_probs, draw_patients, simulate_trial)
-from platformsim.reporting import arm_lists, dump_trajectory
+from platformsim.reporting import arm_record, dump_trajectory
 from platformsim.runner import derive_rng
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
@@ -298,7 +298,7 @@ class TestSimulateTrial:
         spec = make_scenario(cohort_random=0.05)
         for k in range(20):
             result = simulate_trial(spec, derive_rng(3, 0, k))
-            ledger_total = sum(rec.n for c in result.cohorts for rec in c.per_arm.values())
+            ledger_total = sum(sum(c.pair_counts(arm)) for c in result.cohorts for arm in c.arms)
             assert result.total_n == ledger_total
 
     def test_sample_size_windows(self):
@@ -337,7 +337,7 @@ class TestSimulateTrial:
         assert result.cohorts  # at least the initial cohort
         for c in result.cohorts:
             assert c.status == STOPPED_SAFETY
-            assert sum(rec.n for rec in c.per_arm.values()) == 1
+            assert sum(sum(c.pair_counts(arm)) for arm in c.arms) == 1
             assert c.confusion is None
 
     def test_safety_prob_zero_never_stops(self):
@@ -496,7 +496,7 @@ class TestSimulateTrial:
         for k in range(20):
             result = simulate_trial(spec, derive_rng(12, 0, k))
             assert all(c.status != HALTED_RECRUITMENT or
-                       sum(r.n for r in c.per_arm.values()) == 0
+                       sum(sum(c.pair_counts(arm)) for arm in c.arms) == 0
                        for c in result.cohorts)
 
     def test_no_run_out_halts_active_cohorts(self):
@@ -715,29 +715,32 @@ class TestInvariants:
             check_draw(c, p)
             ratio = {arm: r for arm, r in zip(ARM_ORDER, p.allocation_ratio) if arm in c.arms}
             block = sum(ratio.values())
-            n = sum(rec.n for rec in c.per_arm.values())
+            per_arm = {arm: sum(c.pair_counts(arm)) for arm in c.arms}
+            n = sum(per_arm.values())
             if c.status == STOPPED_SAFETY:
                 # the last block is cut after the patient that stopped it
                 assert c.patients.idx[-1] == c.close_index - 1
-                assert (c.blocks - 1) * block < n <= c.blocks * block
-                for arm, rec in c.per_arm.items():
-                    assert ratio[arm] * (c.blocks - 1) <= rec.n <= ratio[arm] * c.blocks
+                for arm, arm_n in per_arm.items():
+                    assert ratio[arm] * (c.blocks - 1) <= arm_n <= ratio[arm] * c.blocks
             else:
-                assert all(rec.n == ratio[arm] * c.blocks for arm, rec in c.per_arm.items())
+                # whole blocks only: n is a multiple of the block size
+                assert all(arm_n == ratio[arm] * c.blocks for arm, arm_n in per_arm.items())
             for a in c.analyses:
                 if a.halted:
                     continue
                 size = p.n_fin if a.stage == "final" else p.n_int
                 assert size <= a.n_enrolled < size + block
-            for arm, rec in c.per_arm.items():
-                n00, n01, n10, n11 = rec.pairs
-                assert sum(rec.pairs) == rec.n
-                assert rec.bio_responders == n10 + n11
-                assert rec.hist_responders == n01 + n11
-                patients = arm_lists(c.patients, arm)
-                assert sum(patients["bio"]) == rec.bio_responders
-                assert sum(patients["hist"]) == rec.hist_responders
-                assert len(patients["enroll_idx"]) == rec.n
+            patients = c.patients
+            for arm in c.arms:
+                rec = arm_record(c, patients, arm)
+                n00, n01, n10, n11 = rec["pairs"]
+                assert rec["n"] == per_arm[arm] == n00 + n01 + n10 + n11
+                assert rec["bio_responders"] == n10 + n11
+                assert rec["hist_responders"] == n01 + n11
+                assert rec["true_rate"] == c.truth.rate(arm)
+                assert sum(rec["bio"]) == rec["bio_responders"]
+                assert sum(rec["hist"]) == rec["hist_responders"]
+                assert len(rec["enroll_idx"]) == rec["n"]
             for a in c.analyses:
                 self.check_analysed_counts(result, c, a, spec)
             # a halted cohort is analysed unless it has nothing to analyse

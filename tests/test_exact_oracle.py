@@ -356,7 +356,7 @@ def test_staggered_design_is_as_enumerated(mode):
             (data,) = analysis.data
             assert data.comparison == 2 and data.t_resp + data.t_nonresp == N_COMB
             assert data.external_total == n_ext
-            own = c.per_arm["mono_b"].n
+            own = sum(c.pair_counts("mono_b"))
             assert own == N_BACK
             assert (data.share_weight is not None and 0.0 <= data.share_weight <= 1.0
                     and data.c_resp + data.c_nonresp

@@ -1,6 +1,8 @@
 """Lint of the package, test and script modules that needs only the
-standard library: every name a module imports is read somewhere in it, and
-every name its ``__all__`` lists is bound at its top level."""
+standard library: every name a module imports is read somewhere in it,
+every name its ``__all__`` lists is bound at its top level, and every
+function, class and method the package defines is read by the package, the
+benchmark or the scripts, not by the tests alone."""
 
 import ast
 import pathlib
@@ -10,6 +12,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"),
                   *ROOT.glob("scripts/*.py")])
+PACKAGE = sorted(ROOT.glob("src/**/*.py"))
+#: the modules whose reads keep a package definition in use
+READERS = sorted([*PACKAGE, *ROOT.glob("bench/**/*.py"), *ROOT.glob("scripts/*.py")])
 #: nodes whose names are local to them, not bound at the top level of the module
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda, ast.ListComp,
            ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -83,3 +88,39 @@ def test_unbound_exports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
+    """The names of the functions, classes and methods that the sources
+    ``defining`` define and no source of ``reading`` reads, as a name or as an
+    attribute.  Imports, ``__all__`` entries and other strings are no reads,
+    and dunder names are exempt."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted({node.name for source in defining for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))
+                   and node.name not in read})
+
+
+def test_unread_definitions_are_found():
+    package = ("from .stats import exported\n"
+               "__all__ = ['exported', 'Listed']\n"
+               "def helper():\n    \"\"\"Not ``orphan``.\"\"\"\n    return 'orphan'\n"
+               "def orphan():\n    return helper()\n"
+               "class Listed:\n    def __init__(self):\n        self.ok = 1\n"
+               "    def method(self):\n        pass\n"
+               "    def called(self):\n        pass\n"
+               "def exported():\n    pass\n")
+    bench = "import pkg\npkg.Listed().called()\nok = pkg.Listed().ok\n"
+    assert unread_definitions([package], [package, bench]) == ["exported", "method", "orphan"]
+
+
+def test_every_package_definition_is_read():
+    assert unread_definitions([p.read_text(encoding="utf-8") for p in PACKAGE],
+                              [p.read_text(encoding="utf-8") for p in READERS]) == []

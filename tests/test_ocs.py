@@ -8,12 +8,12 @@ from platformsim.efficacy import CohortTruth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, ARM_INDEX,
-                                ARM_ORDER, CohortState, TrialResult, simulate_trial)
-from platformsim.ocs import TrialAccumulator, aggregate, merge, summarize_trial
+                                ARM_ORDER, CohortState, Trial, simulate_trial)
+from platformsim.ocs import TrialAccumulator, summarize_trial
 from platformsim.reporting import ocs_csv_columns
 from platformsim.runner import derive_rng
 
-from conftest import make_scenario
+from conftest import aggregate, make_scenario
 
 
 def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.1)):
@@ -26,25 +26,27 @@ def fake_cohort(cid, status, truth_class, n_per_arm=10, rates=(0.4, 0.2, 0.2, 0.
     cohort.record(codes.size, 0)
     cohort.status = status
     cohort.close_index = 4 * n_per_arm
-    cohort.blocks = n_per_arm
     return cohort
 
 
-def fake_trial(cohort_specs, successes=None, soc_slots=0, rates=None):
-    """``rates``: optional true (comb, mono_a, mono_b, soc) rates per cohort."""
+#: a 1:1:1:1 allocation, as in ``fake_cohort``'s blocks
+FIXTURE_SPEC = make_scenario(allocation_ratio=[1, 1, 1, 1], scenario_id="fixture")
+
+
+def fake_trial(cohort_specs, successes=None, rates=None):
+    """A finished trial of ``fake_cohort``s, 40 patients each.  ``rates``:
+    optional true (comb, mono_a, mono_b, soc) rates per cohort."""
     rates = rates or [(0.4, 0.2, 0.2, 0.1)] * len(cohort_specs)
-    cohorts = tuple(fake_cohort(i, status, truth, rates=r)
-                    for i, ((status, truth), r) in enumerate(zip(cohort_specs, rates)))
-    n_success = sum(c.status in (COMPLETED_GO, STOPPED_INTERIM_EFFICACY) for c in cohorts)
-    first = None
+    trial = Trial(FIXTURE_SPEC, None)
+    trial.cohorts = [fake_cohort(i, status, truth, rates=r)
+                     for i, ((status, truth), r) in enumerate(zip(cohort_specs, rates))]
+    n_success = sum(c.status in (COMPLETED_GO, STOPPED_INTERIM_EFFICACY) for c in trial.cohorts)
     if n_success:
-        first = {"cohort_id": 0, "patient_counter": 40, "soc_patients": 10,
-                 "cohorts_opened": len(cohorts), "stage": "final"}
-    return TrialResult(
-        scenario_id="fixture", total_n=sum(40 for _ in cohorts), cohorts=cohorts,
-        successes=successes if successes is not None else n_success,
-        first_success=first, entry_closed_index=None, recruitment_halt_index=None,
-        safety_stops=(), soc_slot_patients=soc_slots)
+        trial.first_success = {"cohort_id": 0, "patient_counter": 40, "soc_patients": 10,
+                               "cohorts_opened": len(trial.cohorts), "stage": "final"}
+    trial.total_n = 40 * len(trial.cohorts)
+    trial.successes = successes if successes is not None else n_success
+    return trial
 
 
 class TestHandCountedFixture:
@@ -171,7 +173,7 @@ class TestRecordFormat:
         for t in trials:
             s = summarize_trial(t, 5)
             for arm, i in ARM_INDEX.items():
-                rates = tuple(c.per_arm[arm].true_rate for c in t.cohorts if arm in c.per_arm)
+                rates = tuple(c.truth.rate(arm) for c in t.cohorts if arm in c.arms)
                 total = 0.0
                 for rate in rates:
                     total += rate
@@ -204,22 +206,33 @@ class TestMergeSemantics:
             whole.add(k, simulate_trial(spec, derive_rng(55, 0, k)), 5)
         return parts, whole
 
+    @staticmethod
+    def merged(*parts):
+        """A new accumulator that ``merge_in`` has given each of ``parts``."""
+        out = TrialAccumulator()
+        for part in parts:
+            out.merge_in(part)
+        return out
+
     def test_merge_identity_element(self):
         parts, _ = self.accumulators(8)
-        merged = merge(parts[0], TrialAccumulator())
+        merged = self.merged(parts[0], TrialAccumulator())
         assert merged.records == parts[0].records
 
     def test_merge_commutative(self):
         parts, _ = self.accumulators(8)
-        ab = merge(parts[0], parts[1])
-        ba = merge(parts[1], parts[0])
+        ab = self.merged(parts[0], parts[1])
+        ba = self.merged(parts[1], parts[0])
         assert ab.records == ba.records
         assert ab.finalize() == ba.finalize()
 
     def test_parallel_reduction_equals_sequential(self):
         parts, whole = self.accumulators(40)
-        merged = merge(merge(parts[0], parts[1]), merge(parts[2], parts[3]))
+        merged = self.merged(self.merged(parts[0], parts[1]), self.merged(parts[2], parts[3]))
         assert merged.finalize() == whole.finalize()
+        # associative: another grouping gives the same records
+        regrouped = self.merged(parts[0], self.merged(parts[1], parts[2], parts[3]))
+        assert regrouped.records == merged.records == whole.records
 
     def test_permutation_invariance(self):
         _, whole = self.accumulators(16)
@@ -232,13 +245,11 @@ class TestMergeSemantics:
     def test_overlap_rejected(self):
         parts, _ = self.accumulators(8)
         with pytest.raises(ValueError, match="overlap"):
-            merge(parts[0], parts[0])
+            self.merged(parts[0], parts[0])
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ValueError):
             TrialAccumulator().finalize()
-        with pytest.raises(ValueError):
-            aggregate([], cohorts_max=5)
 
 
 class TestInterpretedMetrics:
@@ -298,6 +309,9 @@ class TestInterpretedMetrics:
         assert "Avg_RR_Plac_undefined" not in ocs_csv_columns()
 
     def test_soc_slot_pool(self):
-        t = fake_trial([(COMPLETED_GO, "superior")], soc_slots=17)
-        ocs = aggregate([t], cohorts_max=4)
-        assert ocs.Avg_Pat_Plac_Pool == pytest.approx(17.0)
+        # 10 blocks a cohort and one SoC slot a block: 10 and 20 slots
+        t1 = fake_trial([(COMPLETED_GO, "superior")])
+        t2 = fake_trial([(COMPLETED_GO, "superior"), (COMPLETED_FUTILITY, "futile")])
+        assert (t1.soc_slot_patients, t2.soc_slot_patients) == (10, 20)
+        ocs = aggregate([t1, t2], cohorts_max=4)
+        assert ocs.Avg_Pat_Plac_Pool == pytest.approx(15.0)

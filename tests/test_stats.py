@@ -376,6 +376,14 @@ class TestSmallShapes:
         x = PosteriorBeta(a, b)
         assert prob_greater_by_margin(x, x, 0.0) == pytest.approx(0.5, abs=1e-6)
 
+    def test_wide_window_against_a_sharp_edge(self):
+        # Y ~ Beta(0.05, 0.05) spans a z-window 447 wide, and X's large b_X gives S_X an
+        # edge about 1 wide in it: 4 and 8 panels agreed there and were 2.7e-6 off.
+        # References: mpmath at 30 digits, substituting y = t^(1/a) and 1 - y = t^(1/b)
+        x, y = PosteriorBeta(0.05, 2515.0), PosteriorBeta(0.05, 0.05)
+        assert prob_greater_by_margin(x, y, 0.0) == pytest.approx(0.16580030751985178, abs=1e-9)
+        assert prob_greater_by_margin(y, x, 0.0) == pytest.approx(0.83419969248014822, abs=1e-9)
+
     @pytest.mark.parametrize("args", [(0.005, 1e9 + 0.5, 0.005, 1e9 + 0.5, 0.0),
                                       (0.005, 3.0, 4.0, 5.0, 0.0), (3.0, 0.005, 4.0, 5.0, 0.1),
                                       (3.0, 4.0, 0.005, 5.0, -0.1), (3.0, 4.0, 5.0, 0.005, 0.0)])
@@ -388,6 +396,9 @@ class TestSmallShapes:
     def test_validation_admits_exactly_the_kernel_domain(self):
         for f in dataclasses.fields(BetaPrior):
             assert f.metadata["lo"] == stats.MIN_SHAPE
+            assert f.metadata["hi"] == stats.MAX_PRIOR_SHAPE
+        # the largest prior plus up to 1e9 counts stays inside the kernel's domain
+        assert stats.MAX_PRIOR_SHAPE + 1e9 <= stats._MAX_SHAPE
 
 
 def _must_not_run(*args):
