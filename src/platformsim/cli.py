@@ -88,7 +88,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     result = run_single_trial(spec, args.seed)
     dump_path = os.path.join(args.out, "trajectory.json")
-    reporting.write_trajectory(dump_path, result, spec)
+    reporting.write_trajectory(dump_path, result)
     print(f"scenario {spec.id}: Total_N = {result.total_n}, "
           f"cohorts = {len(result.cohorts)}, successes = {result.successes}")
     for c in result.cohorts:
@@ -123,7 +123,7 @@ def cmd_ocs(args) -> int:
         os.makedirs(dump_dir, exist_ok=True)
     for k in range(n_dumps):
         reporting.write_trajectory(os.path.join(dump_dir, f"trajectory_{k:06d}.json"),
-                                   run_single_trial(spec, args.seed, 0, k), spec)
+                                   run_single_trial(spec, args.seed, 0, k))
     _write_scenario_outputs(args.out, spec, ocs, formats, {
         "command": "ocs", "scenario_id": spec.id, "spec_hash": reporting.spec_hash(spec),
         "master_seed": args.seed, "iterations": args.iterations, "workers": workers,
@@ -140,7 +140,6 @@ def cmd_grid(args) -> int:
     formats = _parse_formats(args.format)
     workers = resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
-    axis_names = list(axes)
     rows = []
     completed = []
     completed_s = []  # seconds from the start of the job until each scenario is written
@@ -150,17 +149,16 @@ def cmd_grid(args) -> int:
     try:
         for index, ocs in enumerate(results):
             spec = specs[index]
-            axis_values = {name: get_path(spec, name) for name in axis_names}
+            axis_values = {name: get_path(spec, name) for name in axes}
             rows.append(reporting.ocs_csv_row(spec.id, ocs, axis_values))
             subdir = os.path.join(args.out, f"scenario_{index:03d}")
             _write_scenario_outputs(subdir, spec, ocs, formats, {
                 "command": "grid", "scenario_id": spec.id, "scenario_index": index,
                 "spec_hash": reporting.spec_hash(spec), "master_seed": args.seed,
                 "iterations": args.iterations, "workers": workers,
-                "axes": {k: axis_values[k] for k in axis_names},
+                "axes": axis_values,
             })
-            reporting.write_ocs_csv(os.path.join(args.out, "grid_results.csv"),
-                                    rows, axis_names)
+            reporting.write_ocs_csv(os.path.join(args.out, "grid_results.csv"), rows)
             completed.append(spec.id)
             completed_s.append(time.perf_counter() - started)
     except Exception:

@@ -27,6 +27,14 @@ round that holds it.  Enrolment draws nothing: a cohort takes the next
 patients of its draw, and a step whose first round holds an event walks the
 events' patient counters through that round, cohort by cohort.
 
+Platform stopping follows a round's analyses.  Entry closes only through
+``Trial.close_entry`` (``entry_closed_index``): at ``sr_drugs_pos``
+successes, at the first under ``sr_first_pos``, or on a halt.  Recruitment
+halts at ``sr_pats`` patients, or at ``sr_drugs_pos`` successes without
+run-out, and that ends the trial.  ``Trial.soc_dropped`` alone decides
+whether an opening cohort gets SoC: true from the start under ``no_plac``,
+and under ``stop_post_*`` once a comparison of ``DROPS_SOC`` is superior.
+
 Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
 the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
 pool is the difference of two tallies.
@@ -334,7 +342,8 @@ class Trial:
         self.cohorts: list[CohortState] = []
         self.successes = 0
         self.drops_soc = DROPS_SOC.get(spec.platform.trial_struc, ())
-        self.soc_dropped = False  # a comparison of drops_soc was found superior
+        # cohorts opening from now on get no SoC: set by no_plac or a drops_soc superiority
+        self.soc_dropped = spec.platform.trial_struc == "no_plac"
         self.first_success: dict | None = None
         self.entry_closed_index: int | None = None
         self.recruitment_halt_index: int | None = None
@@ -355,19 +364,11 @@ class Trial:
 
     # --- cohort entry -----------------------------------------------------
 
-    def _new_cohort_has_soc(self) -> bool:
-        # soc_dropped stays False under all_plac, whose drops_soc is empty
-        return self.spec.platform.trial_struc != "no_plac" and not self.soc_dropped
-
     def open_cohort(self) -> CohortState:
         spec = self.spec
         ratio = spec.platform.allocation_ratio
-        arms = []
-        has_soc = self._new_cohort_has_soc()
-        for arm, r in zip(ARM_ORDER, ratio):
-            if r > 0 and (arm != "soc" or has_soc):
-                arms.append(arm)
-        arms = tuple(arms)
+        arms = tuple(arm for arm, r in zip(ARM_ORDER, ratio)
+                     if r > 0 and (arm != "soc" or not self.soc_dropped))
         truth = draw_cohort_truth(spec.efficacy, self.rng)
         transform = spec.endpoint.sample_transform(self.rng)
         template, cum_probs = cohort_layout(arms, ratio, transform, (
@@ -381,25 +382,20 @@ class Trial:
         self.cohorts.append(cohort)
         return cohort
 
-    def entry_possible(self) -> bool:
-        """Whether a cohort can still enter; once False it stays False."""
-        p = self.spec.platform
-        return (self.entry_closed_index is None and len(self.cohorts) < p.cohorts_max
-                and not (p.sr_first_pos and self.successes >= 1))
-
     def schedule_entry(self) -> None:
         """Draw the next cohort entry: the first entry success among the
         patients that ``cohort_offset`` lets open a cohort."""
-        if self.entry_possible():
-            first = max(self.cohorts[-1].open_index + self.spec.platform.cohort_offset,
-                        self.total_n + 1)
-            self.next_entry = first - 1 + self._waiting_time(self.spec.platform.cohort_random)
+        p = self.spec.platform
+        if self.entry_closed_index is None and len(self.cohorts) < p.cohorts_max:
+            first = max(self.cohorts[-1].open_index + p.cohort_offset, self.total_n + 1)
+            self.next_entry = first - 1 + self._waiting_time(p.cohort_random)
         else:
             self.next_entry = math.inf
 
     def close_entry(self) -> None:
         if self.entry_closed_index is None:
             self.entry_closed_index = self.total_n
+        self.next_entry = math.inf
 
     # --- enrollment --------------------------------------------------------
 
@@ -496,8 +492,7 @@ class Trial:
         patients every arm holds data; it is analysed at the final stage
         when it analyses any comparison there."""
         self.close_entry()
-        if self.recruitment_halt_index is None:
-            self.recruitment_halt_index = self.total_n
+        self.recruitment_halt_index = self.total_n
         for cohort in self.cohorts:
             if cohort.status != ENROLLING:
                 continue
@@ -523,14 +518,11 @@ class Trial:
             if cohort.status == ENROLLING and size >= p.n_fin:
                 self.run_analysis(cohort, FINAL)
 
-        if self.successes >= p.sr_drugs_pos:
+        if self.successes >= p.sr_drugs_pos or (p.sr_first_pos and self.successes):
             self.close_entry()
-            if not p.run_out_active_cohorts:
-                self.halt_enrolling_cohorts()
-        if self.total_n >= p.sr_pats:
-            self.halt_enrolling_cohorts()
-        if not self.entry_possible():
-            self.next_entry = math.inf
+        if ((self.successes >= p.sr_drugs_pos and not p.run_out_active_cohorts)
+                or self.total_n >= p.sr_pats):
+            self.halt_enrolling_cohorts()  # leaves no cohort enrolling: the trial ends
 
 
 def simulate_trial(spec: ScenarioSpec, rng) -> Trial:

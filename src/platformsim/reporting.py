@@ -7,8 +7,9 @@ field from the ``engine.Trial`` and its ``engine.CohortState`` records.  A
 cohort's per-arm records (``arm_record``) are built from its tally and its
 patient log, of which dumps are the only reader.  A trial keeps only each
 analysis's data and verdict; its ``decision``, rule traces included, is
-computed when the dump is written (``decisions.explain`` under the
-scenario's rules and prior), so only dumps hold traces.  An analysis lists
+computed when the dump is written (``decisions.explain`` under the trial's
+own analysis plan, ``Trial.plan``), so only dumps hold traces and a dump is
+a function of its ``Trial`` alone.  An analysis lists
 only the comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
@@ -29,7 +30,7 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
-from .decisions import ARM_ORDER, explain, plan_for
+from .decisions import ARM_ORDER, explain
 from .engine import ARM_INDEX, STREAM_VERSION, CohortState, Patients, Trial
 from .ocs import OperatingCharacteristics
 
@@ -47,19 +48,17 @@ def arm_record(cohort: CohortState, patients: Patients, arm: str) -> dict:
             "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
 
 
-def trial_result_to_dump(result: Trial, spec: ScenarioSpec) -> dict:
-    """The dump of ``result``, a trial of ``spec``."""
-    plan = plan_for(spec.rules, spec.prior)
+def trial_result_to_dump(trial: Trial) -> dict:
+    """The dump of ``trial``; a recorded verdict its plan does not give raises."""
     cohorts = []
-    for c in result.cohorts:
+    for c in trial.cohorts:
         patients = c.patients
         analyses = []
         for analysis in c.analyses:
-            decision = explain(plan, analysis.data, analysis.stage)
+            decision = explain(trial.plan, analysis.data, analysis.stage)
             if decision.verdict != analysis.verdict:
                 raise ValueError(f"cohort {c.id}: the {analysis.stage} verdict "
-                                 f"{analysis.verdict} is not the rules' {decision.verdict}; "
-                                 f"is {result.spec.id!r} a trial of {spec.id!r}?")
+                                 f"{analysis.verdict} is not the rules' {decision.verdict}")
             rec = analysis._asdict()
             del rec["verdict"]
             rec["data"] = [t._asdict() for t in analysis.data]
@@ -74,15 +73,15 @@ def trial_result_to_dump(result: Trial, spec: ScenarioSpec) -> dict:
             "analyses": analyses, "confusion": c.confusion,
         })
     overview = {
-        "scenario_id": result.spec.id,
-        "Total_N": result.total_n,
-        "successes": result.successes,
+        "scenario_id": trial.spec.id,
+        "Total_N": trial.total_n,
+        "successes": trial.successes,
         "n_cohorts": len(cohorts),
-        "first_success": result.first_success,
-        "entry_closed_index": result.entry_closed_index,
-        "recruitment_halt_index": result.recruitment_halt_index,
-        "safety_stops": result.safety_stops,
-        "soc_slot_patients": result.soc_slot_patients,
+        "first_success": trial.first_success,
+        "entry_closed_index": trial.entry_closed_index,
+        "recruitment_halt_index": trial.recruitment_halt_index,
+        "safety_stops": trial.safety_stops,
+        "soc_slot_patients": trial.soc_slot_patients,
         "cohort_statuses": [c["status"] for c in cohorts],
     }
     for total, field in (("patients_per_arm", "n"), ("bio_responders_per_arm", "bio_responders"),
@@ -94,13 +93,13 @@ def trial_result_to_dump(result: Trial, spec: ScenarioSpec) -> dict:
     return {"Trial_Overview": overview, "Stage_Data": {"cohorts": cohorts}}
 
 
-def dump_trajectory(result: Trial, spec: ScenarioSpec) -> str:
-    return json.dumps(trial_result_to_dump(result, spec), sort_keys=True, indent=1)
+def dump_trajectory(trial: Trial) -> str:
+    return json.dumps(trial_result_to_dump(trial), sort_keys=True, indent=1)
 
 
-def write_trajectory(path, result: Trial, spec: ScenarioSpec) -> None:
+def write_trajectory(path, trial: Trial) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_trajectory(result, spec))
+        fh.write(dump_trajectory(trial))
         fh.write("\n")
 
 
@@ -157,23 +156,18 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Mapping]) -> None:
 # operating characteristics files
 
 
-def ocs_csv_columns(axis_names: Sequence[str] = ()) -> list[str]:
-    cols = list(axis_names) + ["scenario_id", "iterations"]
-    cols += list(OperatingCharacteristics.SCALAR_COLUMNS)
-    cols += [f"{m}_undefined" for m in OperatingCharacteristics.FLAGGED_METRICS]
-    return cols
-
-
 def ocs_csv_row(scenario_id: str, ocs: OperatingCharacteristics,
                 axis_values: Mapping[str, object] | None = None) -> dict:
+    """One OC CSV row, whose key order (axis values first) is the file's columns."""
     row = dict(axis_values or {})
     row["scenario_id"] = scenario_id
     row.update(ocs.scalar_row())
     return row
 
 
-def write_ocs_csv(path, rows: Sequence[Mapping], axis_names: Sequence[str] = ()) -> None:
-    write_csv(path, ocs_csv_columns(axis_names), rows)
+def write_ocs_csv(path, rows: Sequence[Mapping]) -> None:
+    """``rows`` from ``ocs_csv_row``, under a header of the first row's keys."""
+    write_csv(path, list(rows[0]), rows)
 
 
 def write_ocs_json(path, scenario_id: str, ocs: OperatingCharacteristics) -> None:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES, BayesSupRule,
-                                ComparisonRules, DecisionRuleSet, IdentityTransform,
-                                parse_scenario)
+from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
+                                IdentityTransform, parse_scenario)
 from platformsim.decisions import (COMPARISON_ARMS, ComparisonData, comparison_outcome, explain,
                                    plan_for)
 from platformsim.efficacy import CohortTruth, draw_cohort_truth
@@ -351,7 +350,7 @@ class TestSimulateTrial:
         spec = make_scenario(cohort_random=0.05, safety_prob=0.001)
         a = simulate_trial(spec, derive_rng(9, 0, 0))
         b = simulate_trial(spec, derive_rng(9, 0, 0))
-        assert dump_trajectory(a, spec) == dump_trajectory(b, spec)
+        assert dump_trajectory(a) == dump_trajectory(b)
 
     @pytest.mark.parametrize("mode", ["cohort", "dynamic"])
     def test_dumped_analyses_are_objects_of_their_fields(self, mode):
@@ -360,7 +359,7 @@ class TestSimulateTrial:
         analysed = 0
         for k in range(5):
             result = simulate_trial(spec, derive_rng(9, 0, k))
-            dumped = json.loads(dump_trajectory(result, spec))["Stage_Data"]["cohorts"]
+            dumped = json.loads(dump_trajectory(result))["Stage_Data"]["cohorts"]
             for c, cohort in zip(result.cohorts, dumped, strict=True):
                 for a, rec in zip(c.analyses, cohort["analyses"], strict=True):
                     assert set(rec) == {*AnalysisRecord._fields, "decision"} - {"verdict"}
@@ -445,23 +444,24 @@ class TestSimulateTrial:
         spec = dataclasses.replace(example_spec, platform=dataclasses.replace(
             example_spec.platform, sharing_type=sharing))
         plan_for.cache_clear()
-        warm = [dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k)), spec)
+        warm = [dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k)))
                 for k in range(30)]
         assert plan_for(spec.rules, spec.prior).flags.cache_info().hits > 0
         for k, dump in enumerate(warm):
             plan_for.cache_clear()
-            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k)), spec) == dump
+            assert dump_trajectory(simulate_trial(spec, derive_rng(12, 0, k))) == dump
 
     def test_a_dump_needs_the_rules_the_trial_ran(self, example_spec):
-        # the dump recomputes each decision from the spec it is given: rules
-        # under which every analysis goes contradict a trial that did not
+        # the dump recomputes each decision under the trial's own plan: a
+        # recorded verdict those rules did not give is refused, not written
         result = simulate_trial(example_spec, derive_rng(12, 0, 0))
-        assert any(a.verdict != "GO" for c in result.cohorts for a in c.analyses)
-        always = ComparisonRules(bayes_sup=(BayesSupRule(rows=((-1.0, 0.0, 1.0),)),))
-        other = dataclasses.replace(example_spec, rules=DecisionRuleSet((always,) * 4,
-                                                                        (always,) * 4))
-        with pytest.raises(ValueError, match="is not the rules' GO"):
-            dump_trajectory(result, other)
+        dump_trajectory(result)
+        c, i = next((c, i) for c in result.cohorts for i, a in enumerate(c.analyses)
+                    if a.verdict != "GO")
+        verdict = c.analyses[i].verdict
+        c.analyses[i] = c.analyses[i]._replace(verdict="GO")
+        with pytest.raises(ValueError, match=f"verdict GO is not the rules' {verdict}"):
+            dump_trajectory(result)
 
     def test_sr_drugs_pos_closes_entry_after_first_go(self):
         # strong effects so successes happen; no SoC comparisons
@@ -486,8 +486,25 @@ class TestSimulateTrial:
             result = simulate_trial(spec, derive_rng(11, 0, k))
             if result.first_success is None:
                 continue
+            assert result.entry_closed_index == result.first_success["patient_counter"]
             for c in result.cohorts:
                 assert c.open_index <= result.first_success["patient_counter"]
+
+    def test_sr_first_pos_is_sr_drugs_pos_one_under_run_out(self):
+        # both close entry at the first success, through the one path that
+        # records entry_closed_index, and let the active cohorts run out
+        def staggered(**stopping):
+            return make_scenario(rates=(0.6, 0.3, 0.3, 0.1), cohort_random=0.05, cohorts_max=6,
+                                 run_out_active_cohorts=True, **stopping)
+
+        first = staggered(sr_first_pos=True, sr_drugs_pos="inf")
+        one = staggered(sr_first_pos=False, sr_drugs_pos=1)
+        closed = 0
+        for k in range(40):
+            dump = dump_trajectory(simulate_trial(first, derive_rng(23, 0, k)))
+            assert dump_trajectory(simulate_trial(one, derive_rng(23, 0, k))) == dump
+            closed += json.loads(dump)["Trial_Overview"]["entry_closed_index"] is not None
+        assert closed >= 10, closed
 
     def test_run_out_lets_active_cohorts_finish(self):
         spec = make_scenario(rates=(0.9, 0.2, 0.2, 0.1), trial_struc="no_plac",
@@ -700,6 +717,18 @@ class TestInvariants:
         assert opens == sorted(opens)
         assert sorted(result.safety_stops) == sorted(
             (c.id, c.close_index) for c in result.cohorts if c.status == STOPPED_SAFETY)
+
+        # platform stopping: recruitment halts on sr_pats, or on sr_drugs_pos
+        # without run-out; entry closes on a halt, on sr_drugs_pos or, under
+        # sr_first_pos, on any success, and no cohort opens after that
+        successes = result.successes
+        halted = result.total_n >= p.sr_pats or (successes >= p.sr_drugs_pos
+                                                 and not p.run_out_active_cohorts)
+        assert (result.recruitment_halt_index is not None) == halted
+        assert (result.entry_closed_index is not None) == (
+            halted or successes >= p.sr_drugs_pos or (p.sr_first_pos and successes >= 1))
+        if result.entry_closed_index is not None:
+            assert opens[-1] <= result.entry_closed_index
 
         # under stop_post_*, SoC leaves exactly the cohorts that open after an
         # analysis whose dumped decision has a comparison of DROPS_SOC superior

@@ -1,11 +1,13 @@
 """Lint of the package, test and script modules that needs only the
 standard library: every name a module imports is read somewhere in it,
-every name its ``__all__`` lists is bound at its top level, and every
+every name its ``__all__`` lists is bound at its top level, every
 function, class and method the package defines is read by the package, the
-benchmark or the scripts, not by the tests alone."""
+benchmark or the scripts, not by the tests alone, and every parameter of a
+package function is read by its body."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -124,3 +126,44 @@ def test_unread_definitions_are_found():
 def test_every_package_definition_is_read():
     assert unread_definitions([p.read_text(encoding="utf-8") for p in PACKAGE],
                               [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def unread_parameters(sources: list[str]) -> list[str]:
+    """``function.parameter`` for each parameter, other than ``self`` and
+    ``cls``, of a function or method in ``sources`` that its body never
+    reads.  Methods whose name two or more classes of ``sources`` define are
+    exempt: they are overrides of one protocol, such as ``statistic(cells,
+    prior)``, and need not each read every argument."""
+    trees = [ast.parse(source) for source in sources]
+    classes_defining = Counter(node.name for tree in trees for cls in ast.walk(tree)
+                               if isinstance(cls, ast.ClassDef) for node in cls.body
+                               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    unread = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or classes_defining[node.name] >= 2):
+                continue
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if arg is not None]
+            read = {name.id for statement in node.body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Store)}
+            unread += [f"{node.name}.{param}" for param in params
+                       if param not in read and param not in ("self", "cls")]
+    return sorted(unread)
+
+
+def test_unread_parameters_are_found():
+    source = ("def used(a, /, b, *args, c=1, **kw):\n    return a, b, args, c, kw\n"
+              "def dead(a, b, *rest, c, **kw):\n    return a\n"
+              "def outer(x, y):\n    def inner(z):\n        return x\n    return inner\n"
+              "class Base:\n    def hook(self, data):\n        raise NotImplementedError\n"
+              "    @classmethod\n    def own(cls, gone):\n        return cls\n")
+    other = "class Impl:\n    def hook(self, data):\n        return data\n"
+    assert unread_parameters([source, other]) == [
+        "dead.b", "dead.c", "dead.kw", "dead.rest", "inner.z", "outer.y", "own.gone"]
+
+
+def test_every_package_parameter_is_read():
+    assert unread_parameters([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -10,7 +10,7 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, ARM_INDEX,
                                 ARM_ORDER, CohortState, Trial, simulate_trial)
 from platformsim.ocs import TrialAccumulator, summarize_trial
-from platformsim.reporting import ocs_csv_columns
+from platformsim.reporting import ocs_csv_row
 from platformsim.runner import derive_rng
 
 from conftest import aggregate, make_scenario
@@ -306,7 +306,7 @@ class TestInterpretedMetrics:
         assert ocs.Avg_RR_Comb == pytest.approx(0.35)
         # listed in ``undefined`` only: no flag column
         assert "Avg_RR_Plac_undefined" not in ocs.scalar_row()
-        assert "Avg_RR_Plac_undefined" not in ocs_csv_columns()
+        assert "Avg_RR_Plac_undefined" not in ocs_csv_row(spec.id, ocs)
 
     def test_soc_slot_pool(self):
         # 10 blocks a cohort and one SoC slot a block: 10 and 20 slots
