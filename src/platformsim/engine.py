@@ -35,13 +35,14 @@ run-out, and that ends the trial.  ``Trial.soc_dropped`` alone decides
 whether an opening cohort gets SoC: true from the start under ``no_plac``,
 and under ``stop_post_*`` once a comparison of ``DROPS_SOC`` is superior.
 
-Per-cohort counts live in running tallies.  A cohort keeps a snapshot of
-the other cohorts' tallies taken at its entry, so the ``concurrent`` sharing
-pool is the difference of two tallies.
+A cohort keeps no running count: it enrols its draw in order, so its
+per-code tally is the count of its draw's enrolled prefix, taken when it is
+read.  A cohort records the other cohorts' enrolled sizes at its entry, so
+the ``concurrent`` sharing pool counts each one's draw since then.
 
 ``simulate_trial`` returns the ``Trial`` it ran, with the ``CohortState``
 objects of its cohorts, as the trial's one record, read-only once returned:
-per-arm counts and the confusion outcome are read off the tallies, a
+per-arm counts and the confusion outcome are read off the tally, a
 cohort's block count off its size, and the patient log is joined from its
 recorded chunks only where it is read, for trajectory dumps.
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -146,14 +146,14 @@ class CohortState:
     can enrol, in enrolment order (see ``draw_patients``); its first ``n`` are
     enrolled.  Their enrolment indices are kept as recorded chunks (see
     ``record``), from which ``patients`` derives them when the log is read.
-    ``tally`` holds the running count of every code, from which all per-arm
-    counts follow.  ``tallies_at_open[i]`` is the tally of cohort i, one of
-    those ``opened`` before it, taken at its entry (a tally is replaced, never
-    changed in place)."""
+    ``tally`` counts every code among them, and all per-arm counts follow
+    from it; it is counted when read and kept until ``n`` changes.
+    ``n_at_open[i]`` is the enrolled size of cohort i, one of those
+    ``opened`` before it, at its entry."""
 
     __slots__ = ("id", "open_index", "close_index", "arms", "truth", "truth_class",
-                 "status", "analyses", "block", "drawn", "n", "tally", "tallies_at_open",
-                 "_chunks")
+                 "status", "analyses", "block", "drawn", "n", "n_at_open", "_tally",
+                 "_tally_n", "_chunks")
 
     def __init__(self, cid: int, open_index: int, arms: tuple[str, ...],
                  truth: CohortTruth, truth_class: str, block: int, drawn: np.ndarray,
@@ -169,8 +169,9 @@ class CohortState:
         self.block = block
         self.drawn = drawn
         self.n = 0
-        self.tally = (0,) * 16
-        self.tallies_at_open = tuple(c.tally for c in opened)
+        self.n_at_open = tuple(c.n for c in opened)
+        self._tally = (0,) * 16
+        self._tally_n = 0  # the n at which _tally was counted
         self._chunks = [(0, 0, 1, 0)]  # (start, stride, rounds, width)
 
     def record(self, count: int, start: int, stride: int = 0, rounds: int = 1) -> None:
@@ -182,10 +183,16 @@ class CohortState:
         if n > self.drawn.size:
             raise RuntimeError(f"cohort {self.id} would enrol {n} patients, but its opening "
                                f"drew {self.drawn.size}")
-        added = np.bincount(self.drawn[self.n:n], minlength=16).tolist()
-        self.tally = tuple(map(operator.add, self.tally, added))
         self._chunks.append((start, stride, rounds, count // rounds))
         self.n = n
+
+    @property
+    def tally(self) -> tuple[int, ...]:
+        """The count of every code among the enrolled patients."""
+        if self._tally_n != self.n:
+            self._tally = tuple(np.bincount(self.drawn[:self.n], minlength=16).tolist())
+            self._tally_n = self.n
+        return self._tally
 
     @property
     def patients(self) -> Patients:
@@ -269,9 +276,11 @@ def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
     for other in cohorts:
         if other is cohort or arm not in other.arms or other.n == 0:
             continue
-        pairs = other.tally[i:i + 4]
-        if mode == "concurrent" and other.id < len(cohort.tallies_at_open):
-            pairs = [a - b for a, b in zip(pairs, cohort.tallies_at_open[other.id][i:i + 4])]
+        if mode == "concurrent" and other.id < len(cohort.n_at_open):
+            since = other.drawn[cohort.n_at_open[other.id]:other.n]
+            pairs = np.bincount(since, minlength=16)[i:i + 4].tolist()
+        else:
+            pairs = other.tally[i:i + 4]
         r, n = _responders(pairs, stage)
         resp += r
         tot += n
@@ -434,7 +443,7 @@ class Trial:
                     cohort.close_index = end = counter
                     self.safety_stops.append((cohort.id, counter))
                     self.next_safety = counter + self._waiting_time(p.safety_prob)
-                if counter == self.next_entry:  # snapshot after the entry patient
+                if counter == self.next_entry:  # sizes noted after the entry patient
                     cohort.record(counter - start, start)
                     start = self.total_n = counter
                     self.open_cohort()

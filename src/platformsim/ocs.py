@@ -33,14 +33,16 @@ separately.  Rates/percentages are reported as proportions in [0, 1].
 
 Aggregation is accumulator-based: per-trial summaries are keyed by
 iteration index, so merging per-worker partials is associative,
-commutative and independent of scheduling.
+commutative and independent of scheduling.  Totals are added left to right
+in iteration order (``_total``), so they round alike on every Python version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .engine import (ARM_INDEX, ARM_ORDER, STOPPED_INTERIM_EFFICACY,
@@ -75,6 +77,13 @@ class TrialSummary(NamedTuple):
     pat_plac_first_suc: int | None
     cohorts_first_suc: int | None
     cohorts_max: int
+
+
+def _total(xs) -> Any:
+    """The sum of ``xs`` added left to right, one rounding a step: Python
+    3.12's ``sum`` compensates float rounding, so its float totals differ
+    in the last bits from those of 3.10 and 3.11."""
+    return functools.reduce(add, xs, 0)
 
 
 def summarize_trial(result: Trial, cohorts_max: int) -> TrialSummary:
@@ -160,7 +169,7 @@ def _per_arm(name: str, kind: str, field: str,
 #: the OC table in CSV column order
 METRICS: tuple[Metric, ...] = (
     *_per_arm("Avg_Pat", MEAN, "pat", total=attrgetter("total_n")),
-    *_per_arm("Avg_RR", RATIO, "rr", of=sum, den=len),
+    *_per_arm("Avg_RR", RATIO, "rr", of=_total, den=len),
     # sample SD over all cohort-level true rates
     *_per_arm("SD_RR", POOLED_SD, "rr"),
     *_per_arm("Avg_Suc_Hist", MEAN, "suc_hist", total=lambda s: sum(s.suc_hist)),
@@ -276,15 +285,15 @@ class TrialAccumulator:
         for m in METRICS:
             vals = list(map(m.value, items))
             if m.kind is MEAN:
-                value = sum(vals) / n
+                value = _total(vals) / n
             elif m.kind is COND_MEAN:
                 if m.dist:
                     dists.append(tuple(vals))
                 vals = [v for v in vals if v is not None]
-                value = sum(vals) / len(vals) if vals else None
+                value = _total(vals) / len(vals) if vals else None
             elif m.kind is RATIO:
                 cnt = sum(map(m.den, items))
-                value = sum(vals) / cnt if cnt > 0 else None
+                value = _total(vals) / cnt if cnt > 0 else None
             else:
                 value = _sample_sd([x for rates in vals for x in rates])
             if value is None:
@@ -303,6 +312,6 @@ def _sample_sd(xs: Sequence[float]) -> float:
     if len(xs) < 2:
         return 0.0
     d = [x - xs[0] for x in xs]
-    s = sum(d)
-    return math.sqrt(max(0.0, (sum(x * x for x in d) - s * s / len(d)) / (len(d) - 1)))
+    s = _total(d)
+    return math.sqrt(max(0.0, (_total(x * x for x in d) - s * s / len(d)) / (len(d) - 1)))
 

@@ -5,6 +5,7 @@ import pathlib
 import typing
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from platformsim.config import COMPARISON_KEYS, ComparisonRules, parse_scenario
@@ -12,6 +13,11 @@ from platformsim.ocs import TrialAccumulator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+
+# the same examples on every run and in every checkout: no random seed, and no
+# failures replayed from a local example database (per-test settings keep their counts)
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def bayes_stage_rules(sup_margins=(0.10, 0.10, 0.05, 0.05), sup_conf=0.80,

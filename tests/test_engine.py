@@ -165,6 +165,21 @@ def test_enrolling_past_the_draw_raises():
         cohort.record(1, 10)
 
 
+def test_tally_follows_n_between_records():
+    code = draw(3, rng(2))
+    cohort = make_cohort(drawn=code)
+    assert cohort.tally == (0,) * 16
+    for count in (4, 0, 6):
+        cohort.record(count, cohort.n)
+        assert cohort.tally == tuple(np.bincount(code[:cohort.n], minlength=16).tolist())
+        assert cohort.tally is cohort.tally  # counted once at each n
+    with pytest.raises(RuntimeError, match="would enrol 16 patients"):
+        cohort.record(6, cohort.n)
+    assert cohort.n == 10 and cohort.tally == tuple(np.bincount(code[:10], minlength=16).tolist())
+    cohort.record(5, cohort.n)
+    assert cohort.tally == tuple(np.bincount(code, minlength=16).tolist())
+
+
 def fill(cohort, arm, start_idx, outcomes):
     """Enrol patients on one arm of ``cohort``, appended to its draw:
     enrolment indices from ``start_idx`` on, one (interim, final) outcome pair
@@ -788,6 +803,33 @@ class TestInvariants:
             stops += len(result.safety_stops)
             entries += len(mid_block_entries(result))
         assert stops >= 10 and entries >= 10, (stops, entries)
+
+    def test_concurrent_pool_after_a_mid_block_entry(self):
+        """Under ``concurrent``, a cohort that opened inside another cohort's
+        block pools exactly the patients the others enrolled after its entry."""
+        spec = make_scenario(cohort_random=0.3, cohorts_max=10, sharing_type="concurrent")
+        entries = partial = 0
+        for k in range(40):
+            result = simulate_trial(spec, derive_rng(33, 0, k))
+            for c in mid_block_entries(result):
+                entries += 1
+                partial += any(0 < n < d.n for d, n in zip(result.cohorts, c.n_at_open))
+                for stage in ("interim", "final"):
+                    for t in assemble_analysis_data(result.cohorts, c, ALL, "concurrent", stage):
+                        den = COMPARISON_ARMS[t.comparison][1]
+                        if den not in SHARED_ARMS:
+                            continue
+                        resp = total = 0
+                        for d in result.cohorts:
+                            if d is c:
+                                continue
+                            log = d.patients
+                            keep = (log.arm == ARM_INDEX[den]) & (log.idx >= c.open_index)
+                            pair = log.pair[keep]
+                            resp += int((pair >> 1 if stage == "interim" else pair & 1).sum())
+                            total += int(keep.sum())
+                        assert (t.external_resp, t.external_total) == (resp, total)
+        assert entries >= 10 and partial >= 10, (entries, partial)
 
     @staticmethod
     def check_analysed_counts(result, c, a, spec):

@@ -285,6 +285,12 @@ class TestInterpretedMetrics:
         assert ocs.SD_RR_Plac == 0.0
         assert not any(name.startswith(("Avg_RR", "SD_RR")) for name in ocs.undefined)
 
+    def test_rate_totals_add_left_to_right(self):
+        # ten comb rates of 0.1 total 0.9999999999999999 added left to right;
+        # Python 3.12's compensated ``sum`` would give 1.0
+        t = fake_trial([(COMPLETED_GO, "superior")] * 10, rates=[(0.1, 0.2, 0.2, 0.05)] * 10)
+        assert aggregate([t], cohorts_max=10).Avg_RR_Comb == 0.9999999999999999 / 10
+
     def test_shared_rates_have_exactly_zero_sd(self):
         # one trial of five cohorts at fixed rates: a one-pass sum of squares
         # leaves cancellation error here (SD_RR_Mono 2.6e-9)
