@@ -300,13 +300,7 @@ def parse_scenario(source: str | Mapping[str, Any]) -> ScenarioSpec:
     Raises ConfigError naming the offending field on schema or invariant
     violations; warnings (rule-consistency findings) do not block.
     """
-    if isinstance(source, str):
-        try:
-            data = yaml.safe_load(source)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"unparseable scenario text: {exc}") from exc
-    else:
-        data = source
+    data = _load_yaml(source, "scenario") if isinstance(source, str) else source
     if not isinstance(data, Mapping):
         raise ConfigError("scenario must be a mapping at top level")
     spec = scenario_from_dict(data)
@@ -314,6 +308,15 @@ def parse_scenario(source: str | Mapping[str, Any]) -> ScenarioSpec:
     if errors:
         raise ConfigError("invalid scenario:\n" + "\n".join(str(v) for v in errors))
     return spec
+
+
+def _load_yaml(text: str, what: str) -> Any:
+    """The value of the YAML/JSON ``text``; ConfigError naming ``what`` when
+    it does not parse."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"unparseable {what} text: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -475,7 +478,7 @@ def expand_grid(base: ScenarioSpec, axes: Mapping[str, Sequence]) -> list[Scenar
 def load_axes(path) -> dict[str, list]:
     """Load a grid axes file: a mapping from axis path to a list of values."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read())
+        data = _load_yaml(fh.read(), "axes file")
     if not isinstance(data, Mapping):
         raise ConfigError("axes file must be a mapping from field path to value list")
     out = {}

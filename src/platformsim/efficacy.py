@@ -3,20 +3,18 @@ the target product profile."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import EfficacySpec, TargetProfile
-from .decisions import ARM_ORDER
 
 SUPERIOR = "superior"
 FUTILE = "futile"
 
-_RATE_FIELD = {arm: f"pi_{arm}" for arm in ARM_ORDER}
 
-
-@dataclass(frozen=True)
-class CohortTruth:
-    """Sampled true final response rates of one cohort's arms.
+class CohortTruth(NamedTuple):
+    """Sampled true final response rates of one cohort's arms: its first four
+    fields are the rates in ``decisions.ARM_ORDER``, so ``truth[i]`` is the
+    rate of the arm at position i and ``truth[:4]`` all four.
 
     Rates are derived for all four roles even when the cohort carries no SoC
     arm (relative effects still compose on top of the SoC draw).  ``clamped``
@@ -28,9 +26,6 @@ class CohortTruth:
     pi_mono_b: float
     pi_soc: float
     clamped: bool = False
-
-    def rate(self, arm: str) -> float:
-        return getattr(self, _RATE_FIELD[arm])
 
 
 def apply_effect(base: float, gamma: float, scale: str) -> float:

@@ -15,9 +15,11 @@ nominal interim/final sizes by at most one block.
 A cohort draws all the patients it can ever enrol when it opens: a final
 analysis always ends enrolment, so it never takes more than ceil(n_fin / b)
 blocks of b patients.  One generator call gives their block orders and
-outcome pairs, kept as one code 4 * arm + pair a patient.  A cohort's block
-template and outcome probabilities are built once per layout and shared
-between cohorts and trials.
+outcome pairs, kept as one code 4 * arm + 2 * interim + final outcome a
+patient.  Only this module decodes a code (``arm_counts``, ``Patients``);
+other modules read per-arm values, true rates too, by ``ARM_ORDER``
+position.  A cohort's block template and outcome probabilities are built
+once per layout and shared between cohorts and trials.
 
 The engine steps from event to event.  The patients at which the next safety
 stop and the next cohort entry happen are drawn as geometric waiting times.
@@ -38,13 +40,14 @@ and under ``stop_post_*`` once a comparison of ``DROPS_SOC`` is superior.
 A cohort keeps no running count: it enrols its draw in order, so its
 per-code tally is the count of its draw's enrolled prefix, taken when it is
 read.  A cohort records the other cohorts' enrolled sizes at its entry, so
-the ``concurrent`` sharing pool counts each one's draw since then.
+the ``concurrent`` sharing pool counts each one's draw since then, once for
+both shared arms.
 
 ``simulate_trial`` returns the ``Trial`` it ran, with the ``CohortState``
 objects of its cohorts, as the trial's one record, read-only once returned:
-per-arm counts and the confusion outcome are read off the tally, a
-cohort's block count off its size, and the patient log is joined from its
-recorded chunks only where it is read, for trajectory dumps.
+per-arm counts are read off the tally (``arm_counts``), a cohort's block
+count off its size, and the patient log is joined from its recorded chunks
+only where it is read, for trajectory dumps.
 
 One trial owns exactly one random generator and is strictly sequential;
 parallelism happens across trials, never inside one.  Rules, analysed
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +80,9 @@ STREAM_VERSION = 3
 
 ARM_INDEX = {arm: i for i, arm in enumerate(ARM_ORDER)}
 SHARED_ARMS = ("mono_b", "soc")  # comparator arms augmented by data sharing
+_SHARED_INDEX = frozenset(map(ARM_INDEX.get, SHARED_ARMS))
+#: comparison index -> the ARM_ORDER positions of its (numerator, comparator) arms
+_COMPARISON_INDEX = {c: tuple(map(ARM_INDEX.get, arms)) for c, arms in COMPARISON_ARMS.items()}
 
 #: trial structure -> the comparisons whose superiority drops SoC from the cohorts
 #: that open afterwards: the backbone's, or either monotherapy's, against SoC
@@ -95,20 +102,23 @@ NEGATIVE_STATUSES = frozenset({STOPPED_INTERIM_FUTILITY, COMPLETED_FUTILITY,
                                COMPLETED_UNSUCCESSFUL})
 
 
-def _responders(pairs, stage: str) -> tuple[int, int]:
-    """(responders, total) at ``stage`` from the (n00, n01, n10, n11) counts
-    of outcome pairs (interim, final)."""
-    n00, n01, n10, n11 = pairs
-    return (n10 + n11 if stage == INTERIM else n01 + n11, n00 + n01 + n10 + n11)
+def arm_counts(tally) -> list[tuple[int, int, int]]:
+    """Each arm's (patients, interim responders, final responders), in
+    ``ARM_ORDER``, from a ``tally``: the count of each code 4 * arm + 2 *
+    interim + final outcome.  No other module decodes a code."""
+    cells = iter(tally)
+    return [(n00 + n01 + n10 + n11, n10 + n11, n01 + n11)
+            for n00, n01, n10, n11 in zip(cells, cells, cells, cells)]
 
 
 class Patients(NamedTuple):
     """One cohort's patients in enrolment order: enrolment index, arm (index
-    into ``ARM_ORDER``) and outcome pair (2 * interim + final outcome)."""
+    into ``ARM_ORDER``) and interim and final outcome (0 or 1)."""
 
     idx: np.ndarray
     arm: np.ndarray
-    pair: np.ndarray
+    interim: np.ndarray
+    final: np.ndarray
 
 
 @functools.lru_cache(maxsize=1024)
@@ -147,7 +157,8 @@ class CohortState:
     enrolled.  Their enrolment indices are kept as recorded chunks (see
     ``record``), from which ``patients`` derives them when the log is read.
     ``tally`` counts every code among them, and all per-arm counts follow
-    from it; it is counted when read and kept until ``n`` changes.
+    from it (``arm_counts``); it is counted when read and kept until ``n``
+    changes.  ``truth`` holds the arms' true rates by ``ARM_ORDER`` position.
     ``n_at_open[i]`` is the enrolled size of cohort i, one of those
     ``opened`` before it, at its entry."""
 
@@ -200,7 +211,7 @@ class CohortState:
         idx = [(stride * np.arange(rounds)[:, None] + np.arange(start, start + width)).ravel()
                for start, stride, rounds, width in self._chunks]
         code = self.drawn[:self.n]
-        return Patients(np.concatenate(idx), code >> 2, code & 3)
+        return Patients(np.concatenate(idx), code >> 2, code >> 1 & 1, code & 1)
 
     @property
     def blocks(self) -> int:
@@ -266,25 +277,18 @@ def _dynamic_weight(own_resp: float, own_n: float, ext_resp: float, ext_n: float
     return min(1.0, 2.0 * min(p, 1.0 - p))
 
 
-def _external_pool(cohorts, cohort: CohortState, arm: str, stage: str,
-                   mode: str) -> tuple[float, float]:
-    """(responders, total) of ``arm`` over the other cohorts; under
-    ``concurrent`` only their patients enrolled since ``cohort`` opened."""
-    i = 4 * ARM_INDEX[arm]
-    resp = 0.0
-    tot = 0.0
+def _external_tally(cohorts, cohort: CohortState, mode: str) -> tuple[int, ...]:
+    """The count of every code over the other cohorts' enrolled patients;
+    under ``concurrent`` only those enrolled since ``cohort`` opened.  Each
+    other cohort is counted once, an empty one not at all."""
+    at_open = cohort.n_at_open if mode == "concurrent" else ()
+    pool = (0,) * 16
     for other in cohorts:
-        if other is cohort or arm not in other.arms or other.n == 0:
-            continue
-        if mode == "concurrent" and other.id < len(cohort.n_at_open):
-            since = other.drawn[cohort.n_at_open[other.id]:other.n]
-            pairs = np.bincount(since, minlength=16)[i:i + 4].tolist()
-        else:
-            pairs = other.tally[i:i + 4]
-        r, n = _responders(pairs, stage)
-        resp += r
-        tot += n
-    return resp, tot
+        if other is not cohort and other.n > 0:
+            count = (np.bincount(other.drawn[at_open[other.id]:other.n], minlength=16).tolist()
+                     if other.id < len(at_open) else other.tally)
+            pool = tuple(map(add, pool, count))
+    return pool
 
 
 def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int, ...],
@@ -296,31 +300,31 @@ def assemble_analysis_data(cohorts, cohort: CohortState, comparisons: tuple[int,
     cohort: own data only.  all: every patient enrolled on other cohorts'
     matching arms so far.  concurrent: only those enrolled while this cohort
     has been open.  dynamic: the full pool, downweighted by homogeneity
-    (fractional counts).  Each arm's counts are read off the tally once, and
-    a comparator arm shared by two comparisons (SoC in 3 and 4) has its pool
-    and weight built once.
+    (fractional counts).  The other cohorts are counted into one tally, and
+    each shared comparator arm's pool and weight are read off it once, also
+    for SoC, the comparator of comparisons 3 and 4.
     """
-    tally = cohort.tally
-    counts = {arm: _responders(tally[4 * i:4 * i + 4], stage) for i, arm in enumerate(ARM_ORDER)}
+    r = 1 if stage == INTERIM else 2  # where an arm_counts entry holds the stage's responders
+    own = arm_counts(cohort.tally)
+    # by arm position: the comparator's share weight, external responders and total
+    ext = [(None, 0.0, 0.0)] * len(ARM_ORDER)
+    if mode != "cohort":
+        shared = {_COMPARISON_INDEX[comp][1] for comp in comparisons} & _SHARED_INDEX
+        pool = arm_counts(_external_tally(cohorts, cohort, mode)) if shared else ()
+        for i in shared:
+            ext_n, ext_r = float(pool[i][0]), float(pool[i][r])
+            if ext_n > 0:
+                ext[i] = (_dynamic_weight(own[i][r], own[i][0], ext_r, ext_n)
+                          if mode == "dynamic" else 1.0, ext_r, ext_n)
     records = []
-    pools: dict[str, tuple[float | None, float, float]] = {}  # arm -> (weight, ext_r, ext_n)
     for comp in comparisons:
-        num, den = COMPARISON_ARMS[comp]
-        num_r, num_n = counts[num]
-        den_r, den_n = counts[den]
-        weight: float | None = None
-        ext_r = ext_n = 0.0
-        if mode != "cohort" and den in SHARED_ARMS:
-            if den not in pools:
-                ext_r, ext_n = _external_pool(cohorts, cohort, den, stage, mode)
-                if ext_n > 0:
-                    weight = (_dynamic_weight(den_r, den_n, ext_r, ext_n) if mode == "dynamic"
-                              else 1.0)
-                pools[den] = (weight, ext_r, ext_n)
-            weight, ext_r, ext_n = pools[den]
-            if weight is not None:
-                den_r = den_r + weight * ext_r
-                den_n = den_n + weight * ext_n
+        num, den = _COMPARISON_INDEX[comp]
+        num_n, num_r = own[num][0], own[num][r]
+        den_n, den_r = own[den][0], own[den][r]
+        weight, ext_r, ext_n = ext[den]
+        if weight is not None:
+            den_r = den_r + weight * ext_r
+            den_n = den_n + weight * ext_n
         records.append(ComparisonData(num_r, num_n - num_r, den_r, den_n - den_r, comp,
                                       weight, ext_r, ext_n))
     return tuple(records)
@@ -380,8 +384,7 @@ class Trial:
                      if r > 0 and (arm != "soc" or not self.soc_dropped))
         truth = draw_cohort_truth(spec.efficacy, self.rng)
         transform = spec.endpoint.sample_transform(self.rng)
-        template, cum_probs = cohort_layout(arms, ratio, transform, (
-            truth.pi_comb, truth.pi_mono_a, truth.pi_mono_b, truth.pi_soc))
+        template, cum_probs = cohort_layout(arms, ratio, transform, truth[:4])
         # a final analysis always ends enrolment: no cohort takes more blocks
         blocks = -(-spec.platform.n_fin // template.size)
         drawn = draw_patients(template, cum_probs, blocks, self.rng)
@@ -482,7 +485,7 @@ class Trial:
                 self.first_success = {
                     "cohort_id": cohort.id,
                     "patient_counter": self.total_n,
-                    "soc_patients": sum(sum(c.pair_counts("soc")) for c in self.cohorts),
+                    "soc_patients": sum(arm_counts(c.tally)[ARM_INDEX["soc"]][0] for c in self.cohorts),
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }

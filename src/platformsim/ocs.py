@@ -46,7 +46,7 @@ from operator import add, attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .engine import (ARM_INDEX, ARM_ORDER, STOPPED_INTERIM_EFFICACY,
-                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, Trial)
+                     STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY, Trial, arm_counts)
 
 #: column suffix of each arm's per-arm OCs
 ARM_SUFFIX = dict(zip(ARM_ORDER, ("Comb", "Mono", "Back", "Plac")))
@@ -93,17 +93,15 @@ def summarize_trial(result: Trial, cohorts_max: int) -> TrialSummary:
     safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
-        truth = c.truth
+        truth, counts = c.truth, arm_counts(c.tally)
         for arm in c.arms:
             i = ARM_INDEX[arm]
-            n00, n01, n10, n11 = c.pair_counts(arm)
-            n = n00 + n01 + n10 + n11
-            rate = truth.rate(arm)
+            n, bio, hist = counts[i]
             pat[i] += n
-            suc_bio[i] += n10 + n11
-            suc_hist[i] += n01 + n11
-            rr[i].append(rate)
-            if arm != "soc" and rate > truth.pi_soc:
+            suc_bio[i] += bio
+            suc_hist[i] += hist
+            rr[i].append(truth[i])
+            if arm != "soc" and truth[i] > truth.pi_soc:
                 sup_pat += n
         confusion = c.confusion
         if confusion == "TP":

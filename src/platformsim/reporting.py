@@ -4,20 +4,22 @@ Trajectory dumps are JSON files with a ``Trial_Overview`` section (platform
 level summary) and a ``Stage_Data`` section (full per-cohort records
 including per-patient outcomes and per-analysis rule traces), built field by
 field from the ``engine.Trial`` and its ``engine.CohortState`` records.  A
-cohort's per-arm records (``arm_record``) are built from its tally and its
-patient log, of which dumps are the only reader.  A trial keeps only each
-analysis's data and verdict; its ``decision``, rule traces included, is
-computed when the dump is written (``decisions.explain`` under the trial's
-own analysis plan, ``Trial.plan``), so only dumps hold traces and a dump is
-a function of its ``Trial`` alone.  An analysis lists
-only the comparisons it analysed: its ``data`` records and its
+cohort's per-arm records (``arm_record``) take the arm's counts from
+``engine.arm_counts`` and its true rate by ``ARM_ORDER`` position, and its
+patients' interim and final outcomes from the patient log, of which dumps
+are the only reader; this module decodes no patient code.  A trial keeps
+only each analysis's data and verdict; its ``decision``, rule traces
+included, is computed when the dump is written (``decisions.explain`` under
+the trial's own analysis plan, ``Trial.plan``), so only dumps hold traces
+and a dump is a function of its ``Trial`` alone.  An analysis lists only the
+comparisons it analysed: its ``data`` records and its
 ``decision.comparisons`` outcomes are one per such comparison, in the same
 order: ``decision.comparisons[i]`` belongs to ``data[i]``, as outcomes and
 traces carry no comparison.  An analysis and each of its ``data`` records
 are NamedTuples, written as objects keyed by their field names
-(``_asdict``), never as lists.  Dumps and OC files are written with sorted
-keys and fixed float formatting so identical runs produce byte-identical
-files.
+(``_asdict``), never as lists.  Dumps, OC files and manifests are written by
+one JSON writer (``write_json``) with sorted keys and fixed float
+formatting, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import ScenarioSpec, scenario_to_dict
 from .decisions import ARM_ORDER, explain
-from .engine import ARM_INDEX, STREAM_VERSION, CohortState, Patients, Trial
+from .engine import ARM_INDEX, STREAM_VERSION, CohortState, Patients, Trial, arm_counts
 from .ocs import OperatingCharacteristics
 
 
@@ -39,13 +41,13 @@ def arm_record(cohort: CohortState, patients: Patients, arm: str) -> dict:
     """The dump of one arm of ``cohort``: its counts and true rate, and the
     enrolment indices and interim ('bio') / final ('hist') outcomes of its
     patients in the cohort's patient log ``patients``."""
-    pairs = cohort.pair_counts(arm)
-    on_arm = patients.arm == ARM_INDEX[arm]
-    pair = patients.pair[on_arm]
-    return {"n": sum(pairs), "bio_responders": pairs[2] + pairs[3],
-            "hist_responders": pairs[1] + pairs[3], "pairs": pairs,
-            "true_rate": cohort.truth.rate(arm), "enroll_idx": patients.idx[on_arm].tolist(),
-            "bio": (pair >> 1).tolist(), "hist": (pair & 1).tolist()}
+    i = ARM_INDEX[arm]
+    n, bio, hist = arm_counts(cohort.tally)[i]
+    on_arm = patients.arm == i
+    return {"n": n, "bio_responders": bio, "hist_responders": hist,
+            "pairs": cohort.pair_counts(arm), "true_rate": cohort.truth[i],
+            "enroll_idx": patients.idx[on_arm].tolist(),
+            "bio": patients.interim[on_arm].tolist(), "hist": patients.final[on_arm].tolist()}
 
 
 def trial_result_to_dump(trial: Trial) -> dict:
@@ -66,7 +68,7 @@ def trial_result_to_dump(trial: Trial) -> dict:
             analyses.append(rec)
         cohorts.append({
             "id": c.id, "open_index": c.open_index, "close_index": c.close_index,
-            "arms": c.arms, "truth": {arm: c.truth.rate(arm) for arm in ARM_ORDER},
+            "arms": c.arms, "truth": dict(zip(ARM_ORDER, c.truth)),
             "truth_clamped": c.truth.clamped, "truth_class": c.truth_class,
             "status": c.status, "blocks": c.blocks,
             "per_arm": {arm: arm_record(c, patients, arm) for arm in c.arms},
@@ -93,14 +95,15 @@ def trial_result_to_dump(trial: Trial) -> dict:
     return {"Trial_Overview": overview, "Stage_Data": {"cohorts": cohorts}}
 
 
-def dump_trajectory(trial: Trial) -> str:
-    return json.dumps(trial_result_to_dump(trial), sort_keys=True, indent=1)
+def write_json(path, doc: Mapping) -> None:
+    """Write ``doc`` as JSON with sorted keys, one-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def write_trajectory(path, trial: Trial) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_trajectory(trial))
-        fh.write("\n")
+    write_json(path, trial_result_to_dump(trial))
 
 
 def read_trajectory(path) -> dict:
@@ -171,10 +174,7 @@ def write_ocs_csv(path, rows: Sequence[Mapping]) -> None:
 
 
 def write_ocs_json(path, scenario_id: str, ocs: OperatingCharacteristics) -> None:
-    doc = {"scenario_id": scenario_id, **ocs.to_json_dict()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, {"scenario_id": scenario_id, **ocs.to_json_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,7 @@ def write_manifest(path, payload: Mapping) -> None:
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
     }
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _package_version() -> str:

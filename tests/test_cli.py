@@ -194,6 +194,18 @@ class TestGrid:
                      "--out", str(out)]) == 2
         assert not (out / "grid_results.csv").exists()
 
+    @pytest.mark.parametrize("text", ["n_int: [50, 60\n", "- n_int\n"],
+                             ids=["unclosed_bracket", "not_a_mapping"])
+    def test_malformed_axes_file_exits_2(self, tmp_path, capsys, text):
+        axes = tmp_path / "axes.yaml"
+        axes.write_text(text, encoding="utf-8")
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(CONFIGS / "grid_base.yaml"), "--axes", str(axes),
+                     "--iterations", "2", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failing_scenario_aborts_with_manifest(self, spec_file, tmp_path, monkeypatch,
                                                    workers):

@@ -20,10 +20,16 @@ from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 CohortState,
                                 assemble_analysis_data, classify_decision, cohort_layout,
                                 cum_pair_probs, draw_patients, simulate_trial)
-from platformsim.reporting import arm_record, dump_trajectory
+from platformsim.reporting import arm_record, trial_result_to_dump
 from platformsim.runner import derive_rng
 
 from conftest import bayes_stage_rules, make_scenario, scenario_dict
+
+
+def dump_trajectory(trial):
+    """The text ``reporting.write_trajectory`` writes for ``trial``, less its
+    final newline."""
+    return json.dumps(trial_result_to_dump(trial), sort_keys=True, indent=1)
 
 
 def rng(seed=0):
@@ -48,7 +54,7 @@ def draw(k, g, arms=ARMS, ratio=(2, 1, 1, 1), transform=None, truth=None):
     """The codes of ``k`` blocks of a cohort, drawn as its opening draws them."""
     truth = truth or TRUTH
     template, cum_probs = cohort_layout(tuple(arms), ratio, transform or IdentityTransform(),
-                                        tuple(truth.rate(a) for a in ARM_ORDER))
+                                        truth[:4])
     return draw_patients(template, cum_probs, k, g)
 
 
@@ -115,7 +121,7 @@ class TestGenOutcomePair:
         assert code.size == 1800 and not code.flags.writeable
         u = rng(4).random((2, 300, 6))[1].ravel()  # the same doubles
         for c, v in zip(code.tolist(), u):
-            cum = cum_pair_probs(t, TRUTH.rate(ARM_ORDER[c >> 2]))
+            cum = cum_pair_probs(t, TRUTH[c >> 2])
             assert c & 3 == next((j for j, x in enumerate(cum) if v < x), 3)
 
     def test_correlated_transform_marginal(self):
@@ -245,6 +251,30 @@ class TestAssembleAnalysisData:
         assert (t3.c_resp, t3.c_nonresp) == (2 + 3, 6 + 7)   # all of c0's soc is concurrent
         t2 = record(data, 2)
         assert (t2.c_resp, t2.c_nonresp) == (2, 4)           # none of c0's mono_b is
+
+    def test_concurrent_counts_each_earlier_cohort_once(self, monkeypatch):
+        # one count of each earlier cohort's draw since the entry serves both
+        # shared comparators, SoC and mono_b
+        c0, c1 = self.two_cohorts()
+        c2 = make_cohort(cid=2, open_index=80, opened=[c0, c1])
+        fill(c0, "soc", 80, [(1, 1)] * 2 + [(0, 0)] * 2)
+        fill(c1, "mono_b", 84, [(1, 1)] + [(0, 0)] * 3)
+        for arm, start in zip(ARM_ORDER, (88, 92, 96, 100)):
+            fill(c2, arm, start, [(1, 1)] * 2 + [(0, 0)] * 2)
+        assert sum(c2.tally) == 16  # the own tally is counted before the spy
+        sizes = []
+        bincount = np.bincount
+
+        def spy(x, *args, **kwargs):
+            sizes.append(x.size)
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        data = assemble_analysis_data([c0, c1, c2], c2, ALL, "concurrent", "final")
+        assert sizes == [4, 4]
+        shared = {t.comparison: (t.external_resp, t.external_total) for t in data}
+        assert shared == {1: (0.0, 0.0), 2: (1.0, 4.0), 3: (2.0, 4.0), 4: (2.0, 4.0)}
+        assert all(type(x) is float for pair in shared.values() for x in pair)
 
     def test_interim_uses_interim_outcomes(self):
         c0, c1 = self.two_cohorts()
@@ -395,11 +425,11 @@ class TestSimulateTrial:
             idx = np.array([start + r * stride + j for r in range(rounds) for j in range(width)],
                            dtype=np.int64)
             code = cohort.drawn[cohort.n:cohort.n + count]
-            chunks.setdefault(cohort.id, []).append((idx, code >> 2, code & 3))
+            chunks.setdefault(cohort.id, []).append((idx, code >> 2, code >> 1 & 1, code & 1))
             record(cohort, count, start, stride, rounds)
 
         monkeypatch.setattr(CohortState, "record", spy)
-        empty = (np.zeros(0, dtype=np.int64),) * 3
+        empty = (np.zeros(0, dtype=np.int64),) * 4
         cohorts = []
         for k in range(60):  # about 1 in 15 trials halts a cohort that has no patients
             chunks.clear()
@@ -408,7 +438,7 @@ class TestSimulateTrial:
             for c in result.cohorts:
                 log = c.patients
                 joined = [np.concatenate(col) for col in zip(empty, *chunks.get(c.id, ()))]
-                assert all(np.array_equal(got, want) for got, want in zip(log, joined))
+                assert all(np.array_equal(got, want) for got, want in zip(log, joined, strict=True))
                 assert all(col.dtype == np.int64 and col.size == c.n for col in log)
                 assert np.all(np.diff(log.idx) > 0)
         assert any(c.n == 0 for c in cohorts)
@@ -438,7 +468,7 @@ class TestSimulateTrial:
         for order, outcome in zip(u[0], u[1]):
             # the j-th patient of a block takes the slot with the j-th smallest uniform
             for slot, v in zip(sorted(range(b), key=order.__getitem__), outcome):
-                cum = cum_pair_probs(transform, truth.rate(template[slot]))
+                cum = cum_pair_probs(transform, truth[ARM_INDEX[template[slot]]])
                 arms.append(ARM_INDEX[template[slot]])
                 pairs.append(next((j for j, x in enumerate(cum) if v < x), 3))
         safety = int(g.geometric(p.safety_prob))
@@ -447,7 +477,8 @@ class TestSimulateTrial:
         first = result.cohorts[0]
         assert first.truth == truth
         assert first.patients.arm.tolist() == arms[:first.n]
-        assert first.patients.pair.tolist() == pairs[:first.n]
+        log = first.patients
+        assert (2 * log.interim + log.final).tolist() == pairs[:first.n]
         assert first.n >= p.n_int and len(set(pairs[:first.n])) == 4
         assert result.safety_stops[0][1] == safety
         assert result.cohorts[1].open_index == entry
@@ -694,7 +725,8 @@ def check_draw(c, p):
     assert c.tally == tuple(np.bincount(c.drawn[:c.n], minlength=16).tolist())
     log = c.patients
     assert log.arm.tolist() == (c.drawn[:c.n] >> 2).tolist()
-    assert log.pair.tolist() == (c.drawn[:c.n] & 3).tolist()
+    assert log.interim.tolist() == (c.drawn[:c.n] >> 1 & 1).tolist()
+    assert log.final.tolist() == (c.drawn[:c.n] & 1).tolist()
 
 
 def mid_block_entries(result):
@@ -781,7 +813,7 @@ class TestInvariants:
                 assert rec["n"] == per_arm[arm] == n00 + n01 + n10 + n11
                 assert rec["bio_responders"] == n10 + n11
                 assert rec["hist_responders"] == n01 + n11
-                assert rec["true_rate"] == c.truth.rate(arm)
+                assert rec["true_rate"] == c.truth[ARM_INDEX[arm]]
                 assert sum(rec["bio"]) == rec["bio_responders"]
                 assert sum(rec["hist"]) == rec["hist_responders"]
                 assert len(rec["enroll_idx"]) == rec["n"]
@@ -825,8 +857,8 @@ class TestInvariants:
                                 continue
                             log = d.patients
                             keep = (log.arm == ARM_INDEX[den]) & (log.idx >= c.open_index)
-                            pair = log.pair[keep]
-                            resp += int((pair >> 1 if stage == "interim" else pair & 1).sum())
+                            outcome = log.interim if stage == "interim" else log.final
+                            resp += int(outcome[keep].sum())
                             total += int(keep.sum())
                         assert (t.external_resp, t.external_total) == (resp, total)
         assert entries >= 10 and partial >= 10, (entries, partial)
@@ -843,8 +875,8 @@ class TestInvariants:
             log = cohort.patients
             keep = (log.arm == ARM_ORDER.index(arm)) & (log.idx >= start) & (
                 log.idx < a.patient_counter)
-            outcome = log.pair[keep] >> 1 if a.stage == "interim" else log.pair[keep] & 1
-            return int(outcome.sum()), int(keep.sum())
+            outcome = log.interim if a.stage == "interim" else log.final
+            return int(outcome[keep].sum()), int(keep.sum())
 
         expected = analysed(c.arms, spec.rules.for_stage(a.stage))
         assert [t.comparison for t in a.data] == expected

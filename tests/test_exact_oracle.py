@@ -1,6 +1,7 @@
 """Exact operating characteristics of single-cohort designs, of two cohorts
-that open together and share their backbone arm, and of two that open 40
-patients apart, where ``concurrent`` sharing differs from ``all`` (below).
+that open together and share their backbone arm, of two that open 40
+patients apart, where ``concurrent`` sharing differs from ``all``, and of two
+that open together where one can stop at its interim (below).
 
 With one cohort (``cohorts_max: 1``, ``cohort_random: 0``, ``safety_prob:
 0``), fixed rates and the identity transform, a platform trial is a
@@ -29,7 +30,7 @@ from scipy.special import betaln
 from scipy.stats import binom
 
 from platformsim.config import parse_scenario
-from platformsim.decisions import FINAL
+from platformsim.decisions import FINAL, INTERIM
 from platformsim.engine import simulate_trial
 from platformsim.reporting import write_ocs_json
 from platformsim.runner import derive_rng, run_ocs
@@ -202,12 +203,12 @@ def dynamic_weight(own, n_own, ext, n_ext):
     return min(1.0, 2.0 * min(p, 1.0 - p))
 
 
-def cook_over_comb(c, d):
-    """P(X > Y) for X ~ Beta(1 + x, 1 + N_COMB - x) at every x in 0..N_COMB
+def cook_over_comb(c, d, n_comb=N_COMB):
+    """P(X > Y) for X ~ Beta(1 + x, 1 + n_comb - x) at every x in 0..n_comb
     (rows) and Y ~ Beta(c, d) (columns): Cook's finite sum over i < 1 + x."""
-    x = np.arange(N_COMB + 1)[:, None, None]
-    a, b = 1 + x, 1 + N_COMB - x
-    i = np.arange(N_COMB + 1)[None, None, :]
+    x = np.arange(n_comb + 1)[:, None, None]
+    a, b = 1 + x, 1 + n_comb - x
+    i = np.arange(n_comb + 1)[None, None, :]
     c, d = c[None, :, None], d[None, :, None]
     terms = np.exp(betaln(c + i, b + d) - np.log(b + i) - betaln(1 + i, b) - betaln(c, d))
     return np.where(i < a, terms, 0.0).sum(axis=2)
@@ -378,3 +379,121 @@ def test_concurrent_differs_from_all_under_staggered_entry():
     # the enumeration itself tells the modes apart, so the check above has power
     go = {mode: staggered_exact(mode, TWO_COHORT_RATES)["go"] for mode in ("all", "concurrent")}
     assert abs(go["all"] - go["concurrent"]) > 0.01
+
+
+# --- an interim stop under ``all``: the stopped cohort's interim patients -------
+#
+# Two cohorts open at patient 0 and enrol in lock step to their interims at 60
+# patients each (24 comb and 12 mono_b patients) and, if they go on, to their
+# finals at 100 (40 and 20).  The rules are on comb vs mono_b alone: GO above
+# 0.95 and STOP below 0.60 at the interim, GO above 0.80 at the final.  Both
+# interims see the same comparator, the two cohorts' 24 interim mono_b
+# patients, with s = a1 + a2 responders.  A cohort that goes on pools all 20
+# of the other's mono_b patients at its final if the other went on too, and
+# only the other's 12 interim ones if it stopped.  Split each cohort's mono_b
+# patients into its 12 interim ones (a1, a2 responders) and its 8 later ones
+# (d1, d2).  Given these, the comb counts of the two cohorts are independent,
+# and the other's comb count reaches a cohort's final pool only through
+# whether the other went on.
+
+INTERIM_N, INTERIM_GO = 60, 0.95
+INT_COMB, INT_BACK = 24, 12                    # per cohort at its interim, 2:1:1:1
+
+
+def interim_stop_exact(rates, stopped="interim"):
+    """E[GO cohorts], its SD, P(any GO) and the smallest distance of a
+    statistic to its threshold, summed over the joint 13² × 9² states of (a1,
+    a2, d1, d2).  ``stopped`` names the mono_b patients of a stopped cohort
+    that the other's final pool holds: its ``interim`` ones, or, to show what
+    a wrong pool would give, ``none`` or ``all`` 20 it drew."""
+    gaps = []
+
+    def p_comb_better(n_comb, n_comp, thresholds):
+        # P(comb > comparator) at every comb count (rows) and comparator count (columns)
+        t = np.arange(n_comp + 1.0)
+        p = cook_over_comb(1 + t, 1 + n_comp - t, n_comb)
+        gaps.append(min(float(abs(p - bar).min()) for bar in thresholds))
+        return p
+
+    p = p_comb_better(INT_COMB, 2 * INT_BACK, (INTERIM_GO, 0.60))
+    goes, goes_on = p > INTERIM_GO, (p >= 0.60) & (p <= INTERIM_GO)
+    comb_int = binom.pmf(np.arange(INT_COMB + 1), INT_COMB, rates[0])
+    comb_inc = binom.pmf(np.arange(N_COMB - INT_COMB + 1), N_COMB - INT_COMB, rates[0])
+    go_now, on = comb_int @ goes, comb_int @ goes_on    # at each s
+
+    def go_later(n_ext):
+        """g[s, t]: P(a cohort goes on at s and goes at its final, where t of
+        its own N_BACK and n_ext external mono_b patients respond)."""
+        go = p_comb_better(N_COMB, N_BACK + n_ext, (0.80,)) > 0.80
+        after = sum(q * go[k:k + INT_COMB + 1] for k, q in enumerate(comb_inc))
+        return (comb_int[:, None] * goes_on).T @ after
+
+    late = N_BACK - INT_BACK
+    a1, a2, d1, d2 = (g.ravel() for g in np.meshgrid(
+        *(np.arange(n + 1) for n in (INT_BACK, INT_BACK, late, late)), indexing="ij"))
+    pmf = np.prod([binom.pmf(k, n, rates[2]) for k, n in
+                   zip((a1, a2, d1, d2), (INT_BACK, INT_BACK, late, late))], axis=0)
+    s = a1 + a2
+    g_both = go_later(N_BACK)[s, s + d1 + d2]
+    n_pooled, pooled = {"interim": (INT_BACK, (a2, a1)), "none": (0, (0, 0)),
+                        "all": (N_BACK, (a2 + d2, a1 + d1))}[stopped]
+    alone = go_later(n_pooled)
+    g_alone = [alone[s, own + ext] for own, ext in zip((a1 + d1, a2 + d2), pooled)]
+    go_sum = 2 * (go_now[s] + on[s] * g_both) + (1 - on[s]) * (g_alone[0] + g_alone[1])
+    both = go_now[s] ** 2 + go_now[s] * (g_alone[0] + g_alone[1]) + g_both ** 2
+    mean, both = float(pmf @ go_sum), float(pmf @ both)
+    return {"go": mean, "sd": math.sqrt(mean + 2 * both - mean ** 2), "any": mean - both,
+            "gap": min(gaps)}
+
+
+def interim_stop_spec():
+    interim = {"comb_vs_mono_b": {"bayes_sup": [{"rows": [[0.0, INTERIM_GO, 1.00]]}],
+                                  "bayes_fut": copy.deepcopy(BAYES["bayes_fut"])}}
+    final = {"comb_vs_mono_b": copy.deepcopy(BAYES)}
+    d = scenario_dict(rates=TWO_COHORT_RATES, rules={"interim": interim, "final": final},
+                      initial_cohorts=2, cohorts_max=2, cohort_random=0.0, safety_prob=0.0,
+                      n_int=INTERIM_N, n_fin=100, sharing_type="all")
+    return parse_scenario(d)
+
+
+def test_interim_stop_design_is_as_enumerated():
+    alone = 0
+    for k in range(40):
+        trial = simulate_trial(interim_stop_spec(), derive_rng(SEED, 0, k))
+        assert len(trial.cohorts) == 2
+        stopped = [len(c.analyses) == 1 for c in trial.cohorts]
+        for c, other_stopped in zip(trial.cohorts, stopped[::-1]):
+            interim, *final = c.analyses
+            assert interim.stage == INTERIM and interim.patient_counter == 2 * INTERIM_N
+            (data,) = interim.data
+            assert data.t_resp + data.t_nonresp == INT_COMB
+            assert data.external_total == data.c_resp + data.c_nonresp - INT_BACK == INT_BACK
+            for analysis in final:
+                alone += other_stopped
+                assert analysis.stage == FINAL and analysis.patient_counter == (
+                    INTERIM_N + 100 if other_stopped else 200)
+                (data,) = analysis.data
+                assert data.t_resp + data.t_nonresp == N_COMB
+                assert data.external_total == (INT_BACK if other_stopped else N_BACK)
+    assert alone >= 5
+
+
+def test_interim_stop_matches_exact_enumeration():
+    exact = interim_stop_exact(TWO_COHORT_RATES)
+    assert exact["gap"] > 1e-9
+    ocs = run_ocs(interim_stop_spec(), TRIALS, SEED)
+    assert_within_4_mcse(ocs.Avg_TP, exact["go"], exact["sd"], "E[GO cohorts]")
+    assert ocs.Avg_FP == 0.0
+    p = exact["any"]
+    assert_within_4_mcse(ocs.Disj_Power_BA, p, math.sqrt(p * (1 - p)), "P(any GO)")
+
+
+@pytest.mark.parametrize("stopped", ["none", "all"])
+def test_a_wrong_final_pool_is_more_than_4_mcse_off(stopped):
+    # the check above has power against a pool without the stopped cohort, or
+    # with the patients it drew but never enrolled
+    exact, wrong = interim_stop_exact(TWO_COHORT_RATES), interim_stop_exact(
+        TWO_COHORT_RATES, stopped)
+    p = exact["any"]
+    assert max(abs(wrong["go"] - exact["go"]) / exact["sd"],
+               abs(wrong["any"] - p) / math.sqrt(p * (1 - p))) > 4 / math.sqrt(TRIALS)

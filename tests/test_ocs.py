@@ -173,7 +173,7 @@ class TestRecordFormat:
         for t in trials:
             s = summarize_trial(t, 5)
             for arm, i in ARM_INDEX.items():
-                rates = tuple(c.truth.rate(arm) for c in t.cohorts if arm in c.arms)
+                rates = tuple(c.truth[i] for c in t.cohorts if arm in c.arms)
                 total = 0.0
                 for rate in rates:
                     total += rate
