@@ -18,7 +18,7 @@ re-simulates its first N trials through ``runner.run_single_trial``, with
 the stream cells and the writer that ``simulate`` uses, so a dump is the
 same bytes as ``simulate`` gives for that cell.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration or input error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -183,7 +183,11 @@ def cmd_grid(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    dump = reporting.read_trajectory(args.dump)
+    try:
+        dump = reporting.read_trajectory(args.dump)
+    except ValueError as exc:  # not UTF-8 text, not JSON, or JSON that is no dump
+        print(f"error: {args.dump} is not a trajectory dump: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
     rates, pairs = reporting.plot_data_tables(dump)
     rates_path = os.path.join(args.out, "cohort_arm_rates.csv")

@@ -18,8 +18,8 @@ blocks of b patients.  One generator call gives their block orders and
 outcome pairs, kept as one code 4 * arm + 2 * interim + final outcome a
 patient.  Only this module decodes a code (``arm_counts``, ``Patients``);
 other modules read per-arm values, true rates too, by ``ARM_ORDER``
-position.  A cohort's block template and outcome probabilities are built
-once per layout and shared between cohorts and trials.
+position.  An opening's arms, truth class, template, pair probabilities and
+block count are cached per drawn truth and transform (``cohort_opening``).
 
 The engine steps from event to event.  The patients at which the next safety
 stop and the next cohort entry happen are drawn as geometric waiting times.
@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioSpec
+from .config import ScenarioSpec, TargetProfile
 from .decisions import (ARM_ORDER, COMPARISON_ARMS, FINAL, GO, INTERIM, STOP_FUTILITY,
                         UNSUCCESSFUL_MAX_N, ComparisonData, evaluate_cohort, is_superior,
                         plan_for)
@@ -122,18 +122,18 @@ class Patients(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def cohort_layout(arms: tuple[str, ...], ratio: tuple[int, ...], transform,
-                  rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """A cohort's block template (the arm index of each slot of one block, in
-    ``ARM_ORDER`` and allocation order) and its cumulative pair probabilities
-    (row j: every arm's j-th, at true rates ``rates`` in ``ARM_ORDER``), both
-    read-only."""
+def cohort_opening(truth: CohortTruth, transform, soc_dropped: bool, ratio: tuple[int, ...],
+                   target: TargetProfile, n_fin: int):
+    """An opening at drawn ``truth`` and ``transform``: arms, truth class, the
+    read-only template and cum_probs of ``draw_patients``, and block count."""
+    arms = tuple(a for a, r in zip(ARM_ORDER, ratio) if r > 0 and (a != "soc" or not soc_dropped))
     template = np.array([ARM_INDEX[a] for a, r in zip(ARM_ORDER, ratio) if a in arms
                          for _ in range(r)], dtype=np.int64)
-    cum_probs = np.array([cum_pair_probs(transform, rr) for rr in rates]).T
+    cum_probs = np.array([cum_pair_probs(transform, rr) for rr in truth[:4]]).T
     template.setflags(write=False)
     cum_probs.setflags(write=False)
-    return template, cum_probs
+    return (arms, classify_truth(truth, target, has_soc_comparisons="soc" in arms), template,
+            cum_probs, -(-n_fin // template.size))
 
 
 class AnalysisRecord(NamedTuple):
@@ -378,19 +378,16 @@ class Trial:
     # --- cohort entry -----------------------------------------------------
 
     def open_cohort(self) -> CohortState:
-        spec = self.spec
-        ratio = spec.platform.allocation_ratio
-        arms = tuple(arm for arm, r in zip(ARM_ORDER, ratio)
-                     if r > 0 and (arm != "soc" or not self.soc_dropped))
+        """Open a cohort.  Its truth (four uniforms), transform and patients are
+        drawn in that order; the rest is looked up (``cohort_opening``)."""
+        spec, p = self.spec, self.spec.platform
         truth = draw_cohort_truth(spec.efficacy, self.rng)
         transform = spec.endpoint.sample_transform(self.rng)
-        template, cum_probs = cohort_layout(arms, ratio, transform, truth[:4])
-        # a final analysis always ends enrolment: no cohort takes more blocks
-        blocks = -(-spec.platform.n_fin // template.size)
-        drawn = draw_patients(template, cum_probs, blocks, self.rng)
-        truth_class = classify_truth(truth, spec.target, has_soc_comparisons="soc" in arms)
-        cohort = CohortState(len(self.cohorts), self.total_n, arms, truth,
-                             truth_class, template.size, drawn, self.cohorts)
+        arms, truth_class, template, cum_probs, blocks = cohort_opening(
+            truth, transform, self.soc_dropped, p.allocation_ratio, spec.target, p.n_fin)
+        cohort = CohortState(len(self.cohorts), self.total_n, arms, truth, truth_class,
+                             template.size, draw_patients(template, cum_probs, blocks, self.rng),
+                             self.cohorts)
         self.cohorts.append(cohort)
         return cohort
 

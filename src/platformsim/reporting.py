@@ -109,8 +109,8 @@ def write_trajectory(path, trial: Trial) -> None:
 def read_trajectory(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         dump = json.load(fh)
-    if "Trial_Overview" not in dump or "Stage_Data" not in dump:
-        raise ValueError(f"{path}: not a trajectory dump (missing sections)")
+    if not isinstance(dump, dict) or not {"Trial_Overview", "Stage_Data"} <= dump.keys():
+        raise ValueError("no Trial_Overview and Stage_Data sections")
     return dump
 
 

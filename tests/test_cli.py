@@ -344,10 +344,17 @@ class TestPlotData:
         for r in filled:
             assert r["emp_hist_rate"] != ""
 
-    def test_malformed_dump_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{}", '{"Trial_Overview": {}}', "not json\n", "5"],
+                             ids=["empty_object", "no_stage_data", "not_json", "a_number"])
+    def test_malformed_dump_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert main(["plot-data", "--dump", str(bad), "--out", str(tmp_path)]) == 3
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "plot"
+        assert main(["plot-data", "--dump", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not a trajectory dump: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):

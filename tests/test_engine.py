@@ -7,18 +7,20 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from platformsim.config import (COMPARISON_KEYS, SHARING_TYPES, TRIAL_STRUCTURES,
-                                IdentityTransform, parse_scenario)
+from platformsim import engine
+from platformsim.config import (COMPARISON_KEYS, RANDOM_TYPES, SHARING_TYPES, TRIAL_STRUCTURES,
+                                CorrelatedTransform, DiscreteDist, EfficacySpec,
+                                IdentityTransform, TargetProfile, parse_scenario)
 from platformsim.decisions import (COMPARISON_ARMS, ComparisonData, comparison_outcome, explain,
                                    plan_for)
-from platformsim.efficacy import CohortTruth, draw_cohort_truth
+from platformsim.efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
                                 HALTED_RECRUITMENT, STOPPED_INTERIM_EFFICACY,
                                 STOPPED_INTERIM_FUTILITY, STOPPED_SAFETY,
                                 ARM_INDEX, ARM_ORDER, DROPS_SOC, SHARED_ARMS, AnalysisRecord,
                                 CohortState,
-                                assemble_analysis_data, classify_decision, cohort_layout,
+                                assemble_analysis_data, classify_decision, cohort_opening,
                                 cum_pair_probs, draw_patients, simulate_trial)
 from platformsim.reporting import arm_record, trial_result_to_dump
 from platformsim.runner import derive_rng
@@ -51,10 +53,12 @@ def make_cohort(cid=0, open_index=0, arms=ARMS, truth=None, ratio=(2, 1, 1, 1), 
 
 
 def draw(k, g, arms=ARMS, ratio=(2, 1, 1, 1), transform=None, truth=None):
-    """The codes of ``k`` blocks of a cohort, drawn as its opening draws them."""
-    truth = truth or TRUTH
-    template, cum_probs = cohort_layout(tuple(arms), ratio, transform or IdentityTransform(),
-                                        truth[:4])
+    """The codes of ``k`` blocks of a cohort with ``arms``, drawn as its
+    opening draws them: the ratio of an arm not in ``arms`` is taken as 0."""
+    ratio = tuple(r if arm in arms else 0 for arm, r in zip(ARM_ORDER, ratio))
+    _, _, template, cum_probs, _ = cohort_opening(
+        truth or TRUTH, transform or IdentityTransform(), False, ratio,
+        TargetProfile(margin_comb=0.1, margin_mono=0.05), k)
     return draw_patients(template, cum_probs, k, g)
 
 
@@ -324,6 +328,80 @@ class TestClassifyDecision:
     def test_enrolling_raises(self):
         with pytest.raises(ValueError):
             classify_decision(ENROLLING, "superior")
+
+
+@st.composite
+def opening_specs(draw):
+    """An efficacy model of any ``random_type`` (relative effects wide enough
+    to clamp), a transform, a target, an allocation ratio whose non-comb arms
+    may have no slots, ``soc_dropped``, ``n_fin`` and a generator seed."""
+    random_type = draw(st.sampled_from(RANDOM_TYPES))
+    effect = {"absolute": st.floats(0.0, 1.0), "risk_difference": st.floats(-1.0, 1.0),
+              "risk_ratio": st.floats(0.05, 5.0), "odds_ratio": st.floats(0.05, 20.0)}
+
+    def dist(values):
+        support = tuple(draw(st.lists(values, min_size=1, max_size=3)))
+        return DiscreteDist(support, (1.0 / len(support),) * len(support))
+
+    efficacy = EfficacySpec(random_type=random_type, comb=dist(effect[random_type]),
+                            mono_a=dist(effect[random_type]), mono_b=dist(effect[random_type]),
+                            soc=dist(st.floats(0.0, 1.0)))
+    transform = draw(st.one_of(st.just(IdentityTransform()), st.builds(
+        CorrelatedTransform, sens=st.floats(0.0, 1.0), spec=st.floats(0.0, 1.0))))
+    scale = draw(st.sampled_from((1, 2, 3)))
+    margin = st.floats(-0.2, 0.3) if scale == 1 else st.floats(0.5, 3.0)
+    target = TargetProfile(margin_comb=draw(margin), margin_mono=draw(margin), scale=scale,
+                           strict=draw(st.booleans()))
+    ratio = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)))
+    return (efficacy, transform, target, ratio, draw(st.booleans()), draw(st.integers(1, 400)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestCohortOpening:
+    @given(opening_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_cached_opening_equals_a_fresh_derivation(self, case):
+        efficacy, transform, target, ratio, soc_dropped, n_fin, seed = case
+        g = rng(seed)
+        for _ in range(4):  # a support of at most 3 values a rate: later draws may hit the cache
+            truth = draw_cohort_truth(efficacy, g)
+            arms, truth_class, template, cum_probs, blocks = cohort_opening(
+                truth, transform, soc_dropped, ratio, target, n_fin)
+            want = tuple(arm for arm, r in zip(ARM_ORDER, ratio)
+                         if r > 0 and not (arm == "soc" and soc_dropped))
+            assert arms == want
+            assert truth_class == classify_truth(truth, target, "soc" in want)
+            slots = [ARM_INDEX[arm] for arm in want for _ in range(ratio[ARM_INDEX[arm]])]
+            assert template.dtype == np.int64 and template.tolist() == slots
+            columns = [cum_pair_probs(transform, rr) for rr in truth[:4]]
+            assert cum_probs.dtype == np.float64
+            assert cum_probs.tolist() == [list(row) for row in zip(*columns)]
+            assert blocks == -(-n_fin // len(slots)) and (blocks - 1) * len(slots) < n_fin
+            assert not template.flags.writeable and not cum_probs.flags.writeable
+
+    def test_cache_misses_are_the_distinct_keys(self, example_spec):
+        # one transform and SoC slots under all_plac: a cohort's truth and arms
+        # give its opening's key, (truth, transform, soc_dropped)
+        p = example_spec.platform
+        assert len(example_spec.endpoint.transforms) == 1 and p.allocation_ratio[3] > 0
+        cohort_opening.cache_clear()
+        cohorts = [c for k in range(200)
+                   for c in simulate_trial(example_spec, derive_rng(5, 0, k)).cohorts]
+        keys = {(c.truth, "soc" in c.arms) for c in cohorts}
+        info = cohort_opening.cache_info()
+        assert (info.misses, info.hits) == (len(keys), len(cohorts) - len(keys))
+        assert 1 < len(keys) < len(cohorts) and info.currsize == len(keys)
+
+    def test_each_opening_draws_its_truth_through_the_module_name(self, example_spec,
+                                                                  monkeypatch):
+        # the benchmark's tracer wraps engine.draw_cohort_truth by name and
+        # reports its calls as the cohorts opened
+        real, drawn = engine.draw_cohort_truth, []
+        monkeypatch.setattr(engine, "draw_cohort_truth",
+                            lambda *args: drawn.append(real(*args)) or drawn[-1])
+        trials = [simulate_trial(example_spec, derive_rng(6, 0, k)) for k in range(100)]
+        assert drawn == [c.truth for t in trials for c in t.cohorts]
+        assert len(drawn) > len(trials)
 
 
 class TestSimulateTrial:
