@@ -184,12 +184,11 @@ def cmd_grid(args) -> int:
 
 def cmd_plotdata(args) -> int:
     try:
-        dump = reporting.read_trajectory(args.dump)
+        rates, pairs = reporting.plot_data_tables(reporting.read_trajectory(args.dump))
     except ValueError as exc:  # not UTF-8 text, not JSON, or JSON that is no dump
         print(f"error: {args.dump} is not a trajectory dump: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
-    rates, pairs = reporting.plot_data_tables(dump)
     rates_path = os.path.join(args.out, "cohort_arm_rates.csv")
     pairs_path = os.path.join(args.out, "outcome_pairs.csv")
     reporting.write_csv(rates_path, reporting.RATES_COLUMNS, rates)

@@ -25,9 +25,13 @@ The engine steps from event to event.  The patients at which the next safety
 stop and the next cohort entry happen are drawn as geometric waiting times.
 One step enrolls k whole rounds: up to the next size-triggered analysis or
 ``sr_pats``, and before the next safety stop or cohort entry, or the one
-round that holds it.  Enrolment draws nothing: a cohort takes the next
-patients of its draw, and a step whose first round holds an event walks the
-events' patient counters through that round, cohort by cohort.
+round that holds it.  Enrolment draws nothing.  One loop enrols a step: each
+cohort takes the next k blocks of its draw, and where an event falls in its
+block, which only happens when k = 1, it walks the events' patient counters
+through that block first.  One helper (``Trial._next_analysis``) gives a
+cohort's next analysis, both to size a step and to run the analyses due at
+its end, and one table (``CLOSING_STATUS``) maps a verdict at a stage to the
+status that closes the cohort.
 
 Platform stopping follows a round's analyses.  Entry closes only through
 ``Trial.close_entry`` (``entry_closed_index``): at ``sr_drugs_pos``
@@ -97,6 +101,13 @@ COMPLETED_UNSUCCESSFUL = "completed_unsuccessful"
 COMPLETED_FUTILITY = "completed_futility"
 HALTED_RECRUITMENT = "halted_recruitment"
 
+#: (verdict, stage) -> the status the verdict closes its cohort with; CONTINUE keeps
+#: the cohort enrolling, and UNSUCCESSFUL_MAX_N is a final verdict only
+CLOSING_STATUS = {
+    (GO, INTERIM): STOPPED_INTERIM_EFFICACY, (GO, FINAL): COMPLETED_GO,
+    (STOP_FUTILITY, INTERIM): STOPPED_INTERIM_FUTILITY, (STOP_FUTILITY, FINAL): COMPLETED_FUTILITY,
+    (UNSUCCESSFUL_MAX_N, FINAL): COMPLETED_UNSUCCESSFUL,
+}
 POSITIVE_STATUSES = frozenset({STOPPED_INTERIM_EFFICACY, COMPLETED_GO})
 NEGATIVE_STATUSES = frozenset({STOPPED_INTERIM_FUTILITY, COMPLETED_FUTILITY,
                                COMPLETED_UNSUCCESSFUL})
@@ -413,50 +424,47 @@ class Trial:
         and before the next safety stop or cohort entry, or k = 1 when that
         event falls in the coming round.
 
-        Without an event each cohort takes its next k blocks.  With one, the
-        round goes cohort by cohort from event to event: a safety stop cuts
-        its cohort's block after the stopping patient, and an entry opens its
+        Each cohort takes its next k blocks.  An event can only fall in a
+        step's first round, so k = 1 when one does: the round then goes
+        cohort by cohort from event to event, a safety stop cutting its
+        cohort's block after the stopping patient and an entry opening its
         cohort after the entry patient."""
         p = self.spec.platform
         round_n = sum(c.block for c in enrolling)
         first = self.total_n
         next_event = min(self.next_safety, self.next_entry)
-        if next_event > first + round_n:
-            k = min(self._rounds_to_analysis(c) for c in enrolling)
-            if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
-                k = min(k, math.ceil((p.sr_pats - first) / round_n))
-            if next_event < math.inf:  # math.inf // round_n is nan
-                k = min(k, (next_event - first - 1) // round_n)
-            for cohort in enrolling:
-                cohort.record(k * cohort.block, first, round_n, k)
-                first += cohort.block
-            self.total_n = first + (k - 1) * round_n
-            return
+        k = min(-(-(self._next_analysis(c)[0] - c.n) // c.block) for c in enrolling)
+        if p.sr_pats < math.inf:  # a crossed sr_pats halts every cohort: no step follows
+            k = min(k, math.ceil((p.sr_pats - first) / round_n))
+        if next_event < math.inf:  # math.inf // round_n is nan
+            k = min(k, max(1, (next_event - first - 1) // round_n))
         for cohort in enrolling:
             start, end = first, first + cohort.block  # start: the next unrecorded index
-            while cohort.status == ENROLLING:
-                counter = min(self.next_safety, self.next_entry)
-                if counter > end:
-                    break
-                if counter == self.next_safety:  # the rest of the block is not enrolled
+            while next_event <= end:  # after a safety stop at end, every event is past it
+                if next_event == self.next_safety:  # the rest of the block is not enrolled
                     cohort.status = STOPPED_SAFETY
-                    cohort.close_index = end = counter
-                    self.safety_stops.append((cohort.id, counter))
-                    self.next_safety = counter + self._waiting_time(p.safety_prob)
-                if counter == self.next_entry:  # sizes noted after the entry patient
-                    cohort.record(counter - start, start)
-                    start = self.total_n = counter
+                    cohort.close_index = end = next_event
+                    self.safety_stops.append((cohort.id, next_event))
+                    self.next_safety = next_event + self._waiting_time(p.safety_prob)
+                if next_event == self.next_entry:  # sizes noted after the entry patient
+                    cohort.record(next_event - start, start)
+                    start = self.total_n = next_event
                     self.open_cohort()
                     self.schedule_entry()
-            cohort.record(end - start, start)
+                next_event = min(self.next_safety, self.next_entry)
+            cohort.record(k * (end - start), start, round_n, k)
             first = end
-        self.total_n = first
+        self.total_n = first + (k - 1) * round_n
 
-    def _rounds_to_analysis(self, cohort: CohortState) -> int:
-        """Rounds until ``cohort`` reaches the size of its next analysis."""
+    def _next_analysis(self, cohort: CohortState) -> tuple[int, str]:
+        """The size and stage of ``cohort``'s next analysis.  With n_int ==
+        n_fin the stages coincide and only the final runs; a final always
+        ends enrolment, so an enrolling cohort that was analysed had its
+        interim."""
         p = self.spec.platform
-        size = p.n_int if p.n_int < p.n_fin and not cohort.analyses else p.n_fin
-        return -(-(size - cohort.n) // cohort.block)
+        if p.n_int < p.n_fin and not cohort.analyses:
+            return p.n_int, INTERIM
+        return p.n_fin, FINAL
 
     # --- analyses ----------------------------------------------------------
 
@@ -474,9 +482,11 @@ class Trial:
             self.soc_dropped = any(t.comparison in self.drops_soc
                                    and is_superior(self.plan, t, stage) for t in data)
 
-        if verdict == GO:
-            cohort.status = STOPPED_INTERIM_EFFICACY if stage == INTERIM else COMPLETED_GO
+        status = CLOSING_STATUS.get((verdict, stage))
+        if status is not None:
+            cohort.status = status
             cohort.close_index = self.total_n
+        if verdict == GO:
             self.successes += 1
             if self.first_success is None:
                 self.first_success = {
@@ -486,13 +496,6 @@ class Trial:
                     "cohorts_opened": len(self.cohorts),
                     "stage": stage,
                 }
-        elif verdict == STOP_FUTILITY:
-            cohort.status = STOPPED_INTERIM_FUTILITY if stage == INTERIM else COMPLETED_FUTILITY
-            cohort.close_index = self.total_n
-        elif verdict == UNSUCCESSFUL_MAX_N:
-            cohort.status = COMPLETED_UNSUCCESSFUL
-            cohort.close_index = self.total_n
-        # CONTINUE keeps enrolling
 
     def halt_enrolling_cohorts(self) -> None:
         """Stop recruitment everywhere and conclude on accumulated data.
@@ -512,20 +515,16 @@ class Trial:
                 cohort.close_index = self.total_n
 
     def end_round(self) -> None:
-        """Size-triggered analyses in cohort order, then platform-level
+        """Size-triggered analyses in cohort order, each cohort's due ones in
+        turn (an interim that continues, then the final), then platform-level
         stopping."""
         p = self.spec.platform
         for cohort in self.cohorts:
-            if cohort.status != ENROLLING:
-                continue
-            size = cohort.n
-            # with n_int == n_fin the stages coincide: only the final runs;
-            # a final analysis always ends enrolment, so any analysis of an
-            # enrolling cohort is its interim
-            if p.n_int < p.n_fin and size >= p.n_int and not cohort.analyses:
-                self.run_analysis(cohort, INTERIM)
-            if cohort.status == ENROLLING and size >= p.n_fin:
-                self.run_analysis(cohort, FINAL)
+            while cohort.status == ENROLLING:
+                size, stage = self._next_analysis(cohort)
+                if cohort.n < size:
+                    break
+                self.run_analysis(cohort, stage)
 
         if self.successes >= p.sr_drugs_pos or (p.sr_first_pos and self.successes):
             self.close_entry()

@@ -89,8 +89,6 @@ def _total(xs) -> Any:
 def summarize_trial(result: Trial, cohorts_max: int) -> TrialSummary:
     pat, suc_bio, suc_hist = ([0] * len(ARM_ORDER) for _ in range(3))
     rr = [[] for _ in ARM_ORDER]
-    tp = fp = tn = fn = 0
-    safety = int_stop = int_go = 0
     sup_pat = 0
     for c in result.cohorts:
         truth, counts = c.truth, arm_counts(c.tally)
@@ -103,26 +101,16 @@ def summarize_trial(result: Trial, cohorts_max: int) -> TrialSummary:
             rr[i].append(truth[i])
             if arm != "soc" and truth[i] > truth.pi_soc:
                 sup_pat += n
-        confusion = c.confusion
-        if confusion == "TP":
-            tp += 1
-        elif confusion == "FP":
-            fp += 1
-        elif confusion == "TN":
-            tn += 1
-        elif confusion == "FN":
-            fn += 1
-        if c.status == STOPPED_SAFETY:
-            safety += 1
-        elif c.status == STOPPED_INTERIM_FUTILITY:
-            int_stop += 1
-        elif c.status == STOPPED_INTERIM_EFFICACY:
-            int_go += 1
+    confusion = [c.confusion for c in result.cohorts]
+    status = [c.status for c in result.cohorts]
     first = result.first_success
     return TrialSummary(
         total_n=result.total_n, pat=tuple(pat), suc_bio=tuple(suc_bio),
-        suc_hist=tuple(suc_hist), cohorts=len(result.cohorts), tp=tp, fp=fp, tn=tn, fn=fn,
-        safety_stops=safety, int_stops=int_stop, int_gos=int_go, rr=tuple(map(tuple, rr)),
+        suc_hist=tuple(suc_hist), cohorts=len(result.cohorts),
+        tp=confusion.count("TP"), fp=confusion.count("FP"), tn=confusion.count("TN"),
+        fn=confusion.count("FN"), safety_stops=status.count(STOPPED_SAFETY),
+        int_stops=status.count(STOPPED_INTERIM_FUTILITY),
+        int_gos=status.count(STOPPED_INTERIM_EFFICACY), rr=tuple(map(tuple, rr)),
         sup_pat=sup_pat, soc_slots=result.soc_slot_patients,
         pat_plac_first_suc=None if first is None else first["soc_patients"],
         cohorts_first_suc=None if first is None else first["cohorts_opened"],

@@ -126,24 +126,28 @@ PAIRS_COLUMNS = ("cohort", "arm", "n00", "n01", "n10", "n11")
 def plot_data_tables(dump: Mapping) -> tuple[list[dict], list[dict]]:
     """Tables behind trajectory plots: empirical interim/final response rates
     with the true final rate per cohort-arm, and the joint outcome-pair
-    counts (interim vs final endpoint)."""
+    counts (interim vs final endpoint).  A ``Stage_Data`` section of another
+    shape raises ``ValueError``."""
     rates: list[dict] = []
     pairs: list[dict] = []
-    for c in dump["Stage_Data"]["cohorts"]:
-        for arm in sorted(c["per_arm"]):
-            rec = c["per_arm"][arm]
-            n = rec["n"]
-            rates.append({
-                "cohort": c["id"], "arm": arm, "n": n,
-                "bio_responders": rec["bio_responders"],
-                "hist_responders": rec["hist_responders"],
-                "emp_bio_rate": rec["bio_responders"] / n if n else "",
-                "emp_hist_rate": rec["hist_responders"] / n if n else "",
-                "true_hist_rate": rec["true_rate"],
-            })
-            n00, n01, n10, n11 = rec["pairs"]
-            pairs.append({"cohort": c["id"], "arm": arm,
-                          "n00": n00, "n01": n01, "n10": n10, "n11": n11})
+    try:
+        for c in dump["Stage_Data"]["cohorts"]:
+            for arm in sorted(c["per_arm"]):
+                rec = c["per_arm"][arm]
+                n = rec["n"]
+                rates.append({
+                    "cohort": c["id"], "arm": arm, "n": n,
+                    "bio_responders": rec["bio_responders"],
+                    "hist_responders": rec["hist_responders"],
+                    "emp_bio_rate": rec["bio_responders"] / n if n else "",
+                    "emp_hist_rate": rec["hist_responders"] / n if n else "",
+                    "true_hist_rate": rec["true_rate"],
+                })
+                n00, n01, n10, n11 = rec["pairs"]
+                pairs.append({"cohort": c["id"], "arm": arm,
+                              "n00": n00, "n01": n01, "n10": n10, "n11": n11})
+    except (LookupError, TypeError) as exc:  # a missing field, or a field of the wrong type
+        raise ValueError(f"malformed Stage_Data ({type(exc).__name__}: {exc})") from exc
     return rates, pairs
 
 

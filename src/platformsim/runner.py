@@ -19,7 +19,6 @@ its ``Trial``.
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence
 
@@ -84,11 +83,7 @@ def run_grid(specs: Sequence[ScenarioSpec], iterations: int, master_seed: int,
     plan_for.cache_clear()  # each run starts cold, and before any fork, so every worker does
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
-        if pool is None:
-            parts = (_run_range(*task) for task in tasks)
-        else:
-            futures = deque(pool.submit(_run_range, *task) for task in tasks)
-            parts = (futures.popleft().result() for _ in tasks)
+        parts = (map if pool is None else pool.map)(_run_range, *zip(*tasks))
         done, total = 0, len(specs) * iterations
         acc = TrialAccumulator()
         for (_, _, start, count, _), part in zip(tasks, parts):

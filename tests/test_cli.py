@@ -344,8 +344,12 @@ class TestPlotData:
         for r in filled:
             assert r["emp_hist_rate"] != ""
 
-    @pytest.mark.parametrize("text", ["{}", '{"Trial_Overview": {}}', "not json\n", "5"],
-                             ids=["empty_object", "no_stage_data", "not_json", "a_number"])
+    @pytest.mark.parametrize("text", [
+        "{}", '{"Trial_Overview": {}}', "not json\n", "5", '{"Trial_Overview": {}, "Stage_Data": 5}',
+        '{"Trial_Overview": {}, "Stage_Data": {"cohorts": [{"id": 0, "per_arm": {"soc": '
+        '{"n": 2, "hist_responders": 1, "true_rate": 0.2, "pairs": [1, 0, 0, 1]}}}]}}',
+    ], ids=["empty_object", "no_stage_data", "not_json", "a_number", "stage_data_a_number",
+            "no_bio_responders"])
     def test_malformed_dump_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

@@ -11,8 +11,8 @@ from platformsim import engine
 from platformsim.config import (COMPARISON_KEYS, RANDOM_TYPES, SHARING_TYPES, TRIAL_STRUCTURES,
                                 CorrelatedTransform, DiscreteDist, EfficacySpec,
                                 IdentityTransform, TargetProfile, parse_scenario)
-from platformsim.decisions import (COMPARISON_ARMS, ComparisonData, comparison_outcome, explain,
-                                   plan_for)
+from platformsim.decisions import (COMPARISON_ARMS, CONTINUE, UNSUCCESSFUL_MAX_N, ComparisonData,
+                                   comparison_outcome, explain, plan_for)
 from platformsim.efficacy import CohortTruth, classify_truth, draw_cohort_truth
 from platformsim.engine import (COMPLETED_FUTILITY, COMPLETED_GO,
                                 COMPLETED_UNSUCCESSFUL, ENROLLING,
@@ -733,6 +733,30 @@ class TestSimulateTrial:
         (cohort,) = result.cohorts
         assert cohort.status == COMPLETED_UNSUCCESSFUL
         assert [a.stage for a in cohort.analyses] == ["interim", "final"]
+
+    def test_interim_that_continues_and_final_run_in_one_round(self, monkeypatch):
+        # n_fin - n_int is below one block of 5, so the block that reaches n_int
+        # also reaches n_fin: the interim continues and the final follows it
+        rules = {"interim": bayes_stage_rules(sup_conf=0.999999, with_fut=False),
+                 "final": bayes_stage_rules(sup_conf=0.999999, with_fut=False)}
+        spec = make_scenario(rates=(0.3, 0.25, 0.25, 0.2), rules=rules, cohort_random=0.0,
+                             n_int=58, n_fin=60)
+        ran = []  # the analyses each end_round ran
+        end_round = engine.Trial.end_round
+
+        def spy(trial):
+            before = sum(len(c.analyses) for c in trial.cohorts)
+            end_round(trial)
+            ran.append(sum(len(c.analyses) for c in trial.cohorts) - before)
+
+        monkeypatch.setattr(engine.Trial, "end_round", spy)
+        result = simulate_trial(spec, derive_rng(20, 0, 0))
+        (cohort,) = result.cohorts
+        assert ran == [2]  # no event: one step of 12 rounds, one end_round
+        assert [(a.stage, a.verdict, a.n_enrolled, a.patient_counter)
+                for a in cohort.analyses] == [("interim", CONTINUE, 60, 60),
+                                              ("final", UNSUCCESSFUL_MAX_N, 60, 60)]
+        assert cohort.status == COMPLETED_UNSUCCESSFUL
 
     def test_first_success_bookkeeping(self):
         spec = make_scenario(rates=(0.9, 0.2, 0.2, 0.1), trial_struc="no_plac",
